@@ -47,12 +47,14 @@ fail() { echo "smoke_cluster: FAIL: $*" >&2; exit 1; }
 # --self-trace-corpus turns span recording on in every fleet member,
 # so the stitched cluster-trace below actually has spans to stitch and
 # the coordinator leaves a TLC1 corpus behind for the self-analysis
-# check at the end.
-tl_start_daemon w1 --log-level warn \
+# check at the end. --workers 2 puts every handler thread inside a
+# lifetime pool.worker span even on a 1-thread host, so the
+# cross-node parent-edge check covers the multi-worker path.
+tl_start_daemon w1 --workers 2 --log-level warn \
     --self-trace-corpus "$WORK/st_w1" || fail "worker 1 startup"
-tl_start_daemon w2 --log-level warn \
+tl_start_daemon w2 --workers 2 --log-level warn \
     --self-trace-corpus "$WORK/st_w2" || fail "worker 2 startup"
-tl_start_daemon coord --coordinator \
+tl_start_daemon coord --workers 2 --coordinator \
     --cluster-workers "$w1_ADDR,$w2_ADDR" --shard-deadline-ms 5000 \
     --metrics-listen 127.0.0.1:0 \
     --metrics-port-file "$WORK/coord.metricsport" \

@@ -468,11 +468,20 @@ struct ThreadBuffer
     std::vector<std::uint64_t> activeSpans;
 };
 
-/** The calling thread's propagated trace context (TraceContextScope). */
-SpanContext &
+/** The calling thread's propagated trace context (TraceContextScope)
+ *  and the active-span depth at which it was installed. A span opened
+ *  at that depth is the first inside the scope and takes the context's
+ *  parent, whatever spans already enclose the thread. */
+struct ThreadContext
+{
+    SpanContext context;
+    std::size_t depth = 0;
+};
+
+ThreadContext &
 threadContext()
 {
-    thread_local SpanContext context;
+    thread_local ThreadContext context;
     return context;
 }
 
@@ -576,14 +585,14 @@ threadCpuNs()
 std::atomic<bool> Telemetry::enabled_{false};
 
 TraceContextScope::TraceContextScope(const SpanContext &context)
-    : saved_(threadContext())
+    : saved_(threadContext().context), savedDepth_(threadContext().depth)
 {
-    threadContext() = context;
+    threadContext() = {context, threadBuffer().activeSpans.size()};
 }
 
 TraceContextScope::~TraceContextScope()
 {
-    threadContext() = saved_;
+    threadContext() = {saved_, savedDepth_};
 }
 
 Span::Span(const char *name, const char *category)
@@ -594,11 +603,11 @@ Span::Span(const char *name, const char *category)
     active_ = true;
     ThreadBuffer &buffer = threadBuffer();
     buffer.depth++;
-    const SpanContext &context = threadContext();
-    traceId_ = context.traceId;
-    parentSpanId_ = buffer.activeSpans.empty()
-                        ? context.parentSpanId
-                        : buffer.activeSpans.back();
+    const ThreadContext &scope = threadContext();
+    traceId_ = scope.context.traceId;
+    parentSpanId_ = buffer.activeSpans.size() > scope.depth
+                        ? buffer.activeSpans.back()
+                        : scope.context.parentSpanId;
     spanId_ = nextTelemetryId();
     buffer.activeSpans.push_back(spanId_);
     startUs_ = nowUs();
@@ -900,9 +909,10 @@ Telemetry::newTraceId()
 SpanContext
 Telemetry::currentContext()
 {
-    SpanContext context = threadContext();
+    const ThreadContext &scope = threadContext();
+    SpanContext context = scope.context;
     const ThreadBuffer &buffer = threadBuffer();
-    if (!buffer.activeSpans.empty())
+    if (buffer.activeSpans.size() > scope.depth)
         context.parentSpanId = buffer.activeSpans.back();
     return context;
 }

@@ -288,8 +288,10 @@ struct SpanContext
  * Installs @p context as the calling thread's current trace context
  * for the scope's lifetime (restoring the previous one on exit).
  * Spans opened while the scope is active record the context's trace
- * id, and a root-level span adopts the context's parent span id —
- * the receiving half of cross-process propagation.
+ * id, and the first span opened inside the scope adopts the context's
+ * parent span id — whatever spans already enclose the thread (a daemon
+ * handler runs inside its pool thread's lifetime `pool.worker` span).
+ * This is the receiving half of cross-process propagation.
  */
 class TraceContextScope
 {
@@ -302,6 +304,7 @@ class TraceContextScope
 
   private:
     SpanContext saved_;
+    std::size_t savedDepth_;
 };
 
 /**
@@ -312,8 +315,9 @@ class TraceContextScope
  *
  * Every active span is assigned a process-unique 64-bit id and
  * records its parent (the innermost enclosing span on the thread, or
- * the thread's propagated remote parent at the root) plus the current
- * trace id — the edges the distributed stitcher walks.
+ * the propagated remote parent for the first span opened inside a
+ * TraceContextScope) plus the current trace id — the edges the
+ * distributed stitcher walks.
  */
 class Span
 {
@@ -461,8 +465,9 @@ class Telemetry
     /**
      * The context to propagate to a downstream call made from the
      * calling thread: the current trace id and sampling flag (from
-     * the innermost TraceContextScope), with the innermost active
-     * span on this thread as the parent.
+     * the innermost TraceContextScope), with the innermost span
+     * opened inside that scope as the parent — or the scope's own
+     * propagated parent until the first span is opened inside it.
      */
     static SpanContext currentContext();
 

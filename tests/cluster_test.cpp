@@ -198,16 +198,16 @@ class ClusterTest : public ::testing::Test
     }
 
     Daemon
-    startWorker()
+    startWorker(ServerConfig config = {})
     {
-        return startDaemon();
+        return startDaemon(config);
     }
 
     Daemon
     startCoordinator(const std::vector<std::string> &workers,
-                     std::uint64_t shardDeadlineMs = 10000)
+                     std::uint64_t shardDeadlineMs = 10000,
+                     ServerConfig config = {})
     {
-        ServerConfig config;
         config.coordinator = true;
         config.workerAddrs = workers;
         config.shardDeadlineMs = shardDeadlineMs;
@@ -622,13 +622,18 @@ TEST_F(ClusterTest, ClusterStatusReportsTopologyAndHealth)
 
 TEST_F(ClusterTest, OneTraceIdSpansCoordinatorAndWorkers)
 {
-    Daemon worker1 = startWorker();
-    Daemon worker2 = startWorker();
-    Daemon coord = startCoordinator(
-        {worker1.address(), worker2.address()});
-
+    // Record before the daemons start, as `serve --self-trace-corpus`
+    // does: every handler thread then runs inside its pool thread's
+    // lifetime pool.worker span, and two pool workers take that path
+    // even on a 1-thread host. The propagated parent must still win.
     Telemetry::setEnabled(true);
     Telemetry::reset();
+    ServerConfig pooled;
+    pooled.workers = 2;
+    Daemon worker1 = startWorker(pooled);
+    Daemon worker2 = startWorker(pooled);
+    Daemon coord = startCoordinator(
+        {worker1.address(), worker2.address()}, 10000, pooled);
 
     // Root a trace at the client; the coordinator adopts it and the
     // scatter propagates it over real TCP to every worker, so every
@@ -647,8 +652,9 @@ TEST_F(ClusterTest, OneTraceIdSpansCoordinatorAndWorkers)
         << response.value().error.message;
 
     // Spans commit when their scopes close (after the responses are
-    // sent), so poll. Every daemon runs in this process, so the
-    // process-wide buffer holds all three nodes' spans.
+    // sent), so poll until the partials and the coordinator's own
+    // request span are all in. Every daemon runs in this process, so
+    // the process-wide buffer holds all three nodes' spans.
     std::vector<SpanSnapshot> traced;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -656,14 +662,19 @@ TEST_F(ClusterTest, OneTraceIdSpansCoordinatorAndWorkers)
     while (std::chrono::steady_clock::now() < deadline) {
         traced.clear();
         partials = 0;
+        bool rootCommitted = false;
         for (SpanSnapshot &span : Telemetry::snapshotSpans())
             if (span.traceId == traceId)
                 traced.push_back(std::move(span));
         for (const SpanSnapshot &span : traced)
-            for (const auto &[key, value] : span.args)
+            for (const auto &[key, value] : span.args) {
                 if (key == "method" && value == "analyze_partial")
                     ++partials;
-        if (partials >= 2)
+                if (key == "method" && value == "analyze" &&
+                    span.name == "server.request")
+                    rootCommitted = true;
+            }
+        if (partials >= 2 && rootCommitted)
             break;
         ::usleep(20'000);
     }

@@ -12,6 +12,7 @@
  */
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -382,6 +383,63 @@ TEST(ObsSpanContext, ScopeInstallsContextAndSpansInheritIt)
     EXPECT_EQ(spans[0].traceId, 0xabcdef0123456789ull);
     EXPECT_EQ(spans[0].parentSpanId, 0x7777u);
     EXPECT_NE(spans[0].spanId, 0u);
+    Telemetry::setEnabled(false);
+    Telemetry::reset();
+}
+
+TEST(ObsSpanContext, ScopeParentWinsOverEnclosingThreadSpan)
+{
+    Telemetry::setEnabled(true);
+    Telemetry::reset();
+    SpanContext incoming;
+    incoming.traceId = 0x0123456789abcdefull;
+    incoming.parentSpanId = 0x4242;
+    incoming.sampled = true;
+    std::uint64_t outerId = 0;
+    std::uint64_t requestId = 0;
+    std::uint64_t childId = 0;
+    std::uint64_t afterId = 0;
+    {
+        // Stands in for the lifetime pool.worker span every daemon
+        // handler thread runs inside.
+        Span outer("pool.worker", "pool");
+        ASSERT_TRUE(outer.active());
+        outerId = outer.id();
+        {
+            TraceContextScope scope(incoming);
+            // Before any span opens inside the scope, a downstream
+            // call carries the caller's parent, not the pool span.
+            const SpanContext before = Telemetry::currentContext();
+            EXPECT_EQ(before.traceId, incoming.traceId);
+            EXPECT_EQ(before.parentSpanId, 0x4242u);
+            Span request("server.request", "server");
+            requestId = request.id();
+            {
+                Span child("server.handle", "server");
+                childId = child.id();
+            }
+        }
+        // Outside the scope the thread's own nesting applies again.
+        EXPECT_EQ(Telemetry::currentContext().parentSpanId, outerId);
+        Span after("pool.next", "pool");
+        afterId = after.id();
+    }
+
+    std::map<std::uint64_t, SpanSnapshot> byId;
+    for (SpanSnapshot &span : Telemetry::snapshotSpans())
+        byId[span.spanId] = std::move(span);
+    ASSERT_EQ(byId.size(), 4u);
+    // The first span inside the scope adopted the propagated parent,
+    // even though the pool span still enclosed the thread.
+    EXPECT_EQ(byId[requestId].parentSpanId, 0x4242u);
+    EXPECT_EQ(byId[requestId].traceId, incoming.traceId);
+    // Its child nests under it as usual.
+    EXPECT_EQ(byId[childId].parentSpanId, requestId);
+    EXPECT_EQ(byId[childId].traceId, incoming.traceId);
+    // After the scope closes, a new span parents onto the outer span.
+    EXPECT_EQ(byId[afterId].parentSpanId, outerId);
+    EXPECT_EQ(byId[afterId].traceId, 0u);
+    EXPECT_EQ(byId[outerId].parentSpanId, 0u);
     Telemetry::setEnabled(false);
     Telemetry::reset();
 }

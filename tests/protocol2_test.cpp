@@ -795,10 +795,14 @@ TEST_F(Protocol2Test, MalformedSpanContextContentIsDroppedSilently)
 
 TEST_F(Protocol2Test, SamplingFlagFuzzAndTrailingBytesAreTolerated)
 {
-    ServerConfig config;
-    startServer(config);
+    // Recording starts before the daemon, so the handler runs inside a
+    // lifetime pool.worker span (two workers: the pool path even on a
+    // 1-thread host) and the propagated parent must still win.
     Telemetry::setEnabled(true);
     Telemetry::reset();
+    ServerConfig config;
+    config.workers = 2;
+    startServer(config);
     std::optional<RawV2> v2 = handshake(/*tracing=*/true);
     ASSERT_TRUE(v2.has_value());
 
@@ -873,9 +877,12 @@ TEST_F(Protocol2Test, NoTracingPeerInteropsWithoutContextField)
 
 TEST_F(Protocol2Test, SessionCallOptionsPropagateTraceContext)
 {
-    startServer();
+    // As above: recording on before start, two pool workers.
     Telemetry::setEnabled(true);
     Telemetry::reset();
+    ServerConfig config;
+    config.workers = 2;
+    startServer(config);
 
     Session session = connect();
     ASSERT_TRUE(session.tracingNegotiated());
