@@ -274,12 +274,13 @@ main(int argc, char **argv)
                      speedup(pipeline_serial, pipeline_parallel), 2)});
     std::cout << perf.render();
 
-    // ---- artifact cache: cold vs warm full pipeline ----------------
-    // The same corpus and scenario set analyzed twice through a disk
-    // artifact cache: the cold run computes and persists every
-    // wait-graph bundle and AWG, the warm run (a fresh Analyzer, as a
-    // new process would be) restores them and only recomputes the
-    // cheap memory-only stages.
+    // ---- artifact cache: no cache vs cold vs warm full pipeline -----
+    // The same corpus and scenario set analyzed three times: with no
+    // cache, then twice through a disk artifact cache. The cold run
+    // computes and persists every AWG; the warm run (a fresh Analyzer,
+    // as a new process would be) restores them and recomputes the
+    // rest. The warm run is worth its cache only if it beats the run
+    // with no cache at all.
     const std::filesystem::path cache_dir =
         std::filesystem::temp_directory_path() /
         "tracelens_bench_artifact_cache";
@@ -301,9 +302,21 @@ main(int argc, char **argv)
         return total;
     };
 
-    double cold_ms = 0, warm_ms = 0;
-    StageStats cold_totals, warm_totals;
-    std::size_t cold_patterns = 0, warm_patterns = 0;
+    double nocache_ms = 0, cold_ms = 0, warm_ms = 0;
+    StageStats nocache_totals, cold_totals, warm_totals;
+    std::size_t nocache_patterns = 0, cold_patterns = 0, warm_patterns = 0;
+    {
+        AnalyzerConfig nocache_config = cached_config;
+        nocache_config.artifactCacheDir.clear();
+        EagerSource source(corpus);
+        const auto start = std::chrono::steady_clock::now();
+        Analyzer analyzer(source, nocache_config);
+        const auto analyses = analyzer.analyzeScenarios(scenarios);
+        nocache_ms = msSince(start);
+        nocache_totals = stageTotals(analyzer.pipelineStats());
+        for (const auto &analysis : analyses)
+            nocache_patterns += analysis.mining.patterns.size();
+    }
     {
         EagerSource source(corpus);
         const auto start = std::chrono::steady_clock::now();
@@ -332,7 +345,8 @@ main(int argc, char **argv)
         ++cache_files;
     }
     std::filesystem::remove_all(cache_dir);
-    if (cold_patterns != warm_patterns) {
+    if (cold_patterns != warm_patterns ||
+        nocache_patterns != warm_patterns) {
         std::cerr << "warm-cache mining mismatch\n";
         return 1;
     }
@@ -343,6 +357,10 @@ main(int argc, char **argv)
                      1)
               << " MiB) ==\n";
     TextTable cache({"Run", "ms", "misses", "disk hits", "disk writes"});
+    cache.addRow({"no cache", TextTable::num(nocache_ms, 0),
+                  std::to_string(nocache_totals.misses),
+                  std::to_string(nocache_totals.diskHits),
+                  std::to_string(nocache_totals.diskWrites)});
     cache.addRow({"cold", TextTable::num(cold_ms, 0),
                   std::to_string(cold_totals.misses),
                   std::to_string(cold_totals.diskHits),
@@ -360,6 +378,7 @@ main(int argc, char **argv)
              << "  \"threads\": " << threads << ",\n"
              << "  \"cache_files\": " << cache_files << ",\n"
              << "  \"cache_bytes\": " << cache_bytes << ",\n"
+             << "  \"nocache_ms\": " << nocache_ms << ",\n"
              << "  \"cold_ms\": " << cold_ms << ",\n"
              << "  \"cold_misses\": " << cold_totals.misses << ",\n"
              << "  \"cold_disk_writes\": " << cold_totals.diskWrites
@@ -368,6 +387,8 @@ main(int argc, char **argv)
              << "  \"warm_misses\": " << warm_totals.misses << ",\n"
              << "  \"warm_disk_hits\": " << warm_totals.diskHits << ",\n"
              << "  \"warm_speedup\": " << speedup(cold_ms, warm_ms)
+             << ",\n"
+             << "  \"warm_vs_nocache\": " << speedup(nocache_ms, warm_ms)
              << "\n}\n";
         std::cout << "wrote BENCH_pipeline.json\n";
     }

@@ -7,6 +7,8 @@
 
 #include "src/core/analyzer.h"
 
+#include <iterator>
+
 #include "src/trace/merge.h"
 #include "src/trace/serialize.h"
 #include "src/util/logging.h"
@@ -167,22 +169,23 @@ Analyzer::graphs() const
             span.arg("instances", static_cast<std::uint64_t>(
                                       corpus_->instances().size()));
         }
-        graphs_.clear();
         graphs_.reserve(corpus_->instances().size());
         const unsigned threads = resolveThreads(config_.threads);
         WaitGraphBuilder builder(*corpus_, config_.waitGraph);
-        for (const ShardRecord &shard : shards_) {
-            // Keyed by the shard's *chain* digest: a shard's graphs
-            // depend on the merged corpus' stream indices and interned
-            // ids, which the prefix shards determine.
+        for (std::size_t i = 0; i < shards_.size(); ++i) {
+            // A shard's graphs depend only on the shards up to it (its
+            // streams, and the ids the prefix interned), so the graphs
+            // of shards already built stay as they are.
+            const ShardRecord &shard = shards_[i];
             const Digest key =
                 stageKey(fpWaitGraph_, "waitgraphs", shard.chain);
-            auto bundle = store_.waitGraphs(key, [&] {
-                return builder.buildRangeParallel(
+            store_.track(Stage::WaitGraphs, key, i < graphsShards_, [&] {
+                std::vector<WaitGraph> built = builder.buildRangeParallel(
                     shard.firstInstance, shard.instanceCount, threads);
+                graphs_.insert(graphs_.end(),
+                               std::make_move_iterator(built.begin()),
+                               std::make_move_iterator(built.end()));
             });
-            graphs_.insert(graphs_.end(), bundle->begin(),
-                           bundle->end());
         }
         graphsShards_ = shards_.size();
     }

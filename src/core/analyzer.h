@@ -12,18 +12,20 @@
  * the two Aggregated Wait Graphs, mine ranked contrast patterns, and
  * compute the RQ1 coverage figures.
  *
- * Every derived result is an *artifact* in an ArtifactStore
- * (src/core/artifacts.h), keyed by a content hash of its inputs: the
- * digest chain of the ingested shards plus a fingerprint of the
- * relevant configuration. Two consequences:
+ * The per-instance wait graphs are built once per shard and held in
+ * one vector. Every result derived from them is an *artifact* in an
+ * ArtifactStore (src/core/artifacts.h), keyed by a content hash of its
+ * inputs: the digest chain of the ingested shards plus a fingerprint
+ * of the relevant configuration. Two consequences:
  *
  *  - Incrementality: addStreams() appends trace data and invalidates
  *    nothing that was derived from the existing shards — only the new
- *    shard's artifacts (and whole-corpus aggregates) rebuild. The
+ *    shard's wait graphs (and whole-corpus aggregates) are built. The
  *    results are bit-identical to a cold analysis of the merged
  *    corpus (asserted by tests/incremental_test.cpp).
- *  - Warm starts: with AnalyzerConfig::artifactCacheDir set, wait
- *    graphs and AWGs persist to disk and a later process reuses them.
+ *  - Warm starts: with AnalyzerConfig::artifactCacheDir set, AWGs
+ *    persist to disk and a later process reuses them. Wait graphs do
+ *    not: rebuilding them is faster than reloading them.
  *
  * Keys exclude the thread count: every stage merges per-shard results
  * deterministically, so analysis output is bit-identical for every
@@ -78,9 +80,9 @@ struct AnalyzerConfig
      */
     unsigned threads = 0;
     /**
-     * Directory for the on-disk artifact cache (wait-graph bundles and
-     * AWGs survive the process; CLI: --artifact-cache DIR). Empty
-     * (default) = in-memory memoization only.
+     * Directory for the on-disk artifact cache (AWGs survive the
+     * process; CLI: --artifact-cache DIR). Empty (default) = in-memory
+     * memoization only.
      */
     std::string artifactCacheDir;
 };
@@ -144,10 +146,11 @@ class Analyzer
 
     /**
      * Append @p part's streams and instances to the analysis corpus
-     * as one additional shard. Artifacts derived from the existing
-     * shards keep their keys and are served from the store; only the
-     * new shard's wait graphs and the whole-corpus aggregates
-     * (impact, classes, AWGs, mining) rebuild. Results are
+     * as one additional shard. The existing shards' wait graphs stay
+     * as they are, and artifacts derived from them keep their keys and
+     * are served from the store; only the new shard's wait graphs and
+     * the whole-corpus aggregates (impact, classes, AWGs, mining)
+     * rebuild. Results are
      * bit-identical to analyzing the merged corpus cold.
      *
      * Not thread-safe against concurrent analysis calls; references
@@ -201,10 +204,10 @@ class Analyzer
     ImpactPartial impactPartial() const;
 
     /**
-     * The per-instance wait graphs, in instance order. Assembled from
-     * the store's per-shard bundles on first use (and re-assembled
-     * after addStreams); thread-safe, so concurrent analyses share
-     * one build.
+     * The per-instance wait graphs, in instance order. Built per
+     * shard on first use; after addStreams only the new shards' graphs
+     * are built and appended. Thread-safe, so concurrent analyses
+     * share one build.
      */
     const std::vector<WaitGraph> &graphs() const;
 
@@ -292,7 +295,7 @@ class Analyzer
     mutable ArtifactStore store_;
     mutable std::mutex graphsMutex_;
     mutable std::vector<WaitGraph> graphs_;
-    /** Shard count graphs_ was assembled for (stale when != shards_). */
+    /** Shards whose graphs graphs_ holds (the rest are built next). */
     mutable std::size_t graphsShards_ = 0;
 };
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * ArtifactStore: thread-safe keyed memoization with an optional
- * on-disk cache, plus the binary codecs for the two disk-backed
- * artifact kinds (wait-graph bundles and AWGs).
+ * on-disk cache, plus the binary codec of the disk-backed artifact
+ * kind (AWGs).
  *
  * Disk format ("TLA1"):
  *
@@ -297,42 +297,6 @@ ArtifactStore::artifactPath(Stage stage, const Digest &key) const
         .string();
 }
 
-std::shared_ptr<const std::vector<WaitGraph>>
-ArtifactStore::waitGraphs(
-    const Digest &key,
-    const std::function<std::vector<WaitGraph>()> &build)
-{
-    auto erased = getOrBuild(
-        Stage::WaitGraphs, key, [&]() -> BuildOutcome {
-            if (!diskDir_.empty()) {
-                const std::string path =
-                    artifactPath(Stage::WaitGraphs, key);
-                if (auto payload =
-                        loadArtifactFile(path, Stage::WaitGraphs, key)) {
-                    std::vector<WaitGraph> graphs;
-                    if (WaitGraphCodec::decode(*payload, graphs)) {
-                        return {std::make_shared<
-                                    const std::vector<WaitGraph>>(
-                                    std::move(graphs)),
-                                true, payload->size()};
-                    }
-                }
-            }
-            auto graphs = std::make_shared<const std::vector<WaitGraph>>(
-                build());
-            if (!diskDir_.empty()) {
-                std::string payload;
-                WaitGraphCodec::encode(*graphs, payload);
-                storeArtifactFile(artifactPath(Stage::WaitGraphs, key),
-                                  Stage::WaitGraphs, key, payload);
-                countDiskWrite(Stage::WaitGraphs, payload.size());
-            }
-            return {std::move(graphs), false, 0};
-        });
-    return std::static_pointer_cast<const std::vector<WaitGraph>>(
-        erased);
-}
-
 std::shared_ptr<const AggregatedWaitGraph>
 ArtifactStore::awg(const Digest &key,
                    const std::function<AggregatedWaitGraph()> &build)
@@ -361,6 +325,24 @@ ArtifactStore::awg(const Digest &key,
         return {std::move(awg), false, 0};
     });
     return std::static_pointer_cast<const AggregatedWaitGraph>(erased);
+}
+
+void
+ArtifactStore::track(Stage stage, const Digest &key, bool held,
+                     const std::function<void()> &build)
+{
+    Span span(stageSpanName(stage), "pipeline");
+    if (span.active()) {
+        span.arg("key", key.hex());
+        span.arg("outcome", std::string(held ? "hit" : "miss"));
+    }
+    if (held) {
+        countHit(stage);
+        return;
+    }
+    const auto start = std::chrono::steady_clock::now();
+    build();
+    recordBuild(stage, false, 0, msSince(start));
 }
 
 PipelineStats
@@ -413,118 +395,6 @@ ArtifactStore::countDiskWrite(Stage stage, std::uint64_t bytes)
 // ---------------------------------------------------------------------
 // Codecs
 // ---------------------------------------------------------------------
-
-void
-WaitGraphCodec::encode(const std::vector<WaitGraph> &graphs,
-                       std::string &out)
-{
-    putU64(out, graphs.size());
-    for (const WaitGraph &graph : graphs) {
-        const ScenarioInstance &inst = graph.instance_;
-        putU32(out, inst.stream);
-        putU32(out, inst.scenario);
-        putU32(out, inst.tid);
-        putI64(out, inst.t0);
-        putI64(out, inst.t1);
-
-        putU64(out, graph.nodes_.size());
-        for (const WaitGraph::Node &node : graph.nodes_) {
-            putI64(out, node.event.timestamp);
-            putI64(out, node.event.cost);
-            putU32(out, node.event.tid);
-            putU32(out, node.event.wtid);
-            putU32(out, node.event.stack);
-            putU8(out, static_cast<std::uint8_t>(node.event.type));
-            putU32(out, node.ref.stream);
-            putU32(out, node.ref.index);
-            putU32(out, node.unwaitStack);
-            putU8(out, node.truncated ? 1 : 0);
-            const auto children = graph.children(node);
-            putU64(out, children.size());
-            for (std::uint32_t child : children)
-                putU32(out, child);
-        }
-        putU64(out, graph.roots_.size());
-        for (std::uint32_t root : graph.roots_)
-            putU32(out, root);
-    }
-}
-
-bool
-WaitGraphCodec::decode(const std::string &bytes,
-                       std::vector<WaitGraph> &graphs)
-{
-    ByteReader reader(bytes);
-    const std::uint64_t graph_count = reader.u64();
-    // Minimum bytes per graph: instance + node count + root count.
-    if (!reader.countFits(graph_count, 28 + 8 + 8))
-        return false;
-    graphs.clear();
-    graphs.reserve(graph_count);
-    for (std::uint64_t g = 0; g < graph_count; ++g) {
-        WaitGraph graph;
-        graph.instance_.stream = reader.u32();
-        graph.instance_.scenario = reader.u32();
-        graph.instance_.tid = reader.u32();
-        graph.instance_.t0 = reader.i64();
-        graph.instance_.t1 = reader.i64();
-
-        const std::uint64_t node_count = reader.u64();
-        if (!reader.countFits(node_count, 50)) // fixed node bytes
-            return false;
-        graph.nodes_.reserve(node_count);
-        for (std::uint64_t n = 0; n < node_count; ++n) {
-            WaitGraph::Node node;
-            node.event.timestamp = reader.i64();
-            node.event.cost = reader.i64();
-            node.event.tid = reader.u32();
-            node.event.wtid = reader.u32();
-            node.event.stack = reader.u32();
-            const std::uint8_t type = reader.u8();
-            if (type > static_cast<std::uint8_t>(
-                           EventType::HardwareService))
-                return false;
-            node.event.type = static_cast<EventType>(type);
-            node.ref.stream = reader.u32();
-            node.ref.index = reader.u32();
-            node.unwaitStack = reader.u32();
-            const std::uint8_t truncated = reader.u8();
-            if (truncated > 1)
-                return false;
-            node.truncated = truncated != 0;
-            const std::uint64_t child_count = reader.u64();
-            if (!reader.countFits(child_count, 4))
-                return false;
-            // Rebuild the CSR edge arena: nodes arrive in the same
-            // order encode() walked them, so appending each node's
-            // segment reproduces the builder's layout.
-            node.childBegin =
-                static_cast<std::uint32_t>(graph.child_arena_.size());
-            node.childCount = static_cast<std::uint32_t>(child_count);
-            for (std::uint64_t c = 0; c < child_count; ++c) {
-                const std::uint32_t child = reader.u32();
-                if (child >= node_count)
-                    return false;
-                graph.child_arena_.push_back(child);
-            }
-            graph.nodes_.push_back(node);
-        }
-        const std::uint64_t root_count = reader.u64();
-        if (!reader.countFits(root_count, 4))
-            return false;
-        graph.roots_.reserve(root_count);
-        for (std::uint64_t r = 0; r < root_count; ++r) {
-            const std::uint32_t root = reader.u32();
-            if (root >= node_count)
-                return false;
-            graph.roots_.push_back(root);
-        }
-        if (reader.failed())
-            return false;
-        graphs.push_back(std::move(graph));
-    }
-    return !reader.failed() && reader.atEnd();
-}
 
 void
 AwgCodec::encode(const AggregatedWaitGraph &awg, std::string &out)

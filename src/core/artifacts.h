@@ -2,10 +2,8 @@
  * @file
  * The artifact store of the incremental analysis pipeline.
  *
- * The Analyzer used to be an opaque facade: every derived result
- * (wait graphs, contrast classes, impact metrics, AWGs, mined
- * patterns) was recomputed from scratch for every analyzer instance.
- * This module turns those results into *artifacts*: immutable values
+ * The derived results of an analysis (contrast classes, impact
+ * metrics, AWGs, mined patterns) are *artifacts*: immutable values
  * keyed by a content hash of everything that influenced them — the
  * digest chain of the input shards plus a fingerprint of the analysis
  * configuration (see docs/ARCHITECTURE.md, "Pipeline stage graph &
@@ -16,14 +14,18 @@
  *  - in memory, always: a thread-safe map of type-erased values with
  *    per-entry once-semantics, so concurrent analyses (the
  *    analyzeScenarios fan-out) share one build per key;
- *  - on disk, optionally: the two expensive stages — per-shard wait
- *    graph bundles and aggregated wait graphs — serialize to
- *    "<stage>-<keyhex>.tla" files under a cache directory (CLI:
- *    --artifact-cache DIR), so a later process warm-starts without
- *    recomputing. Corrupt or stale cache files are never trusted:
- *    every load validates magic, version, stage, key echo, and a
- *    payload checksum, and any mismatch falls back to a rebuild that
+ *  - on disk, optionally: aggregated wait graphs serialize to
+ *    "awg-<keyhex>.tla" files under a cache directory (CLI:
+ *    --artifact-cache DIR), so a later process skips aggregating them.
+ *    Corrupt or stale cache files are never trusted: every load
+ *    validates magic, version, stage, key echo, and a payload
+ *    checksum, and any mismatch falls back to a rebuild that
  *    overwrites the bad file.
+ *
+ * Wait graphs are not stored: the Analyzer builds each shard's graphs
+ * once into its own vector, since rebuilding them beats reloading them
+ * from disk (docs/PERFORMANCE.md). The store still traces and counts
+ * that stage through track(), so PipelineStats covers every stage.
  *
  * Because keys are content hashes, incrementality falls out for free:
  * appending a shard changes only the chain suffix, so every artifact
@@ -43,12 +45,10 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "src/awg/awg.h"
 #include "src/util/hash.h"
 #include "src/util/telemetry.h"
-#include "src/waitgraph/waitgraph.h"
 
 namespace tracelens
 {
@@ -56,7 +56,7 @@ namespace tracelens
 /** The memoized stages of the analysis pipeline. */
 enum class Stage : std::uint8_t
 {
-    WaitGraphs = 0, //!< Per-shard wait-graph bundles (disk-backed).
+    WaitGraphs = 0, //!< Per-shard wait graphs (held by the Analyzer).
     Classes = 1,    //!< Per-scenario fast/slow contrast classes.
     Impact = 2,     //!< Corpus / per-scenario / slow-class impact.
     Awg = 3,        //!< Fast and slow aggregated wait graphs (disk-backed).
@@ -109,9 +109,8 @@ class ArtifactStore
 {
   public:
     /**
-     * @param diskDir Directory for the optional on-disk cache of
-     *        wait-graph bundles and AWGs (created on first write);
-     *        empty = memory-only.
+     * @param diskDir Directory for the optional on-disk cache of AWGs
+     *        (created on first write); empty = memory-only.
      */
     explicit ArtifactStore(std::string diskDir = {});
 
@@ -138,18 +137,22 @@ class ArtifactStore
     }
 
     /**
-     * One shard's wait-graph bundle: in-memory memoized and, when a
-     * disk directory is configured, persisted/restored as a
-     * "waitgraphs-<keyhex>.tla" file.
+     * An aggregated wait graph: in-memory memoized and, when a disk
+     * directory is configured, persisted/restored as an
+     * "awg-<keyhex>.tla" file.
      */
-    std::shared_ptr<const std::vector<WaitGraph>>
-    waitGraphs(const Digest &key,
-               const std::function<std::vector<WaitGraph>()> &build);
-
-    /** An aggregated wait graph; disk-backed like waitGraphs(). */
     std::shared_ptr<const AggregatedWaitGraph>
     awg(const Digest &key,
         const std::function<AggregatedWaitGraph()> &build);
+
+    /**
+     * Trace and count one value of @p stage that the caller holds
+     * itself (the Analyzer's per-shard wait graphs): a "stage.<name>"
+     * span carrying @p key, then a hit when @p held, or else a miss
+     * that runs @p build and counts its wall time.
+     */
+    void track(Stage stage, const Digest &key, bool held,
+               const std::function<void()> &build);
 
     /** Snapshot of the per-stage counters. */
     PipelineStats stats() const;
@@ -217,20 +220,6 @@ class ArtifactStore
 
     MetricsRegistry metrics_;
     StageCounters counters_[kStageCount];
-};
-
-/**
- * Binary codec of wait-graph bundles for the disk cache. The payload
- * is a flat little-endian encoding of every graph's nodes, roots, and
- * instance; decode() bounds-checks every count and index and reports
- * failure instead of reading past the buffer.
- */
-struct WaitGraphCodec
-{
-    static void encode(const std::vector<WaitGraph> &graphs,
-                       std::string &out);
-    static bool decode(const std::string &bytes,
-                       std::vector<WaitGraph> &graphs);
 };
 
 /** Binary codec of aggregated wait graphs for the disk cache. */

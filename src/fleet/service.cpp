@@ -139,10 +139,17 @@ FleetService::start()
     if (running_.exchange(true))
         return;
     thread_ = std::thread([this] {
-        while (running_.load(std::memory_order_acquire)) {
+        const auto stopped = [this] {
+            return !running_.load(std::memory_order_acquire);
+        };
+        std::unique_lock<std::mutex> lock(wakeMutex_);
+        while (!stopped()) {
+            lock.unlock();
             pollOnce();
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(config_.pollMs));
+            lock.lock();
+            // stop() notifies, so a long poll interval never delays it.
+            wake_.wait_for(lock, std::chrono::milliseconds(config_.pollMs),
+                           stopped);
         }
     });
 }
@@ -150,8 +157,14 @@ FleetService::start()
 void
 FleetService::stop()
 {
-    if (!running_.exchange(false))
-        return;
+    {
+        // Under the wake mutex, so the poll thread either sees the
+        // flag before it waits or is already waiting for the notify.
+        std::lock_guard<std::mutex> lock(wakeMutex_);
+        if (!running_.exchange(false))
+            return;
+    }
+    wake_.notify_all();
     if (thread_.joinable())
         thread_.join();
 }

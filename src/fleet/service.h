@@ -23,6 +23,7 @@
 #define TRACELENS_FLEET_SERVICE_H
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -139,6 +140,8 @@ class FleetService
 
     std::atomic<std::uint64_t> ingested_{0};
     std::atomic<bool> running_{false};
+    std::mutex wakeMutex_; //!< pairs with wake_
+    std::condition_variable wake_; //!< stop() cuts a poll wait short
     std::thread thread_;
 };
 

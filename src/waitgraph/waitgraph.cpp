@@ -112,7 +112,12 @@ WaitGraphBuilder::streamIndex(std::uint32_t stream_id) const
     auto it = cache_.find(stream_id);
     if (it != cache_.end())
         return it->second;
+    return cache_.emplace(stream_id, indexStream(stream_id)).first->second;
+}
 
+WaitGraphBuilder::StreamIndex
+WaitGraphBuilder::indexStream(std::uint32_t stream_id) const
+{
     const EventColumns &columns = corpus_.stream(stream_id).columns();
     const std::size_t n = columns.size();
     StreamIndex sindex;
@@ -165,7 +170,7 @@ WaitGraphBuilder::streamIndex(std::uint32_t stream_id) const
         }
     }
 
-    return cache_.emplace(stream_id, std::move(sindex)).first->second;
+    return sindex;
 }
 
 std::uint32_t
@@ -399,11 +404,21 @@ WaitGraphBuilder::buildRangeParallel(std::uint32_t first,
         return graphs;
     }
 
-    // Warm the per-stream indices serially: the cache is not safe for
-    // concurrent insertion, but concurrent reads of a complete cache
-    // are.
+    // Build the missing per-stream indices across the workers, then
+    // insert them on this thread: the cache is not safe for concurrent
+    // insertion, but concurrent reads of a complete cache are.
+    std::vector<std::uint32_t> missing;
     for (std::uint32_t i = first; i < first + count; ++i)
-        streamIndex(instances[i].stream);
+        if (!cache_.contains(instances[i].stream))
+            missing.push_back(instances[i].stream);
+    std::sort(missing.begin(), missing.end());
+    missing.erase(std::unique(missing.begin(), missing.end()),
+                  missing.end());
+    std::vector<StreamIndex> indices = parallelMap<StreamIndex>(
+        threads, missing.size(),
+        [&](std::size_t i) { return indexStream(missing[i]); });
+    for (std::size_t i = 0; i < missing.size(); ++i)
+        cache_.emplace(missing[i], std::move(indices[i]));
 
     std::vector<WaitGraph> graphs(count);
     tracelens::parallelFor(threads, 0, count, [&](std::size_t i) {

@@ -135,8 +135,6 @@ class WaitGraph
 
   private:
     friend class WaitGraphBuilder;
-    /** Binary artifact-cache codec (src/core/artifacts.cpp). */
-    friend struct WaitGraphCodec;
 
     std::vector<Node> nodes_;
     /** Edge arena: every node's children, as CSR segments. */
@@ -196,10 +194,11 @@ class WaitGraphBuilder
     std::vector<WaitGraph> buildAll() const;
 
     /**
-     * buildAll() across @p threads worker threads. Per-stream indices
-     * are warmed serially first, then instances are partitioned; the
-     * result is identical (and bit-deterministic) regardless of thread
-     * count. Falls back to the serial path for threads <= 1.
+     * buildAll() across @p threads worker threads. The missing
+     * per-stream indices are built across the workers first, then
+     * instances are partitioned; the result is identical (and
+     * bit-deterministic) regardless of thread count. Falls back to the
+     * serial path for threads <= 1.
      */
     std::vector<WaitGraph> buildAllParallel(unsigned threads) const;
 
@@ -299,7 +298,10 @@ class WaitGraphBuilder
      */
     static BuildScratch &threadScratch();
 
+    /** The cached index of @p stream, built on first use. */
     const StreamIndex &streamIndex(std::uint32_t stream) const;
+    /** Build @p stream's index (touches no shared state). */
+    StreamIndex indexStream(std::uint32_t stream) const;
 
     /**
      * Append the node for event @p index (recursively expanding waits)

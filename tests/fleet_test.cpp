@@ -8,10 +8,12 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -469,6 +471,23 @@ TEST(FleetService, PollIngestsSpoolAndSkipsCorruptShards)
     service.ingest("shard-0100.tlc", pushed, std::nullopt);
     EXPECT_EQ(service.pollOnce(), 0u);
     EXPECT_EQ(service.ingestedShards(), 4u);
+}
+
+TEST(FleetService, StopDoesNotWaitOutThePollInterval)
+{
+    ScratchDir scratch("stop");
+    FleetConfig config;
+    config.dir = scratch.str();
+    config.pollMs = 60000;
+    FleetService service(config);
+    service.start();
+    // Give the poll thread time to finish its first scan and wait.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    const auto begin = std::chrono::steady_clock::now();
+    service.stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - begin,
+              std::chrono::seconds(1));
 }
 
 TEST(Fleet, RevisionIsAdvertised)

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the incremental, artifact-cached analysis pipeline:
- * appending shards must rebuild only the new shard's artifacts and
+ * appending shards must build only the new shard's wait graphs and
  * still produce byte-identical reports, and the optional disk cache
- * must warm-start fresh analyzers (while never trusting corrupt
- * files).
+ * must warm-start fresh analyzers' AWGs (while never trusting corrupt
+ * files). Wait graphs never touch the disk cache.
  */
 
 #include <unistd.h>
@@ -86,6 +86,16 @@ reportOf(const Analyzer &analyzer)
     return buildReport(analyzer, catalogThresholds(analyzer.corpus()));
 }
 
+/** True when @p dir holds a wait-graph cache file. */
+bool
+hasWaitGraphFiles(const fs::path &dir)
+{
+    for (const auto &entry : fs::directory_iterator(dir))
+        if (entry.path().filename().string().starts_with("wait-graphs-"))
+            return true;
+    return false;
+}
+
 /** Merge of parts[0..count) in order, as the analyzer would absorb. */
 TraceCorpus
 mergedPrefix(const std::vector<TraceCorpus> &parts, std::size_t count)
@@ -106,8 +116,8 @@ TEST(Incremental, AppendRebuildsOnlyTheNewShard)
         AnalyzerConfig config;
         config.threads = threads;
 
-        // Three shards in, full report out: one wait-graph bundle
-        // built per shard, nothing served from cache yet.
+        // Three shards in, full report out: each shard's wait graphs
+        // built once, nothing kept from an earlier build yet.
         EagerSource first(parts[0]);
         Analyzer analyzer(first, config);
         analyzer.addStreams(parts[1]);
@@ -127,8 +137,8 @@ TEST(Incremental, AppendRebuildsOnlyTheNewShard)
         EXPECT_EQ(reportOf(cold3), r1);
 
         // Appending the fourth shard invalidates only the suffix:
-        // the three prefix bundles are re-served from the store, one
-        // new bundle is built.
+        // the three prefix shards' graphs are kept, and only the new
+        // shard's are built.
         analyzer.addStreams(parts[3]);
         const std::string r2 = reportOf(analyzer);
         {
@@ -143,6 +153,31 @@ TEST(Incremental, AppendRebuildsOnlyTheNewShard)
         Analyzer cold4(cold4_source, config);
         EXPECT_EQ(reportOf(cold4), r2);
     }
+}
+
+TEST(Incremental, AppendKeepsPrefixGraphs)
+{
+    const TraceCorpus corpus = generateCorpus(smallSpec());
+    const std::vector<TraceCorpus> parts = splitCorpus(corpus, 2);
+    ASSERT_EQ(parts.size(), 2u);
+
+    EagerSource first(parts[0]);
+    Analyzer analyzer(first);
+    std::vector<const WaitGraph::Node *> before;
+    for (const WaitGraph &graph : analyzer.graphs())
+        before.push_back(graph.nodes().data());
+    ASSERT_FALSE(before.empty());
+
+    analyzer.addStreams(parts[1]);
+    const std::vector<WaitGraph> &after = analyzer.graphs();
+    ASSERT_GT(after.size(), before.size());
+    // Every prefix graph still owns the node storage it was built
+    // into: moved along, neither rebuilt nor copied.
+    for (std::size_t i = 0; i < before.size(); ++i)
+        EXPECT_EQ(after[i].nodes().data(), before[i]) << "graph " << i;
+    const PipelineStats stats = analyzer.pipelineStats();
+    EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 2u);
+    EXPECT_EQ(stats.of(Stage::WaitGraphs).hits, 1u);
 }
 
 TEST(Incremental, SerialAndParallelReportsAreIdentical)
@@ -194,10 +229,11 @@ TEST(Incremental, DiskCacheWarmStartsAFreshAnalyzer)
         const PipelineStats stats = cold.pipelineStats();
         EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 1u);
         EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 0u);
-        EXPECT_EQ(stats.of(Stage::WaitGraphs).diskWrites, 1u);
+        EXPECT_EQ(stats.of(Stage::WaitGraphs).diskWrites, 0u);
         EXPECT_GT(stats.of(Stage::Awg).diskWrites, 0u);
     }
     ASSERT_FALSE(fs::is_empty(dir.path()));
+    EXPECT_FALSE(hasWaitGraphFiles(dir.path()));
 
     // A fresh analyzer — different process in real life, and a
     // different thread count on purpose: artifact keys must not
@@ -208,8 +244,8 @@ TEST(Incremental, DiskCacheWarmStartsAFreshAnalyzer)
     Analyzer warm(source, warm_config);
     EXPECT_EQ(reportOf(warm), cold_report);
     const PipelineStats stats = warm.pipelineStats();
-    EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 0u);
-    EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 1u);
+    EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 1u);
+    EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 0u);
     EXPECT_GT(stats.of(Stage::Awg).diskHits, 0u);
     EXPECT_EQ(stats.of(Stage::Awg).misses, 0u);
 }
@@ -270,18 +306,24 @@ TEST(Incremental, CacheDirIsSharedAcrossDistinctConfigs)
     AnalyzerConfig b = a;
     b.waitGraph.maxDepth = 3; // different graphs, different keys
 
+    const ScenarioThresholds scn = catalogThresholds(corpus).front();
     EagerSource source_a(corpus), source_b(corpus);
     Analyzer ana_a(source_a, a), ana_b(source_b, b);
-    (void)ana_a.impactAll();
-    (void)ana_b.impactAll();
+    (void)ana_a.analyzeScenario(scn.name, scn.tFast, scn.tSlow);
+    (void)ana_b.analyzeScenario(scn.name, scn.tFast, scn.tSlow);
     EXPECT_EQ(ana_a.pipelineStats().of(Stage::WaitGraphs).misses, 1u);
     EXPECT_EQ(ana_b.pipelineStats().of(Stage::WaitGraphs).misses, 1u);
 
-    // Re-running either configuration now warm-starts from disk.
+    // Re-running either configuration now warm-starts its AWGs from
+    // disk, and only its own: the other configuration's files have
+    // other keys.
     EagerSource source_a2(corpus);
     Analyzer again(source_a2, a);
-    (void)again.impactAll();
-    EXPECT_EQ(again.pipelineStats().of(Stage::WaitGraphs).diskHits, 1u);
+    (void)again.analyzeScenario(scn.name, scn.tFast, scn.tSlow);
+    const PipelineStats stats = again.pipelineStats();
+    EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 0u);
+    EXPECT_GT(stats.of(Stage::Awg).diskHits, 0u);
+    EXPECT_EQ(stats.of(Stage::Awg).misses, 0u);
 }
 
 TEST(Incremental, TornWritesAndTempLitterDegradeToCacheMiss)
@@ -333,7 +375,8 @@ TEST(Incremental, TornWritesAndTempLitterDegradeToCacheMiss)
     EagerSource source(corpus);
     Analyzer warm(source, config);
     EXPECT_EQ(reportOf(warm), cold_report);
-    EXPECT_GT(warm.pipelineStats().of(Stage::WaitGraphs).diskHits, 0u);
+    EXPECT_EQ(warm.pipelineStats().of(Stage::WaitGraphs).diskHits, 0u);
+    EXPECT_GT(warm.pipelineStats().of(Stage::Awg).diskHits, 0u);
 }
 
 TEST(Incremental, ConcurrentWritersShareOneCacheDirSafely)
@@ -383,12 +426,14 @@ TEST(Incremental, ConcurrentWritersShareOneCacheDirSafely)
                   std::string::npos)
             << "leftover temp file: " << entry.path();
     }
+    EXPECT_FALSE(hasWaitGraphFiles(dir.path()));
     EagerSource source(corpus);
     Analyzer warm(source, config);
     EXPECT_EQ(reportOf(warm), cold_report);
     const PipelineStats stats = warm.pipelineStats();
-    EXPECT_GT(stats.of(Stage::WaitGraphs).diskHits, 0u);
-    EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 0u);
+    EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 0u);
+    EXPECT_GT(stats.of(Stage::Awg).diskHits, 0u);
+    EXPECT_EQ(stats.of(Stage::Awg).misses, 0u);
 }
 
 } // namespace

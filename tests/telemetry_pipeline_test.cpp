@@ -135,8 +135,8 @@ TEST_F(TelemetryPipelineTest, WarmCacheRunRecordsDiskHitSpans)
     runPipeline(corpus, cache.str());
 
     // Warm run (a fresh Analyzer, as a new process would be) with
-    // tracing on: the wait-graph stage restores from disk and stamps
-    // the disk-hit outcome into its span.
+    // tracing on: the AWG stage restores from disk and stamps the
+    // disk-hit outcome into its span.
     Telemetry::reset();
     Telemetry::setEnabled(true);
     runPipeline(corpus, cache.str());

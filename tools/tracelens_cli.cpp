@@ -47,9 +47,9 @@
  * a directory of shards, and takes --mmap (zero-copy mmap ingestion)
  * and --cache-bytes N (shard-cache budget); corrupt shards inside a
  * directory are reported and skipped, never fatal. Analysis commands
- * additionally take --artifact-cache DIR (persist wait graphs and
- * AWGs across runs) and --pipeline-stats (print per-stage cache
- * counters and build times).
+ * additionally take --artifact-cache DIR (persist AWGs across runs)
+ * and --pipeline-stats (print per-stage cache counters and build
+ * times).
  *
  * Self-telemetry flags, valid for every subcommand (docs/TELEMETRY.md):
  *   --trace-out FILE    Record pipeline spans and write them as Chrome
@@ -222,9 +222,9 @@ usage()
            "ingestion) and --cache-bytes N\n(shard-cache budget, "
            "suffixes k/m/g).\n--threads 0 (default) uses every "
            "hardware thread; 1 runs serially.\nAnalysis commands also "
-           "accept --artifact-cache DIR (persist wait\ngraphs/AWGs "
-           "across runs) and --pipeline-stats (per-stage cache\n"
-           "counters and build times).\nEvery command accepts "
+           "accept --artifact-cache DIR (persist AWGs\nacross runs) "
+           "and --pipeline-stats (per-stage cache counters\nand "
+           "build times).\nEvery command accepts "
            "--trace-out FILE (self-telemetry spans as\nChrome "
            "trace_event JSON, Perfetto-loadable), --metrics-out FILE\n"
            "(counters/gauges/histograms as JSON) and --log-level "
