@@ -9,6 +9,8 @@
 #     and the warm session absorbs them (still byte-identical after).
 #  3. An injected regression cohort produces a sentinel alert end to
 #     end: on the `alerts` method and in the --alerts-out JSONL sink.
+#  4. `tracelens watch` with a one-minute poll interval still exits
+#     within 2 s of SIGINT.
 #
 # Usage: smoke_fleet.sh /path/to/tracelens
 set -euo pipefail
@@ -21,8 +23,10 @@ CLI="${1:?usage: smoke_fleet.sh /path/to/tracelens}"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/tracelens_fleet_smoke.XXXXXX")"
 SPOOL="$WORK/spool"
 mkdir -p "$SPOOL"
+WATCH_PID=""
 cleanup() {
     tl_stop_all_daemons
+    [[ -z "$WATCH_PID" ]] || kill -KILL "$WATCH_PID" 2>/dev/null || true
     rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -142,5 +146,19 @@ grep -Eq '"rule":"(impact_rank|cost_regression)"' "$WORK/alerts.jsonl" \
 wait "$srv_PID" || fail "daemon exited nonzero after shutdown"
 srv_PID=""
 TL_DAEMON_PIDS=()
+
+# ---- 4. `tracelens watch` stops promptly on Ctrl-C ------------------
+mkdir -p "$WORK/watched"
+"$CLI" watch "$WORK/watched" --poll-ms 60000 >"$WORK/watch.out" 2>&1 &
+WATCH_PID=$!
+sleep 1
+kill -INT "$WATCH_PID"
+for _tick in $(seq 1 20); do
+    kill -0 "$WATCH_PID" 2>/dev/null || break
+    sleep 0.1
+done
+kill -0 "$WATCH_PID" 2>/dev/null && fail "watch still running 2 s after SIGINT"
+wait "$WATCH_PID" || fail "watch exited nonzero after SIGINT"
+WATCH_PID=""
 
 echo "smoke_fleet: OK (port $srv_PORT)"

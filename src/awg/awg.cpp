@@ -1,7 +1,8 @@
 /**
  * @file
- * AWG construction: Algorithm 1's processing, trie merge, and
- * non-optimizable reduction, with instance-sharded parallel processing.
+ * AWG construction: Algorithm 1's per-graph summaries (steps 1-2),
+ * their trie fold, and the non-optimizable reduction, with
+ * instance-sharded parallel summarizing.
  */
 
 #include "src/awg/awg.h"
@@ -177,10 +178,14 @@ AwgBuilder::hardwareSignatureOf(CallstackId stack) const
 
 void
 AwgBuilder::process(const WaitGraph &graph, std::uint32_t node_index,
-                    std::vector<ProcNode> &out) const
+                    std::uint32_t parent, AwgFragment &out) const
 {
     const WaitGraph::Node &source = graph.node(node_index);
     const Event &e = source.event;
+    auto append = [&](AwgKey key) {
+        out.nodes.push_back({parent, key, e.cost});
+        return static_cast<std::uint32_t>(out.nodes.size() - 1);
+    };
 
     switch (e.type) {
       case EventType::Wait: {
@@ -191,30 +196,27 @@ AwgBuilder::process(const WaitGraph &graph, std::uint32_t node_index,
         if (!relevant && options_.eliminateInnerIrrelevant) {
             // Promote children in place of the irrelevant wait.
             for (std::uint32_t child : graph.children(source))
-                process(graph, child, out);
+                process(graph, child, parent, out);
             return;
         }
 
-        ProcNode node;
-        node.key = {AwgStatus::Waiting, wsig, usig};
-        node.cost = e.cost;
+        const std::uint32_t id = append({AwgStatus::Waiting, wsig, usig});
         for (std::uint32_t child : graph.children(source))
-            process(graph, child, node.children);
-        out.push_back(std::move(node));
+            process(graph, child, id, out);
         return;
       }
       case EventType::Running: {
         const FrameId sig = signatureOf(e.stack);
         if (sig == kNoFrame && options_.eliminateInnerIrrelevant)
             return;
-        out.push_back({{AwgStatus::Running, sig, kNoFrame}, e.cost, {}});
+        append({AwgStatus::Running, sig, kNoFrame});
         return;
       }
       case EventType::HardwareService: {
         const FrameId sig = hardwareSignatureOf(e.stack);
         if (sig == kNoFrame)
             return;
-        out.push_back({{AwgStatus::Hardware, sig, kNoFrame}, e.cost, {}});
+        append({AwgStatus::Hardware, sig, kNoFrame});
         return;
       }
       case EventType::Unwait:
@@ -225,46 +227,58 @@ AwgBuilder::process(const WaitGraph &graph, std::uint32_t node_index,
     TL_PANIC("bad event type in wait graph");
 }
 
-void
-AwgBuilder::mergeProc(PartialAwg &partial, std::uint32_t parent,
-                      const ProcNode &node)
-{
-    const std::uint32_t id = partial.absorb(parent, node.key, node.cost);
-    for (const ProcNode &child : node.children)
-        mergeProc(partial, id, child);
-}
-
-std::vector<AwgBuilder::ProcNode>
-AwgBuilder::processGraph(const WaitGraph &graph) const
+AwgFragment
+AwgBuilder::summarize(const WaitGraph &graph) const
 {
     // Steps 1-2: eliminate irrelevant nodes (always at the roots,
     // recursively when configured) and merge wait/unwait pairs.
-    std::vector<ProcNode> processed;
+    AwgFragment processed;
     for (std::uint32_t root : graph.roots())
-        process(graph, root, processed);
+        process(graph, root, kInvalidIndex, processed);
+    if (options_.eliminateInnerIrrelevant)
+        return processed;
 
-    if (!options_.eliminateInnerIrrelevant) {
-        // Root-level elimination is unconditional in Algorithm 1:
-        // repeat promoting children until all roots are relevant.
-        std::vector<ProcNode> relevant_roots;
-        std::vector<ProcNode> queue = std::move(processed);
-        while (!queue.empty()) {
-            std::vector<ProcNode> next;
-            for (ProcNode &n : queue) {
-                const bool irrelevant = n.key.primary == kNoFrame &&
-                                        n.key.secondary == kNoFrame;
-                if (!irrelevant) {
-                    relevant_roots.push_back(std::move(n));
-                } else {
-                    for (ProcNode &c : n.children)
-                        next.push_back(std::move(c));
-                }
-            }
-            queue = std::move(next);
-        }
-        processed = std::move(relevant_roots);
+    // Root-level elimination is unconditional in Algorithm 1: promote
+    // children level by level until all roots are relevant, then lay
+    // the kept subtrees out again in that root order. A preorder
+    // subtree is the contiguous range [i, end[i]).
+    const std::vector<AwgFragment::Node> &nodes = processed.nodes;
+    const auto count = static_cast<std::uint32_t>(nodes.size());
+    std::vector<std::uint32_t> end(count);
+    for (std::uint32_t i = count; i-- > 0;) {
+        end[i] = std::max(end[i], i + 1);
+        if (nodes[i].parent != kInvalidIndex)
+            end[nodes[i].parent] = std::max(end[nodes[i].parent], end[i]);
     }
-    return processed;
+    std::vector<std::uint32_t> queue;
+    for (std::uint32_t i = 0; i < count; i = end[i])
+        queue.push_back(i);
+    std::vector<std::uint32_t> relevant_roots;
+    while (!queue.empty()) {
+        std::vector<std::uint32_t> next;
+        for (std::uint32_t i : queue) {
+            const AwgKey &key = nodes[i].key;
+            if (key.primary != kNoFrame || key.secondary != kNoFrame) {
+                relevant_roots.push_back(i);
+            } else {
+                for (std::uint32_t c = i + 1; c < end[i]; c = end[c])
+                    next.push_back(c);
+            }
+        }
+        queue = std::move(next);
+    }
+
+    AwgFragment fragment;
+    for (std::uint32_t root : relevant_roots) {
+        const auto base = static_cast<std::uint32_t>(fragment.nodes.size());
+        for (std::uint32_t i = root; i < end[root]; ++i) {
+            AwgFragment::Node node = nodes[i];
+            node.parent =
+                i == root ? kInvalidIndex : base + (node.parent - root);
+            fragment.nodes.push_back(node);
+        }
+    }
+    return fragment;
 }
 
 PartialAwg
@@ -275,30 +289,22 @@ AwgBuilder::aggregatePartial(std::span<const WaitGraph> graphs,
     if (span.active())
         span.arg("graphs", static_cast<std::uint64_t>(graphs.size()));
 
+    // Summarize every graph (the expensive phase: it walks every
+    // wait-graph node and resolves signatures), sharded over the
+    // workers, then fold the fragments into the trie serially in graph
+    // order (step 3) — node creation order, child order, and therefore
+    // the whole AWG are bit-identical to the serial path.
     PartialAwg partial;
-    partial.addSourceGraphs(graphs.size());
-
     if (resolveThreads(threads) <= 1 || graphs.size() < 2) {
-        for (const WaitGraph &graph : graphs) {
-            // Step 3: merge into the trie by common signature prefix.
-            for (const ProcNode &root : processGraph(graph))
-                mergeProc(partial, kInvalidIndex, root);
-        }
-    } else {
-        // Shard the per-graph processing (the expensive phase: it
-        // walks every wait-graph node and resolves signatures), then
-        // fold the forests into the trie serially in graph order —
-        // node creation order, child order, and therefore the whole
-        // AWG are bit-identical to the serial path.
-        const std::vector<std::vector<ProcNode>> processed =
-            parallelMap<std::vector<ProcNode>>(
-                threads, graphs.size(),
-                [&](std::size_t i) { return processGraph(graphs[i]); });
-        for (const std::vector<ProcNode> &forest : processed) {
-            for (const ProcNode &root : forest)
-                mergeProc(partial, kInvalidIndex, root);
-        }
+        for (const WaitGraph &graph : graphs)
+            partial.absorb(summarize(graph));
+        return partial;
     }
+    const std::vector<AwgFragment> fragments = parallelMap<AwgFragment>(
+        threads, graphs.size(),
+        [&](std::size_t i) { return summarize(graphs[i]); });
+    for (const AwgFragment &fragment : fragments)
+        partial.absorb(fragment);
     return partial;
 }
 

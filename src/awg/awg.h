@@ -28,6 +28,14 @@
  *     did not propagate anywhere is not actionable). The pruned cost is
  *     retained in statistics so reports can quote the non-optimizable
  *     share.
+ *
+ * Steps 1-2 see one wait graph at a time and do not depend on the
+ * thresholds that pick the class, so they split off at the instance
+ * boundary: AwgBuilder::summarize() turns one wait graph into a flat
+ * AwgFragment, PartialAwg::absorb() folds fragments into the trie
+ * (step 3), and PartialAwg::finalize() applies step 4. The Analyzer
+ * keeps each instance's fragment, so a query at new thresholds only
+ * folds its class members' fragments.
  */
 
 #ifndef TRACELENS_AWG_AWG_H
@@ -143,6 +151,25 @@ class AggregatedWaitGraph
     std::size_t sourceGraphs_ = 0;
 };
 
+/**
+ * One wait graph after steps 1-2 of Algorithm 1: the processed forest,
+ * flattened in preorder. Every node names its parent by index (a
+ * parent precedes its children; kInvalidIndex marks a root), so
+ * PartialAwg::absorb() replays the fragment into the trie in one
+ * forward pass, in the order a depth-first merge would visit it.
+ */
+struct AwgFragment
+{
+    struct Node
+    {
+        std::uint32_t parent = kInvalidIndex;
+        AwgKey key;
+        DurationNs cost = 0;
+    };
+
+    std::vector<Node> nodes;
+};
+
 /** Options controlling AWG construction. */
 struct AwgOptions
 {
@@ -169,14 +196,14 @@ class AwgBuilder
     /**
      * Aggregate @p graphs into one AWG.
      *
-     * @param threads Worker count for the per-graph processing phase
-     *        (0 = all hardware threads, 1 = serial). Steps 1-2 of
-     *        Algorithm 1 run per graph and are sharded over instance
-     *        partitions; the trie merge (step 3) is associative but
-     *        order-sensitive in node layout, so it folds the processed
-     *        forests serially in graph order through a PartialAwg
-     *        accumulator (src/core/partial.h). The result is
-     *        bit-identical to the serial path for every thread count.
+     * @param threads Worker count for summarize() (0 = all hardware
+     *        threads, 1 = serial). Steps 1-2 of Algorithm 1 run per
+     *        graph and are sharded over instance partitions; the trie
+     *        merge (step 3) is associative but order-sensitive in node
+     *        layout, so the fragments fold serially in graph order
+     *        through a PartialAwg accumulator (src/core/partial.h).
+     *        The result is bit-identical to the serial path for every
+     *        thread count.
      */
     AggregatedWaitGraph aggregate(std::span<const WaitGraph> graphs,
                                   unsigned threads = 1) const;
@@ -191,25 +218,19 @@ class AwgBuilder
     PartialAwg aggregatePartial(std::span<const WaitGraph> graphs,
                                 unsigned threads = 1) const;
 
-    const NameFilter &components() const { return components_; }
-
-  private:
-    /** Intermediate per-graph node after merge + signature mapping. */
-    struct ProcNode
-    {
-        AwgKey key;
-        DurationNs cost = 0;
-        std::vector<ProcNode> children;
-    };
-
     /**
      * Steps 1-2 of Algorithm 1 for one graph: eliminate irrelevant
      * nodes (roots always; inner nodes when configured) and merge
-     * wait/unwait pairs. Thread-safe once the component filter is
-     * primed (done in the constructor).
+     * wait/unwait pairs. The fragment depends only on the graph, the
+     * component filter and the options, so callers may keep it and
+     * fold it into any number of classes. Thread-safe once the
+     * component filter is primed (done in the constructor).
      */
-    std::vector<ProcNode> processGraph(const WaitGraph &graph) const;
+    AwgFragment summarize(const WaitGraph &graph) const;
 
+    const NameFilter &components() const { return components_; }
+
+  private:
     /** Signature of a callstack: topmost component frame or kNoFrame. */
     FrameId signatureOf(CallstackId stack) const;
 
@@ -217,17 +238,12 @@ class AwgBuilder
     FrameId hardwareSignatureOf(CallstackId stack) const;
 
     /**
-     * Convert one wait-graph subtree into processed form (steps 1-2 of
-     * Algorithm 1). Appends resulting nodes (zero, one, or many after
-     * irrelevant-node promotion) to @p out.
+     * Append one wait-graph subtree in processed form (steps 1-2) to
+     * @p out under fragment node @p parent: zero, one, or many nodes
+     * at that level after irrelevant-node promotion.
      */
     void process(const WaitGraph &graph, std::uint32_t node_index,
-                 std::vector<ProcNode> &out) const;
-
-    /** Merge a processed tree into @p partial under @p parent
-     *  (step 3's trie merge, one source node at a time). */
-    static void mergeProc(PartialAwg &partial, std::uint32_t parent,
-                          const ProcNode &node);
+                 std::uint32_t parent, AwgFragment &out) const;
 
     const TraceCorpus &corpus_;
     NameFilter components_;

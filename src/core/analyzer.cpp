@@ -1,12 +1,14 @@
 /**
  * @file
  * Analyzer: per-shard ingestion with content digesting, the artifact
- * stage graph (wait graphs -> classes/impact -> AWGs -> mining), and
- * the multi-scenario fan-out.
+ * stage graph (wait graphs -> per-instance summaries -> classes/impact
+ * -> AWGs -> mining), per-scenario eviction of per-query artifacts,
+ * and the multi-scenario fan-out.
  */
 
 #include "src/core/analyzer.h"
 
+#include <algorithm>
 #include <iterator>
 
 #include "src/trace/merge.h"
@@ -112,6 +114,8 @@ Analyzer::absorb(const TraceCorpus &part, CorpusPtr alias)
         appendCorpus(ownedCorpus_, part);
     }
     shards_.push_back(record);
+    for (std::uint32_t i = 0; i < record.instanceCount; ++i)
+        summaries_.emplace_back();
 
     // (Re-)prime the symbol table's per-filter match cache: the
     // parallel stages consult it concurrently, which is safe only
@@ -216,15 +220,40 @@ Analyzer::impactPerScenario() const
     return *result;
 }
 
+Digest
+Analyzer::queryCoords(std::uint32_t scenario, DurationNs t_fast,
+                      DurationNs t_slow) const
+{
+    Digest coords = chainTip();
+    coords.mix(scenario)
+        .mix(static_cast<std::uint64_t>(t_fast))
+        .mix(static_cast<std::uint64_t>(t_slow));
+    return coords;
+}
+
+void
+Analyzer::keepQueryKey(std::uint32_t scenario, const Digest &coords,
+                       const Digest &key) const
+{
+    std::lock_guard<std::mutex> lock(queryKeysMutex_);
+    QueryKeys &kept = queryKeys_[scenario];
+    if (!(kept.coords == coords)) {
+        store_.erase(kept.keys);
+        kept.keys.clear();
+        kept.coords = coords;
+    }
+    if (std::find(kept.keys.begin(), kept.keys.end(), key) ==
+        kept.keys.end())
+        kept.keys.push_back(key);
+}
+
 ContrastClasses
 Analyzer::classify(std::uint32_t scenario, DurationNs t_fast,
                    DurationNs t_slow) const
 {
     TL_ASSERT(t_fast > 0 && t_slow > t_fast, "bad thresholds");
-    Digest key = stageKey(fpClasses_, "classes", chainTip());
-    key.mix(scenario)
-        .mix(static_cast<std::uint64_t>(t_fast))
-        .mix(static_cast<std::uint64_t>(t_slow));
+    const Digest coords = queryCoords(scenario, t_fast, t_slow);
+    const Digest key = stageKey(fpClasses_, "classes", coords);
     auto classes = store_.get<ContrastClasses>(Stage::Classes, key, [&] {
         ContrastClasses result;
         // T_fast/T_slow classification as a sweep over the instance
@@ -244,7 +273,77 @@ Analyzer::classify(std::uint32_t scenario, DurationNs t_fast,
         }
         return result;
     });
+    keepQueryKey(scenario, coords, key);
     return *classes;
+}
+
+template <typename T, typename Compute>
+std::uint64_t
+Analyzer::summarize(const std::vector<std::uint32_t> &members,
+                    Lazy<T> InstanceSummaries::*slot, unsigned threads,
+                    Compute &&compute) const
+{
+    std::vector<std::uint32_t> missing;
+    for (std::uint32_t i : members)
+        if (!(summaries_[i].*slot).ready.load(std::memory_order_acquire))
+            missing.push_back(i);
+    std::atomic<std::uint64_t> computed{0};
+    parallelFor(threads, 0, missing.size(), [&](std::size_t k) {
+        Lazy<T> &lazy = summaries_[missing[k]].*slot;
+        std::call_once(lazy.once, [&] {
+            lazy.value = compute(missing[k]);
+            lazy.ready.store(true, std::memory_order_release);
+            computed.fetch_add(1, std::memory_order_relaxed);
+        });
+    });
+    return computed.load(std::memory_order_relaxed);
+}
+
+PartialImpact
+Analyzer::classImpact(const std::vector<std::uint32_t> &members,
+                      unsigned threads) const
+{
+    const std::vector<WaitGraph> &all = graphs();
+    Span span("impact.analyze", "analysis");
+    const ImpactAnalysis impact(*corpus_, components_);
+    const std::uint64_t computed = summarize(
+        members, &InstanceSummaries::contribution, threads,
+        [&](std::uint32_t i) { return impact.collect(all[i]); });
+    store_.countSummaries(Stage::Impact, computed);
+
+    // The D_waitdist dedup is order-sensitive: fold in instance order.
+    PartialImpact partial;
+    for (std::uint32_t i : members)
+        partial.absorbInstance(summaries_[i].contribution.value);
+    if (span.active()) {
+        span.arg("graphs", static_cast<std::uint64_t>(members.size()));
+        span.arg("computed", computed);
+    }
+    return partial;
+}
+
+PartialAwg
+Analyzer::classAwg(const std::vector<std::uint32_t> &members,
+                   unsigned threads) const
+{
+    const std::vector<WaitGraph> &all = graphs();
+    Span span("awg.aggregate", "analysis");
+    const AwgBuilder builder(*corpus_, components_, config_.awg);
+    const std::uint64_t computed = summarize(
+        members, &InstanceSummaries::fragment, threads,
+        [&](std::uint32_t i) { return builder.summarize(all[i]); });
+    store_.countSummaries(Stage::Awg, computed);
+
+    // The trie's node layout follows absorb order: fold in instance
+    // order.
+    PartialAwg partial;
+    for (std::uint32_t i : members)
+        partial.absorb(summaries_[i].fragment.value);
+    if (span.active()) {
+        span.arg("graphs", static_cast<std::uint64_t>(members.size()));
+        span.arg("computed", computed);
+    }
+    return partial;
 }
 
 ScenarioPartial
@@ -275,24 +374,10 @@ Analyzer::scenarioPartial(std::string_view name, DurationNs t_fast,
         partial.classes.slowDuration +=
             corpus_->instances()[i].duration();
 
-    const std::vector<WaitGraph> &all = graphs();
-    auto gather = [&](const std::vector<std::uint32_t> &indices) {
-        std::vector<WaitGraph> subset;
-        subset.reserve(indices.size());
-        for (std::uint32_t i : indices)
-            subset.push_back(all[i]);
-        return subset;
-    };
-
-    ImpactAnalysis impact(*corpus_, components_);
-    partial.slowImpact =
-        impact.analyzePartial(gather(classes.slow), config_.threads);
-
-    AwgBuilder builder(*corpus_, components_, config_.awg);
-    partial.awgFast =
-        builder.aggregatePartial(gather(classes.fast), config_.threads);
-    partial.awgSlow =
-        builder.aggregatePartial(gather(classes.slow), config_.threads);
+    graphs(); // built outside the fold spans
+    partial.slowImpact = classImpact(classes.slow, config_.threads);
+    partial.awgFast = classAwg(classes.fast, config_.threads);
+    partial.awgSlow = classAwg(classes.slow, config_.threads);
     return partial;
 }
 
@@ -355,52 +440,44 @@ Analyzer::analyzeScenarioWithThreads(std::string_view name,
     analysis.name = std::string(name);
     analysis.tFast = t_fast;
     analysis.tSlow = t_slow;
-    analysis.classes = classify(scenario, t_fast, t_slow);
 
     // Per-scenario stage keys share this suffix: the data chain plus
     // the (scenario, thresholds) coordinates of the contrast classes.
-    Digest coords = chainTip();
-    coords.mix(scenario)
-        .mix(static_cast<std::uint64_t>(t_fast))
-        .mix(static_cast<std::uint64_t>(t_slow));
+    // Every key fetched at these coordinates is kept as the
+    // scenario's per-query set, replacing the previous coordinates'.
+    const Digest coords = queryCoords(scenario, t_fast, t_slow);
+    analysis.classes = classify(scenario, t_fast, t_slow);
+    graphs(); // built outside the stage spans
 
-    const std::vector<WaitGraph> &all = graphs();
-    auto gather = [&](const std::vector<std::uint32_t> &indices) {
-        std::vector<WaitGraph> subset;
-        subset.reserve(indices.size());
-        for (std::uint32_t i : indices)
-            subset.push_back(all[i]); // copy: subsets stay independent
-        return subset;
-    };
-
-    auto slowImpact = store_.get<ImpactResult>(
-        Stage::Impact, stageKey(fpWaitGraph_, "impact:slow", coords),
-        [&] {
-            ImpactAnalysis impact(*corpus_, components_);
-            return impact.analyze(gather(analysis.classes.slow),
-                                  threads);
+    const Digest slowImpactKey =
+        stageKey(fpWaitGraph_, "impact:slow", coords);
+    auto slowImpact =
+        store_.get<ImpactResult>(Stage::Impact, slowImpactKey, [&] {
+            return classImpact(analysis.classes.slow, threads).finalize();
         });
+    keepQueryKey(scenario, coords, slowImpactKey);
     analysis.slowImpact = *slowImpact;
     for (std::uint32_t i : analysis.classes.slow)
         analysis.slowDuration += corpus_->instances()[i].duration();
 
-    auto awgFast = store_.awg(
-        stageKey(fpAwg_, "awg:fast", coords), [&] {
-            AwgBuilder builder(*corpus_, components_, config_.awg);
-            return builder.aggregate(gather(analysis.classes.fast),
-                                     threads);
+    auto classAwgAt = [&](std::string_view salt,
+                          const std::vector<std::uint32_t> &members) {
+        const Digest key = stageKey(fpAwg_, salt, coords);
+        auto awg = store_.awg(key, [&] {
+            return classAwg(members, threads)
+                .finalize(config_.awg.reduceNonOptimizable);
         });
-    auto awgSlow = store_.awg(
-        stageKey(fpAwg_, "awg:slow", coords), [&] {
-            AwgBuilder builder(*corpus_, components_, config_.awg);
-            return builder.aggregate(gather(analysis.classes.slow),
-                                     threads);
-        });
+        keepQueryKey(scenario, coords, key);
+        return awg;
+    };
+    auto awgFast = classAwgAt("awg:fast", analysis.classes.fast);
+    auto awgSlow = classAwgAt("awg:slow", analysis.classes.slow);
     analysis.awgFast = *awgFast;
     analysis.awgSlow = *awgSlow;
 
+    const Digest miningKey = stageKey(fpMining_, "mining", coords);
     auto mining = store_.get<MiningResult>(
-        Stage::Mining, stageKey(fpMining_, "mining", coords), [&] {
+        Stage::Mining, miningKey, [&] {
             MiningOptions mining_options;
             mining_options.maxSegmentLength = config_.maxSegmentLength;
             mining_options.tFast = t_fast;
@@ -410,6 +487,7 @@ Analyzer::analyzeScenarioWithThreads(std::string_view name,
             ContrastMiner miner(*corpus_, mining_options);
             return miner.mine(*awgFast, *awgSlow, threads);
         });
+    keepQueryKey(scenario, coords, miningKey);
     analysis.mining = *mining;
 
     // RQ1 denominator: the total driver cost as aggregated — the kept

@@ -13,10 +13,20 @@
  * compute the RQ1 coverage figures.
  *
  * The per-instance wait graphs are built once per shard and held in
- * one vector. Every result derived from them is an *artifact* in an
- * ArtifactStore (src/core/artifacts.h), keyed by a content hash of its
- * inputs: the digest chain of the ingested shards plus a fingerprint
- * of the relevant configuration. Two consequences:
+ * one vector. Each instance's AWG fragment (Algorithm 1 steps 1-2)
+ * and impact contribution (the Section 3 scan) depend on neither the
+ * thresholds nor the other instances, so the Analyzer computes them
+ * the first time a query needs that instance and keeps them: a
+ * per-class stage (slow-class impact, fast and slow AWGs) folds its
+ * class members' kept values in instance order. Every result derived
+ * from a class is an *artifact* in an ArtifactStore
+ * (src/core/artifacts.h), keyed by a content hash of its inputs: the
+ * digest chain of the ingested shards plus a fingerprint of the
+ * relevant configuration. Per scenario, the store keeps only the
+ * per-query artifacts (classes, slow impact, AWGs, mining) of the
+ * coordinates the scenario was last asked at — chain tip, T_fast,
+ * T_slow — so a daemon exploring thresholds does not pile them up.
+ * Two consequences of content keys:
  *
  *  - Incrementality: addStreams() appends trace data and invalidates
  *    nothing that was derived from the existing shards — only the new
@@ -36,7 +46,9 @@
 #ifndef TRACELENS_CORE_ANALYZER_H
 #define TRACELENS_CORE_ANALYZER_H
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -165,11 +177,21 @@ class Analyzer
     std::unordered_map<std::uint32_t, ImpactResult>
     impactPerScenario() const;
 
-    /** Classify one scenario's instances against thresholds. */
+    /**
+     * Classify one scenario's instances against thresholds. Like
+     * every per-query stage, this makes (t_fast, t_slow) the
+     * scenario's current coordinates: the store drops the scenario's
+     * per-query artifacts of other thresholds.
+     */
     ContrastClasses classify(std::uint32_t scenario, DurationNs t_fast,
                              DurationNs t_slow) const;
 
-    /** Run the full causality analysis for one scenario. */
+    /**
+     * Run the full causality analysis for one scenario. Its class
+     * stages fold the members' per-instance summaries, computing those
+     * no earlier query needed; its per-query artifacts replace those
+     * of the scenario's previous thresholds in the store.
+     */
     ScenarioAnalysis analyzeScenario(std::string_view name,
                                      DurationNs t_fast,
                                      DurationNs t_slow) const;
@@ -275,6 +297,58 @@ class Analyzer
                                                 DurationNs t_slow,
                                                 unsigned threads) const;
 
+    /** A value computed at most once, the first time it is needed. */
+    template <typename T>
+    struct Lazy
+    {
+        std::once_flag once;
+        /** Set after @c value is written; lets a query skip a slot
+         *  without entering the once. */
+        std::atomic<bool> ready{false};
+        T value;
+    };
+
+    /** One instance's threshold-independent summaries. */
+    struct InstanceSummaries
+    {
+        Lazy<AwgFragment> fragment;
+        Lazy<ImpactContribution> contribution;
+    };
+
+    /**
+     * Compute @p slot for every instance of @p members that lacks it,
+     * across @p threads workers, via @p compute(instance). A slot is
+     * computed once even when concurrent queries need it (the others
+     * wait in its once). Returns how many this call computed.
+     */
+    template <typename T, typename Compute>
+    std::uint64_t summarize(const std::vector<std::uint32_t> &members,
+                            Lazy<T> InstanceSummaries::*slot,
+                            unsigned threads, Compute &&compute) const;
+
+    /** Slow-class impact: @p members' contributions folded in order. */
+    PartialImpact classImpact(const std::vector<std::uint32_t> &members,
+                              unsigned threads) const;
+
+    /** A class's unreduced AWG: @p members' fragments folded in order. */
+    PartialAwg classAwg(const std::vector<std::uint32_t> &members,
+                        unsigned threads) const;
+
+    /** Chain tip + scenario + thresholds: a query's coordinates. */
+    Digest queryCoords(std::uint32_t scenario, DurationNs t_fast,
+                       DurationNs t_slow) const;
+
+    /**
+     * Record @p key, just fetched from the store, as a per-query
+     * artifact of @p scenario at @p coords. When @p coords differ from
+     * those of the keys recorded so far (a new query, or one still in
+     * flight that another query overtook), erase those keys from the
+     * store first: per scenario, the store holds the per-query
+     * artifacts of one set of coordinates.
+     */
+    void keepQueryKey(std::uint32_t scenario, const Digest &coords,
+                      const Digest &key) const;
+
     TraceSource *source_;
     AnalyzerConfig config_;
     NameFilter components_;
@@ -297,6 +371,21 @@ class Analyzer
     mutable std::vector<WaitGraph> graphs_;
     /** Shards whose graphs graphs_ holds (the rest are built next). */
     mutable std::size_t graphsShards_ = 0;
+
+    /**
+     * One entry per instance, grown only by absorb(); a deque, so the
+     * slots never move while queries fill them.
+     */
+    mutable std::deque<InstanceSummaries> summaries_;
+
+    /** The per-query artifact keys of one scenario. */
+    struct QueryKeys
+    {
+        Digest coords; //!< Coordinates the scenario was last asked at.
+        std::vector<Digest> keys; //!< Stored under those coordinates.
+    };
+    mutable std::mutex queryKeysMutex_;
+    mutable std::unordered_map<std::uint32_t, QueryKeys> queryKeys_;
 };
 
 } // namespace tracelens

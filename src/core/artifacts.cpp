@@ -242,6 +242,8 @@ ArtifactStore::ArtifactStore(std::string diskDir)
         counters_[i].diskBytes =
             &metrics_.counter(prefix + ".disk_bytes");
         counters_[i].buildNs = &metrics_.counter(prefix + ".build_ns");
+        counters_[i].summaries =
+            &metrics_.counter(prefix + ".summaries");
     }
 }
 
@@ -258,13 +260,15 @@ ArtifactStore::getOrBuild(Stage stage, const Digest &key,
     if (span.active())
         span.arg("key", key.hex());
 
-    Entry *entry = nullptr;
+    // A shared handle: the entry outlives an erase() that races this
+    // build or read.
+    std::shared_ptr<Entry> entry;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto [it, inserted] = entries_.try_emplace(key);
         if (inserted)
-            it->second = std::make_unique<Entry>();
-        entry = it->second.get();
+            it->second = std::make_shared<Entry>();
+        entry = it->second;
     }
 
     bool builtHere = false;
@@ -345,6 +349,20 @@ ArtifactStore::track(Stage stage, const Digest &key, bool held,
     recordBuild(stage, false, 0, msSince(start));
 }
 
+void
+ArtifactStore::erase(std::span<const Digest> keys)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const Digest &key : keys)
+        entries_.erase(key);
+}
+
+void
+ArtifactStore::countSummaries(Stage stage, std::uint64_t n)
+{
+    counters_[static_cast<std::size_t>(stage)].summaries->add(n);
+}
+
 PipelineStats
 ArtifactStore::stats() const
 {
@@ -360,6 +378,7 @@ ArtifactStore::stats() const
         s.diskWrites = c.diskWrites->value();
         s.diskBytes = c.diskBytes->value();
         s.buildMs = static_cast<double>(c.buildNs->value()) / 1e6;
+        s.summaries = c.summaries->value();
     }
     return stats;
 }

@@ -33,6 +33,12 @@
  * the store, while artifacts downstream of the new data miss and
  * rebuild. PipelineStats counts exactly that (hits, misses, disk
  * traffic, build wall time) per stage.
+ *
+ * The store does not bound itself. Its owner erases what it no longer
+ * needs: the Analyzer keeps, per scenario, only the per-query
+ * artifacts of the coordinates the scenario was last asked at.
+ * Entries are shared, so erasing a key never frees a value, or a
+ * build, that a running query still holds.
  */
 
 #ifndef TRACELENS_CORE_ARTIFACTS_H
@@ -43,6 +49,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -78,6 +85,9 @@ struct StageStats
     std::uint64_t diskWrites = 0; //!< Artifact files written.
     std::uint64_t diskBytes = 0;  //!< Bytes read from + written to disk.
     double buildMs = 0.0;         //!< Wall time spent producing values.
+    /** Per-instance summaries computed for the stage's class folds
+     *  (impact contributions, AWG fragments); not rendered. */
+    std::uint64_t summaries = 0;
 };
 
 /**
@@ -154,6 +164,16 @@ class ArtifactStore
     void track(Stage stage, const Digest &key, bool held,
                const std::function<void()> &build);
 
+    /**
+     * Drop @p keys from the in-memory map (disk files stay). A
+     * request still holding an erased entry finishes with it; the
+     * next request for the key builds it again.
+     */
+    void erase(std::span<const Digest> keys);
+
+    /** Count @p n per-instance summaries computed for @p stage. */
+    void countSummaries(Stage stage, std::uint64_t n);
+
     /** Snapshot of the per-stage counters. */
     PipelineStats stats() const;
 
@@ -199,7 +219,7 @@ class ArtifactStore
     std::string diskDir_;
 
     mutable std::mutex mutex_;
-    std::unordered_map<Digest, std::unique_ptr<Entry>, DigestHash>
+    std::unordered_map<Digest, std::shared_ptr<Entry>, DigestHash>
         entries_;
 
     /**
@@ -216,6 +236,7 @@ class ArtifactStore
         Counter *diskWrites = nullptr;
         Counter *diskBytes = nullptr;
         Counter *buildNs = nullptr;
+        Counter *summaries = nullptr;
     };
 
     MetricsRegistry metrics_;

@@ -60,14 +60,12 @@ partialEncodingRevision()
 // ---------------------------------------------------------------- impact
 
 void
-PartialImpact::absorbInstance(
-    DurationNs dScn, DurationNs dRun,
-    std::span<const std::pair<EventRef, DurationNs>> waitHits)
+PartialImpact::absorbInstance(const ImpactContribution &contribution)
 {
     ++instances_;
-    dScn_ += dScn;
-    dRun_ += dRun;
-    for (const auto &[ref, cost] : waitHits) {
+    dScn_ += contribution.dScn;
+    dRun_ += contribution.dRun;
+    for (const auto &[ref, cost] : contribution.waitHits) {
         dWait_ += cost;
         if (seen_.insert(ref).second) {
             dWaitDist_ += cost;
@@ -200,17 +198,21 @@ PartialAwg::absorbAggregated(std::uint32_t parent, const AwgKey &key,
     return id;
 }
 
-std::uint32_t
-PartialAwg::absorb(std::uint32_t parent, const AwgKey &key,
-                   DurationNs cost)
-{
-    return absorbAggregated(parent, key, cost, 1, cost);
-}
-
 void
-PartialAwg::addSourceGraphs(std::uint64_t n)
+PartialAwg::absorb(const AwgFragment &fragment)
 {
-    awg_.sourceGraphs_ += static_cast<std::size_t>(n);
+    // A fragment node's parent precedes it, so its trie node is mapped
+    // by the time the child arrives.
+    std::vector<std::uint32_t> map(fragment.nodes.size());
+    for (std::size_t i = 0; i < fragment.nodes.size(); ++i) {
+        const AwgFragment::Node &node = fragment.nodes[i];
+        const std::uint32_t parent = node.parent == kInvalidIndex
+                                         ? kInvalidIndex
+                                         : map[node.parent];
+        map[i] = absorbAggregated(parent, node.key, node.cost, 1,
+                                  node.cost);
+    }
+    ++awg_.sourceGraphs_;
 }
 
 void

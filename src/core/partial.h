@@ -94,12 +94,11 @@ class PartialImpact
 {
   public:
     /**
-     * Fold one instance graph's contribution: @p waitHits are the
-     * matched top-level waits in BFS order (ImpactAnalysis::collect).
+     * Fold one instance graph's contribution
+     * (ImpactAnalysis::collect): its sums, and its matched top-level
+     * waits through the first-seen dedup in BFS order.
      */
-    void absorbInstance(
-        DurationNs dScn, DurationNs dRun,
-        std::span<const std::pair<EventRef, DurationNs>> waitHits);
+    void absorbInstance(const ImpactContribution &contribution);
 
     /** Append @p other, which must cover the *following* instances. */
     void merge(const PartialImpact &other);
@@ -134,13 +133,13 @@ class PartialImpact
 /**
  * Partial Aggregated Wait Graph: the trie under construction, before
  * the non-optimizable reduction. Owns the node-creation bookkeeping
- * (per-node parent, (parent, key) lookup) that AwgBuilder's merge step
- * used to keep privately, so that the same first-encounter node layout
- * is reproduced whether source graphs are absorbed directly (thread
- * and incremental paths) or whole shard fragments are merged
- * (coordinator gather). Partials stay *unreduced* — a root prunable
- * within one shard may gain children from another — and `finalize()`
- * applies the reduction exactly once over the merged trie.
+ * (per-node parent, (parent, key) lookup), so that the same
+ * first-encounter node layout is reproduced whether per-graph
+ * fragments are absorbed (thread, incremental and per-query paths) or
+ * whole shard tries are merged (coordinator gather). Partials stay
+ * *unreduced* — a root prunable within one shard may gain children
+ * from another — and `finalize()` applies the reduction exactly once
+ * over the merged trie.
  */
 class PartialAwg
 {
@@ -153,16 +152,13 @@ class PartialAwg
     ~PartialAwg();
 
     /**
-     * Merge one source node under @p parent (kInvalidIndex = root
-     * level): find-or-create the (parent, key) child, add @p cost,
-     * count one occurrence. Returns the node id for descending into
-     * children. This is Algorithm 1's step-3 trie merge.
+     * Fold one source graph's fragment (AwgBuilder::summarize) into
+     * the trie: every fragment node, in preorder, finds or creates the
+     * (parent, key) child, adds its cost and counts one occurrence.
+     * This is Algorithm 1's step-3 trie merge; the fragment counts as
+     * one aggregated source graph.
      */
-    std::uint32_t absorb(std::uint32_t parent, const AwgKey &key,
-                         DurationNs cost);
-
-    /** Account @p n aggregated source graphs. */
-    void addSourceGraphs(std::uint64_t n);
+    void absorb(const AwgFragment &fragment);
 
     /**
      * Merge @p other's whole trie. Nodes are replayed in creation
@@ -187,7 +183,8 @@ class PartialAwg
     static bool decode(ByteReader &reader, PartialAwg &out);
 
   private:
-    /** Find-or-create with explicit aggregates (fragment merge). */
+    /** Find-or-create the (parent, key) child and add the aggregates
+     *  (absorb() adds one occurrence, merge() a whole node's). */
     std::uint32_t absorbAggregated(std::uint32_t parent,
                                    const AwgKey &key, DurationNs cost,
                                    std::uint64_t count,

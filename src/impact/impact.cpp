@@ -74,11 +74,11 @@ ImpactAnalysis::ImpactAnalysis(const TraceCorpus &corpus,
     corpus_.symbols().primeFilter(components_);
 }
 
-ImpactAnalysis::GraphContribution
+ImpactContribution
 ImpactAnalysis::collect(const WaitGraph &graph) const
 {
     const SymbolTable &sym = corpus_.symbols();
-    GraphContribution contribution;
+    ImpactContribution contribution;
     contribution.dScn = graph.topLevelDuration();
 
     // Top-level component waits: breadth-first search that stops at the
@@ -126,22 +126,20 @@ ImpactAnalysis::analyzePartial(std::span<const WaitGraph> graphs,
 
     PartialImpact partial;
     if (resolveThreads(threads) <= 1 || graphs.size() < 2) {
-        for (const WaitGraph &graph : graphs) {
-            const GraphContribution c = collect(graph);
-            partial.absorbInstance(c.dScn, c.dRun, c.waitHits);
-        }
+        for (const WaitGraph &graph : graphs)
+            partial.absorbInstance(collect(graph));
         return partial;
     }
 
     // Parallel per-graph scans, serial in-order dedup fold: the
     // accumulator sees the same (ref, cost) sequence as the serial
     // path, so the result is bit-identical.
-    const std::vector<GraphContribution> contributions =
-        parallelMap<GraphContribution>(
+    const std::vector<ImpactContribution> contributions =
+        parallelMap<ImpactContribution>(
             threads, graphs.size(),
             [&](std::size_t i) { return collect(graphs[i]); });
-    for (const GraphContribution &c : contributions)
-        partial.absorbInstance(c.dScn, c.dRun, c.waitHits);
+    for (const ImpactContribution &c : contributions)
+        partial.absorbInstance(c);
     return partial;
 }
 
@@ -158,21 +156,17 @@ ImpactAnalysis::analyzePerScenarioPartial(
 {
     std::unordered_map<std::uint32_t, PartialImpact> partials;
     if (resolveThreads(threads) <= 1 || graphs.size() < 2) {
-        for (const WaitGraph &graph : graphs) {
-            const GraphContribution c = collect(graph);
+        for (const WaitGraph &graph : graphs)
             partials[graph.instance().scenario].absorbInstance(
-                c.dScn, c.dRun, c.waitHits);
-        }
+                collect(graph));
     } else {
-        const std::vector<GraphContribution> contributions =
-            parallelMap<GraphContribution>(
+        const std::vector<ImpactContribution> contributions =
+            parallelMap<ImpactContribution>(
                 threads, graphs.size(),
                 [&](std::size_t i) { return collect(graphs[i]); });
-        for (std::size_t i = 0; i < graphs.size(); ++i) {
-            const GraphContribution &c = contributions[i];
+        for (std::size_t i = 0; i < graphs.size(); ++i)
             partials[graphs[i].instance().scenario].absorbInstance(
-                c.dScn, c.dRun, c.waitHits);
-        }
+                contributions[i]);
     }
 
     std::vector<std::pair<std::uint32_t, PartialImpact>> ordered;

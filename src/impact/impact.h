@@ -22,6 +22,13 @@
  *  - IA_opt  = (D_wait - D_waitdist) / D_scn — the share of waiting
  *    introduced by cost propagation, an upper bound on the optimization
  *    potential.
+ *
+ * The scan splits at the instance boundary: collect() reduces one
+ * graph to its ImpactContribution, which depends on neither the other
+ * instances nor the thresholds, and PartialImpact (src/core/partial.h)
+ * folds contributions in instance order. The Analyzer keeps each
+ * instance's contribution, so a query at new thresholds only folds
+ * its slow class's contributions.
  */
 
 #ifndef TRACELENS_IMPACT_IMPACT_H
@@ -63,6 +70,20 @@ struct ImpactResult
 
     /** One-line summary for reports. */
     std::string render() const;
+};
+
+/**
+ * One instance graph's share of the impact metrics: the sums, which
+ * merge commutatively, and the matched top-level waits in BFS order,
+ * whose D_waitdist dedup must be replayed in instance order
+ * (PartialImpact::absorbInstance).
+ */
+struct ImpactContribution
+{
+    DurationNs dScn = 0;
+    DurationNs dRun = 0;
+    /** Matched top-level waits (ref, clipped cost), in BFS order. */
+    std::vector<std::pair<EventRef, DurationNs>> waitHits;
 };
 
 /**
@@ -120,25 +141,15 @@ class ImpactAnalysis
     analyzePerScenarioPartial(std::span<const WaitGraph> graphs,
                               unsigned threads = 1) const;
 
+    /**
+     * Scan one graph: its contribution, for the caller to fold in
+     * instance order. Thread-safe: touches only primed caches.
+     */
+    ImpactContribution collect(const WaitGraph &graph) const;
+
     const NameFilter &components() const { return components_; }
 
   private:
-    /**
-     * The order-insensitive part of one graph's contribution: sums
-     * that merge commutatively, plus the matched top-level waits in
-     * BFS order whose dedup must be replayed serially.
-     */
-    struct GraphContribution
-    {
-        DurationNs dScn = 0;
-        DurationNs dRun = 0;
-        /** Matched top-level waits (ref, clipped cost), in BFS order. */
-        std::vector<std::pair<EventRef, DurationNs>> waitHits;
-    };
-
-    /** Scan one graph (thread-safe: touches only primed caches). */
-    GraphContribution collect(const WaitGraph &graph) const;
-
     const TraceCorpus &corpus_;
     NameFilter components_;
 };

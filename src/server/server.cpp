@@ -1148,24 +1148,28 @@ Server::process(QueuedRequest request)
             failRequest(ErrorCode::DeadlineExceeded,
                         "deadline elapsed while queued");
         }
-        JsonValue result;
+        // The response-cached handlers return the rendered answer
+        // itself: a hit is the stored bytes, a miss renders once.
         const std::string &method = request.request.method;
         if (method == "analyze") {
-            result = config_.coordinator ? handleCoordAnalyze(request)
-                                         : handleAnalyze(request);
+            resultJson = config_.coordinator
+                             ? handleCoordAnalyze(request).render()
+                             : handleAnalyze(request);
         } else if (method == "impact") {
-            result = config_.coordinator ? handleCoordImpact(request)
-                                         : handleImpact(request);
+            resultJson = config_.coordinator
+                             ? handleCoordImpact(request).render()
+                             : handleImpact(request);
         } else if (method == "mine") {
-            result = config_.coordinator ? handleCoordMine(request)
-                                         : handleMine(request);
+            resultJson = config_.coordinator
+                             ? handleCoordMine(request).render()
+                             : handleMine(request);
         } else if (method == "ingest") {
             if (config_.coordinator) {
                 failRequest(ErrorCode::BadRequest,
                             "ingest is not available in coordinator "
                             "mode (ingest on the workers)");
             }
-            result = handleIngest(request);
+            resultJson = handleIngest(request).render();
         } else if (method == "analyze_partial" ||
                    method == "mine_partial") {
             if (config_.coordinator) {
@@ -1173,40 +1177,39 @@ Server::process(QueuedRequest request)
                             "partial methods are served by workers, "
                             "not the coordinator");
             }
-            result = handleAnalyzePartial(request);
+            resultJson = handleAnalyzePartial(request);
         } else if (method == "impact_partial") {
             if (config_.coordinator) {
                 failRequest(ErrorCode::BadRequest,
                             "partial methods are served by workers, "
                             "not the coordinator");
             }
-            result = handleImpactPartial(request);
+            resultJson = handleImpactPartial(request);
         } else if (method == "cluster_status") {
             if (!config_.coordinator) {
                 failRequest(ErrorCode::BadRequest,
                             "this daemon is not a coordinator "
                             "(start with --coordinator)");
             }
-            result = handleClusterStatus(request);
+            resultJson = handleClusterStatus(request).render();
         } else if (method == "cluster_trace") {
             if (!config_.coordinator) {
                 failRequest(ErrorCode::BadRequest,
                             "this daemon is not a coordinator "
                             "(start with --coordinator)");
             }
-            result = handleClusterTrace(request);
+            resultJson = handleClusterTrace(request).render();
         } else if (method == "ingest_push") {
-            result = handleIngestPush(request);
+            resultJson = handleIngestPush(request).render();
         } else if (method == "window_summary") {
-            result = handleWindowSummary(request);
+            resultJson = handleWindowSummary(request).render();
         } else if (method == "alerts") {
-            result = handleAlerts(request);
+            resultJson = handleAlerts(request).render();
         } else if (method == "sleep") {
-            result = handleSleep(request);
+            resultJson = handleSleep(request).render();
         } else {
             failRequest(ErrorCode::Internal, "unroutable method");
         }
-        resultJson = result.render();
         ok_.fetch_add(1, std::memory_order_relaxed);
     } catch (const HandlerError &e) {
         failure = e;
@@ -1409,7 +1412,7 @@ checkDeadline(const std::optional<Clock::time_point> &deadline)
 
 } // namespace
 
-JsonValue
+std::string
 Server::handleAnalyze(const QueuedRequest &request)
 {
     const JsonValue &params = request.request.params;
@@ -1447,8 +1450,7 @@ Server::handleAnalyze(const QueuedRequest &request)
         .mix(static_cast<std::uint64_t>(applyFilter));
     if (auto cached = session.value()->cachedResponse(cacheKey)) {
         TL_SPAN("server.response-cache-hit", "server");
-        return std::move(
-            JsonValue::parse(*cached).value()); // cached render
+        return *cached;
     }
 
     Analyzer &analyzer = session.value()->analyzer();
@@ -1493,13 +1495,13 @@ Server::handleAnalyze(const QueuedRequest &request)
     }
     result.set("patterns", std::move(list));
 
+    std::string rendered = result.render();
     session.value()->cacheResponse(
-        cacheKey,
-        std::make_shared<const std::string>(result.render()));
-    return result;
+        cacheKey, std::make_shared<const std::string>(rendered));
+    return rendered;
 }
 
-JsonValue
+std::string
 Server::handleImpact(const QueuedRequest &request)
 {
     const JsonValue &params = request.request.params;
@@ -1522,7 +1524,7 @@ Server::handleImpact(const QueuedRequest &request)
     cacheKey.mix("impact").mix(session.value()->corpusDigest());
     if (auto cached = session.value()->cachedResponse(cacheKey)) {
         TL_SPAN("server.response-cache-hit", "server");
-        return std::move(JsonValue::parse(*cached).value());
+        return *cached;
     }
 
     Analyzer &analyzer = session.value()->analyzer();
@@ -1544,13 +1546,13 @@ Server::handleImpact(const QueuedRequest &request)
     }
     result.set("per_scenario", std::move(perScenario));
 
+    std::string rendered = result.render();
     session.value()->cacheResponse(
-        cacheKey,
-        std::make_shared<const std::string>(result.render()));
-    return result;
+        cacheKey, std::make_shared<const std::string>(rendered));
+    return rendered;
 }
 
-JsonValue
+std::string
 Server::handleMine(const QueuedRequest &request)
 {
     const JsonValue &params = request.request.params;
@@ -1585,7 +1587,7 @@ Server::handleMine(const QueuedRequest &request)
         .mix(static_cast<std::uint64_t>(maxPatterns));
     if (auto cached = session.value()->cachedResponse(cacheKey)) {
         TL_SPAN("server.response-cache-hit", "server");
-        return std::move(JsonValue::parse(*cached).value());
+        return *cached;
     }
 
     Analyzer &analyzer = session.value()->analyzer();
@@ -1613,10 +1615,10 @@ Server::handleMine(const QueuedRequest &request)
     result.set("patterns", std::move(list));
     result.set("total_patterns", JsonValue(patterns.size()));
 
+    std::string rendered = result.render();
     session.value()->cacheResponse(
-        cacheKey,
-        std::make_shared<const std::string>(result.render()));
-    return result;
+        cacheKey, std::make_shared<const std::string>(rendered));
+    return rendered;
 }
 
 JsonValue
@@ -1676,7 +1678,7 @@ Server::handleSleep(const QueuedRequest &request)
 
 // ------------------------------------ worker-side partial handlers
 
-JsonValue
+std::string
 Server::handleAnalyzePartial(const QueuedRequest &request)
 {
     const JsonValue &params = request.request.params;
@@ -1716,7 +1718,7 @@ Server::handleAnalyzePartial(const QueuedRequest &request)
         .mix(static_cast<std::uint64_t>(tSlow));
     if (auto cached = session.value()->cachedResponse(cacheKey)) {
         TL_SPAN("server.response-cache-hit", "server");
-        return std::move(JsonValue::parse(*cached).value());
+        return *cached;
     }
 
     Analyzer &analyzer = session.value()->analyzer();
@@ -1733,13 +1735,13 @@ Server::handleAnalyzePartial(const QueuedRequest &request)
     result.set("partial",
                JsonValue(base64Encode(encodeScenarioPartial(partial))));
 
+    std::string rendered = result.render();
     session.value()->cacheResponse(
-        cacheKey,
-        std::make_shared<const std::string>(result.render()));
-    return result;
+        cacheKey, std::make_shared<const std::string>(rendered));
+    return rendered;
 }
 
-JsonValue
+std::string
 Server::handleImpactPartial(const QueuedRequest &request)
 {
     const JsonValue &params = request.request.params;
@@ -1763,7 +1765,7 @@ Server::handleImpactPartial(const QueuedRequest &request)
         .mix(session.value()->corpusDigest());
     if (auto cached = session.value()->cachedResponse(cacheKey)) {
         TL_SPAN("server.response-cache-hit", "server");
-        return std::move(JsonValue::parse(*cached).value());
+        return *cached;
     }
 
     const ImpactPartial partial =
@@ -1776,10 +1778,10 @@ Server::handleImpactPartial(const QueuedRequest &request)
     result.set("partial",
                JsonValue(base64Encode(encodeImpactPartial(partial))));
 
+    std::string rendered = result.render();
     session.value()->cacheResponse(
-        cacheKey,
-        std::make_shared<const std::string>(result.render()));
-    return result;
+        cacheKey, std::make_shared<const std::string>(rendered));
+    return rendered;
 }
 
 // ------------------------------------------- coordinator handlers

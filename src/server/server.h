@@ -317,16 +317,21 @@ class Server
      *  flow-control windows allow (writeMutex held). */
     void flushOutboundLocked(const std::shared_ptr<Connection> &conn);
 
-    /** Method handlers; return a result or throw HandlerError. */
-    JsonValue handleAnalyze(const QueuedRequest &request);
-    JsonValue handleImpact(const QueuedRequest &request);
-    JsonValue handleMine(const QueuedRequest &request);
+    /**
+     * Method handlers; return a result or throw HandlerError. The
+     * response-cached ones (analyze, impact, mine and the two partial
+     * methods) return the rendered result: on a cache hit, the stored
+     * bytes as they are.
+     */
+    std::string handleAnalyze(const QueuedRequest &request);
+    std::string handleImpact(const QueuedRequest &request);
+    std::string handleMine(const QueuedRequest &request);
     JsonValue handleIngest(const QueuedRequest &request);
     JsonValue handleSleep(const QueuedRequest &request);
     /** Worker-side partial handlers (analyze_partial/mine_partial and
      *  impact_partial): one shard in, a TLP1 payload out. */
-    JsonValue handleAnalyzePartial(const QueuedRequest &request);
-    JsonValue handleImpactPartial(const QueuedRequest &request);
+    std::string handleAnalyzePartial(const QueuedRequest &request);
+    std::string handleImpactPartial(const QueuedRequest &request);
     /** Coordinator-side handlers: scatter/gather via coordinator_. */
     JsonValue handleCoordAnalyze(const QueuedRequest &request);
     JsonValue handleCoordImpact(const QueuedRequest &request);

@@ -67,6 +67,53 @@ class ScratchDir
     fs::path path_;
 };
 
+/** A TCP socket bound to an ephemeral loopback port; sets @p port. */
+int
+bindLoopback(std::uint16_t &port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr *>(&addr),
+                            &len),
+              0);
+    port = ntohs(addr.sin_port);
+    return fd;
+}
+
+/**
+ * A loopback address that refuses connections for as long as this
+ * object lives: a bound socket that never listens. Holding the bind
+ * keeps the port from being handed to any daemon the test starts
+ * later.
+ */
+class DeadAddress
+{
+  public:
+    DeadAddress() { fd_ = bindLoopback(port_); }
+    ~DeadAddress() { ::close(fd_); }
+
+    DeadAddress(const DeadAddress &) = delete;
+    DeadAddress &operator=(const DeadAddress &) = delete;
+
+    std::string
+    address() const
+    {
+        return "127.0.0.1:" + std::to_string(port_);
+    }
+
+  private:
+    std::uint16_t port_ = 0;
+    int fd_ = -1;
+};
+
 // ---------------------------------------------------------- hash ring
 
 TEST(HashRing, PlacementIsDeterministicAndCoversEveryWorker)
@@ -345,11 +392,9 @@ TEST_F(ClusterTest, StoppedWorkerIsRetriedOnItsReplica)
 
 TEST_F(ClusterTest, SoleWorkerDownDegradesInsideTheDeadline)
 {
-    // Grab a port that is guaranteed closed by starting and stopping
-    // a real daemon on it.
-    Daemon doomed = startWorker();
-    const std::string deadAddr = doomed.address();
-    stopDaemon(doomed);
+    // A port that refuses connections for the whole test.
+    const DeadAddress dead;
+    const std::string deadAddr = dead.address();
 
     Daemon coord = startCoordinator({deadAddr}, 2000);
     Session session = connect(coord);
@@ -392,22 +437,8 @@ class FakeOldWorker
   public:
     FakeOldWorker()
     {
-        fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        EXPECT_GE(fd_, 0);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = 0;
-        EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr *>(&addr),
-                         sizeof(addr)),
-                  0);
+        fd_ = bindLoopback(port_);
         EXPECT_EQ(::listen(fd_, 4), 0);
-        socklen_t len = sizeof(addr);
-        EXPECT_EQ(::getsockname(fd_,
-                                reinterpret_cast<sockaddr *>(&addr),
-                                &len),
-                  0);
-        port_ = ntohs(addr.sin_port);
         thread_ = std::thread([this] { serve(); });
     }
 
@@ -567,9 +598,8 @@ TEST_F(ClusterTest, RoleMismatchedMethodsAreRejected)
 TEST_F(ClusterTest, ClusterStatusReportsTopologyAndHealth)
 {
     Daemon worker = startWorker();
-    Daemon doomed = startWorker();
-    const std::string deadAddr = doomed.address();
-    stopDaemon(doomed);
+    const DeadAddress dead;
+    const std::string deadAddr = dead.address();
     Daemon coord =
         startCoordinator({worker.address(), deadAddr});
 

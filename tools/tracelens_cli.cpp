@@ -1382,8 +1382,18 @@ cmdWatch(const Args &args)
         ++ticks;
         if (maxTicks != 0 && ticks >= maxTicks)
             break;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(config.pollMs));
+        // Sleep out the poll interval in short slices, so SIGINT and
+        // SIGTERM end the loop within one slice.
+        const auto wake = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(config.pollMs);
+        while (!g_watchStop.load(std::memory_order_acquire)) {
+            const auto now = std::chrono::steady_clock::now();
+            if (now >= wake)
+                break;
+            std::this_thread::sleep_for(
+                std::min<std::chrono::steady_clock::duration>(
+                    wake - now, std::chrono::milliseconds(20)));
+        }
     }
     std::cout << fleet.status().render() << "\n";
     return 0;
