@@ -20,6 +20,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -170,9 +171,9 @@ BM_DeserializeCorpus(benchmark::State &state)
     writeCorpus(sharedCorpus(), buffer);
     const std::string bytes = buffer.str();
     for (auto _ : state) {
-        std::istringstream in(bytes);
-        TraceCorpus corpus = readCorpus(in);
-        benchmark::DoNotOptimize(corpus.totalEvents());
+        const Expected<TraceCorpus> corpus =
+            parseCorpus(std::as_bytes(std::span(bytes)));
+        benchmark::DoNotOptimize(corpus.value().totalEvents());
     }
 }
 BENCHMARK(BM_DeserializeCorpus)->Unit(benchmark::kMillisecond);

@@ -30,9 +30,10 @@
  * warm-query contract of src/server/: warm p50 must be >= 100x
  * better than cold (BENCH_scale_server_warm_speedup_p50); the proto
  * run gates the v2 transport contracts: session wire bytes <= 1/3 of
- * v1 (BENCH_scale_proto_wire_ratio) and interactive probe p95 >= 5x
- * better than v1 under load
- * (BENCH_scale_proto_multiplex_speedup_p95). The tracing run
+ * the JSON text of the same params and results
+ * (BENCH_scale_proto_wire_ratio) and, under load, an interactive
+ * probe's p95 >= 5x better than the same probe queued FIFO at the
+ * blockers' priority (BENCH_scale_proto_multiplex_speedup_p95). The tracing run
  * (warm analyze load with span-context propagation off vs on,
  * BENCH_obs.json) gates the observability contract of
  * docs/TELEMETRY.md: distributed tracing must cost < 3% of warm
@@ -598,22 +599,18 @@ main(int argc, char **argv)
         params.set("scenario", JsonValue(scenario.name));
         return params;
     };
-    auto connectClient =
-        [](std::uint16_t port,
-           server::ProtocolPreference prefer =
-               server::ProtocolPreference::Auto) {
-            server::SessionOptions options;
-            options.prefer = prefer;
-            options.ioTimeout = std::chrono::milliseconds(60000);
-            auto session = server::Session::connect("127.0.0.1", port,
-                                                    options);
-            if (!session.ok()) {
-                std::cerr << "client connect failed: "
-                          << session.error().render() << "\n";
-                std::exit(1);
-            }
-            return std::move(session.value());
-        };
+    auto connectClient = [](std::uint16_t port) {
+        server::SessionOptions options;
+        options.ioTimeout = std::chrono::milliseconds(60000);
+        auto session =
+            server::Session::connect("127.0.0.1", port, options);
+        if (!session.ok()) {
+            std::cerr << "client connect failed: "
+                      << session.error().render() << "\n";
+            std::exit(1);
+        }
+        return std::move(session.value());
+    };
     auto startDaemon = [&](server::Server &daemon) {
         const auto started = daemon.start();
         if (!started.ok()) {
@@ -697,13 +694,14 @@ main(int argc, char **argv)
 
     // ---- protocol v2: wire bytes and multiplexed scheduling --------
     // Same daemon, same warm response cache, so both measurements
-    // compare transports, not analysis cost.
+    // compare transport choices, not analysis cost.
     //
     // (a) Wire bytes. One symbol-heavy session — eight reps of
-    // analyze(top=50) over every scenario plus impact — through a v1
-    // session and a v2 session. The symbol dictionary sends each
-    // module!Function string once per connection, so v2 must land at
-    // <= 1/3 of v1's total wire bytes.
+    // analyze(top=50) over every scenario plus impact. The baseline is
+    // the JSON text of the same params and results (what a JSON-line
+    // protocol carries, minus its envelope). The symbol dictionary
+    // sends each module!Function string once per connection, so the
+    // session's wire bytes must land at <= 1/3 of that text.
     const int wire_reps = 8;
     auto analyzeTopParams = [&](const ScenarioThresholds &scenario) {
         JsonValue params = analyzeParams(scenario);
@@ -713,45 +711,41 @@ main(int argc, char **argv)
     JsonValue impact_params = JsonValue::makeObject();
     impact_params.set("corpus", JsonValue(server_corpus));
 
-    auto sessionWireBytes = [&](server::ProtocolPreference prefer) {
-        server::Session session = connectClient(server_port, prefer);
-        for (int rep = 0; rep < wire_reps; ++rep) {
-            for (const ScenarioThresholds &scenario : scenarios) {
-                const auto reply =
-                    session.call(server::Method::Analyze,
-                                 analyzeTopParams(scenario));
-                if (!reply.ok() || !reply.value().ok) {
-                    std::cerr << "wire-bytes analyze failed\n";
-                    std::exit(1);
-                }
-            }
-            const auto reply =
-                session.call(server::Method::Impact, impact_params);
+    std::uint64_t json_text_bytes = 0;
+    std::uint64_t v2_wire_bytes = 0;
+    {
+        server::Session session = connectClient(server_port);
+        auto tally = [&](server::Method method, const JsonValue &params) {
+            const auto reply = session.call(method, params);
             if (!reply.ok() || !reply.value().ok) {
-                std::cerr << "wire-bytes impact failed\n";
+                std::cerr << "wire-bytes "
+                          << server::methodName(method) << " failed\n";
                 std::exit(1);
             }
+            json_text_bytes += params.render().size() +
+                               reply.value().result.render().size();
+        };
+        for (int rep = 0; rep < wire_reps; ++rep) {
+            for (const ScenarioThresholds &scenario : scenarios)
+                tally(server::Method::Analyze, analyzeTopParams(scenario));
+            tally(server::Method::Impact, impact_params);
         }
         const server::WireStats wire = session.wireStats();
-        return wire.bytesSent + wire.bytesReceived;
-    };
-    const std::uint64_t v1_wire_bytes =
-        sessionWireBytes(server::ProtocolPreference::V1);
-    const std::uint64_t v2_wire_bytes =
-        sessionWireBytes(server::ProtocolPreference::V2);
+        v2_wire_bytes = wire.bytesSent + wire.bytesReceived;
+    }
     const double wire_ratio =
         v2_wire_bytes == 0
             ? 0.0
-            : static_cast<double>(v1_wire_bytes) /
+            : static_cast<double>(json_text_bytes) /
                   static_cast<double>(v2_wire_bytes);
 
     // (b) Multiplexed scheduling. Saturate the workers with bulk
-    // sleeps, then measure a near-zero-cost interactive probe (a 1ms
-    // sleep, so the sample is pure queueing delay rather than the
-    // probe's own service time). Over v2 the probe rides an
-    // interactive-priority stream and overtakes the queue; over v1
-    // every request is normal priority and the probe drains FIFO
-    // behind the whole backlog. Contract: probe p95 improves >= 5x.
+    // sleeps, then measure a near-zero-cost probe (a 1ms sleep, so the
+    // sample is pure queueing delay rather than the probe's own
+    // service time). Sent at the blockers' own priority, the probe
+    // drains FIFO behind the whole backlog; sent on an interactive
+    // stream, it overtakes the queue. Contract: probe p95 improves
+    // >= 5x.
     const unsigned pool_workers = std::max(1u, threads);
     const std::size_t blockers_per_round = 8 * pool_workers;
     const std::size_t probe_rounds = 8;
@@ -760,15 +754,13 @@ main(int argc, char **argv)
     JsonValue probe_params = JsonValue::makeObject();
     probe_params.set("ms", JsonValue(1));
 
-    auto probeLatencies = [&](server::ProtocolPreference prefer) {
-        server::Session session = connectClient(server_port, prefer);
-        const bool v2 = session.protocolVersion() ==
-                        server::kProtocolVersionV2;
+    auto probeLatencies = [&](std::uint8_t probePriority) {
+        server::Session session = connectClient(server_port);
         std::vector<double> samples;
         samples.reserve(probe_rounds);
         for (std::size_t round = 0; round < probe_rounds; ++round) {
             server::CallOptions bulk;
-            bulk.priority = server::kPriorityBulk; // v1: ignored
+            bulk.priority = server::kPriorityBulk;
             std::vector<std::uint64_t> handles;
             handles.reserve(blockers_per_round);
             for (std::size_t i = 0; i < blockers_per_round; ++i) {
@@ -780,14 +772,14 @@ main(int argc, char **argv)
                 }
                 handles.push_back(handle.value());
             }
-            server::CallOptions interactive;
-            interactive.priority = server::kPriorityInteractive;
+            server::CallOptions probeOptions;
+            probeOptions.priority = probePriority;
             const auto start = std::chrono::steady_clock::now();
             const auto probe = session.call(server::Method::Sleep,
-                                            probe_params, interactive);
+                                            probe_params, probeOptions);
             if (!probe.ok() || !probe.value().ok) {
-                std::cerr << "probe failed ("
-                          << (v2 ? "v2" : "v1") << ")\n";
+                std::cerr << "probe failed (priority "
+                          << int(probePriority) << ")\n";
                 std::exit(1);
             }
             samples.push_back(usSince(start));
@@ -801,14 +793,15 @@ main(int argc, char **argv)
         }
         return samples;
     };
-    const std::vector<double> v1_probe_us =
-        probeLatencies(server::ProtocolPreference::V1);
-    const std::vector<double> v2_probe_us =
-        probeLatencies(server::ProtocolPreference::V2);
-    const double v1_probe_p95 = percentileUs(v1_probe_us, 0.95);
-    const double v2_probe_p95 = percentileUs(v2_probe_us, 0.95);
+    const std::vector<double> fifo_probe_us =
+        probeLatencies(server::kPriorityBulk);
+    const std::vector<double> interactive_probe_us =
+        probeLatencies(server::kPriorityInteractive);
+    const double fifo_probe_p95 = percentileUs(fifo_probe_us, 0.95);
+    const double interactive_probe_p95 =
+        percentileUs(interactive_probe_us, 0.95);
     const double multiplex_speedup =
-        speedup(v1_probe_p95, v2_probe_p95);
+        speedup(fifo_probe_p95, interactive_probe_p95);
 
     // ---- distributed tracing overhead: warm load, off vs on --------
     // Same warm daemon, same cache-hit analyze load as the warm phase
@@ -944,26 +937,27 @@ main(int argc, char **argv)
         std::cout << "wrote BENCH_server.json\n";
     }
 
-    std::cout << "\n== Protocol v2 vs v1 (same daemon, warm cache) ==\n";
-    TextTable proto_table({"Metric", "v1", "v2", "ratio"});
-    proto_table.addRow({"session wire bytes",
-                        std::to_string(v1_wire_bytes),
+    std::cout << "\n== Protocol v2 transport (same daemon, warm cache) ==\n";
+    TextTable proto_table({"Metric", "baseline", "v2", "ratio"});
+    proto_table.addRow({"session bytes (JSON text vs wire)",
+                        std::to_string(json_text_bytes),
                         std::to_string(v2_wire_bytes),
                         TextTable::num(wire_ratio, 2) + "x"});
-    proto_table.addRow({"probe p95 us under load",
-                        TextTable::num(v1_probe_p95, 0),
-                        TextTable::num(v2_probe_p95, 0),
+    proto_table.addRow({"probe p95 us under load (FIFO vs interactive)",
+                        TextTable::num(fifo_probe_p95, 0),
+                        TextTable::num(interactive_probe_p95, 0),
                         TextTable::num(multiplex_speedup, 1) + "x"});
     std::cout << proto_table.render();
     if (wire_ratio < 3.0) {
         std::cerr << "v2 wire bytes only " << TextTable::num(wire_ratio, 2)
-                  << "x smaller than v1; the contract is >= 3x\n";
+                  << "x smaller than the JSON text; the contract is "
+                     ">= 3x\n";
         return 1;
     }
     if (multiplex_speedup < 5.0) {
         std::cerr << "interactive probe p95 only "
                   << TextTable::num(multiplex_speedup, 1)
-                  << "x better over v2; the contract is >= 5x\n";
+                  << "x better than FIFO; the contract is >= 5x\n";
         return 1;
     }
 
@@ -971,15 +965,16 @@ main(int argc, char **argv)
         std::ofstream json("BENCH_proto.json");
         json << "{\n"
              << "  \"wire_reps\": " << wire_reps << ",\n"
-             << "  \"v1_wire_bytes\": " << v1_wire_bytes << ",\n"
+             << "  \"json_text_bytes\": " << json_text_bytes << ",\n"
              << "  \"v2_wire_bytes\": " << v2_wire_bytes << ",\n"
              << "  \"wire_ratio\": " << wire_ratio << ",\n"
              << "  \"wire_ratio_floor\": 3.0,\n"
              << "  \"probe_rounds\": " << probe_rounds << ",\n"
              << "  \"blockers_per_round\": " << blockers_per_round
              << ",\n"
-             << "  \"v1_probe_p95_us\": " << v1_probe_p95 << ",\n"
-             << "  \"v2_probe_p95_us\": " << v2_probe_p95 << ",\n"
+             << "  \"fifo_probe_p95_us\": " << fifo_probe_p95 << ",\n"
+             << "  \"interactive_probe_p95_us\": "
+             << interactive_probe_p95 << ",\n"
              << "  \"multiplex_speedup_p95\": " << multiplex_speedup
              << ",\n"
              << "  \"multiplex_speedup_floor\": 5.0\n"

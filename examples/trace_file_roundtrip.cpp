@@ -36,7 +36,12 @@ main(int argc, char **argv)
     }
 
     // Reload, validate, analyze.
-    const TraceCorpus corpus = readCorpusFile(path);
+    Expected<TraceCorpus> loaded = readCorpusFileChecked(path);
+    if (!loaded) {
+        std::cerr << loaded.error().render() << "\n";
+        return 1;
+    }
+    const TraceCorpus &corpus = loaded.value();
     const ValidationReport report = validateCorpus(corpus);
     std::cout << "reloaded: " << report.render() << "\n";
 

@@ -30,11 +30,9 @@ ADDR="$srv_ADDR"
 "$CLI" query health --connect "$ADDR" | grep -q '"status":"ok"' \
     || fail "health check"
 
-# Both protocol revisions answer, and health advertises them.
-"$CLI" query health --connect "$ADDR" --protocol v1 \
-    | grep -q '"protocols":\[1,2\]' || fail "health over v1"
-"$CLI" query health --connect "$ADDR" --protocol v2 \
-    | grep -q '"protocols":\[1,2\]' || fail "health over v2"
+# Health advertises the one protocol revision the daemon speaks.
+"$CLI" query health --connect "$ADDR" \
+    | grep -q '"protocols":\[2\]' || fail "health protocols"
 
 "$CLI" query ingest --connect "$ADDR" \
     --params "{\"corpus\":\"$WORK/corpus.tlc\"}" \
@@ -50,15 +48,6 @@ COLD="$("$CLI" query analyze --connect "$ADDR" \
 WARM="$("$CLI" query analyze --connect "$ADDR" \
     --params "{\"corpus\":\"$WORK/corpus.tlc\",\"scenario\":\"BrowserTabCreate\"}")"
 [[ "$COLD" == "$WARM" ]] || fail "warm response differs from cold"
-
-# v2 changes the framing, not the answer: byte-identical across
-# protocol revisions.
-V1OUT="$("$CLI" query analyze --connect "$ADDR" --protocol v1 \
-    --params "{\"corpus\":\"$WORK/corpus.tlc\",\"scenario\":\"BrowserTabCreate\"}")"
-V2OUT="$("$CLI" query analyze --connect "$ADDR" --protocol v2 \
-    --params "{\"corpus\":\"$WORK/corpus.tlc\",\"scenario\":\"BrowserTabCreate\"}")"
-[[ "$V1OUT" == "$WARM" ]] || fail "v1 response differs"
-[[ "$V2OUT" == "$WARM" ]] || fail "v2 response differs"
 
 "$CLI" query stats --connect "$ADDR" | grep -q '"sessions"' \
     || fail "stats query"

@@ -59,35 +59,51 @@ mineGathered(const AggregatedWaitGraph &fast,
     return miner.mine(fast, slow, 1);
 }
 
-ScenarioSummary
-summarizeScenario(const std::string &scenario, DurationNs tFast,
-                  DurationNs tSlow, const PartialClasses &classes,
-                  const ImpactResult &slowImpact,
-                  const AggregatedWaitGraph &awgFast,
-                  const AggregatedWaitGraph &awgSlow,
-                  const SymbolTable &symbols, std::size_t top,
-                  bool applyKnowledgeFilter)
+ScenarioMining
+mineScenario(const AggregatedWaitGraph &awgFast,
+             const AggregatedWaitGraph &awgSlow, DurationNs tFast,
+             DurationNs tSlow)
 {
-    ScenarioSummary summary;
-    summary.mining = mineGathered(awgFast, awgSlow, tFast, tSlow);
-    summary.coverage = computeCoverage(
-        summary.mining,
-        awgSlow.reducedCost() + awgSlow.totalRootCost(), tSlow);
+    ScenarioMining mined;
+    mined.mining = mineGathered(awgFast, awgSlow, tFast, tSlow);
+    mined.coverage = computeCoverage(
+        mined.mining, awgSlow.reducedCost() + awgSlow.totalRootCost(),
+        tSlow);
+    return mined;
+}
 
-    std::vector<ContrastPattern> patterns = summary.mining.patterns;
+namespace
+{
+
+/** Driver time share of the slow class: (D_wait + D_run) / D_scn. */
+double
+driverCostShare(const PartialClasses &classes,
+                const ImpactResult &slowImpact)
+{
+    return classes.slowDuration == 0
+               ? 0.0
+               : static_cast<double>(slowImpact.dWait +
+                                     slowImpact.dRun) /
+                     static_cast<double>(classes.slowDuration);
+}
+
+} // namespace
+
+JsonValue
+scenarioJson(const std::string &scenario, DurationNs tFast,
+             DurationNs tSlow, const PartialClasses &classes,
+             const ImpactResult &slowImpact, const MiningResult &mining,
+             const CoverageResult &coverage, const SymbolTable &symbols,
+             std::size_t top, bool applyKnowledgeFilter)
+{
+    std::vector<ContrastPattern> patterns = mining.patterns;
     std::size_t suppressed = 0;
     if (applyKnowledgeFilter) {
         const auto filtered =
-            KnowledgeBase::defaults().apply(summary.mining, symbols);
+            KnowledgeBase::defaults().apply(mining, symbols);
         suppressed = filtered.suppressed.size();
         patterns = filtered.kept;
     }
-
-    summary.driverCostShare =
-        classes.slowDuration == 0
-            ? 0.0
-            : static_cast<double>(slowImpact.dWait + slowImpact.dRun) /
-                  static_cast<double>(classes.slowDuration);
 
     JsonValue result = JsonValue::makeObject();
     result.set("scenario", JsonValue(scenario));
@@ -99,16 +115,54 @@ summarizeScenario(const std::string &scenario, DurationNs tFast,
     classesJson.set("slow", JsonValue(classes.slow));
     result.set("classes", std::move(classesJson));
     result.set("slow_impact", impactJson(slowImpact));
-    result.set("driver_cost_share", JsonValue(summary.driverCostShare));
-    result.set("coverage", JsonValue(summary.coverage.render()));
-    result.set("mining_stats",
-               JsonValue(summary.mining.stats.render()));
+    result.set("driver_cost_share",
+               JsonValue(driverCostShare(classes, slowImpact)));
+    result.set("coverage", JsonValue(coverage.render()));
+    result.set("mining_stats", JsonValue(mining.stats.render()));
     result.set("suppressed", JsonValue(suppressed));
     JsonValue list = JsonValue::makeArray();
     for (std::size_t i = 0; i < std::min(top, patterns.size()); ++i)
         list.push(patternJson(patterns[i], tSlow, symbols, i + 1));
     result.set("patterns", std::move(list));
-    summary.json = std::move(result);
+    return result;
+}
+
+JsonValue
+mineJson(const std::string &scenario, DurationNs tSlow,
+         const MiningResult &mining, const CoverageResult &coverage,
+         const SymbolTable &symbols, std::size_t maxPatterns)
+{
+    JsonValue result = JsonValue::makeObject();
+    result.set("scenario", JsonValue(scenario));
+    result.set("mining_stats", JsonValue(mining.stats.render()));
+    result.set("coverage", JsonValue(coverage.render()));
+    JsonValue list = JsonValue::makeArray();
+    const auto &patterns = mining.patterns;
+    for (std::size_t i = 0; i < std::min(maxPatterns, patterns.size());
+         ++i)
+        list.push(patternJson(patterns[i], tSlow, symbols, i + 1));
+    result.set("patterns", std::move(list));
+    result.set("total_patterns", JsonValue(patterns.size()));
+    return result;
+}
+
+ScenarioSummary
+summarizeScenario(const std::string &scenario, DurationNs tFast,
+                  DurationNs tSlow, const PartialClasses &classes,
+                  const ImpactResult &slowImpact,
+                  const AggregatedWaitGraph &awgFast,
+                  const AggregatedWaitGraph &awgSlow,
+                  const SymbolTable &symbols, std::size_t top,
+                  bool applyKnowledgeFilter)
+{
+    ScenarioMining mined = mineScenario(awgFast, awgSlow, tFast, tSlow);
+    ScenarioSummary summary;
+    summary.json = scenarioJson(scenario, tFast, tSlow, classes,
+                                slowImpact, mined.mining, mined.coverage,
+                                symbols, top, applyKnowledgeFilter);
+    summary.driverCostShare = driverCostShare(classes, slowImpact);
+    summary.mining = std::move(mined.mining);
+    summary.coverage = std::move(mined.coverage);
     return summary;
 }
 

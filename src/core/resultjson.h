@@ -8,8 +8,10 @@
  * acceptance contract tested by tests/fleet_test.cpp and
  * scripts/smoke_fleet.sh. Rather than keeping two renderers in sync
  * by convention, the finalize-and-render path lives here once:
- * impact/pattern JSON shapes, the gathered-AWG miner, and the full
- * scenario-summary object built from merged Partial* state.
+ * impact/pattern JSON shapes, the gathered-AWG miner, and one
+ * renderer per answer shape (`analyze` and `mine`), each taking an
+ * already-mined result so a single node, a coordinator and a rolling
+ * window all render through the same code.
  */
 
 #ifndef TRACELENS_CORE_RESULTJSON_H
@@ -46,6 +48,48 @@ MiningResult mineGathered(const AggregatedWaitGraph &fast,
                           const AggregatedWaitGraph &slow,
                           DurationNs tFast, DurationNs tSlow);
 
+/** A scenario's mined patterns and their coverage of the slow class. */
+struct ScenarioMining
+{
+    MiningResult mining;
+    CoverageResult coverage;
+};
+
+/**
+ * The mining step of a merged scenario: mineGathered() over the two
+ * finalized, reduced AWGs, and the patterns' coverage of the slow
+ * AWG's time (its graph cost plus the non-optimizable time ReduceAWG
+ * removed), exactly as the Analyzer computes it.
+ */
+ScenarioMining mineScenario(const AggregatedWaitGraph &awgFast,
+                            const AggregatedWaitGraph &awgSlow,
+                            DurationNs tFast, DurationNs tSlow);
+
+/**
+ * The `analyze` answer object for an already-mined scenario, keys in
+ * `analyze` order (scenario, tfast_ms, tslow_ms, classes, slow_impact,
+ * driver_cost_share, coverage, mining_stats, suppressed, patterns).
+ * The knowledge filter, when requested, drops known-benign patterns
+ * before the top @p top are listed. @p symbols resolves the pattern
+ * frames.
+ */
+JsonValue scenarioJson(const std::string &scenario, DurationNs tFast,
+                       DurationNs tSlow, const PartialClasses &classes,
+                       const ImpactResult &slowImpact,
+                       const MiningResult &mining,
+                       const CoverageResult &coverage,
+                       const SymbolTable &symbols, std::size_t top,
+                       bool applyKnowledgeFilter);
+
+/**
+ * The `mine` answer object (scenario, mining_stats, coverage, the
+ * first @p maxPatterns patterns unfiltered, total_patterns).
+ */
+JsonValue mineJson(const std::string &scenario, DurationNs tSlow,
+                   const MiningResult &mining,
+                   const CoverageResult &coverage,
+                   const SymbolTable &symbols, std::size_t maxPatterns);
+
 /**
  * A scenario summary finalized from merged partial state: the mined
  * patterns plus the rendered JSON object — the exact shape `analyze`
@@ -61,11 +105,8 @@ struct ScenarioSummary
 };
 
 /**
- * Finalize merged scenario partials into the canonical summary JSON:
- * mine the AWGs, compute coverage, apply the knowledge filter when
- * requested, and emit the result object with keys in `analyze` order
- * (scenario, tfast_ms, tslow_ms, classes, slow_impact,
- * driver_cost_share, coverage, mining_stats, suppressed, patterns).
+ * Finalize merged scenario partials into the canonical summary:
+ * mineScenario() and then scenarioJson().
  *
  * @p awgFast / @p awgSlow must already be finalized *reduced* graphs;
  * @p slowImpact must already be finalized. @p symbols is the merged

@@ -1,9 +1,9 @@
 /**
  * @file
- * Typed, version-transparent protocol client (src/server/client.h):
- * RawConn socket plumbing, v2 negotiation with v1 fallback, the
- * stream/dictionary state machine, and the pipelined send/wait core
- * every blocking call is built on.
+ * Typed protocol client (src/server/client.h): RawConn socket
+ * plumbing, the preface/SETTINGS handshake, the stream/dictionary
+ * state machine, and the pipelined send/wait core every blocking call
+ * is built on.
  */
 
 #include "src/server/client.h"
@@ -115,30 +115,6 @@ RawConn::fill()
 }
 
 Expected<std::string>
-RawConn::readLine()
-{
-    if (fd_ < 0)
-        return SourceError{peer_, 0, "not connected"};
-    while (true) {
-        const std::size_t nl = pending_.find('\n');
-        if (nl != std::string::npos) {
-            std::string line = pending_.substr(0, nl);
-            pending_.erase(0, nl + 1);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            return line;
-        }
-        Expected<bool> more = fill();
-        if (!more)
-            return more.error();
-        if (!more.value()) {
-            return SourceError{peer_, pending_.size(),
-                               "connection closed by server"};
-        }
-    }
-}
-
-Expected<std::string>
 RawConn::readExact(std::size_t n)
 {
     if (fd_ < 0)
@@ -189,47 +165,28 @@ Session::connect(const std::string &host, std::uint16_t port,
     session.conn_ = std::move(conn.value());
     session.options_ = options;
 
-    if (options.prefer == ProtocolPreference::V1) {
-        session.version_ = kProtocolVersionV1;
-        return session;
-    }
-
-    // Offer the upgrade: a v2 server answers a binary SETTINGS frame,
-    // a v1 server answers a JSON bad_request line (first byte '{').
+    // The preface opens the connection; a v2 server answers with a
+    // binary SETTINGS frame and anything else means it cannot serve
+    // this client.
     std::string preface(wire::kPreface);
     preface += "\n";
     if (!session.conn_.sendRaw(preface)) {
         return SourceError{session.conn_.peer(), 0,
-                           "send failed during negotiation"};
+                           "send failed during handshake"};
     }
-    Expected<std::string> first = session.conn_.readExact(1);
-    if (!first)
-        return first.error();
-    if (first.value()[0] == '{') {
-        Expected<std::string> line = session.conn_.readLine();
-        if (!line)
-            return line.error();
-        if (options.prefer == ProtocolPreference::V2) {
-            return SourceError{session.conn_.peer(), 0,
-                               "server does not speak protocol v2"};
-        }
-        session.version_ = kProtocolVersionV1;
-        return session;
-    }
-
-    Expected<std::string> rest =
-        session.conn_.readExact(wire::kFrameHeaderBytes - 1);
-    if (!rest)
-        return rest.error();
-    const std::string headerBytes = first.value() + rest.value();
+    Expected<std::string> headerBytes =
+        session.conn_.readExact(wire::kFrameHeaderBytes);
+    if (!headerBytes)
+        return headerBytes.error();
     wire::FrameHeader header;
-    wire::decodeFrameHeader(headerBytes, header);
+    wire::decodeFrameHeader(headerBytes.value(), header);
     if (header.type !=
             static_cast<std::uint8_t>(wire::FrameType::Settings) ||
         header.stream != 0 ||
         header.length > wire::kMaxSaneFramePayload) {
         return SourceError{session.conn_.peer(), 0,
-                           "malformed negotiation response"};
+                           "server did not answer the preface with "
+                           "SETTINGS (it does not speak protocol v2)"};
     }
     Expected<std::string> payload =
         session.conn_.readExact(header.length);
@@ -241,7 +198,9 @@ Session::connect(const std::string &host, std::uint16_t port,
         return settings.error();
     if (settings.value().protocolVersion != kProtocolVersionV2) {
         return SourceError{session.conn_.peer(), 0,
-                           "server negotiated unknown protocol"};
+                           "server speaks unknown protocol revision " +
+                               std::to_string(
+                                   settings.value().protocolVersion)};
     }
     session.serverSettings_ = settings.value();
     ++session.framesReceived_;
@@ -258,10 +217,9 @@ Session::connect(const std::string &host, std::uint16_t port,
                       wire::encodeSettings(mine));
     if (!session.conn_.sendRaw(out)) {
         return SourceError{session.conn_.peer(), 0,
-                           "send failed during negotiation"};
+                           "send failed during handshake"};
     }
     ++session.framesSent_;
-    session.version_ = kProtocolVersionV2;
     return session;
 }
 
@@ -281,9 +239,7 @@ Session::close()
 {
     conn_.close();
     openStreams_.clear();
-    idToStream_.clear();
-    readyV1_.clear();
-    readyV2_.clear();
+    ready_.clear();
 }
 
 // ------------------------------------------------------- typed calls
@@ -354,72 +310,6 @@ Session::send(Method method, const JsonValue &params,
 {
     if (!conn_.connected())
         return SourceError{conn_.peer(), 0, "not connected"};
-    if (version_ == kProtocolVersionV2)
-        return sendV2(method, params, options);
-    return sendV1(method, params, options);
-}
-
-Expected<Response>
-Session::wait(std::uint64_t handle)
-{
-    if (version_ == kProtocolVersionV2)
-        return waitV2(handle);
-    return waitV1(handle);
-}
-
-Expected<std::uint64_t>
-Session::sendV1(Method method, const JsonValue &params,
-                const CallOptions &options)
-{
-    const std::uint64_t id = nextId_++;
-    JsonValue request = JsonValue::makeObject();
-    request.set("id", JsonValue(static_cast<double>(id)));
-    request.set("method", JsonValue(methodName(method)));
-    request.set("params", params);
-    if (options.deadlineMs != 0)
-        request.set("deadline_ms", JsonValue(options.deadlineMs));
-    if (!conn_.sendRaw(request.render() + "\n")) {
-        return SourceError{conn_.peer(), 0,
-                           "send failed (connection lost?)"};
-    }
-    return id;
-}
-
-Expected<Response>
-Session::waitV1(std::uint64_t handle)
-{
-    if (const auto ready = readyV1_.find(handle);
-        ready != readyV1_.end()) {
-        Response response = std::move(ready->second);
-        readyV1_.erase(ready);
-        return response;
-    }
-    while (true) {
-        Expected<std::string> line = conn_.readLine();
-        if (!line)
-            return line.error();
-        Expected<Response> parsed = parseResponseLine(line.value());
-        if (!parsed) {
-            return SourceError{conn_.peer(), parsed.error().offset,
-                               "unparseable response: " +
-                                   parsed.error().reason};
-        }
-        Response response = std::move(parsed.value());
-        // An id-less response cannot be correlated (the server could
-        // not parse the request that provoked it) — surface it to the
-        // active waiter rather than dropping it.
-        if (!response.id ||
-            static_cast<std::uint64_t>(*response.id) == handle)
-            return response;
-        readyV1_[static_cast<std::uint64_t>(*response.id)] =
-            std::move(response);
-    }
-}
-
-Expected<std::uint64_t>
-Session::sendV2(Method method, const JsonValue &params,
-                const CallOptions &options)
-{
     const std::string paramsJson = params.render();
     // Bound-check before encoding: a failed send must not advance the
     // shared dictionary, or every later request would desync.
@@ -452,28 +342,27 @@ Session::sendV2(Method method, const JsonValue &params,
     StreamRx rx;
     rx.id = id;
     openStreams_.emplace(stream, std::move(rx));
-    idToStream_.emplace(id, stream);
     return id;
 }
 
 Expected<Response>
-Session::waitV2(std::uint64_t handle)
+Session::wait(std::uint64_t handle)
 {
     while (true) {
-        if (const auto ready = readyV2_.find(handle);
-            ready != readyV2_.end()) {
+        if (const auto ready = ready_.find(handle);
+            ready != ready_.end()) {
             Response response = std::move(ready->second);
-            readyV2_.erase(ready);
+            ready_.erase(ready);
             return response;
         }
-        Expected<bool> pumped = pumpFrameV2();
+        Expected<bool> pumped = pumpFrame();
         if (!pumped)
             return pumped.error();
     }
 }
 
 Expected<bool>
-Session::pumpFrameV2()
+Session::pumpFrame()
 {
     Expected<std::string> headerBytes =
         conn_.readExact(wire::kFrameHeaderBytes);
@@ -527,7 +416,6 @@ Session::pumpFrameV2()
                                    doc.error().reason};
         }
         Response response;
-        response.id = static_cast<double>(it->second.id);
         if ((header.flags & wire::kFlagError) != 0) {
             response.ok = false;
             response.error = parseErrorObject(doc.value());
@@ -535,8 +423,7 @@ Session::pumpFrameV2()
             response.ok = true;
             response.result = std::move(doc.value());
         }
-        readyV2_[it->second.id] = std::move(response);
-        idToStream_.erase(it->second.id);
+        ready_[it->second.id] = std::move(response);
         openStreams_.erase(it);
         return true;
     }

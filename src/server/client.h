@@ -5,10 +5,10 @@
  * and the bench_scale load generator.
  *
  * One Session wraps one TCP connection and hides the transport: it
- * negotiates protocol v2 (binary frames, multiplexed streams, shared
- * symbol dictionary — src/server/wire.h) and falls back to v1 JSON
- * lines against older servers, so callers see the same typed
- * Request/Response structs (src/server/protocol.h) either way.
+ * sends the protocol preface, exchanges SETTINGS, and then speaks
+ * binary frames with multiplexed streams and a shared symbol
+ * dictionary (src/server/wire.h), so callers see only the typed
+ * Request/Response structs (src/server/protocol.h).
  *
  * Blocking calls:
  *
@@ -20,18 +20,17 @@
  *
  * Pipelining: send() issues a request without waiting and returns a
  * handle; wait() blocks for that specific response while buffering
- * any others that arrive first. Over v2 the requests genuinely
- * multiplex server-side (a cheap `stats` overtakes a cold `analyze`
- * because responses complete out of order on separate streams); over
- * v1 they pipeline in FIFO order on the line protocol.
+ * any others that arrive first. The requests genuinely multiplex
+ * server-side (a cheap `stats` overtakes a cold `analyze` because
+ * responses complete out of order on separate streams).
  *
  * A Session is single-threaded by design — one connection, one
  * caller. Concurrent load generators open one Session per thread.
  *
- * RawConn is the low-level escape hatch for the robustness tests and
- * the smoke script: verbatim bytes in, lines or exact byte counts
- * out, so tests can speak *malformed* protocol (oversized lines,
- * truncated frames, bogus stream ids, half-closed sockets) — cases a
+ * RawConn is the low-level escape hatch for the robustness tests:
+ * verbatim bytes in, exact byte counts out, so tests can speak
+ * *malformed* protocol (oversized or truncated frames, bogus stream
+ * ids, a missing preface, half-closed sockets) — cases a
  * well-behaved Session would never produce.
  */
 
@@ -57,7 +56,7 @@ namespace server
 
 // ------------------------------------------------------------ RawConn
 
-/** Low-level test/diagnostic connection: raw bytes and lines. */
+/** Low-level test/diagnostic connection: raw bytes in and out. */
 class RawConn
 {
   public:
@@ -88,9 +87,6 @@ class RawConn
 
     /** Send raw bytes verbatim. */
     bool sendRaw(std::string_view bytes);
-
-    /** Read one "\n"-terminated line (stripped); respects timeout. */
-    Expected<std::string> readLine();
 
     /** Read exactly @p n bytes; respects timeout. */
     Expected<std::string> readExact(std::size_t n);
@@ -127,25 +123,29 @@ class RawConn
 
 // ------------------------------------------------------------ Session
 
-/** Which protocol revision connect() should end up speaking. */
+/**
+ * The protocol revision connect() speaks. v2 is the only one, so this
+ * and SessionOptions::prefer choose nothing; they remain because
+ * existing callers (the repository benchmark's client) still set the
+ * field.
+ */
 enum class ProtocolPreference
 {
-    Auto, //!< Try v2, fall back to v1 against older servers.
-    V1,   //!< Speak v1 without attempting the upgrade.
-    V2,   //!< Require v2; fail if the server cannot negotiate it.
+    V2, //!< Multiplexed binary frames (the one protocol).
 };
 
 struct SessionOptions
 {
-    ProtocolPreference prefer = ProtocolPreference::Auto;
+    /** Always V2; see ProtocolPreference. */
+    ProtocolPreference prefer = ProtocolPreference::V2;
     /** Bounds every blocking read (SO_RCVTIMEO). */
     std::chrono::milliseconds ioTimeout{10000};
-    /** v2: per-stream response window granted to the server. */
+    /** Per-stream response window granted to the server. */
     std::uint32_t initialWindow = wire::kDefaultInitialWindow;
-    /** v2: largest frame payload this client accepts. */
+    /** Largest frame payload this client accepts. */
     std::uint32_t maxFramePayload = wire::kDefaultMaxFramePayload;
     /**
-     * Advertise trace-context propagation in the v2 SETTINGS
+     * Advertise trace-context propagation in the SETTINGS
      * exchange. Requests carry a span-context field only when *both*
      * sides advertised it (see wire::Settings::tracing), so turning
      * this off speaks byte-identical frames to a pre-tracing client.
@@ -158,12 +158,12 @@ struct CallOptions
 {
     /** 0 = server default. */
     std::uint64_t deadlineMs = 0;
-    /** kPriority* (v2 scheduling class; ignored over v1). */
+    /** kPriority* (the request's scheduling class). */
     std::uint8_t priority = kPriorityNormal;
     /**
-     * Span context to propagate with the request (v2 only, and only
-     * when tracing was negotiated — silently dropped otherwise).
-     * When invalid (traceId == 0), sendV2 falls back to the calling
+     * Span context to propagate with the request (only when tracing
+     * was negotiated — silently dropped otherwise).
+     * When invalid (traceId == 0), send() falls back to the calling
      * thread's Telemetry::currentContext(), so code running inside a
      * traced span propagates automatically.
      */
@@ -175,8 +175,8 @@ struct WireStats
 {
     std::uint64_t bytesSent = 0;
     std::uint64_t bytesReceived = 0;
-    std::uint64_t framesSent = 0;     //!< v2 only.
-    std::uint64_t framesReceived = 0; //!< v2 only.
+    std::uint64_t framesSent = 0;
+    std::uint64_t framesReceived = 0;
 };
 
 class Session
@@ -184,14 +184,16 @@ class Session
   public:
     Session() = default;
 
-    /** Connect and negotiate per @p options (see ProtocolPreference). */
+    /**
+     * Connect, send the preface and exchange SETTINGS. Fails when the
+     * peer answers with anything but a SETTINGS frame (a server that
+     * does not speak v2) or not within options.ioTimeout.
+     */
     static Expected<Session> connect(const std::string &host,
                                      std::uint16_t port,
                                      SessionOptions options = {});
 
     bool connected() const { return conn_.connected(); }
-    /** Negotiated revision: kProtocolVersionV1 or V2. */
-    std::uint32_t protocolVersion() const { return version_; }
     /** True when both ends advertised trace-context propagation. */
     bool tracingNegotiated() const { return tracingNegotiated_; }
     WireStats wireStats() const;
@@ -234,19 +236,10 @@ class Session
     void close();
 
   private:
-    Expected<std::uint64_t> sendV1(Method method,
-                                   const JsonValue &params,
-                                   const CallOptions &options);
-    Expected<std::uint64_t> sendV2(Method method,
-                                   const JsonValue &params,
-                                   const CallOptions &options);
-    Expected<Response> waitV1(std::uint64_t handle);
-    Expected<Response> waitV2(std::uint64_t handle);
-    /** Read + dispatch one v2 frame (responses, settings, ping...). */
-    Expected<bool> pumpFrameV2();
+    /** Read + dispatch one frame (responses, settings, ping...). */
+    Expected<bool> pumpFrame();
 
     RawConn conn_;
-    std::uint32_t version_ = kProtocolVersionV1;
     SessionOptions options_;
     bool tracingNegotiated_ = false;
     std::uint64_t framesSent_ = 0;
@@ -254,10 +247,6 @@ class Session
 
     std::uint64_t nextId_ = 1;
 
-    // v1 state: responses that arrived for ids we are not waiting on.
-    std::map<std::uint64_t, Response> readyV1_;
-
-    // v2 state
     wire::SymbolDict sendDict_; //!< client->server params
     wire::SymbolDict recvDict_; //!< server->client results
     wire::Settings serverSettings_;
@@ -269,8 +258,8 @@ class Session
         std::uint64_t frames = 0;
     };
     std::map<std::uint32_t, StreamRx> openStreams_;
-    std::map<std::uint64_t, std::uint32_t> idToStream_;
-    std::map<std::uint64_t, Response> readyV2_;
+    /** Responses that arrived for handles nobody is waiting on yet. */
+    std::map<std::uint64_t, Response> ready_;
 };
 
 } // namespace server

@@ -237,8 +237,8 @@ class Coordinator
     /**
      * Worker-session pool. A gather that drains cleanly returns its
      * handshaken sessions here, so the next gather skips the TCP
-     * connect, the v2 negotiation, and the health/revision handshake —
-     * the dominant fixed cost of small gathers. A Session is
+     * connect, the preface/SETTINGS exchange, and the health/revision
+     * handshake — the dominant fixed cost of small gathers. A Session is
      * single-threaded, so concurrent gathers each check out their own;
      * a pooled socket that went stale is detected by the transport
      * failure and retried once on a fresh dial before the shard falls

@@ -4,7 +4,7 @@
  * completed requests, kept always-on so "what just happened?" has an
  * answer without re-running anything — the black-box counterpart to
  * the aggregate metrics registry. The server records one entry as
- * each request finishes (either transport); the `flight_recorder`
+ * each queued request finishes; the `flight_recorder`
  * control method dumps the ring, and requests slower than
  * `--slow-request-ms` are additionally logged at warn level.
  *
@@ -51,7 +51,7 @@ struct FlightRecord
     std::uint64_t fanout = 0;
     /** Distributed trace id (0 = request carried no context). */
     std::uint64_t traceId = 0;
-    std::uint32_t protocol = 1; //!< Transport revision (1 or 2).
+    std::uint32_t protocol = 2; //!< Transport revision (always 2).
     std::uint8_t priority = 1;
 };
 

@@ -1,91 +1,49 @@
 /**
  * @file
- * Method/error vocabulary, typed request params, and the v1 line
- * codec of the analysis-service protocol (src/server/protocol.h).
+ * Method/error vocabulary, typed request params, and the shared
+ * payload codecs of the analysis-service protocol
+ * (src/server/protocol.h).
  */
 
 #include "src/server/protocol.h"
 
-#include <cmath>
+#include <array>
 
 namespace tracelens
 {
 namespace server
 {
 
-const std::vector<std::uint32_t> &
-supportedProtocolVersions()
-{
-    static const std::vector<std::uint32_t> versions = {
-        kProtocolVersionV1, kProtocolVersionV2};
-    return versions;
-}
-
 // ------------------------------------------------------------ methods
+
+namespace
+{
+
+/** Wire names, indexed by Method. */
+constexpr std::array<std::string_view, kMethodCount> kMethodNames = {
+    "health",          "stats",          "shutdown",
+    "analyze",         "impact",         "mine",
+    "ingest",          "sleep",          "analyze_partial",
+    "impact_partial",  "mine_partial",   "cluster_status",
+    "telemetry_pull",  "metrics",        "flight_recorder",
+    "cluster_trace",   "ingest_push",    "window_summary",
+    "alerts",
+};
+
+} // namespace
 
 std::string_view
 methodName(Method method)
 {
-    switch (method) {
-    case Method::Health:
-        return "health";
-    case Method::Stats:
-        return "stats";
-    case Method::Shutdown:
-        return "shutdown";
-    case Method::Analyze:
-        return "analyze";
-    case Method::Impact:
-        return "impact";
-    case Method::Mine:
-        return "mine";
-    case Method::Ingest:
-        return "ingest";
-    case Method::Sleep:
-        return "sleep";
-    case Method::AnalyzePartial:
-        return "analyze_partial";
-    case Method::ImpactPartial:
-        return "impact_partial";
-    case Method::MinePartial:
-        return "mine_partial";
-    case Method::ClusterStatus:
-        return "cluster_status";
-    case Method::TelemetryPull:
-        return "telemetry_pull";
-    case Method::Metrics:
-        return "metrics";
-    case Method::FlightRecorder:
-        return "flight_recorder";
-    case Method::ClusterTrace:
-        return "cluster_trace";
-    case Method::IngestPush:
-        return "ingest_push";
-    case Method::WindowSummary:
-        return "window_summary";
-    case Method::Alerts:
-        return "alerts";
-    }
-    return "health";
+    return kMethodNames[static_cast<std::size_t>(method)];
 }
 
 std::optional<Method>
 parseMethod(std::string_view name)
 {
-    static constexpr Method kAll[] = {
-        Method::Health,        Method::Stats,
-        Method::Shutdown,      Method::Analyze,
-        Method::Impact,        Method::Mine,
-        Method::Ingest,        Method::Sleep,
-        Method::AnalyzePartial, Method::ImpactPartial,
-        Method::MinePartial,   Method::ClusterStatus,
-        Method::TelemetryPull, Method::Metrics,
-        Method::FlightRecorder, Method::ClusterTrace,
-        Method::IngestPush,    Method::WindowSummary,
-        Method::Alerts};
-    for (const Method method : kAll) {
-        if (methodName(method) == name)
-            return method;
+    for (std::size_t i = 0; i < kMethodNames.size(); ++i) {
+        if (kMethodNames[i] == name)
+            return static_cast<Method>(i);
     }
     return std::nullopt;
 }
@@ -99,23 +57,9 @@ methodWireByte(Method method)
 std::optional<Method>
 methodFromWireByte(std::uint8_t byte)
 {
-    if (byte > methodWireByte(Method::Alerts))
+    if (byte >= kMethodCount)
         return std::nullopt;
     return static_cast<Method>(byte);
-}
-
-bool
-isControlMethod(Method method)
-{
-    // The observability probes are control-plane on purpose: a
-    // saturated worker queue is exactly when you pull metrics and the
-    // flight recorder. cluster_trace is NOT control — it fans out
-    // over TCP to every worker and must not block a reader thread.
-    return method == Method::Health || method == Method::Stats ||
-           method == Method::Shutdown ||
-           method == Method::TelemetryPull ||
-           method == Method::Metrics ||
-           method == Method::FlightRecorder;
 }
 
 // -------------------------------------------------------- error codes
@@ -345,107 +289,7 @@ AlertsRequest::toParams() const
     return params;
 }
 
-// ------------------------------------------------------ v1 line codec
-
-Expected<Request>
-parseRequest(std::string_view line)
-{
-    Expected<JsonValue> doc = JsonValue::parse(line);
-    if (!doc)
-        return doc.error();
-    const JsonValue &root = doc.value();
-    if (!root.isObject())
-        return SourceError{"<request>", 0,
-                           "request must be a JSON object"};
-
-    Request request;
-    if (const JsonValue *id = root.find("id")) {
-        if (!id->isNumber())
-            return SourceError{"<request>", 0,
-                               "\"id\" must be a number"};
-        request.id = id->asNumber();
-    }
-    const JsonValue *method = root.find("method");
-    if (method == nullptr || !method->isString() ||
-        method->asString().empty()) {
-        return SourceError{"<request>", 0,
-                           "missing or invalid \"method\""};
-    }
-    request.method = method->asString();
-
-    if (const JsonValue *params = root.find("params")) {
-        if (!params->isObject())
-            return SourceError{"<request>", 0,
-                               "\"params\" must be an object"};
-        request.params = *params;
-    }
-    if (const JsonValue *deadline = root.find("deadline_ms")) {
-        if (!deadline->isNumber() || deadline->asNumber() < 0 ||
-            !std::isfinite(deadline->asNumber())) {
-            return SourceError{
-                "<request>", 0,
-                "\"deadline_ms\" must be a non-negative number"};
-        }
-        request.deadlineMs =
-            static_cast<std::uint64_t>(deadline->asNumber());
-    }
-    return request;
-}
-
-std::string
-renderResult(const std::optional<double> &id, const JsonValue &result)
-{
-    JsonValue response = JsonValue::makeObject();
-    if (id)
-        response.set("id", JsonValue(*id));
-    response.set("ok", JsonValue(true));
-    response.set("result", result);
-    return response.render() + "\n";
-}
-
-std::string
-renderError(const std::optional<double> &id, ErrorCode code,
-            std::string_view message, std::uint64_t offset)
-{
-    JsonValue error = JsonValue::makeObject();
-    error.set("code", JsonValue(errorCodeName(code)));
-    error.set("message", JsonValue(message));
-    if (offset != 0)
-        error.set("offset", JsonValue(offset));
-    JsonValue response = JsonValue::makeObject();
-    if (id)
-        response.set("id", JsonValue(*id));
-    response.set("ok", JsonValue(false));
-    response.set("error", std::move(error));
-    return response.render() + "\n";
-}
-
-Expected<Response>
-parseResponseLine(std::string_view line)
-{
-    Expected<JsonValue> doc = JsonValue::parse(line);
-    if (!doc)
-        return doc.error();
-    const JsonValue &root = doc.value();
-    if (!root.isObject())
-        return SourceError{"<response>", 0,
-                           "response must be a JSON object"};
-    Response response;
-    if (const JsonValue *id = root.find("id");
-        id != nullptr && id->isNumber())
-        response.id = id->asNumber();
-    const JsonValue *ok = root.find("ok");
-    response.ok = ok != nullptr && ok->isBool() && ok->asBool();
-    if (response.ok) {
-        if (const JsonValue *result = root.find("result"))
-            response.result = *result;
-    } else if (const JsonValue *error = root.find("error")) {
-        response.error = parseErrorObject(*error);
-    }
-    return response;
-}
-
-// ----------------------------------------- shared payload (v2 bodies)
+// ------------------------------------------------- error payloads
 
 std::string
 renderErrorObject(const ErrorInfo &error)

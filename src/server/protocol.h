@@ -1,33 +1,19 @@
 /**
  * @file
- * Version-negotiated wire protocol of the TraceLens analysis service
+ * The wire vocabulary of the TraceLens analysis service
  * (docs/SERVER.md). This module is transport-free — parse/serialize
  * only — so the daemon, the client Session, and the tests share one
  * implementation of methods, error codes, and message shapes.
  *
- * Two protocol revisions share this vocabulary:
- *
- *  - **v1 (JSON lines)**: each request and each response is one JSON
- *    document on one "\n"-terminated line:
- *
- *      {"id": 7, "method": "analyze", "params": {...},
- *       "deadline_ms": 2000}
- *      {"id": 7, "ok": true, "result": {...}}
- *      {"id": 7, "ok": false,
- *       "error": {"code": "overloaded", "message": "..."}}
- *
- *  - **v2 (multiplexed binary frames)**: length-prefixed frames with
- *    per-stream ids, flow-control windows, priorities, and a shared
- *    per-session symbol dictionary (src/server/wire.h). Method and
- *    error-code identities, params shapes, and result JSON are
- *    identical to v1 — v2 changes the framing, not the semantics, so
- *    analysis reports are byte-identical across transports.
- *
- * Negotiation: a v2-capable client opens with the preface line
- * (wire::kPreface + "\n"). A v2 server upgrades the connection and
- * answers with a binary SETTINGS frame; a v1-only server answers a
- * JSON "bad_request" line (first byte '{'), which the client takes as
- * "speak v1". Anything that never sends the preface gets plain v1.
+ * A connection opens with the preface line (wire::kPreface + "\n");
+ * the server answers a binary SETTINGS frame, and from then on both
+ * sides exchange length-prefixed frames with per-stream ids,
+ * flow-control windows, priorities, and a shared per-session symbol
+ * dictionary (src/server/wire.h). A request frame carries a method
+ * byte (Method), the params object, a deadline, and a priority; a
+ * response frame carries the result object or an error object
+ * (renderErrorObject). A peer that opens with anything but the
+ * preface is sent a GOAWAY and closed.
  */
 
 #ifndef TRACELENS_SERVER_PROTOCOL_H
@@ -48,22 +34,17 @@ namespace tracelens
 namespace server
 {
 
-/** Oldest wire revision (newline-delimited JSON, PR 5). */
-inline constexpr std::uint32_t kProtocolVersionV1 = 1;
 /** Multiplexed binary framing + symbol dictionary. */
 inline constexpr std::uint32_t kProtocolVersionV2 = 2;
-/** Highest revision this build speaks (`health`, `version`). */
+/** The one revision this build speaks (`health`, `version`). */
 inline constexpr std::uint32_t kProtocolVersion = kProtocolVersionV2;
-
-/** Every revision this build can negotiate, ascending. */
-const std::vector<std::uint32_t> &supportedProtocolVersions();
 
 // ------------------------------------------------------------ methods
 
 /**
  * The service's method vocabulary — the single source of truth shared
- * by the server dispatch, the typed client API, the CLI, and the
- * tests. Wire names come from methodName(); nothing outside the
+ * by the server's method table, the typed client API, the CLI, and
+ * the tests. Wire names come from methodName(); nothing outside the
  * codec layer should spell a method as a string literal.
  */
 enum class Method : std::uint8_t
@@ -101,6 +82,10 @@ enum class Method : std::uint8_t
     Alerts = 18,        //!< Sentinel alerts, optionally long-polled.
 };
 
+/** Number of methods; enumerators run 0 .. kMethodCount - 1. */
+inline constexpr std::size_t kMethodCount =
+    static_cast<std::size_t>(Method::Alerts) + 1;
+
 /** Stable wire name of @p method ("analyze", ...). */
 std::string_view methodName(Method method);
 
@@ -113,16 +98,9 @@ std::uint8_t methodWireByte(Method method);
 /** Inverse of methodWireByte(); nullopt for unknown bytes. */
 std::optional<Method> methodFromWireByte(std::uint8_t byte);
 
-/**
- * Control-plane methods are answered inline on the connection's
- * reader thread so they stay responsive when the worker queue is
- * saturated (health/stats/shutdown).
- */
-bool isControlMethod(Method method);
-
 // ----------------------------------------------------------- priority
 
-/** v2 per-request priorities (v1 requests run as Normal). */
+/** Per-request priorities (the request frame's scheduling class). */
 inline constexpr std::uint8_t kPriorityInteractive = 0;
 inline constexpr std::uint8_t kPriorityNormal = 1;
 inline constexpr std::uint8_t kPriorityBulk = 2;
@@ -138,7 +116,7 @@ enum class ErrorCode
     DeadlineExceeded, //!< The request's deadline elapsed in the server.
     NotFound,         //!< Unknown corpus path / scenario / method.
     ShuttingDown,     //!< Daemon is draining; no new work accepted.
-    ProtocolError,    //!< Framing violation (oversized line, bad frame,
+    ProtocolError,    //!< Framing violation (oversized or bad frame,
                       //!< dictionary desync); carries a byte offset.
     Internal,         //!< Unexpected server-side failure.
 };
@@ -164,21 +142,18 @@ struct ErrorInfo
 
 // ----------------------------------------------------------- requests
 
-/** One parsed request (either transport). */
+/** One decoded request frame. */
 struct Request
 {
-    /** v1: echoed on the response when present. v2 correlates by
-     *  stream id instead and leaves this unset server-side. */
-    std::optional<double> id;
-    std::string method;
+    Method method = Method::Health;
     /** The "params" object (empty object when absent). */
     JsonValue params = JsonValue::makeObject();
     /** 0 = no explicit deadline (server default applies). */
     std::uint64_t deadlineMs = 0;
-    /** Scheduling class (kPriority*); v1 always Normal. */
+    /** Scheduling class (kPriority*). */
     std::uint8_t priority = kPriorityNormal;
-    /** Propagated span context (v2 with tracing negotiated; traceId
-     *  0 = the request carried none). */
+    /** Propagated span context (tracing negotiated; traceId 0 = the
+     *  request carried none). */
     SpanContext context;
 };
 
@@ -360,47 +335,22 @@ struct AlertsRequest
 
 // ---------------------------------------------------------- responses
 
-/** One decoded response, success or error (either transport). */
+/** One decoded response, success or error. */
 struct Response
 {
     bool ok = false;
-    /** v1: the echoed request id. v2: assigned by the Session from
-     *  its stream bookkeeping. */
-    std::optional<double> id;
     /** The "result" object when ok. */
     JsonValue result;
     /** Populated when !ok. */
     ErrorInfo error;
 };
 
-// ------------------------------------------------------ v1 line codec
+// ------------------------------------------------- error payloads
 
-/**
- * Parse one request line (without the trailing newline). Fails with
- * the offset-carrying error for malformed JSON, a non-object
- * document, or a missing/invalid "method".
- */
-Expected<Request> parseRequest(std::string_view line);
-
-/** A success response line, newline-terminated. */
-std::string renderResult(const std::optional<double> &id,
-                         const JsonValue &result);
-
-/** An error response line, newline-terminated. @p offset (when
- *  nonzero) becomes "error.offset" — see ErrorInfo::offset. */
-std::string renderError(const std::optional<double> &id,
-                        ErrorCode code, std::string_view message,
-                        std::uint64_t offset = 0);
-
-/** Parse one response line into the shared Response shape. */
-Expected<Response> parseResponseLine(std::string_view line);
-
-// ----------------------------------------- shared payload (v2 bodies)
-
-/** Render the "error" object alone (v2 response payloads). */
+/** Render the "error" object (an error response's payload). */
 std::string renderErrorObject(const ErrorInfo &error);
 
-/** Decode an "error" object (v2 response payloads). */
+/** Decode an "error" object (an error response's payload). */
 ErrorInfo parseErrorObject(const JsonValue &error);
 
 // ------------------------------------ observability payload codecs

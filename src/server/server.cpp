@@ -31,9 +31,6 @@
 #include "src/core/partial.h"
 #include "src/core/resultjson.h"
 #include "src/fleet/fleet.h"
-#include "src/mining/coverage.h"
-#include "src/mining/knowledge.h"
-#include "src/mining/miner.h"
 #include "src/server/coordinator.h"
 #include "src/trace/selftrace.h"
 #include "src/trace/serialize.h"
@@ -173,33 +170,9 @@ resolveThresholds(const JsonValue &params, const std::string &scenario,
     }
 }
 
-/** Assemble an ok-response line around an already-rendered result. */
-std::string
-assembleOk(const std::optional<double> &id,
-           const std::string &resultJson)
-{
-    std::string line = "{";
-    if (id) {
-        line += "\"id\":";
-        line += JsonValue(*id).render();
-        line += ",";
-    }
-    line += "\"ok\":true,\"result\":";
-    line += resultJson;
-    line += "}\n";
-    return line;
-}
-
 } // namespace
 
 // ------------------------------------------------------- Connection
-
-bool
-Server::Connection::sendLine(const std::string &line)
-{
-    std::lock_guard<std::mutex> lock(writeMutex);
-    return sendAllLocked(line);
-}
 
 bool
 Server::Connection::sendAllLocked(std::string_view bytes)
@@ -576,7 +549,7 @@ Server::reapReaders(bool all)
 void
 Server::readerLoop(std::shared_ptr<Connection> conn)
 {
-    const bool readError = readV1Lines(conn);
+    const bool readError = readFrames(conn);
     // EOF only means the client closed its *write* side; a half-closed
     // peer can still receive responses for requests already in flight,
     // so `open` stays set unless the socket actually failed.
@@ -587,13 +560,28 @@ Server::readerLoop(std::shared_ptr<Connection> conn)
 }
 
 bool
-Server::readV1Lines(const std::shared_ptr<Connection> &conn)
+Server::readFrames(const std::shared_ptr<Connection> &conn)
 {
+    // The preface line opens every connection. Compare as the bytes
+    // arrive, so a peer speaking anything else (the retired JSON-line
+    // protocol v1, say) is refused at its first wrong byte instead of
+    // being waited on until it sends a newline.
+    std::string expected(wire::kPreface);
+    expected += "\n";
     std::string pending;
     char buffer[4096];
-    bool firstLine = true;
-    bool discarding = false;
     while (true) {
+        const std::size_t have = std::min(pending.size(), expected.size());
+        if (pending.compare(0, have, expected, 0, have) != 0) {
+            protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+            sendGoaway(conn, 0,
+                       "expected the " + std::string(wire::kPreface) +
+                           " preface line; protocol v1 (JSON lines) is "
+                           "retired");
+            return false;
+        }
+        if (pending.size() >= expected.size())
+            break;
         const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
         if (n < 0) {
             if (errno == EINTR)
@@ -601,76 +589,17 @@ Server::readV1Lines(const std::shared_ptr<Connection> &conn)
             return true;
         }
         if (n == 0)
-            return false; // client closed (or half-closed) write side
+            return false; // closed before the preface
         conn->bytesIn += static_cast<std::uint64_t>(n);
         pending.append(buffer, static_cast<std::size_t>(n));
-
-        if (discarding) {
-            // Skipping the tail of an oversized line; resume at the
-            // newline that terminates it.
-            const std::size_t nl = pending.find('\n');
-            if (nl == std::string::npos) {
-                pending.clear();
-                continue;
-            }
-            pending.erase(0, nl + 1);
-            discarding = false;
-        }
-
-        std::size_t start = 0;
-        while (true) {
-            const std::size_t nl = pending.find('\n', start);
-            if (nl == std::string::npos)
-                break;
-            std::string_view line(pending.data() + start, nl - start);
-            if (!line.empty() && line.back() == '\r')
-                line.remove_suffix(1);
-            if (firstLine && config_.enableProtocolV2 &&
-                line == wire::kPreface) {
-                // Protocol upgrade: everything past the preface line
-                // is already frame bytes.
-                return readV2Frames(conn, pending.substr(nl + 1));
-            }
-            firstLine = false;
-            if (!line.empty())
-                handleLine(conn, line);
-            start = nl + 1;
-        }
-        pending.erase(0, start);
-
-        if (pending.size() > config_.maxLineBytes) {
-            // A framing violation, not a slow consumer — but a
-            // recoverable one: report where it started, discard
-            // through the terminating newline, keep the connection.
-            protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-            errors_.fetch_add(1, std::memory_order_relaxed);
-            errorsCounter_->add(1);
-            const std::uint64_t offset =
-                conn->bytesIn - pending.size();
-            conn->sendLine(renderError(
-                std::nullopt, ErrorCode::ProtocolError,
-                "request line exceeds " +
-                    std::to_string(config_.maxLineBytes) +
-                    " bytes; line discarded",
-                offset));
-            pending.clear();
-            discarding = true;
-        }
     }
-}
+    pending.erase(0, expected.size());
 
-// --------------------------------------------------- protocol v2 path
-
-bool
-Server::readV2Frames(const std::shared_ptr<Connection> &conn,
-                     std::string pending)
-{
     v2Conns_.fetch_add(1, std::memory_order_relaxed);
-    conn->wire = std::make_unique<Connection::WireState>();
     {
         std::lock_guard<std::mutex> lock(conn->writeMutex);
         wire::Settings mine;
-        mine.protocolVersion = kProtocolVersionV2;
+        mine.protocolVersion = kProtocolVersion;
         mine.maxFramePayload = static_cast<std::uint32_t>(
             std::min<std::size_t>(config_.maxLineBytes,
                                   wire::kMaxSaneFramePayload));
@@ -683,9 +612,8 @@ Server::readV2Frames(const std::shared_ptr<Connection> &conn,
         if (!conn->sendAllLocked(frame))
             return false;
     }
-    TL_LOG(Debug, "serve: ", conn->peer, " upgraded to protocol v2");
+    TL_LOG(Debug, "serve: ", conn->peer, " sent the preface");
 
-    char buffer[4096];
     while (true) {
         // Consume every complete frame buffered so far.
         while (pending.size() >= wire::kFrameHeaderBytes) {
@@ -758,7 +686,7 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
                     const wire::FrameHeader &header,
                     std::string_view payload, std::uint64_t frameStart)
 {
-    Connection::WireState &state = *conn->wire;
+    Connection::WireState &state = conn->wire;
     switch (static_cast<wire::FrameType>(header.type)) {
     case wire::FrameType::Settings: {
         Expected<wire::Settings> settings =
@@ -792,8 +720,7 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
             protocolErrors_.fetch_add(1, std::memory_order_relaxed);
             errors_.fetch_add(1, std::memory_order_relaxed);
             errorsCounter_->add(1);
-            respondError(conn, header.stream, std::nullopt,
-                         ErrorCode::ProtocolError,
+            respondError(conn, header.stream, ErrorCode::ProtocolError,
                          "request frame exceeds " +
                              std::to_string(config_.maxLineBytes) +
                              " bytes",
@@ -813,8 +740,7 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
             protocolErrors_.fetch_add(1, std::memory_order_relaxed);
             errors_.fetch_add(1, std::memory_order_relaxed);
             errorsCounter_->add(1);
-            respondError(conn, header.stream, std::nullopt,
-                         ErrorCode::ProtocolError,
+            respondError(conn, header.stream, ErrorCode::ProtocolError,
                          frame.error().reason,
                          frameStart + wire::kFrameHeaderBytes +
                              frame.error().offset);
@@ -831,8 +757,7 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
             protocolErrors_.fetch_add(1, std::memory_order_relaxed);
             errors_.fetch_add(1, std::memory_order_relaxed);
             errorsCounter_->add(1);
-            respondError(conn, header.stream, std::nullopt,
-                         ErrorCode::ProtocolError,
+            respondError(conn, header.stream, ErrorCode::ProtocolError,
                          "malformed span-context field; request "
                          "dropped",
                          frameStart);
@@ -843,10 +768,9 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
         if (!method) {
             errors_.fetch_add(1, std::memory_order_relaxed);
             errorsCounter_->add(1);
-            respondError(
-                conn, header.stream, std::nullopt, ErrorCode::NotFound,
-                "unknown method byte " +
-                    std::to_string(frame.value().methodByte));
+            respondError(conn, header.stream, ErrorCode::NotFound,
+                         "unknown method byte " +
+                             std::to_string(frame.value().methodByte));
             return true;
         }
         Expected<JsonValue> params =
@@ -854,14 +778,13 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
         if (!params || !params.value().isObject()) {
             errors_.fetch_add(1, std::memory_order_relaxed);
             errorsCounter_->add(1);
-            respondError(conn, header.stream, std::nullopt,
-                         ErrorCode::BadRequest,
+            respondError(conn, header.stream, ErrorCode::BadRequest,
                          "request params must decode to a JSON "
                          "object");
             return true;
         }
         Request request;
-        request.method = std::string(methodName(*method));
+        request.method = *method;
         request.params = std::move(params.value());
         request.deadlineMs = frame.value().deadlineMs;
         request.priority = frame.value().priority;
@@ -912,129 +835,123 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
     }
 }
 
-// ----------------------------------------------------- request path
+// ----------------------------------------------------- method table
 
-void
-Server::handleLine(const std::shared_ptr<Connection> &conn,
-                   std::string_view line)
+namespace
 {
-    Expected<Request> parsed = parseRequest(line);
-    if (!parsed) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        errorsCounter_->add(1);
-        conn->sendLine(renderError(std::nullopt,
-                                   ErrorCode::BadRequest,
-                                   parsed.error().reason));
-        return;
-    }
-    routeRequest(conn, std::move(parsed.value()), 0);
-}
+
+constexpr std::string_view kWorkersOnly =
+    "partial methods are served by workers, not the coordinator";
+constexpr std::string_view kCoordinatorOnly =
+    "this daemon is not a coordinator (start with --coordinator)";
+constexpr std::string_view kFleetOnly =
+    "this daemon is not in continuous mode (start with --watch DIR)";
+
+} // namespace
+
+// Row i serves the method whose wire byte is i; routeRequest's
+// static_assert keeps the rows in enum order.
+constexpr std::array<Server::MethodEntry, kMethodCount> Server::kMethods = {{
+    {.method = Method::Health,
+     .answeredInline = true,
+     .local = &Server::healthResult},
+    {.method = Method::Stats,
+     .answeredInline = true,
+     .local = &Server::statsResult},
+    {.method = Method::Shutdown,
+     .answeredInline = true,
+     .local = &Server::shutdownResult},
+    {.method = Method::Analyze,
+     .local = &Server::handleAnalyze,
+     .coordinator = &Server::handleCoordAnalyze,
+     .fansOut = true},
+    {.method = Method::Impact,
+     .local = &Server::handleImpact,
+     .coordinator = &Server::handleCoordImpact,
+     .fansOut = true},
+    {.method = Method::Mine,
+     .local = &Server::handleMine,
+     .coordinator = &Server::handleCoordMine,
+     .fansOut = true},
+    {.method = Method::Ingest,
+     .role = Role::Worker,
+     .refusal = "ingest is not available in coordinator mode (ingest on "
+                "the workers)",
+     .local = &Server::handleIngest},
+    {.method = Method::Sleep,
+     .role = Role::Test,
+     .local = &Server::handleSleep},
+    {.method = Method::AnalyzePartial,
+     .role = Role::Worker,
+     .refusal = kWorkersOnly,
+     .local = &Server::handleAnalyzePartial},
+    {.method = Method::ImpactPartial,
+     .role = Role::Worker,
+     .refusal = kWorkersOnly,
+     .local = &Server::handleImpactPartial},
+    {.method = Method::MinePartial,
+     .role = Role::Worker,
+     .refusal = kWorkersOnly,
+     .local = &Server::handleAnalyzePartial},
+    {.method = Method::ClusterStatus,
+     .role = Role::Coordinator,
+     .refusal = kCoordinatorOnly,
+     .coordinator = &Server::handleClusterStatus},
+    {.method = Method::TelemetryPull,
+     .answeredInline = true,
+     .local = &Server::telemetryPullResult},
+    {.method = Method::Metrics,
+     .answeredInline = true,
+     .local = &Server::metricsResult},
+    {.method = Method::FlightRecorder,
+     .answeredInline = true,
+     .local = &Server::flightRecorderResult},
+    {.method = Method::ClusterTrace,
+     .role = Role::Coordinator,
+     .refusal = kCoordinatorOnly,
+     .coordinator = &Server::handleClusterTrace,
+     .fansOut = true},
+    {.method = Method::IngestPush,
+     .role = Role::Fleet,
+     .refusal = kFleetOnly,
+     .local = &Server::handleIngestPush},
+    {.method = Method::WindowSummary,
+     .role = Role::Fleet,
+     .refusal = kFleetOnly,
+     .local = &Server::handleWindowSummary},
+    {.method = Method::Alerts,
+     .role = Role::Fleet,
+     .refusal = kFleetOnly,
+     .local = &Server::handleAlerts},
+}};
+
+// ----------------------------------------------------- request path
 
 void
 Server::routeRequest(const std::shared_ptr<Connection> &conn,
                      Request request, std::uint32_t stream)
 {
+    static_assert(
+        [] {
+            for (std::size_t i = 0; i < kMethodCount; ++i) {
+                if (kMethods[i].method != static_cast<Method>(i))
+                    return false;
+            }
+            return true;
+        }(),
+        "kMethods rows must follow the Method enum");
     requests_.fetch_add(1, std::memory_order_relaxed);
     requestsCounter_->add(1);
 
-    // Control-plane methods answer inline on the reader thread: they
-    // must stay responsive even when the queue is saturated.
-    if (request.method == "health") {
-        JsonValue result = JsonValue::makeObject();
-        result.set("status",
-                   JsonValue(draining_.load(std::memory_order_acquire)
-                                 ? "draining"
-                                 : "ok"));
-        result.set("protocol", JsonValue(kProtocolVersion));
-        JsonValue protocols = JsonValue::makeArray();
-        for (const std::uint32_t version :
-             supportedProtocolVersions())
-            protocols.push(JsonValue(version));
-        result.set("protocols", std::move(protocols));
-        // Partial-result wire revision: the coordinator's
-        // mixed-version handshake reads this (docs/SERVER.md).
-        result.set("partial_encoding",
-                   JsonValue(partialEncodingRevision()));
-        result.set("role", JsonValue(config_.coordinator
-                                         ? "coordinator"
-                                         : "worker"));
-        // Fleet/watch contract revision: ingest_push rejects
-        // mismatched pushers; clients can pre-check here
-        // (docs/FLEET.md).
-        result.set("fleet_revision", JsonValue(fleetRevision()));
-        result.set("fleet_watch", JsonValue(fleet_ != nullptr));
-        // Cheap liveness extras the coordinator's cluster-status
-        // table reads per worker (one probe, one row).
-        result.set("uptime_s",
-                   JsonValue(static_cast<double>(
-                                 std::chrono::duration_cast<
-                                     std::chrono::seconds>(
-                                     Clock::now() - startTime_)
-                                     .count())));
-        result.set("inflight", JsonValue(stats().inflight));
-        result.set("sessions",
-                   JsonValue(registry_.stats().openSessions));
-        ok_.fetch_add(1, std::memory_order_relaxed);
-        respondOk(conn, stream, request.id, result.render());
-        return;
-    }
-    if (request.method == "telemetry_pull") {
-        ok_.fetch_add(1, std::memory_order_relaxed);
-        respondOk(conn, stream, request.id,
-                  telemetryPullResult().render());
-        return;
-    }
-    if (request.method == "metrics") {
-        ok_.fetch_add(1, std::memory_order_relaxed);
-        respondOk(conn, stream, request.id,
-                  metricsResult().render());
-        return;
-    }
-    if (request.method == "flight_recorder") {
-        ok_.fetch_add(1, std::memory_order_relaxed);
-        respondOk(conn, stream, request.id,
-                  flightRecorderResult().render());
-        return;
-    }
-    if (request.method == "stats") {
-        ok_.fetch_add(1, std::memory_order_relaxed);
-        respondOk(conn, stream, request.id, statsResult().render());
-        return;
-    }
-    if (request.method == "shutdown") {
-        JsonValue result = JsonValue::makeObject();
-        result.set("stopping", JsonValue(true));
-        ok_.fetch_add(1, std::memory_order_relaxed);
-        respondOk(conn, stream, request.id, result.render());
-        TL_LOG(Info, "serve: shutdown requested by ", conn->peer);
-        requestStop();
-        return;
-    }
-
-    const bool known =
-        request.method == "analyze" || request.method == "impact" ||
-        request.method == "mine" || request.method == "ingest" ||
-        request.method == "analyze_partial" ||
-        request.method == "impact_partial" ||
-        request.method == "mine_partial" ||
-        request.method == "cluster_status" ||
-        request.method == "cluster_trace" ||
-        request.method == "ingest_push" ||
-        request.method == "window_summary" ||
-        request.method == "alerts" ||
-        (config_.enableTestMethods && request.method == "sleep");
-    if (!known) {
+    const MethodEntry &entry =
+        kMethods[static_cast<std::size_t>(request.method)];
+    if (entry.role == Role::Test && !config_.enableTestMethods) {
         errors_.fetch_add(1, std::memory_order_relaxed);
         errorsCounter_->add(1);
-        respondError(conn, stream, request.id, ErrorCode::NotFound,
-                     "unknown method \"" + request.method + "\"");
-        return;
-    }
-    if (draining_.load(std::memory_order_acquire)) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        errorsCounter_->add(1);
-        respondError(conn, stream, request.id,
-                     ErrorCode::ShuttingDown, "server is draining");
+        respondError(conn, stream, ErrorCode::NotFound,
+                     "unknown method \"" +
+                         std::string(methodName(request.method)) +
+                         "\"");
         return;
     }
 
@@ -1054,14 +971,32 @@ Server::routeRequest(const std::shared_ptr<Connection> &conn,
     queued.conn = conn;
     queued.stream = stream;
 
+    if (entry.answeredInline) {
+        // The control plane answers on the reader thread: it must stay
+        // responsive even when the queue is saturated.
+        ok_.fetch_add(1, std::memory_order_relaxed);
+        respondOk(conn, stream, (this->*entry.local)(queued));
+        if (queued.request.method == Method::Shutdown) {
+            TL_LOG(Info, "serve: shutdown requested by ", conn->peer);
+            requestStop();
+        }
+        return;
+    }
+    if (draining_.load(std::memory_order_acquire)) {
+        errors_.fetch_add(1, std::memory_order_relaxed);
+        errorsCounter_->add(1);
+        respondError(conn, stream, ErrorCode::ShuttingDown,
+                     "server is draining");
+        return;
+    }
+
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         if (inflight_ >= config_.maxInflight) {
             rejected_.fetch_add(1, std::memory_order_relaxed);
             rejectedCounter_->add(1);
             errors_.fetch_add(1, std::memory_order_relaxed);
-            respondError(conn, stream, queued.request.id,
-                         ErrorCode::Overloaded,
+            respondError(conn, stream, ErrorCode::Overloaded,
                          "request queue full (" +
                              std::to_string(config_.maxInflight) +
                              " inflight); retry later");
@@ -1073,6 +1008,28 @@ Server::routeRequest(const std::shared_ptr<Connection> &conn,
         inflightGauge_->set(static_cast<double>(inflight_));
     }
     queueCv_.notify_one();
+}
+
+void
+Server::checkRole(const MethodEntry &entry) const
+{
+    bool served = true;
+    switch (entry.role) {
+    case Role::Worker:
+        served = !config_.coordinator;
+        break;
+    case Role::Coordinator:
+        served = config_.coordinator;
+        break;
+    case Role::Fleet:
+        served = fleet_ != nullptr;
+        break;
+    case Role::Any:
+    case Role::Test:
+        break;
+    }
+    if (!served)
+        failRequest(ErrorCode::BadRequest, std::string(entry.refusal));
 }
 
 std::size_t
@@ -1134,9 +1091,12 @@ Server::process(QueuedRequest request)
     std::optional<TraceContextScope> contextScope;
     if (request.request.context.valid())
         contextScope.emplace(request.request.context);
+    const MethodEntry &entry =
+        kMethods[static_cast<std::size_t>(request.request.method)];
+    const std::string method(methodName(request.request.method));
     Span span("server.request", "server");
     if (span.active())
-        span.arg("method", request.request.method);
+        span.arg("method", method);
     const std::uint64_t queueWaitUs = usSince(request.arrival);
     queueWaitHist_->record(queueWaitUs);
 
@@ -1148,68 +1108,12 @@ Server::process(QueuedRequest request)
             failRequest(ErrorCode::DeadlineExceeded,
                         "deadline elapsed while queued");
         }
-        // The response-cached handlers return the rendered answer
-        // itself: a hit is the stored bytes, a miss renders once.
-        const std::string &method = request.request.method;
-        if (method == "analyze") {
-            resultJson = config_.coordinator
-                             ? handleCoordAnalyze(request).render()
-                             : handleAnalyze(request);
-        } else if (method == "impact") {
-            resultJson = config_.coordinator
-                             ? handleCoordImpact(request).render()
-                             : handleImpact(request);
-        } else if (method == "mine") {
-            resultJson = config_.coordinator
-                             ? handleCoordMine(request).render()
-                             : handleMine(request);
-        } else if (method == "ingest") {
-            if (config_.coordinator) {
-                failRequest(ErrorCode::BadRequest,
-                            "ingest is not available in coordinator "
-                            "mode (ingest on the workers)");
-            }
-            resultJson = handleIngest(request).render();
-        } else if (method == "analyze_partial" ||
-                   method == "mine_partial") {
-            if (config_.coordinator) {
-                failRequest(ErrorCode::BadRequest,
-                            "partial methods are served by workers, "
-                            "not the coordinator");
-            }
-            resultJson = handleAnalyzePartial(request);
-        } else if (method == "impact_partial") {
-            if (config_.coordinator) {
-                failRequest(ErrorCode::BadRequest,
-                            "partial methods are served by workers, "
-                            "not the coordinator");
-            }
-            resultJson = handleImpactPartial(request);
-        } else if (method == "cluster_status") {
-            if (!config_.coordinator) {
-                failRequest(ErrorCode::BadRequest,
-                            "this daemon is not a coordinator "
-                            "(start with --coordinator)");
-            }
-            resultJson = handleClusterStatus(request).render();
-        } else if (method == "cluster_trace") {
-            if (!config_.coordinator) {
-                failRequest(ErrorCode::BadRequest,
-                            "this daemon is not a coordinator "
-                            "(start with --coordinator)");
-            }
-            resultJson = handleClusterTrace(request).render();
-        } else if (method == "ingest_push") {
-            resultJson = handleIngestPush(request).render();
-        } else if (method == "window_summary") {
-            resultJson = handleWindowSummary(request).render();
-        } else if (method == "alerts") {
-            resultJson = handleAlerts(request).render();
-        } else if (method == "sleep") {
-            resultJson = handleSleep(request).render();
-        } else {
-            failRequest(ErrorCode::Internal, "unroutable method");
-        }
+        checkRole(entry);
+        const Handler handler =
+            config_.coordinator && entry.coordinator != nullptr
+                ? entry.coordinator
+                : entry.local;
+        resultJson = (this->*handler)(request);
         ok_.fetch_add(1, std::memory_order_relaxed);
     } catch (const HandlerError &e) {
         failure = e;
@@ -1229,7 +1133,7 @@ Server::process(QueuedRequest request)
         span.arg("outcome", std::string(outcome));
 
     FlightRecord record;
-    record.method = request.request.method;
+    record.method = method;
     if (const JsonValue *corpus =
             request.request.params.find("corpus");
         corpus != nullptr && corpus->isString())
@@ -1250,18 +1154,16 @@ Server::process(QueuedRequest request)
     record.outcome = outcome;
     record.responseBytes =
         failure ? failure->message.size() : resultJson.size();
-    if (config_.coordinator &&
-        (record.method == "analyze" || record.method == "impact" ||
-         record.method == "mine" || record.method == "cluster_trace"))
+    if (config_.coordinator && entry.fansOut)
         record.fanout = config_.workerAddrs.size();
     record.traceId = request.request.context.traceId;
-    record.protocol = request.stream == 0 ? 1 : 2;
+    record.protocol = kProtocolVersion;
     record.priority = request.request.priority;
     flightRecorder_.record(std::move(record));
 
     if (config_.slowRequestMs != 0 &&
         totalUs > config_.slowRequestMs * 1000) {
-        TL_LOG(Warn, "serve: slow request: ", request.request.method,
+        TL_LOG(Warn, "serve: slow request: ", method,
                " took ", totalUs / 1000, " ms (queue wait ",
                queueWaitUs / 1000, " ms, outcome ", outcome,
                request.request.context.valid()
@@ -1271,12 +1173,10 @@ Server::process(QueuedRequest request)
     }
 
     if (failure) {
-        respondError(request.conn, request.stream,
-                     request.request.id, failure->code,
+        respondError(request.conn, request.stream, failure->code,
                      failure->message);
     } else {
-        respondOk(request.conn, request.stream, request.request.id,
-                  resultJson);
+        respondOk(request.conn, request.stream, resultJson);
     }
 }
 
@@ -1284,47 +1184,34 @@ Server::process(QueuedRequest request)
 
 void
 Server::respondOk(const std::shared_ptr<Connection> &conn,
-                  std::uint32_t stream,
-                  const std::optional<double> &id,
-                  const std::string &resultJson)
+                  std::uint32_t stream, const std::string &resultJson)
 {
-    if (stream == 0) {
-        if (!conn->sendLine(assembleOk(id, resultJson)))
-            dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    sendResponseV2(conn, stream, false, resultJson);
+    sendResponse(conn, stream, false, resultJson);
 }
 
 void
 Server::respondError(const std::shared_ptr<Connection> &conn,
-                     std::uint32_t stream,
-                     const std::optional<double> &id, ErrorCode code,
+                     std::uint32_t stream, ErrorCode code,
                      const std::string &message, std::uint64_t offset)
 {
-    if (stream == 0) {
-        if (!conn->sendLine(renderError(id, code, message, offset)))
-            dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
     ErrorInfo info;
     info.code = code;
     info.message = message;
     info.offset = offset;
-    sendResponseV2(conn, stream, true, renderErrorObject(info));
+    sendResponse(conn, stream, true, renderErrorObject(info));
 }
 
 void
-Server::sendResponseV2(const std::shared_ptr<Connection> &conn,
-                       std::uint32_t stream, bool isError,
-                       const std::string &payloadJson)
+Server::sendResponse(const std::shared_ptr<Connection> &conn,
+                     std::uint32_t stream, bool isError,
+                     const std::string &payloadJson)
 {
     std::lock_guard<std::mutex> lock(conn->writeMutex);
-    if (!conn->open.load(std::memory_order_acquire) || !conn->wire) {
+    if (!conn->open.load(std::memory_order_acquire)) {
         dropped_.fetch_add(1, std::memory_order_relaxed);
         return;
     }
-    Connection::WireState &state = *conn->wire;
+    Connection::WireState &state = conn->wire;
     Connection::WireState::Outbound out;
     out.stream = stream;
     out.finalFlags = wire::kFlagEndStream |
@@ -1340,7 +1227,7 @@ Server::sendResponseV2(const std::shared_ptr<Connection> &conn,
 void
 Server::flushOutboundLocked(const std::shared_ptr<Connection> &conn)
 {
-    Connection::WireState &state = *conn->wire;
+    Connection::WireState &state = conn->wire;
     while (!state.outbound.empty()) {
         Connection::WireState::Outbound &head =
             state.outbound.front();
@@ -1463,37 +1350,15 @@ Server::handleAnalyze(const QueuedRequest &request)
         analyzer.analyzeScenario(scenario, tFast, tSlow);
     checkDeadline(request.deadline);
 
-    std::vector<ContrastPattern> patterns = analysis.mining.patterns;
-    std::size_t suppressed = 0;
-    if (applyFilter) {
-        const auto filtered = KnowledgeBase::defaults().apply(
-            analysis.mining, corpus.symbols());
-        suppressed = filtered.suppressed.size();
-        patterns = filtered.kept;
-    }
-
-    JsonValue result = JsonValue::makeObject();
-    result.set("scenario", JsonValue(scenario));
-    result.set("tfast_ms", JsonValue(toMs(tFast)));
-    result.set("tslow_ms", JsonValue(toMs(tSlow)));
-    JsonValue classes = JsonValue::makeObject();
-    classes.set("fast", JsonValue(analysis.classes.fast.size()));
-    classes.set("middle", JsonValue(analysis.classes.middle.size()));
-    classes.set("slow", JsonValue(analysis.classes.slow.size()));
-    result.set("classes", std::move(classes));
-    result.set("slow_impact", impactJson(analysis.slowImpact));
-    result.set("driver_cost_share",
-               JsonValue(analysis.driverCostShare()));
-    result.set("coverage", JsonValue(analysis.coverage.render()));
-    result.set("mining_stats",
-               JsonValue(analysis.mining.stats.render()));
-    result.set("suppressed", JsonValue(suppressed));
-    JsonValue list = JsonValue::makeArray();
-    for (std::size_t i = 0; i < std::min(top, patterns.size()); ++i) {
-        list.push(patternJson(patterns[i], tSlow, corpus.symbols(),
-                              i + 1));
-    }
-    result.set("patterns", std::move(list));
+    PartialClasses classes;
+    classes.fast = analysis.classes.fast.size();
+    classes.middle = analysis.classes.middle.size();
+    classes.slow = analysis.classes.slow.size();
+    classes.slowDuration = analysis.slowDuration;
+    const JsonValue result = scenarioJson(
+        scenario, tFast, tSlow, classes, analysis.slowImpact,
+        analysis.mining, analysis.coverage, corpus.symbols(), top,
+        applyFilter);
 
     std::string rendered = result.render();
     session.value()->cacheResponse(
@@ -1600,20 +1465,9 @@ Server::handleMine(const QueuedRequest &request)
         analyzer.analyzeScenario(scenario, tFast, tSlow);
     checkDeadline(request.deadline);
 
-    JsonValue result = JsonValue::makeObject();
-    result.set("scenario", JsonValue(scenario));
-    result.set("mining_stats",
-               JsonValue(analysis.mining.stats.render()));
-    result.set("coverage", JsonValue(analysis.coverage.render()));
-    JsonValue list = JsonValue::makeArray();
-    const auto &patterns = analysis.mining.patterns;
-    for (std::size_t i = 0;
-         i < std::min(maxPatterns, patterns.size()); ++i) {
-        list.push(patternJson(patterns[i], tSlow, corpus.symbols(),
-                              i + 1));
-    }
-    result.set("patterns", std::move(list));
-    result.set("total_patterns", JsonValue(patterns.size()));
+    const JsonValue result =
+        mineJson(scenario, tSlow, analysis.mining, analysis.coverage,
+                 corpus.symbols(), maxPatterns);
 
     std::string rendered = result.render();
     session.value()->cacheResponse(
@@ -1621,7 +1475,7 @@ Server::handleMine(const QueuedRequest &request)
     return rendered;
 }
 
-JsonValue
+std::string
 Server::handleIngest(const QueuedRequest &request)
 {
     const JsonValue &params = request.request.params;
@@ -1650,10 +1504,10 @@ Server::handleIngest(const QueuedRequest &request)
         scenarios.set(tally.name, std::move(entry));
     }
     result.set("scenarios", std::move(scenarios));
-    return result;
+    return result.render();
 }
 
-JsonValue
+std::string
 Server::handleSleep(const QueuedRequest &request)
 {
     // Test-only: occupy a worker for a bounded time, checking the
@@ -1673,7 +1527,7 @@ Server::handleSleep(const QueuedRequest &request)
     }
     JsonValue result = JsonValue::makeObject();
     result.set("slept_ms", JsonValue(ms));
-    return result;
+    return result.render();
 }
 
 // ------------------------------------ worker-side partial handlers
@@ -1810,7 +1664,7 @@ attachGatherReport(JsonValue &result, const GatherReport &report)
 
 } // namespace
 
-JsonValue
+std::string
 Server::handleCoordAnalyze(const QueuedRequest &request)
 {
     const JsonValue &params = request.request.params;
@@ -1848,10 +1702,10 @@ Server::handleCoordAnalyze(const QueuedRequest &request)
 
     JsonValue result = std::move(summary.json);
     attachGatherReport(result, gather.report);
-    return result;
+    return result.render();
 }
 
-JsonValue
+std::string
 Server::handleCoordImpact(const QueuedRequest &request)
 {
     const JsonValue &params = request.request.params;
@@ -1881,10 +1735,10 @@ Server::handleCoordImpact(const QueuedRequest &request)
         perScenario.set(name, impactJson(accumulator.finalize()));
     result.set("per_scenario", std::move(perScenario));
     attachGatherReport(result, gather.report);
-    return result;
+    return result.render();
 }
 
-JsonValue
+std::string
 Server::handleCoordMine(const QueuedRequest &request)
 {
     const JsonValue &params = request.request.params;
@@ -1910,31 +1764,18 @@ Server::handleCoordMine(const QueuedRequest &request)
         std::move(gather.awgFast).finalize(true);
     const AggregatedWaitGraph awgSlow =
         std::move(gather.awgSlow).finalize(true);
-    const MiningResult mining =
-        mineGathered(awgFast, awgSlow, tFast, tSlow);
+    const ScenarioMining mined =
+        mineScenario(awgFast, awgSlow, tFast, tSlow);
     checkDeadline(request.deadline);
-    const CoverageResult coverage = computeCoverage(
-        mining, awgSlow.reducedCost() + awgSlow.totalRootCost(),
-        tSlow);
 
-    JsonValue result = JsonValue::makeObject();
-    result.set("scenario", JsonValue(scenario));
-    result.set("mining_stats", JsonValue(mining.stats.render()));
-    result.set("coverage", JsonValue(coverage.render()));
-    JsonValue list = JsonValue::makeArray();
-    const auto &patterns = mining.patterns;
-    for (std::size_t i = 0;
-         i < std::min(maxPatterns, patterns.size()); ++i) {
-        list.push(patternJson(patterns[i], tSlow, gather.symbols,
-                              i + 1));
-    }
-    result.set("patterns", std::move(list));
-    result.set("total_patterns", JsonValue(patterns.size()));
+    JsonValue result = mineJson(scenario, tSlow, mined.mining,
+                                mined.coverage, gather.symbols,
+                                maxPatterns);
     attachGatherReport(result, gather.report);
-    return result;
+    return result.render();
 }
 
-JsonValue
+std::string
 Server::handleClusterStatus(const QueuedRequest &request)
 {
     checkDeadline(request.deadline);
@@ -1950,10 +1791,10 @@ Server::handleClusterStatus(const QueuedRequest &request)
                    metricsSnapshotJson(aggregate.snapshot()));
         result.set("metrics_pulls", std::move(pulls));
     }
-    return result;
+    return result.render();
 }
 
-JsonValue
+std::string
 Server::handleClusterTrace(const QueuedRequest &request)
 {
     checkDeadline(request.deadline);
@@ -1982,24 +1823,14 @@ Server::handleClusterTrace(const QueuedRequest &request)
     result.set("spans", JsonValue(spanCount));
     result.set("trace",
                JsonValue(Telemetry::renderChromeTraceMerged(nodes)));
-    return result;
+    return result.render();
 }
 
 // ------------------------------------------ continuous-mode methods
 
-void
-Server::requireFleet() const
-{
-    if (!fleet_)
-        failRequest(ErrorCode::BadRequest,
-                    "this daemon is not in continuous mode (start "
-                    "with --watch DIR)");
-}
-
-JsonValue
+std::string
 Server::handleIngestPush(const QueuedRequest &request)
 {
-    requireFleet();
     checkDeadline(request.deadline);
     const JsonValue &params = request.request.params;
 
@@ -2103,13 +1934,12 @@ Server::handleIngestPush(const QueuedRequest &request)
     result.set("evicted", JsonValue(outcome.evicted));
     result.set("ingested_total",
                JsonValue(fleet_->ingestedShards()));
-    return result;
+    return result.render();
 }
 
-JsonValue
+std::string
 Server::handleWindowSummary(const QueuedRequest &request)
 {
-    requireFleet();
     checkDeadline(request.deadline);
     const JsonValue &params = request.request.params;
 
@@ -2143,14 +1973,15 @@ Server::handleWindowSummary(const QueuedRequest &request)
         boolParamOr(params, "knowledge_filter", true);
 
     checkDeadline(request.deadline);
-    return fleet_->windowSummary(scenario, tFast, tSlow, windowsSel,
-                                 trailing, top, applyFilter);
+    return fleet_
+        ->windowSummary(scenario, tFast, tSlow, windowsSel, trailing, top,
+                        applyFilter)
+        .render();
 }
 
-JsonValue
+std::string
 Server::handleAlerts(const QueuedRequest &request)
 {
-    requireFleet();
     checkDeadline(request.deadline);
     const JsonValue &params = request.request.params;
 
@@ -2184,7 +2015,7 @@ Server::handleAlerts(const QueuedRequest &request)
         list.push(alertJson(alert));
     result.set("alerts", std::move(list));
     result.set("last_seq", JsonValue(sink.lastSeq()));
-    return result;
+    return result.render();
 }
 
 // --------------------------------------------- observability results
@@ -2197,8 +2028,49 @@ Server::nodeName() const
            " @ " + config_.host + ":" + std::to_string(port_);
 }
 
-JsonValue
-Server::telemetryPullResult() const
+std::string
+Server::healthResult(const QueuedRequest &)
+{
+    JsonValue result = JsonValue::makeObject();
+    result.set("status",
+               JsonValue(draining_.load(std::memory_order_acquire)
+                             ? "draining"
+                             : "ok"));
+    result.set("protocol", JsonValue(kProtocolVersion));
+    JsonValue protocols = JsonValue::makeArray();
+    protocols.push(JsonValue(kProtocolVersion));
+    result.set("protocols", std::move(protocols));
+    // Partial-result wire revision: the coordinator's mixed-version
+    // handshake reads this (docs/SERVER.md).
+    result.set("partial_encoding", JsonValue(partialEncodingRevision()));
+    result.set("role",
+               JsonValue(config_.coordinator ? "coordinator" : "worker"));
+    // Fleet/watch contract revision: ingest_push rejects mismatched
+    // pushers; clients can pre-check here (docs/FLEET.md).
+    result.set("fleet_revision", JsonValue(fleetRevision()));
+    result.set("fleet_watch", JsonValue(fleet_ != nullptr));
+    // Cheap liveness extras the coordinator's cluster-status table
+    // reads per worker (one probe, one row).
+    result.set("uptime_s",
+               JsonValue(static_cast<double>(
+                   std::chrono::duration_cast<std::chrono::seconds>(
+                       Clock::now() - startTime_)
+                       .count())));
+    result.set("inflight", JsonValue(stats().inflight));
+    result.set("sessions", JsonValue(registry_.stats().openSessions));
+    return result.render();
+}
+
+std::string
+Server::shutdownResult(const QueuedRequest &)
+{
+    JsonValue result = JsonValue::makeObject();
+    result.set("stopping", JsonValue(true));
+    return result.render();
+}
+
+std::string
+Server::telemetryPullResult(const QueuedRequest &)
 {
     NodeSpans node;
     node.node = nodeName();
@@ -2206,11 +2078,11 @@ Server::telemetryPullResult() const
     node.spans = Telemetry::snapshotSpans();
     JsonValue result = nodeSpansJson(node);
     result.set("enabled", JsonValue(Telemetry::enabled()));
-    return result;
+    return result.render();
 }
 
-JsonValue
-Server::metricsResult() const
+std::string
+Server::metricsResult(const QueuedRequest &)
 {
     JsonValue result =
         metricsSnapshotJson(MetricsRegistry::global().snapshot());
@@ -2218,11 +2090,11 @@ Server::metricsResult() const
                                  std::to_string(port_)));
     result.set("role", JsonValue(config_.coordinator ? "coordinator"
                                                      : "worker"));
-    return result;
+    return result.render();
 }
 
-JsonValue
-Server::flightRecorderResult() const
+std::string
+Server::flightRecorderResult(const QueuedRequest &)
 {
     JsonValue records = JsonValue::makeArray();
     for (const FlightRecord &record : flightRecorder_.snapshot()) {
@@ -2251,7 +2123,7 @@ Server::flightRecorderResult() const
     result.set("total", JsonValue(flightRecorder_.total()));
     result.set("capacity", JsonValue(flightRecorder_.capacity()));
     result.set("records", std::move(records));
-    return result;
+    return result.render();
 }
 
 // ------------------------------------------- metrics HTTP listener
@@ -2318,8 +2190,8 @@ Server::metricsLoop()
     }
 }
 
-JsonValue
-Server::statsResult()
+std::string
+Server::statsResult(const QueuedRequest &)
 {
     const ServerStats stats = this->stats();
     const RegistryStats sessions = registry_.stats();
@@ -2362,7 +2234,7 @@ Server::statsResult()
     latency.set("p99_us", JsonValue(latencyHist_->percentile(0.99)));
     latency.set("max_us", JsonValue(latencyHist_->max()));
     result.set("latency", std::move(latency));
-    return result;
+    return result.render();
 }
 
 // ------------------------------------------------------------ drain

@@ -6,18 +6,20 @@
  * `tracelens serve` keeps ingested corpora, wait graphs, AWGs, and
  * mined patterns resident between requests — the batch pipeline of
  * PRs 1–4 behind an always-on, low-latency query surface. Concurrent
- * clients speak newline-delimited JSON (protocol v1) or upgrade to
- * multiplexed binary frames with per-request priorities and a shared
- * symbol dictionary (protocol v2 — src/server/protocol.h and
- * src/server/wire.h); requests flow
+ * clients open with the protocol preface and then speak multiplexed
+ * binary frames with per-request priorities and a shared symbol
+ * dictionary (src/server/protocol.h and src/server/wire.h); requests
+ * flow
  *
  *   reader thread (one per connection, socket I/O only)
+ *     -> decoded Method -> its entry in the method table (answered
+ *        inline, or queued)
  *     -> bounded request queue (maxInflight; "overloaded" rejection
  *        when full — backpressure instead of latency collapse)
  *     -> the work-stealing ThreadPool (src/util/parallel.h), each
  *        worker draining the queue and running handlers
  *     -> SessionRegistry (src/server/registry.h) for warm corpora
- *     -> response line written back on the requesting connection.
+ *     -> response frames written back on the requesting stream.
  *
  * Deadlines are cooperative: "deadline_ms" (or the server default) is
  * checked at dequeue, after session acquire, and at stage boundaries
@@ -79,15 +81,12 @@ struct ServerConfig
     std::size_t maxInflight = 64;
     /** Deadline applied when a request carries none; 0 = unlimited. */
     std::uint64_t defaultDeadlineMs = 30000;
-    /** Requests longer than this are rejected and the connection
-     *  closed (a protocol-framing failure, not a slow consumer). */
+    /** Request frames longer than this are answered protocol_error
+     *  and skipped; the connection stays open (CLI:
+     *  --max-line-bytes). */
     std::size_t maxLineBytes = 1 << 20;
     /** Enable the test-only "sleep" method (tests and load bench). */
     bool enableTestMethods = false;
-    /** Offer the protocol-v2 upgrade (src/server/wire.h). Off, the
-     *  daemon answers the preface with a JSON bad_request line and v2
-     *  clients fall back to v1 — the interop tests' "old server". */
-    bool enableProtocolV2 = true;
     /**
      * Coordinator mode (CLI: `tracelens serve --coordinator`): the
      * daemon answers analyze/impact/mine by scatter/gathering
@@ -146,14 +145,15 @@ struct ServerConfig
 struct ServerStats
 {
     std::uint64_t accepted = 0;   //!< Connections accepted.
-    std::uint64_t requests = 0;   //!< Request lines parsed OK.
+    std::uint64_t requests = 0;   //!< Request frames decoded OK.
     std::uint64_t ok = 0;         //!< Responses with ok=true.
     std::uint64_t errors = 0;     //!< Error responses (all codes).
     std::uint64_t rejected = 0;   //!< Of which: overloaded rejections.
     std::uint64_t dropped = 0;    //!< Responses to vanished clients.
     std::size_t inflight = 0;     //!< Queued + running right now.
     std::size_t connections = 0;  //!< Open connections right now.
-    std::uint64_t v2Connections = 0;   //!< Connections upgraded to v2.
+    std::uint64_t v2Connections = 0;   //!< Connections that sent the
+                                       //!< preface.
     std::uint64_t protocolErrors = 0;  //!< Framing violations seen.
 };
 
@@ -218,10 +218,7 @@ class Server
          *  the byte offsets in protocol_error / GOAWAY reports. */
         std::uint64_t bytesIn = 0;
 
-        /** Protocol-v2 connection state; null while the connection
-         *  speaks v1. Created by the reader thread at upgrade, before
-         *  any v2 request is routed, so workers that reach it via a
-         *  QueuedRequest observe it fully constructed. */
+        /** Framing, flow-control and dictionary state. */
         struct WireState
         {
             // ---- reader thread only
@@ -246,12 +243,11 @@ class Server
             };
             std::deque<Outbound> outbound;
         };
-        std::unique_ptr<WireState> wire;
+        WireState wire;
 
-        /** Write a full line; marks the connection closed on error.
-         *  Returns false when the client vanished. */
-        bool sendLine(const std::string &line);
-        /** Same, caller already holds writeMutex. */
+        /** Write all of @p bytes (caller holds writeMutex); marks the
+         *  connection closed on error. Returns false when the client
+         *  vanished. */
         bool sendAllLocked(std::string_view bytes);
         void shutdownBoth();
     };
@@ -264,20 +260,51 @@ class Server
         std::chrono::steady_clock::time_point arrival;
         /** Absolute deadline; nullopt = unlimited. */
         std::optional<std::chrono::steady_clock::time_point> deadline;
-        /** v2 response stream; 0 = the connection speaks v1. */
+        /** The response stream. */
         std::uint32_t stream = 0;
     };
+
+    /** A method handler; returns the rendered result or throws. */
+    using Handler = std::string (Server::*)(const QueuedRequest &);
+    /** Which daemons serve a method (see kMethods). */
+    enum class Role : std::uint8_t
+    {
+        Any,         //!< Every daemon.
+        Worker,      //!< Not a coordinator.
+        Coordinator, //!< Only with --coordinator.
+        Fleet,       //!< Only with --watch DIR.
+        Test,        //!< Only with enableTestMethods; else unknown.
+    };
+    /** One method's row of the method table. */
+    struct MethodEntry
+    {
+        Method method = Method::Health;
+        /** Answered on the reader thread (the control plane, which
+         *  must stay responsive when the queue is full) instead of
+         *  queued for a worker. */
+        bool answeredInline = false;
+        Role role = Role::Any;
+        /** BadRequest message when this daemon's role refuses the
+         *  method (Worker, Coordinator, Fleet). */
+        std::string_view refusal = {};
+        /** The handler on a non-coordinator daemon. */
+        Handler local = nullptr;
+        /** The handler on a coordinator; null = local. */
+        Handler coordinator = nullptr;
+        /** A coordinator answers it by calling every worker (the
+         *  flight recorder's fanout). */
+        bool fansOut = false;
+    };
+    /** The method table, indexed by Method (docs/SERVER.md, Methods). */
+    static const std::array<MethodEntry, kMethodCount> kMethods;
 
     void acceptLoop();
     void readerLoop(std::shared_ptr<Connection> conn);
     void reapReaders(bool all);
 
-    /** v1 line loop; hands off to readV2Frames() on the preface.
-     *  Returns true when the socket failed (vs orderly close). */
-    bool readV1Lines(const std::shared_ptr<Connection> &conn);
-    /** v2 frame loop; @p pending = bytes read past the preface. */
-    bool readV2Frames(const std::shared_ptr<Connection> &conn,
-                      std::string pending);
+    /** Preface check, then the frame loop. Returns true when the
+     *  socket failed (vs orderly close or a GOAWAY). */
+    bool readFrames(const std::shared_ptr<Connection> &conn);
     /** Dispatch one v2 frame; false = stop reading this connection. */
     bool handleFrame(const std::shared_ptr<Connection> &conn,
                      const wire::FrameHeader &header,
@@ -287,68 +314,67 @@ class Server
     void sendGoaway(const std::shared_ptr<Connection> &conn,
                     std::uint64_t offset, const std::string &message);
 
-    /** Parse and route one request line from @p conn. */
-    void handleLine(const std::shared_ptr<Connection> &conn,
-                    std::string_view line);
-    /** Shared v1/v2 routing: control methods inline, the rest into
-     *  the bounded priority queue. @p stream 0 = v1. */
+    /** Look @p request's method up in kMethods: answer it inline, or
+     *  admit it to the bounded priority queue. */
     void routeRequest(const std::shared_ptr<Connection> &conn,
                       Request request, std::uint32_t stream);
+    /** Fail the request with BadRequest and entry.refusal when this
+     *  daemon's role does not serve @p entry (Worker, Coordinator and
+     *  Fleet rows). */
+    void checkRole(const MethodEntry &entry) const;
     /** Run one queued request on a pool worker. */
     void process(QueuedRequest request);
     void workerLoop();
     /** Queued requests across all priority buckets (queueMutex_). */
     std::size_t queuedTotal() const;
 
-    // ---- response emission (version-dispatching on stream == 0)
+    // ---- response emission
     void respondOk(const std::shared_ptr<Connection> &conn,
-                   std::uint32_t stream,
-                   const std::optional<double> &id,
-                   const std::string &resultJson);
+                   std::uint32_t stream, const std::string &resultJson);
     void respondError(const std::shared_ptr<Connection> &conn,
-                      std::uint32_t stream,
-                      const std::optional<double> &id, ErrorCode code,
+                      std::uint32_t stream, ErrorCode code,
                       const std::string &message,
                       std::uint64_t offset = 0);
-    void sendResponseV2(const std::shared_ptr<Connection> &conn,
-                        std::uint32_t stream, bool isError,
-                        const std::string &payloadJson);
+    void sendResponse(const std::shared_ptr<Connection> &conn,
+                      std::uint32_t stream, bool isError,
+                      const std::string &payloadJson);
     /** Drain Connection::WireState::outbound as far as the peer's
      *  flow-control windows allow (writeMutex held). */
     void flushOutboundLocked(const std::shared_ptr<Connection> &conn);
 
     /**
-     * Method handlers; return a result or throw HandlerError. The
-     * response-cached ones (analyze, impact, mine and the two partial
-     * methods) return the rendered result: on a cache hit, the stored
-     * bytes as they are.
+     * Method handlers (Handler); each returns the rendered result or
+     * throws HandlerError. The response-cached ones (analyze, impact,
+     * mine and the partial methods) return, on a cache hit, the
+     * stored bytes as they are.
      */
     std::string handleAnalyze(const QueuedRequest &request);
     std::string handleImpact(const QueuedRequest &request);
     std::string handleMine(const QueuedRequest &request);
-    JsonValue handleIngest(const QueuedRequest &request);
-    JsonValue handleSleep(const QueuedRequest &request);
+    std::string handleIngest(const QueuedRequest &request);
+    std::string handleSleep(const QueuedRequest &request);
     /** Worker-side partial handlers (analyze_partial/mine_partial and
      *  impact_partial): one shard in, a TLP1 payload out. */
     std::string handleAnalyzePartial(const QueuedRequest &request);
     std::string handleImpactPartial(const QueuedRequest &request);
     /** Coordinator-side handlers: scatter/gather via coordinator_. */
-    JsonValue handleCoordAnalyze(const QueuedRequest &request);
-    JsonValue handleCoordImpact(const QueuedRequest &request);
-    JsonValue handleCoordMine(const QueuedRequest &request);
-    JsonValue handleClusterStatus(const QueuedRequest &request);
+    std::string handleCoordAnalyze(const QueuedRequest &request);
+    std::string handleCoordImpact(const QueuedRequest &request);
+    std::string handleCoordMine(const QueuedRequest &request);
+    std::string handleClusterStatus(const QueuedRequest &request);
     /** Coordinator-side span stitching (queued: fans out over TCP). */
-    JsonValue handleClusterTrace(const QueuedRequest &request);
-    /** Continuous-mode handlers; BadRequest unless --watch is on. */
-    void requireFleet() const;
-    JsonValue handleIngestPush(const QueuedRequest &request);
-    JsonValue handleWindowSummary(const QueuedRequest &request);
-    JsonValue handleAlerts(const QueuedRequest &request);
-    JsonValue statsResult();
-    // Observability results (answered inline — see isControlMethod).
-    JsonValue telemetryPullResult() const;
-    JsonValue metricsResult() const;
-    JsonValue flightRecorderResult() const;
+    std::string handleClusterTrace(const QueuedRequest &request);
+    /** Continuous-mode handlers (Role::Fleet). */
+    std::string handleIngestPush(const QueuedRequest &request);
+    std::string handleWindowSummary(const QueuedRequest &request);
+    std::string handleAlerts(const QueuedRequest &request);
+    // Control-plane results (answered inline on the reader thread).
+    std::string healthResult(const QueuedRequest &request);
+    std::string statsResult(const QueuedRequest &request);
+    std::string shutdownResult(const QueuedRequest &request);
+    std::string telemetryPullResult(const QueuedRequest &request);
+    std::string metricsResult(const QueuedRequest &request);
+    std::string flightRecorderResult(const QueuedRequest &request);
     /** "host:port (role)" — how this node names itself in telemetry
      *  pulls and metrics labels. */
     std::string nodeName() const;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Protocol-v2 binary framing and the shared symbol dictionary
- * (docs/SERVER.md, "Wire protocol v2"). Transport-free byte codecs
+ * (docs/SERVER.md, "Wire protocol"). Transport-free byte codecs
  * only — the daemon (src/server/server.cpp) and the client Session
  * (src/server/client.cpp) share this single implementation, and the
  * corruption tests drive it directly.
@@ -71,9 +71,9 @@ namespace server
 namespace wire
 {
 
-/** Preface line a v2 client sends first (newline-terminated). A v1
- *  server parses it as a malformed request and answers a JSON
- *  bad_request line, which the client takes as "fall back to v1". */
+/** Preface line a client sends first (newline-terminated). The
+ *  server answers with SETTINGS; a connection that opens with
+ *  anything else is sent a GOAWAY and closed. */
 inline constexpr std::string_view kPreface = "TRACELENS-PROTO-2";
 
 inline constexpr std::size_t kFrameHeaderBytes = 10;

@@ -546,24 +546,6 @@ readCorpusFileChecked(const std::string &path)
     return parseCorpus(bytes.value(), path);
 }
 
-TraceCorpus
-readCorpus(std::istream &in)
-{
-    std::vector<std::byte> bytes;
-    char chunk[64 * 1024];
-    while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-        const auto *p = reinterpret_cast<const std::byte *>(chunk);
-        bytes.insert(bytes.end(), p, p + in.gcount());
-    }
-    return parseCorpus(bytes, "<stream>").valueOrFatal();
-}
-
-TraceCorpus
-readCorpusFile(const std::string &path)
-{
-    return readCorpusFileChecked(path).valueOrFatal();
-}
-
 std::string
 dumpStream(const TraceCorpus &corpus, std::uint32_t stream,
            std::size_t max_events)

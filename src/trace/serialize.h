@@ -21,10 +21,8 @@
  * every count, length, and id on disk is validated against the actual
  * buffer size before use, so truncated or hostile files produce a
  * SourceError (file, byte offset, reason) instead of reading past the
- * end. The legacy readCorpus() / readCorpusFile() entry points keep their
- * fatal-on-bad-input contract by rendering that error into TL_FATAL;
- * the streaming ingestion layer (src/trace/source.h) uses the checked
- * variants and skips bad shards instead.
+ * end. Every reader returns that error to its caller; the streaming
+ * ingestion layer (src/trace/source.h) skips bad shards with it.
  */
 
 #ifndef TRACELENS_TRACE_SERIALIZE_H
@@ -120,15 +118,6 @@ Expected<TraceCorpus> parseCorpus(std::span<const std::byte> bytes,
  * read errors) as a SourceError instead of exiting.
  */
 Expected<TraceCorpus> readCorpusFileChecked(const std::string &path);
-
-/**
- * Deserialize a corpus from a binary istream.
- * Fatal on malformed input (bad magic, truncated data, invalid ids).
- */
-TraceCorpus readCorpus(std::istream &in);
-
-/** Deserialize a corpus from a file (fatal on I/O failure). */
-TraceCorpus readCorpusFile(const std::string &path);
 
 /**
  * Render a human-readable dump of one stream (timestamp-ordered event

@@ -10,12 +10,9 @@
  * both sanitizers (ctest --preset asan-server / tsan-server).
  */
 
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -36,6 +33,7 @@
 #include "src/util/json.h"
 #include "src/util/telemetry.h"
 #include "src/workload/generator.h"
+#include "tests/server_fixture.h"
 
 namespace tracelens
 {
@@ -45,48 +43,6 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-/** Self-cleaning scratch dir (pid-suffixed: binaries run under -j). */
-class ScratchDir
-{
-  public:
-    explicit ScratchDir(const std::string &name)
-        : path_(fs::temp_directory_path() /
-                ("tracelens_cluster_test_" +
-                 std::to_string(::getpid()) + "_" + name))
-    {
-        fs::remove_all(path_);
-        fs::create_directories(path_);
-    }
-    ~ScratchDir() { fs::remove_all(path_); }
-
-    std::string str() const { return path_.string(); }
-    const fs::path &path() const { return path_; }
-
-  private:
-    fs::path path_;
-};
-
-/** A TCP socket bound to an ephemeral loopback port; sets @p port. */
-int
-bindLoopback(std::uint16_t &port)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                     sizeof(addr)),
-              0);
-    socklen_t len = sizeof(addr);
-    EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr *>(&addr),
-                            &len),
-              0);
-    port = ntohs(addr.sin_port);
-    return fd;
-}
 
 /**
  * A loopback address that refuses connections for as long as this
@@ -155,7 +111,7 @@ TEST(HashRing, SingleWorkerOwnsEverythingAndHasNoReplica)
 
 TEST(EnumerateShards, MirrorsSingleNodeIngestOrder)
 {
-    ScratchDir scratch("enumerate");
+    ScratchDir scratch("cluster_enumerate");
     CorpusSpec spec;
     spec.machines = 4;
     spec.seed = 7;
@@ -185,7 +141,7 @@ TEST(EnumerateShards, MirrorsSingleNodeIngestOrder)
 
 TEST(EnumerateShards, EmptyDirAndMissingPathFail)
 {
-    ScratchDir scratch("enumerate_bad");
+    ScratchDir scratch("cluster_enumerate_bad");
     const std::string empty = (scratch.path() / "empty").string();
     fs::create_directories(empty);
     Expected<std::vector<std::string>> none =
@@ -221,6 +177,7 @@ class ClusterTest : public ::testing::Test
     SetUp() override
     {
         scratch_ = std::make_unique<ScratchDir>(
+            std::string("ClusterTest_") +
             ::testing::UnitTest::GetInstance()
                 ->current_test_info()
                 ->name());
@@ -427,88 +384,44 @@ TEST_F(ClusterTest, SoleWorkerDownDegradesInsideTheDeadline)
 // -------------------------------------------------- revision handshake
 
 /**
- * A fake pre-partial-encoding daemon: speaks protocol v1 only and
- * answers `health` without the "partial_encoding" field, exactly like
- * a build that predates the partial-result layer. The coordinator's
- * handshake must reject it up front.
+ * A fake pre-partial-encoding daemon (a ScriptedPeer script): it
+ * completes the v2 handshake and answers `health` without the
+ * "partial_encoding" field, exactly like a build that predates the
+ * partial-result layer. The coordinator's handshake must reject it up
+ * front.
  */
-class FakeOldWorker
+void
+servePrePartialHealth(int fd)
 {
-  public:
-    FakeOldWorker()
-    {
-        fd_ = bindLoopback(port_);
-        EXPECT_EQ(::listen(fd_, 4), 0);
-        thread_ = std::thread([this] { serve(); });
-    }
-
-    ~FakeOldWorker()
-    {
-        if (fd_ >= 0)
-            ::shutdown(fd_, SHUT_RDWR);
-        ::close(fd_);
-        if (thread_.joinable())
-            thread_.join();
-    }
-
-    std::uint16_t port() const { return port_; }
-    std::string
-    address() const
-    {
-        return "127.0.0.1:" + std::to_string(port_);
-    }
-
-  private:
-    void
-    serve()
-    {
-        const int client = ::accept(fd_, nullptr, nullptr);
-        if (client < 0)
+    if (!recvExact(fd, wire::kPreface.size() + 1))
+        return;
+    std::string settings;
+    wire::appendFrame(settings, wire::FrameType::Settings, 0, 0,
+                      wire::encodeSettings(wire::Settings{}));
+    if (!sendAll(fd, settings))
+        return;
+    // Skip the client's SETTINGS; answer its first request (health).
+    std::optional<RawFrame> request;
+    do {
+        request = recvFrame(fd);
+        if (!request)
             return;
-        std::string buffer;
-        // Line 1 is the v2 preface: answer a JSON line so the client
-        // falls back to v1. Line 2 is the v1 health request: answer
-        // ok *without* "partial_encoding" (and echo id 1 — the first
-        // id a fresh Session assigns).
-        static const char *replies[] = {
-            "{\"ok\":false,\"error\":{\"code\":\"bad_request\","
-            "\"message\":\"parse error\"}}\n",
-            "{\"id\":1,\"ok\":true,\"result\":{\"protocol\":1,"
-            "\"protocols\":[1],\"status\":\"ok\"}}\n",
-        };
-        for (const char *reply : replies) {
-            while (buffer.find('\n') == std::string::npos) {
-                char chunk[512];
-                const ssize_t n =
-                    ::recv(client, chunk, sizeof(chunk), 0);
-                if (n <= 0) {
-                    ::close(client);
-                    return;
-                }
-                buffer.append(chunk, static_cast<std::size_t>(n));
-            }
-            buffer.erase(0, buffer.find('\n') + 1);
-            const std::size_t length = std::strlen(reply);
-            if (::send(client, reply, length, 0) !=
-                static_cast<ssize_t>(length))
-                break;
-        }
-        // Hold the socket open until the test tears us down, so the
-        // coordinator's error is the handshake's, not a reset.
-        char sink[512];
-        while (::recv(client, sink, sizeof(sink), 0) > 0) {
-        }
-        ::close(client);
-    }
-
-    int fd_ = -1;
-    std::uint16_t port_ = 0;
-    std::thread thread_;
-};
+    } while (request->header.type !=
+             static_cast<std::uint8_t>(wire::FrameType::Request));
+    wire::SymbolDict dict;
+    std::string payload;
+    dict.encode("{\"protocol\":2,\"protocols\":[2],\"status\":\"ok\"}",
+                payload);
+    std::string response;
+    wire::appendFrame(response, wire::FrameType::Response,
+                      wire::kFlagEndStream, request->header.stream,
+                      payload);
+    sendAll(fd, response);
+}
 
 TEST_F(ClusterTest, MixedRevisionWorkerIsRejectedUpFront)
 {
-    FakeOldWorker old;
+    ScriptedPeer old(servePrePartialHealth);
     Daemon coord = startCoordinator({old.address()});
     Session session = connect(coord);
 
@@ -565,34 +478,63 @@ TEST_F(ClusterTest, RoleMismatchedMethodsAreRejected)
 {
     Daemon worker = startWorker();
     Daemon coord = startCoordinator({worker.address()});
-
-    // cluster_status is a coordinator method...
     Session workerSession = connect(worker);
-    Expected<Response> status = workerSession.call(
-        Method::ClusterStatus, JsonValue::makeObject());
-    ASSERT_TRUE(status.ok());
-    EXPECT_FALSE(status.value().ok);
-    EXPECT_EQ(status.value().error.code, ErrorCode::BadRequest);
-
-    // ...while ingest and the partial plane live on the workers.
     Session coordSession = connect(coord);
-    IngestRequest ingest;
-    ingest.corpus = corpusDir_;
-    Expected<Response> ingested = coordSession.ingest(ingest);
-    ASSERT_TRUE(ingested.ok());
-    EXPECT_FALSE(ingested.value().ok);
-    EXPECT_EQ(ingested.value().error.code, ErrorCode::BadRequest);
 
-    JsonValue params = JsonValue::makeObject();
-    params.set("corpus", JsonValue(corpusDir_));
-    params.set("scenario", JsonValue("BrowserTabCreate"));
-    params.set("tfast_ms", JsonValue(100.0));
-    params.set("tslow_ms", JsonValue(500.0));
-    Expected<Response> partial =
-        coordSession.call(Method::AnalyzePartial, params);
-    ASSERT_TRUE(partial.ok());
-    EXPECT_FALSE(partial.value().ok);
-    EXPECT_EQ(partial.value().error.code, ErrorCode::BadRequest);
+    const std::string notCoordinator =
+        "this daemon is not a coordinator (start with --coordinator)";
+    const std::string workersOnly =
+        "partial methods are served by workers, not the coordinator";
+    const std::string notFleet =
+        "this daemon is not in continuous mode (start with --watch DIR)";
+    struct Refusal
+    {
+        Session *session;
+        Method method;
+        ErrorCode code;
+        std::string message;
+    };
+    const std::vector<Refusal> refusals = {
+        // The coordinator methods, on a worker...
+        {&workerSession, Method::ClusterStatus, ErrorCode::BadRequest,
+         notCoordinator},
+        {&workerSession, Method::ClusterTrace, ErrorCode::BadRequest,
+         notCoordinator},
+        // ...ingest and the partial plane, on the coordinator...
+        {&coordSession, Method::Ingest, ErrorCode::BadRequest,
+         "ingest is not available in coordinator mode (ingest on the "
+         "workers)"},
+        {&coordSession, Method::AnalyzePartial, ErrorCode::BadRequest,
+         workersOnly},
+        {&coordSession, Method::ImpactPartial, ErrorCode::BadRequest,
+         workersOnly},
+        {&coordSession, Method::MinePartial, ErrorCode::BadRequest,
+         workersOnly},
+        // ...the fleet methods, on a daemon without --watch...
+        {&workerSession, Method::IngestPush, ErrorCode::BadRequest,
+         notFleet},
+        {&workerSession, Method::WindowSummary, ErrorCode::BadRequest,
+         notFleet},
+        {&coordSession, Method::Alerts, ErrorCode::BadRequest, notFleet},
+        // ...and the test-only sleep, with test methods off.
+        {&workerSession, Method::Sleep, ErrorCode::NotFound,
+         "unknown method \"sleep\""},
+    };
+    for (const Refusal &refusal : refusals) {
+        JsonValue params = JsonValue::makeObject();
+        params.set("corpus", JsonValue(corpusDir_));
+        params.set("scenario", JsonValue("BrowserTabCreate"));
+        params.set("tfast_ms", JsonValue(100.0));
+        params.set("tslow_ms", JsonValue(500.0));
+        Expected<Response> response =
+            refusal.session->call(refusal.method, params);
+        ASSERT_TRUE(response.ok()) << response.error().render();
+        EXPECT_FALSE(response.value().ok) << methodName(refusal.method);
+        EXPECT_EQ(response.value().error.code, refusal.code)
+            << methodName(refusal.method);
+        EXPECT_EQ(response.value().error.message, refusal.message)
+            << methodName(refusal.method);
+    }
 }
 
 TEST_F(ClusterTest, ClusterStatusReportsTopologyAndHealth)

@@ -13,6 +13,7 @@
 #include "src/trace/serialize.h"
 #include "src/waitgraph/waitgraph.h"
 #include "src/workload/generator.h"
+#include "tests/corpus_bytes.h"
 
 namespace tracelens
 {
@@ -41,7 +42,7 @@ TEST(StreamTags, SurviveSerialization)
 
     std::stringstream buffer;
     writeCorpus(corpus, buffer);
-    const TraceCorpus copy = readCorpus(buffer);
+    const TraceCorpus copy = decodeCorpusBytes(buffer.str());
     EXPECT_EQ(copy.stream(0).tag("encrypted"), "1");
     EXPECT_EQ(copy.stream(0).tag("disk"), "ssd");
 }

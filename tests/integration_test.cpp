@@ -20,6 +20,7 @@
 #include "src/trace/serialize.h"
 #include "src/workload/generator.h"
 #include "src/workload/motivating.h"
+#include "tests/corpus_bytes.h"
 
 namespace tracelens
 {
@@ -142,7 +143,7 @@ TEST(Integration, PersistenceBinaryAndCsvAgree)
 
     std::stringstream binary;
     writeCorpus(corpus, binary);
-    const TraceCorpus from_binary = readCorpus(binary);
+    const TraceCorpus from_binary = decodeCorpusBytes(binary.str());
 
     std::ostringstream events, instances;
     writeEventsCsv(corpus, events);
@@ -194,7 +195,7 @@ TEST(Integration, CaseStudiesSurviveSerialization)
 
     std::stringstream buffer;
     writeCorpus(corpus, buffer);
-    const TraceCorpus copy = readCorpus(buffer);
+    const TraceCorpus copy = decodeCorpusBytes(buffer.str());
 
     ASSERT_EQ(copy.instances().size(), 2u);
     EXPECT_GT(copy.instances()[0].duration(), fromMs(800));

@@ -16,6 +16,7 @@
 #include "src/trace/serialize.h"
 #include "src/trace/validate.h"
 #include "src/workload/generator.h"
+#include "tests/corpus_bytes.h"
 
 namespace tracelens
 {
@@ -155,7 +156,7 @@ TEST_P(CorpusProperty, BinarySerializationRoundTripsExactly)
 {
     std::stringstream first;
     writeCorpus(corpus(), first);
-    const TraceCorpus copy = readCorpus(first);
+    const TraceCorpus copy = decodeCorpusBytes(first.str());
     std::stringstream second;
     writeCorpus(copy, second);
     EXPECT_EQ(first.str(), second.str());

@@ -1,21 +1,20 @@
 /**
  * @file
- * Protocol-v2 tests (src/server/wire.h, the Session negotiation in
+ * Protocol-v2 tests (src/server/wire.h, the Session handshake in
  * src/server/client.cpp, and the frame path in src/server/server.cpp):
- * the transport-free codecs against hostile bytes, the cross-version
- * interop matrix, frame-level corruption (truncated headers, insane
- * lengths, bogus stream ids, dictionary desync), symbol-dictionary
- * round-trips on seeded-corpus results, flow-control chunking,
- * priority scheduling, and pipelining. Built into the "server" ctest
- * label next to server_test.cpp so all of it runs under both
- * sanitizers (ctest --preset asan-server / tsan-server).
+ * the transport-free codecs against hostile bytes, frame-level
+ * corruption (truncated headers, insane lengths, bogus stream ids,
+ * dictionary desync), symbol-dictionary round-trips on seeded-corpus
+ * results, flow-control chunking, priority scheduling, and
+ * pipelining. Built into the "server" ctest label next to
+ * server_test.cpp so all of it runs under both sanitizers (ctest
+ * --preset asan-server / tsan-server).
  */
 
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <utility>
@@ -32,6 +31,7 @@
 #include "src/util/telemetry.h"
 #include "src/util/varint.h"
 #include "src/workload/generator.h"
+#include "tests/server_fixture.h"
 
 namespace tracelens
 {
@@ -39,8 +39,6 @@ namespace server
 {
 namespace
 {
-
-namespace fs = std::filesystem;
 
 using std::chrono::steady_clock;
 
@@ -168,390 +166,49 @@ TEST(WireCodec, SymbolDictRejectsHostileBytes)
 
 // ----------------------------------------------------- server fixture
 
-/** Self-cleaning scratch dir (pid-suffixed: binaries run under -j). */
-class ScratchDir
-{
-  public:
-    explicit ScratchDir(const std::string &name)
-        : path_(fs::temp_directory_path() /
-                ("tracelens_proto2_test_" +
-                 std::to_string(::getpid()) + "_" + name))
-    {
-        fs::remove_all(path_);
-        fs::create_directories(path_);
-    }
-    ~ScratchDir() { fs::remove_all(path_); }
-
-    const fs::path &path() const { return path_; }
-
-  private:
-    fs::path path_;
-};
-
-/** One decoded raw frame. */
-struct RawFrame
-{
-    wire::FrameHeader header;
-    std::string payload;
-};
-
-/** A RawConn that completed the v2 preface + SETTINGS exchange, with
- *  mirror dictionaries so tests can speak (and corrupt) v2 by hand. */
-struct RawV2
-{
-    RawConn conn;
-    wire::Settings server;
-    wire::SymbolDict sendDict; //!< mirrors the server's receive table
-    wire::SymbolDict recvDict; //!< mirrors the server's send table
-};
-
-/** A fully reassembled response from raw frames. */
-struct RawResponse
-{
-    bool isError = false;
-    std::uint64_t frames = 0;
-    JsonValue body; //!< result object, or the error object.
-};
-
-class Protocol2Test : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        scratch_ = std::make_unique<ScratchDir>(
-            ::testing::UnitTest::GetInstance()
-                ->current_test_info()
-                ->name());
-        CorpusSpec spec;
-        spec.machines = 8;
-        spec.seed = 1337;
-        corpusPath_ = (scratch_->path() / "corpus.tlc").string();
-        writeCorpusFile(generateCorpus(spec), corpusPath_);
-    }
-
-    void
-    startServer(ServerConfig config = {})
-    {
-        config.host = "127.0.0.1";
-        config.port = 0;
-        config.enableTestMethods = true;
-        server_ = std::make_unique<Server>(config);
-        Expected<std::uint16_t> port = server_->start();
-        ASSERT_TRUE(port.ok()) << port.error().render();
-        port_ = port.value();
-    }
-
-    Session
-    connect(SessionOptions options = {})
-    {
-        Expected<Session> session =
-            Session::connect("127.0.0.1", port_, options);
-        EXPECT_TRUE(session.ok())
-            << (session.ok() ? "" : session.error().render());
-        return session.ok() ? std::move(session.value()) : Session();
-    }
-
-    RawConn
-    connectRaw()
-    {
-        Expected<RawConn> conn = RawConn::connect(
-            "127.0.0.1", port_, std::chrono::milliseconds(30000));
-        EXPECT_TRUE(conn.ok());
-        return std::move(conn.value());
-    }
-
-    std::optional<RawFrame>
-    readFrame(RawConn &conn)
-    {
-        Expected<std::string> header =
-            conn.readExact(wire::kFrameHeaderBytes);
-        if (!header.ok()) {
-            ADD_FAILURE() << "frame header: "
-                          << header.error().render();
-            return std::nullopt;
-        }
-        RawFrame frame;
-        if (!wire::decodeFrameHeader(header.value(), frame.header)) {
-            ADD_FAILURE() << "undecodable frame header";
-            return std::nullopt;
-        }
-        Expected<std::string> payload =
-            conn.readExact(frame.header.length);
-        if (!payload.ok()) {
-            ADD_FAILURE() << "frame payload: "
-                          << payload.error().render();
-            return std::nullopt;
-        }
-        frame.payload = std::move(payload.value());
-        return frame;
-    }
-
-    /** Preface + SETTINGS exchange by hand. @p tracing advertises
-     *  trace-context propagation — both sides must for the request
-     *  payloads to carry the span-context field. */
-    std::optional<RawV2>
-    handshake(bool tracing = false)
-    {
-        RawV2 v2;
-        v2.conn = connectRaw();
-        if (!v2.conn.sendRaw(std::string(wire::kPreface) + "\n")) {
-            ADD_FAILURE() << "preface send failed";
-            return std::nullopt;
-        }
-        std::optional<RawFrame> settings = readFrame(v2.conn);
-        if (!settings)
-            return std::nullopt;
-        EXPECT_EQ(settings->header.type,
-                  static_cast<std::uint8_t>(wire::FrameType::Settings));
-        EXPECT_EQ(settings->header.stream, 0u);
-        Expected<wire::Settings> decoded =
-            wire::decodeSettings(settings->payload);
-        if (!decoded.ok()) {
-            ADD_FAILURE() << decoded.error().render();
-            return std::nullopt;
-        }
-        v2.server = decoded.value();
-        EXPECT_EQ(v2.server.protocolVersion, kProtocolVersionV2);
-        EXPECT_TRUE(v2.server.tracing); // current servers advertise
-        wire::Settings mine;
-        mine.tracing = tracing;
-        std::string out;
-        wire::appendFrame(out, wire::FrameType::Settings, 0, 0,
-                          wire::encodeSettings(mine));
-        EXPECT_TRUE(v2.conn.sendRaw(out));
-        return v2;
-    }
-
-    /** A request frame whose span-context field is @p ctx verbatim
-     *  (length byte included) — the corruption tests' raw entry. */
-    bool
-    sendRequestFrameWithRawContext(RawV2 &v2, std::uint32_t stream,
-                                   Method method,
-                                   const JsonValue &params,
-                                   const std::string &ctx)
-    {
-        std::string payload;
-        payload.push_back(
-            static_cast<char>(methodWireByte(method)));
-        payload.push_back(static_cast<char>(kPriorityNormal));
-        putVarint(payload, 0); // deadline
-        payload += ctx;
-        v2.sendDict.encode(params.render(), payload);
-        std::string out;
-        wire::appendFrame(out, wire::FrameType::Request,
-                          wire::kFlagEndStream, stream, payload);
-        return v2.conn.sendRaw(out);
-    }
-
-    bool
-    sendRequestFrame(RawV2 &v2, std::uint32_t stream, Method method,
-                     const JsonValue &params,
-                     std::uint8_t priority = kPriorityNormal)
-    {
-        const std::string payload = wire::encodeRequestPayload(
-            method, priority, 0, params.render(), v2.sendDict);
-        std::string out;
-        wire::appendFrame(out, wire::FrameType::Request,
-                          wire::kFlagEndStream, stream, payload);
-        return v2.conn.sendRaw(out);
-    }
-
-    /** Reassemble the response on @p stream (other frame types are
-     *  skipped; a stray Response on another stream is a failure —
-     *  these tests keep one stream in flight at a time so the mirror
-     *  dictionary stays in lockstep). */
-    std::optional<RawResponse>
-    readResponse(RawV2 &v2, std::uint32_t stream)
-    {
-        std::string accum;
-        RawResponse response;
-        for (;;) {
-            std::optional<RawFrame> frame = readFrame(v2.conn);
-            if (!frame)
-                return std::nullopt;
-            if (frame->header.type !=
-                static_cast<std::uint8_t>(wire::FrameType::Response))
-                continue;
-            if (frame->header.stream != stream) {
-                ADD_FAILURE() << "response on unexpected stream "
-                              << frame->header.stream;
-                return std::nullopt;
-            }
-            ++response.frames;
-            accum += frame->payload;
-            response.isError = (frame->header.flags &
-                                wire::kFlagError) != 0;
-            if ((frame->header.flags & wire::kFlagEndStream) != 0)
-                break;
-            std::string credit;
-            wire::appendFrame(
-                credit, wire::FrameType::WindowUpdate, 0, stream,
-                wire::encodeWindowUpdate(frame->payload.size()));
-            EXPECT_TRUE(v2.conn.sendRaw(credit));
-        }
-        Expected<std::string> json = v2.recvDict.decode(accum);
-        if (!json.ok()) {
-            ADD_FAILURE() << "response dict: "
-                          << json.error().render();
-            return std::nullopt;
-        }
-        Expected<JsonValue> parsed = JsonValue::parse(json.value());
-        if (!parsed.ok()) {
-            ADD_FAILURE() << "response json: "
-                          << parsed.error().render();
-            return std::nullopt;
-        }
-        response.body = std::move(parsed.value());
-        return response;
-    }
-
-    /** Read frames until GOAWAY; the connection must then be closed
-     *  by the server (reads hit EOF). */
-    void
-    expectGoaway(RawConn &conn, const std::string &needle)
-    {
-        for (int hops = 0; hops < 8; ++hops) {
-            std::optional<RawFrame> frame = readFrame(conn);
-            if (!frame)
-                return;
-            if (frame->header.type !=
-                static_cast<std::uint8_t>(wire::FrameType::Goaway))
-                continue;
-            EXPECT_EQ(frame->header.stream, 0u);
-            Expected<wire::GoawayInfo> info =
-                wire::decodeGoaway(frame->payload);
-            ASSERT_TRUE(info.ok()) << info.error().render();
-            EXPECT_NE(info.value().message.find(needle),
-                      std::string::npos)
-                << "goaway message: " << info.value().message;
-            // Fatal means fatal: nothing more arrives.
-            EXPECT_FALSE(conn.readExact(1).ok());
-            return;
-        }
-        ADD_FAILURE() << "no goaway frame arrived";
-    }
-
-    AnalyzeRequest
-    analyzeRequest(std::size_t top = 5) const
-    {
-        AnalyzeRequest request;
-        request.corpus = corpusPath_;
-        request.scenario = "BrowserTabCreate";
-        request.top = top;
-        return request;
-    }
-
-    void
-    TearDown() override
-    {
-        if (server_ != nullptr && !server_->stopped()) {
-            server_->requestStop();
-            server_->wait();
-        }
-        if (server_ != nullptr) {
-            EXPECT_EQ(server_->registry().stats().activeHandles, 0u);
-        }
-        server_.reset();
-        scratch_.reset();
-    }
-
-    std::unique_ptr<ScratchDir> scratch_;
-    std::string corpusPath_;
-    std::unique_ptr<Server> server_;
-    std::uint16_t port_ = 0;
-};
-
-// ------------------------------------------------------ interop matrix
-
-TEST_F(Protocol2Test, InteropMatrixNegotiatesEveryCell)
-{
-    startServer();
-
-    // Auto against a current server lands on v2.
-    Session autoSession = connect();
-    EXPECT_EQ(autoSession.protocolVersion(), kProtocolVersionV2);
-    Expected<Response> health = autoSession.health();
-    ASSERT_TRUE(health.ok()) << health.error().render();
-    EXPECT_TRUE(health.value().ok);
-
-    // Explicit v1 never attempts the upgrade and still works.
-    SessionOptions v1Options;
-    v1Options.prefer = ProtocolPreference::V1;
-    Session v1Session = connect(v1Options);
-    EXPECT_EQ(v1Session.protocolVersion(), kProtocolVersionV1);
-    Expected<Response> v1Health = v1Session.health();
-    ASSERT_TRUE(v1Health.ok()) << v1Health.error().render();
-    EXPECT_TRUE(v1Health.value().ok);
-
-    // Strict v2 succeeds against a v2 server.
-    SessionOptions v2Options;
-    v2Options.prefer = ProtocolPreference::V2;
-    Session v2Session = connect(v2Options);
-    EXPECT_EQ(v2Session.protocolVersion(), kProtocolVersionV2);
-
-    EXPECT_GE(server_->stats().v2Connections, 2u);
-}
-
-TEST_F(Protocol2Test, AutoFallsBackToV1AgainstAnOldServer)
-{
-    ServerConfig config;
-    config.enableProtocolV2 = false; // the interop matrix's old server
-    startServer(config);
-
-    Session session = connect();
-    EXPECT_EQ(session.protocolVersion(), kProtocolVersionV1);
-    Expected<Response> response = session.analyze(analyzeRequest());
-    ASSERT_TRUE(response.ok()) << response.error().render();
-    EXPECT_TRUE(response.value().ok);
-
-    // Strict v2 against the same server must fail loudly, not
-    // silently downgrade.
-    SessionOptions strict;
-    strict.prefer = ProtocolPreference::V2;
-    Expected<Session> refused =
-        Session::connect("127.0.0.1", port_, strict);
-    EXPECT_FALSE(refused.ok());
-    EXPECT_EQ(server_->stats().v2Connections, 0u);
-}
+using Protocol2Test = DaemonTest;
 
 TEST_F(Protocol2Test, ReportsAreByteIdenticalAcrossProtocols)
 {
     startServer();
-    SessionOptions v1Options;
-    v1Options.prefer = ProtocolPreference::V1;
-    Session v1 = connect(v1Options);
-    Session v2 = connect();
-    ASSERT_EQ(v2.protocolVersion(), kProtocolVersionV2);
+    Session session = connect();
 
     ImpactRequest impact;
     impact.corpus = corpusPath_;
 
-    // Repeat the sequence: rep 2+ exercises the dictionary's warm
-    // path (references instead of inserts) on real seeded-corpus
-    // symbol strings, and every rep must still decode to the exact
-    // v1 bytes.
-    for (int rep = 0; rep < 3; ++rep) {
-        Expected<Response> a1 = v1.analyze(analyzeRequest(20));
-        Expected<Response> a2 = v2.analyze(analyzeRequest(20));
-        ASSERT_TRUE(a1.ok() && a2.ok());
-        ASSERT_TRUE(a1.value().ok && a2.value().ok);
-        EXPECT_EQ(a1.value().result.render(),
-                  a2.value().result.render());
-
-        Expected<Response> i1 = v1.impact(impact);
-        Expected<Response> i2 = v2.impact(impact);
-        ASSERT_TRUE(i1.ok() && i2.ok());
-        ASSERT_TRUE(i1.value().ok && i2.value().ok);
-        EXPECT_EQ(i1.value().result.render(),
-                  i2.value().result.render());
+    // Rep 1 on one session transits every symbol literally; reps 2-3
+    // on the same session exercise the dictionary's warm path
+    // (references instead of inserts) on real seeded-corpus symbol
+    // strings, and must still decode to rep 1's exact bytes.
+    Expected<Response> firstAnalyze = session.analyze(analyzeRequest(20));
+    Expected<Response> firstImpact = session.impact(impact);
+    ASSERT_TRUE(firstAnalyze.ok() && firstImpact.ok());
+    ASSERT_TRUE(firstAnalyze.value().ok && firstImpact.value().ok);
+    const std::string analyzeBytes = firstAnalyze.value().result.render();
+    const std::string impactBytes = firstImpact.value().result.render();
+    for (int rep = 1; rep < 3; ++rep) {
+        Expected<Response> a = session.analyze(analyzeRequest(20));
+        Expected<Response> i = session.impact(impact);
+        ASSERT_TRUE(a.ok() && i.ok());
+        ASSERT_TRUE(a.value().ok && i.value().ok);
+        EXPECT_EQ(a.value().result.render(), analyzeBytes);
+        EXPECT_EQ(i.value().result.render(), impactBytes);
     }
 
+    // A fresh session starts from an empty dictionary: its first
+    // answer must decode to the same bytes too.
+    Session fresh = connect();
+    Expected<Response> again = fresh.analyze(analyzeRequest(20));
+    ASSERT_TRUE(again.ok() && again.value().ok);
+    EXPECT_EQ(again.value().result.render(), analyzeBytes);
+
     // Same answers, fewer bytes: the dictionary has to pay for its
-    // complexity on exactly this symbol-heavy warm sequence.
-    EXPECT_LT(v2.wireStats().bytesReceived,
-              v1.wireStats().bytesReceived);
-    EXPECT_GT(v2.wireStats().framesReceived, 0u);
+    // complexity on exactly this symbol-heavy warm sequence, so the
+    // wire carries less than the rendered results it delivered.
+    const std::uint64_t rendered =
+        3 * (analyzeBytes.size() + impactBytes.size());
+    EXPECT_LT(session.wireStats().bytesReceived, rendered);
+    EXPECT_GT(session.wireStats().framesReceived, 0u);
 }
 
 // -------------------------------------------------- frame corruption
@@ -659,16 +316,22 @@ TEST_F(Protocol2Test, OversizedRequestFrameIsSkippedRecoverably)
     // Sanely framed but over the request limit. All digits — no
     // dictionary instructions — so neither side's table moves and the
     // connection stays usable after the skip.
-    std::string payload;
-    payload.push_back(
-        static_cast<char>(methodWireByte(Method::Analyze)));
-    payload.push_back(static_cast<char>(kPriorityNormal));
-    putVarint(payload, 0);
-    payload += "{\"n\":" + std::string(2000, '1') + "}";
-    std::string frame;
-    wire::appendFrame(frame, wire::FrameType::Request,
-                      wire::kFlagEndStream, 1, payload);
-    ASSERT_TRUE(v2->conn.sendRaw(frame));
+    auto sendOversized = [&](std::uint32_t stream) {
+        std::string payload;
+        payload.push_back(
+            static_cast<char>(methodWireByte(Method::Analyze)));
+        payload.push_back(static_cast<char>(kPriorityNormal));
+        putVarint(payload, 0);
+        payload += "{\"n\":" + std::string(2000, '1') + "}";
+        std::string frame;
+        wire::appendFrame(frame, wire::FrameType::Request,
+                          wire::kFlagEndStream, stream, payload);
+        return v2->conn.sendRaw(frame);
+    };
+    // The error's offset is where the offending frame starts on the
+    // connection: everything this client sent before it.
+    const std::uint64_t firstStart = v2->conn.bytesSent();
+    ASSERT_TRUE(sendOversized(1));
 
     std::optional<RawResponse> rejected = readResponse(*v2, 1);
     ASSERT_TRUE(rejected.has_value());
@@ -676,6 +339,8 @@ TEST_F(Protocol2Test, OversizedRequestFrameIsSkippedRecoverably)
     const ErrorInfo error = parseErrorObject(rejected->body);
     EXPECT_EQ(error.code, ErrorCode::ProtocolError);
     EXPECT_NE(error.message.find("exceeds"), std::string::npos);
+    EXPECT_EQ(error.offset, firstStart);
+    EXPECT_GT(error.offset, 0u);
 
     // Same connection, next stream: a well-formed request succeeds.
     JsonValue params = JsonValue::makeObject();
@@ -685,7 +350,24 @@ TEST_F(Protocol2Test, OversizedRequestFrameIsSkippedRecoverably)
     ASSERT_TRUE(accepted.has_value());
     EXPECT_FALSE(accepted->isError);
     EXPECT_TRUE(accepted->body.isObject());
-    EXPECT_GE(server_->stats().protocolErrors, 1u);
+
+    // A second violation further into the connection reports its own,
+    // larger offset, and the connection still recovers.
+    const std::uint64_t secondStart = v2->conn.bytesSent();
+    ASSERT_TRUE(sendOversized(5));
+    std::optional<RawResponse> again = readResponse(*v2, 5);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_TRUE(again->isError);
+    const ErrorInfo secondError = parseErrorObject(again->body);
+    EXPECT_EQ(secondError.code, ErrorCode::ProtocolError);
+    EXPECT_EQ(secondError.offset, secondStart);
+    EXPECT_GT(secondError.offset, error.offset);
+    ASSERT_TRUE(sendRequestFrame(*v2, 7, Method::Health,
+                                 JsonValue::makeObject()));
+    std::optional<RawResponse> healthy = readResponse(*v2, 7);
+    ASSERT_TRUE(healthy.has_value());
+    EXPECT_FALSE(healthy->isError);
+    EXPECT_EQ(server_->stats().protocolErrors, 2u);
 }
 
 // --------------------------------------------- span-context corruption
@@ -860,7 +542,6 @@ TEST_F(Protocol2Test, NoTracingPeerInteropsWithoutContextField)
     SessionOptions quiet;
     quiet.tracing = false;
     Session session = connect(quiet);
-    ASSERT_EQ(session.protocolVersion(), kProtocolVersionV2);
     EXPECT_FALSE(session.tracingNegotiated());
     Expected<Response> health = session.health();
     ASSERT_TRUE(health.ok()) << health.error().render();
@@ -943,7 +624,6 @@ TEST_F(Protocol2Test, TinyWindowsChunkResponsesWithoutChangingThem)
     tiny.initialWindow = 128;
     tiny.maxFramePayload = 64;
     Session narrow = connect(tiny);
-    ASSERT_EQ(narrow.protocolVersion(), kProtocolVersionV2);
     Expected<Response> got = narrow.analyze(analyzeRequest(50));
     ASSERT_TRUE(got.ok()) << got.error().render();
     ASSERT_TRUE(got.value().ok);
@@ -965,7 +645,6 @@ TEST_F(Protocol2Test, InteractiveRequestsOvertakeQueuedBulk)
     config.workers = 1; // force a queue so scheduling order shows
     startServer(config);
     Session session = connect();
-    ASSERT_EQ(session.protocolVersion(), kProtocolVersionV2);
 
     SleepRequest blocker;
     blocker.ms = 100;
@@ -1017,7 +696,6 @@ TEST_F(Protocol2Test, PipelinedStatsIsNotBlockedBehindSlowWork)
 {
     startServer();
     Session session = connect();
-    ASSERT_EQ(session.protocolVersion(), kProtocolVersionV2);
 
     SleepRequest nap;
     nap.ms = 500;

@@ -1,11 +1,13 @@
 /**
  * @file
- * Robustness tests: corrupted/truncated inputs die with clear errors
- * instead of misbehaving; the wildcard matcher agrees with a reference
+ * Robustness tests: corrupted/truncated inputs fail with structured
+ * errors instead of misbehaving; the wildcard matcher agrees with a reference
  * implementation under fuzzing; malformed trace shapes degrade
  * gracefully in the analyses.
  */
 
+#include <regex>
+#include <span>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -36,50 +38,58 @@ serializedSample()
     return out.str();
 }
 
+/** The rendered decode error for the TLC1 image @p bytes; the test
+ *  fails when they decode. */
+std::string
+decodeError(const std::string &bytes)
+{
+    Expected<TraceCorpus> corpus =
+        parseCorpus(std::as_bytes(std::span(bytes)), "<stream>");
+    EXPECT_FALSE(corpus.ok());
+    return corpus.ok() ? std::string() : corpus.error().render();
+}
+
+// Hostile TLC1 images yield a structured SourceError naming what is
+// wrong — never a crash, garbage, or an exit.
 TEST(SerializeDeath, BadMagicIsFatal)
 {
     std::string bytes = serializedSample();
     bytes[0] = 'X';
-    EXPECT_EXIT(
-        {
-            std::istringstream in(bytes);
-            readCorpus(in);
-        },
-        testing::ExitedWithCode(1), "bad magic");
+    const std::string error = decodeError(bytes);
+    EXPECT_TRUE(std::regex_search(error, std::regex("bad magic")))
+        << error;
 }
 
 TEST(SerializeDeath, UnsupportedVersionIsFatal)
 {
     std::string bytes = serializedSample();
     bytes[4] = 99; // version field
-    EXPECT_EXIT(
-        {
-            std::istringstream in(bytes);
-            readCorpus(in);
-        },
-        testing::ExitedWithCode(1), "version");
+    const std::string error = decodeError(bytes);
+    EXPECT_TRUE(std::regex_search(error, std::regex("version")))
+        << error;
 }
 
 TEST(SerializeDeath, TruncationIsFatal)
 {
     const std::string bytes = serializedSample();
-    // Cut at several depths; every cut must die cleanly, never crash
+    // Cut at several depths; every cut must fail cleanly, never crash
     // or return garbage.
     for (std::size_t cut : {9ul, 16ul, 32ul, bytes.size() - 3}) {
-        EXPECT_EXIT(
-            {
-                std::istringstream in(bytes.substr(0, cut));
-                readCorpus(in);
-            },
-            testing::ExitedWithCode(1), "truncated|corpus")
-            << "cut at " << cut;
+        const std::string error = decodeError(bytes.substr(0, cut));
+        EXPECT_TRUE(
+            std::regex_search(error, std::regex("truncated|corpus")))
+            << "cut at " << cut << ": " << error;
     }
 }
 
 TEST(SerializeDeath, MissingFileIsFatal)
 {
-    EXPECT_EXIT(readCorpusFile("/nonexistent/path/x.tlc"),
-                testing::ExitedWithCode(1), "cannot open");
+    Expected<TraceCorpus> corpus =
+        readCorpusFileChecked("/nonexistent/path/x.tlc");
+    ASSERT_FALSE(corpus.ok());
+    const std::string error = corpus.error().render();
+    EXPECT_TRUE(std::regex_search(error, std::regex("cannot open")))
+        << error;
 }
 
 /** Reference recursive glob matcher (exponential but obviously right). */

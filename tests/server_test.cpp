@@ -1,23 +1,23 @@
 /**
  * @file
- * Tests for the analysis service (src/server/): the wire protocol
- * against hostile input (malformed JSON, oversized lines, half-closed
- * sockets, clients vanishing mid-response), backpressure and deadline
- * behaviour, the session registry's leak-freedom, warm-query serving
- * from the artifact store (asserted via stage-span outcomes), and
- * graceful drain. Protocol-v2 framing, negotiation, and corruption
- * handling live in tests/protocol2_test.cpp; this file drives the
- * daemon through the typed Session API (negotiating v2 by default)
- * and through raw v1 lines. Built into the "server" ctest label so
- * the whole file runs under both sanitizers (ctest --preset
- * asan-server / tsan-server).
+ * Tests for the analysis service (src/server/): request handling
+ * against hostile input (malformed params, unknown methods, oversized
+ * and half-closed connections, clients vanishing mid-response), the
+ * refusal of the retired JSON-line protocol v1, backpressure and
+ * deadline behaviour, the session registry's leak-freedom, warm-query
+ * serving from the artifact store (asserted via stage-span outcomes),
+ * and graceful drain. Frame-level corruption and multiplexing live in
+ * tests/protocol2_test.cpp; this file drives the daemon through the
+ * typed Session API and through raw frames (tests/server_fixture.h).
+ * Built into the "server" ctest label so the whole file runs under
+ * both sanitizers (ctest --preset asan-server / tsan-server).
  */
 
-#include <unistd.h>
-
 #include <chrono>
-#include <filesystem>
+#include <fstream>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -30,6 +30,7 @@
 #include "src/util/json.h"
 #include "src/util/telemetry.h"
 #include "src/workload/generator.h"
+#include "tests/server_fixture.h"
 
 namespace tracelens
 {
@@ -38,131 +39,21 @@ namespace server
 namespace
 {
 
-namespace fs = std::filesystem;
+using ServerTest = DaemonTest;
 
-/** Self-cleaning scratch dir (pid-suffixed: binaries run under -j). */
-class ScratchDir
+/** {"ms": @p ms} — the test-only sleep method's params. */
+JsonValue
+sleepParams(double ms)
 {
-  public:
-    explicit ScratchDir(const std::string &name)
-        : path_(fs::temp_directory_path() /
-                ("tracelens_server_test_" +
-                 std::to_string(::getpid()) + "_" + name))
-    {
-        fs::remove_all(path_);
-        fs::create_directories(path_);
-    }
-    ~ScratchDir() { fs::remove_all(path_); }
-
-    std::string str() const { return path_.string(); }
-    const fs::path &path() const { return path_; }
-
-  private:
-    fs::path path_;
-};
-
-/** One small corpus file + one running daemon per fixture. */
-class ServerTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        scratch_ = std::make_unique<ScratchDir>(
-            ::testing::UnitTest::GetInstance()
-                ->current_test_info()
-                ->name());
-        CorpusSpec spec;
-        spec.machines = 8;
-        spec.seed = 1337;
-        corpusPath_ = (scratch_->path() / "corpus.tlc").string();
-        writeCorpusFile(generateCorpus(spec), corpusPath_);
-    }
-
-    /** Start a daemon on an ephemeral port with @p config. */
-    void
-    startServer(ServerConfig config = {})
-    {
-        config.host = "127.0.0.1";
-        config.port = 0;
-        config.enableTestMethods = true;
-        server_ = std::make_unique<Server>(config);
-        Expected<std::uint16_t> port = server_->start();
-        ASSERT_TRUE(port.ok()) << port.error().render();
-        port_ = port.value();
-    }
-
-    Session
-    connect(SessionOptions options = {})
-    {
-        Expected<Session> session =
-            Session::connect("127.0.0.1", port_, options);
-        EXPECT_TRUE(session.ok());
-        return std::move(session.value());
-    }
-
-    RawConn
-    connectRaw()
-    {
-        Expected<RawConn> conn = RawConn::connect(
-            "127.0.0.1", port_, std::chrono::milliseconds(30000));
-        EXPECT_TRUE(conn.ok());
-        return std::move(conn.value());
-    }
-
-    /** One raw v1 request/response round trip on @p conn. */
-    std::string
-    rawCall(RawConn &conn, const std::string &method,
-            const JsonValue &params, double id = 1)
-    {
-        JsonValue request = JsonValue::makeObject();
-        request.set("id", JsonValue(id));
-        request.set("method", JsonValue(method));
-        request.set("params", params);
-        EXPECT_TRUE(conn.sendRaw(request.render() + "\n"));
-        Expected<std::string> reply = conn.readLine();
-        EXPECT_TRUE(reply.ok());
-        return reply.ok() ? reply.value() : std::string();
-    }
-
-    AnalyzeRequest
-    analyzeRequest(std::size_t top = 5) const
-    {
-        AnalyzeRequest request;
-        request.corpus = corpusPath_;
-        request.scenario = "BrowserTabCreate";
-        request.top = top;
-        return request;
-    }
-
-    void
-    TearDown() override
-    {
-        if (server_ != nullptr && !server_->stopped()) {
-            server_->requestStop();
-            server_->wait();
-        }
-        // Leak check on every path out of every test: a request that
-        // crashed, timed out, or vanished must still unpin its
-        // session.
-        if (server_ != nullptr)
-            EXPECT_EQ(server_->registry().stats().activeHandles, 0u);
-        server_.reset();
-        scratch_.reset();
-    }
-
-    std::unique_ptr<ScratchDir> scratch_;
-    std::string corpusPath_;
-    std::unique_ptr<Server> server_;
-    std::uint16_t port_ = 0;
-};
+    SleepRequest request;
+    request.ms = ms;
+    return request.toParams();
+}
 
 TEST_F(ServerTest, HealthReportsProtocolVersions)
 {
     startServer();
     Session session = connect();
-    // Auto-negotiation against a current server lands on v2.
-    EXPECT_EQ(session.protocolVersion(), kProtocolVersionV2);
     Expected<Response> response = session.health();
     ASSERT_TRUE(response.ok()) << response.error().render();
     ASSERT_TRUE(response.value().ok);
@@ -174,84 +65,89 @@ TEST_F(ServerTest, HealthReportsProtocolVersions)
         response.value().result.find("protocols");
     ASSERT_NE(protocols, nullptr);
     ASSERT_TRUE(protocols->isArray());
-    ASSERT_EQ(protocols->asArray().size(),
-              supportedProtocolVersions().size());
-    EXPECT_EQ(protocols->asArray()[0].asNumber(), kProtocolVersionV1);
-    EXPECT_EQ(protocols->asArray()[1].asNumber(), kProtocolVersionV2);
+    ASSERT_EQ(protocols->asArray().size(), 1u);
+    EXPECT_EQ(protocols->asArray()[0].asNumber(), kProtocolVersionV2);
 }
 
 TEST_F(ServerTest, MalformedJsonAnswersBadRequestAndKeepsConnection)
 {
     startServer();
-    RawConn client = connectRaw();
-    const char *garbage[] = {
-        "not json at all",
-        "{\"method\":}",
-        "[1,2,3]",
-        "{\"method\":42}",
-        "{\"method\":\"\"}",
-        "{\"method\":\"analyze\",\"params\":7}",
-        "{\"method\":\"analyze\",\"deadline_ms\":-5}",
-        "{\"unterminated\":\"",
+    std::optional<RawV2> v2 = handshake();
+    ASSERT_TRUE(v2.has_value());
+
+    // Request params that are not a JSON object, carried in otherwise
+    // well-formed request frames: each answers bad_request on its own
+    // stream, and the connection stays open.
+    std::vector<std::string> garbage = {
+        "not json at all", "{\"method\":}",   "[1,2,3]",
+        "7",               "\"a string\"",    "{\"unterminated\":\"",
     };
-    for (const char *line : garbage) {
-        ASSERT_TRUE(client.sendRaw(std::string(line) + "\n"));
-        Expected<std::string> reply = client.readLine();
-        ASSERT_TRUE(reply.ok()) << reply.error().render();
-        EXPECT_NE(reply.value().find("bad_request"),
-                  std::string::npos)
-            << "for input: " << line;
-    }
     // Deeply nested input must be depth-limited, not stack-overflowed.
-    std::string deep(20000, '[');
-    ASSERT_TRUE(client.sendRaw(deep + "\n"));
-    Expected<std::string> reply = client.readLine();
-    ASSERT_TRUE(reply.ok());
-    EXPECT_NE(reply.value().find("bad_request"), std::string::npos);
+    garbage.push_back(std::string(20000, '['));
+    std::uint32_t stream = 1;
+    for (const std::string &params : garbage) {
+        ASSERT_TRUE(sendRawRequest(*v2, stream,
+                                   methodWireByte(Method::Analyze), {},
+                                   params));
+        std::optional<RawResponse> reply = readResponse(*v2, stream);
+        ASSERT_TRUE(reply.has_value()) << "for params: " << params;
+        EXPECT_TRUE(reply->isError);
+        EXPECT_EQ(parseErrorObject(reply->body).code,
+                  ErrorCode::BadRequest)
+            << "for params: " << params.substr(0, 40);
+        stream += 2;
+    }
 
     // The connection survived all of it.
-    const std::string health =
-        rawCall(client, "health", JsonValue::makeObject());
-    EXPECT_NE(health.find("\"ok\":true"), std::string::npos);
+    ASSERT_TRUE(sendRequestFrame(*v2, stream, Method::Health,
+                                 JsonValue::makeObject()));
+    std::optional<RawResponse> health = readResponse(*v2, stream);
+    ASSERT_TRUE(health.has_value());
+    EXPECT_FALSE(health->isError);
+    EXPECT_EQ(server_->stats().protocolErrors, 0u);
 }
 
-TEST_F(ServerTest, OversizedRequestLineAnswersProtocolErrorAndRecovers)
+TEST_F(ServerTest, ProtocolV1IsRefusedInBothDirections)
 {
-    ServerConfig config;
-    config.maxLineBytes = 256;
-    startServer(config);
-    RawConn client = connectRaw();
+    startServer();
 
-    // 4 KiB without a newline: the server must bound its buffer and
-    // answer one structured protocol_error carrying the byte offset
-    // of the offending line...
-    ASSERT_TRUE(client.sendRaw(std::string(4096, 'x')));
-    Expected<std::string> reply = client.readLine();
-    ASSERT_TRUE(reply.ok()) << reply.error().render();
-    Expected<Response> parsed = parseResponseLine(reply.value());
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_FALSE(parsed.value().ok);
-    EXPECT_EQ(parsed.value().error.code, ErrorCode::ProtocolError);
-    EXPECT_EQ(parsed.value().error.offset, 0u)
-        << "offending line started at byte 0 of the connection";
+    // A v1 client opens with a JSON request line instead of the
+    // preface: the server answers one GOAWAY naming the retired
+    // protocol and hangs up.
+    RawConn v1 = connectRaw();
+    JsonValue request = JsonValue::makeObject();
+    request.set("id", JsonValue(1));
+    request.set("method", JsonValue("health"));
+    ASSERT_TRUE(v1.sendRaw(request.render() + "\n"));
+    expectGoaway(v1, "protocol v1");
+    EXPECT_EQ(server_->stats().protocolErrors, 1u);
 
-    // ...and the connection must survive: terminating the discarded
-    // line resumes normal service on the same socket.
-    ASSERT_TRUE(client.sendRaw("\n"));
-    const std::string health =
-        rawCall(client, "health", JsonValue::makeObject());
-    EXPECT_NE(health.find("\"ok\":true"), std::string::npos);
+    // The daemon itself is unaffected: a v2 session on it answers.
+    Session session = connect();
+    Expected<Response> health = session.health();
+    ASSERT_TRUE(health.ok()) << health.error().render();
+    EXPECT_TRUE(health.value().ok);
 
-    // A second violation mid-connection reports a nonzero offset.
-    ASSERT_TRUE(client.sendRaw(std::string(4096, 'y')));
-    Expected<std::string> again = client.readLine();
-    ASSERT_TRUE(again.ok());
-    Expected<Response> parsedAgain = parseResponseLine(again.value());
-    ASSERT_TRUE(parsedAgain.ok());
-    EXPECT_EQ(parsedAgain.value().error.code,
-              ErrorCode::ProtocolError);
-    EXPECT_GT(parsedAgain.value().error.offset, 0u);
-    EXPECT_GE(server_->stats().protocolErrors, 2u);
+    // The other direction: a peer that answers the preface with a
+    // JSON line (what a v1-only daemon sent) fails connect() with an
+    // error, well within the session's read timeout.
+    ScriptedPeer oldServer([](int fd) {
+        if (recvExact(fd, wire::kPreface.size() + 1))
+            sendAll(fd, "{\"ok\":false,\"error\":{\"code\":"
+                        "\"bad_request\",\"message\":\"parse "
+                        "error\"}}\n");
+    });
+    SessionOptions options;
+    options.ioTimeout = std::chrono::milliseconds(3000);
+    const auto start = std::chrono::steady_clock::now();
+    Expected<Session> refused =
+        Session::connect("127.0.0.1", oldServer.port(), options);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_FALSE(refused.ok());
+    EXPECT_NE(refused.error().render().find("SETTINGS"),
+              std::string::npos)
+        << refused.error().render();
+    EXPECT_LT(elapsed, options.ioTimeout);
 }
 
 TEST_F(ServerTest, UnknownMethodAndUnknownCorpusAnswerNotFound)
@@ -259,12 +155,24 @@ TEST_F(ServerTest, UnknownMethodAndUnknownCorpusAnswerNotFound)
     startServer();
     Session session = connect();
 
-    // Unknown method names can only exist over v1 (v2 transits a
-    // method byte), so drive that case with a raw line.
-    RawConn raw = connectRaw();
-    const std::string unknown =
-        rawCall(raw, "frobnicate", JsonValue::makeObject());
-    EXPECT_NE(unknown.find("not_found"), std::string::npos);
+    // A method byte past the vocabulary answers not_found on its
+    // stream and keeps the connection.
+    std::optional<RawV2> raw = handshake();
+    ASSERT_TRUE(raw.has_value());
+    ASSERT_TRUE(sendRawRequest(*raw, 1, 200, {}, "{}"));
+    std::optional<RawResponse> unknown = readResponse(*raw, 1);
+    ASSERT_TRUE(unknown.has_value());
+    EXPECT_TRUE(unknown->isError);
+    const ErrorInfo error = parseErrorObject(unknown->body);
+    EXPECT_EQ(error.code, ErrorCode::NotFound);
+    EXPECT_NE(error.message.find("unknown method byte 200"),
+              std::string::npos)
+        << error.message;
+    ASSERT_TRUE(
+        sendRequestFrame(*raw, 3, Method::Health, JsonValue::makeObject()));
+    std::optional<RawResponse> health = readResponse(*raw, 3);
+    ASSERT_TRUE(health.has_value());
+    EXPECT_FALSE(health->isError);
 
     IngestRequest missing;
     missing.corpus = (scratch_->path() / "nope.tlc").string();
@@ -339,14 +247,10 @@ TEST_F(ServerTest, BackpressureRejectsBeyondMaxInflight)
 
     // First request occupies the single worker and the single
     // inflight slot...
-    RawConn busy = connectRaw();
-    JsonValue sleepLong = JsonValue::makeObject();
-    sleepLong.set("ms", JsonValue(500));
-    JsonValue request = JsonValue::makeObject();
-    request.set("id", JsonValue(1));
-    request.set("method", JsonValue("sleep"));
-    request.set("params", sleepLong);
-    ASSERT_TRUE(busy.sendRaw(request.render() + "\n"));
+    Session busy = connect();
+    Expected<std::uint64_t> sleeper =
+        busy.send(Method::Sleep, sleepParams(500));
+    ASSERT_TRUE(sleeper.ok()) << sleeper.error().render();
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
     // ...so a second is rejected with "overloaded" immediately, from
@@ -368,9 +272,10 @@ TEST_F(ServerTest, BackpressureRejectsBeyondMaxInflight)
     EXPECT_TRUE(health.value().ok);
 
     // The sleeper finishes normally.
-    Expected<std::string> done = busy.readLine();
-    ASSERT_TRUE(done.ok());
-    EXPECT_NE(done.value().find("slept_ms"), std::string::npos);
+    Expected<Response> done = busy.wait(sleeper.value());
+    ASSERT_TRUE(done.ok()) << done.error().render();
+    ASSERT_TRUE(done.value().ok);
+    EXPECT_NE(done.value().result.find("slept_ms"), nullptr);
     EXPECT_GE(server_->stats().rejected, 1u);
 }
 
@@ -399,14 +304,10 @@ TEST_F(ServerTest, DeadlinesCancelCooperatively)
     // Queue-wait expiry: a request whose deadline elapses while a
     // long request holds the only worker is answered at dequeue, not
     // run.
-    RawConn blocker = connectRaw();
-    JsonValue longParams = JsonValue::makeObject();
-    longParams.set("ms", JsonValue(400));
-    JsonValue blockReq = JsonValue::makeObject();
-    blockReq.set("id", JsonValue(1));
-    blockReq.set("method", JsonValue("sleep"));
-    blockReq.set("params", longParams);
-    ASSERT_TRUE(blocker.sendRaw(blockReq.render() + "\n"));
+    Session blocker = connect();
+    Expected<std::uint64_t> blocking =
+        blocker.send(Method::Sleep, sleepParams(400));
+    ASSERT_TRUE(blocking.ok()) << blocking.error().render();
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
     SleepRequest quick;
@@ -417,41 +318,34 @@ TEST_F(ServerTest, DeadlinesCancelCooperatively)
     ASSERT_TRUE(queued.ok());
     EXPECT_FALSE(queued.value().ok);
     EXPECT_EQ(queued.value().error.code, ErrorCode::DeadlineExceeded);
-    Expected<std::string> done = blocker.readLine();
-    ASSERT_TRUE(done.ok());
+    Expected<Response> done = blocker.wait(blocking.value());
+    ASSERT_TRUE(done.ok()) << done.error().render();
+    EXPECT_TRUE(done.value().ok);
 }
 
 TEST_F(ServerTest, HalfClosedSocketStillReceivesItsResponse)
 {
     startServer();
-    RawConn client = connectRaw();
-    JsonValue request = JsonValue::makeObject();
-    request.set("id", JsonValue(9));
-    request.set("method", JsonValue("ingest"));
-    JsonValue params = JsonValue::makeObject();
-    params.set("corpus", JsonValue(corpusPath_));
-    request.set("params", params);
-    ASSERT_TRUE(client.sendRaw(request.render() + "\n"));
-    client.shutdownWrite(); // half-close: FIN sent, read side open
+    std::optional<RawV2> client = handshake();
+    ASSERT_TRUE(client.has_value());
+    IngestRequest ingest;
+    ingest.corpus = corpusPath_;
+    ASSERT_TRUE(
+        sendRequestFrame(*client, 9, Method::Ingest, ingest.toParams()));
+    client->conn.shutdownWrite(); // half-close: FIN sent, read side open
 
-    Expected<std::string> reply = client.readLine();
-    ASSERT_TRUE(reply.ok()) << reply.error().render();
-    EXPECT_NE(reply.value().find("\"ok\":true"), std::string::npos);
-    EXPECT_NE(reply.value().find("shards"), std::string::npos);
+    std::optional<RawResponse> reply = readResponse(*client, 9);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_FALSE(reply->isError);
+    EXPECT_NE(reply->body.find("shards"), nullptr);
 }
 
 TEST_F(ServerTest, ClientDisconnectMidResponseDoesNotCrashOrLeak)
 {
     startServer();
     for (int i = 0; i < 5; ++i) {
-        RawConn client = connectRaw();
-        JsonValue request = JsonValue::makeObject();
-        request.set("id", JsonValue(i));
-        request.set("method", JsonValue("sleep"));
-        JsonValue params = JsonValue::makeObject();
-        params.set("ms", JsonValue(60));
-        request.set("params", params);
-        ASSERT_TRUE(client.sendRaw(request.render() + "\n"));
+        Session client = connect();
+        ASSERT_TRUE(client.send(Method::Sleep, sleepParams(60)).ok());
         client.close(); // gone before the worker answers
     }
     // Workers must finish the orphaned requests, count the drops, and
@@ -484,10 +378,6 @@ TEST_F(ServerTest, ConcurrentClientsAllSucceed)
         clients.emplace_back([&, c] {
             SessionOptions options;
             options.ioTimeout = std::chrono::milliseconds(60000);
-            // Half the fleet negotiates v2, half stays on v1: both
-            // transports hammer the same daemon concurrently.
-            options.prefer = (c % 2 == 0) ? ProtocolPreference::Auto
-                                          : ProtocolPreference::V1;
             Expected<Session> session =
                 Session::connect("127.0.0.1", port_, options);
             if (!session.ok()) {
@@ -528,27 +418,25 @@ TEST_F(ServerTest, ConcurrentClientsAllSucceed)
     EXPECT_EQ(registry.opened, 1u);
     EXPECT_GE(registry.reused,
               static_cast<std::uint64_t>(kClients * kRequests - 1));
-    EXPECT_GE(server_->stats().v2Connections, 4u);
+    EXPECT_EQ(server_->stats().v2Connections,
+              static_cast<std::uint64_t>(kClients));
 }
 
 TEST_F(ServerTest, ShutdownDrainsInflightRequestsFirst)
 {
     startServer();
-    RawConn client = connectRaw();
-    JsonValue request = JsonValue::makeObject();
-    request.set("id", JsonValue(1));
-    request.set("method", JsonValue("sleep"));
-    JsonValue params = JsonValue::makeObject();
-    params.set("ms", JsonValue(150));
-    request.set("params", params);
-    ASSERT_TRUE(client.sendRaw(request.render() + "\n"));
+    Session client = connect();
+    Expected<std::uint64_t> sleeper =
+        client.send(Method::Sleep, sleepParams(150));
+    ASSERT_TRUE(sleeper.ok()) << sleeper.error().render();
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
 
     server_->requestStop();
     // The admitted request still completes and is delivered.
-    Expected<std::string> reply = client.readLine();
+    Expected<Response> reply = client.wait(sleeper.value());
     ASSERT_TRUE(reply.ok()) << reply.error().render();
-    EXPECT_NE(reply.value().find("slept_ms"), std::string::npos);
+    ASSERT_TRUE(reply.value().ok);
+    EXPECT_NE(reply.value().result.find("slept_ms"), nullptr);
 
     server_->wait();
     EXPECT_TRUE(server_->stopped());
@@ -629,38 +517,48 @@ TEST(ServerUtil, ParseHostPort)
 
 TEST(ServerUtil, ResponseRenderingEchoesIdsAndCodes)
 {
-    const std::string anonymous =
-        renderError(std::nullopt, ErrorCode::Overloaded, "full");
-    EXPECT_NE(anonymous.find("\"ok\":false"), std::string::npos);
-    EXPECT_NE(anonymous.find("\"code\":\"overloaded\""),
+    // An error response's payload round-trips code, message and the
+    // connection byte offset...
+    ErrorInfo desync;
+    desync.code = ErrorCode::ProtocolError;
+    desync.message = "desync";
+    desync.offset = 1234;
+    const std::string rendered = renderErrorObject(desync);
+    EXPECT_NE(rendered.find("\"code\":\"protocol_error\""),
               std::string::npos);
-    EXPECT_EQ(anonymous.find("\"id\""), std::string::npos);
-    EXPECT_EQ(anonymous.back(), '\n');
-    const std::string withId =
-        renderError(7.0, ErrorCode::DeadlineExceeded, "late");
-    EXPECT_NE(withId.find("\"id\":7"), std::string::npos);
-    EXPECT_NE(withId.find("deadline_exceeded"), std::string::npos);
+    EXPECT_NE(rendered.find("\"offset\":1234"), std::string::npos);
+    Expected<JsonValue> parsed = JsonValue::parse(rendered);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().render();
+    const ErrorInfo back = parseErrorObject(parsed.value());
+    EXPECT_EQ(back.code, ErrorCode::ProtocolError);
+    EXPECT_EQ(back.message, "desync");
+    EXPECT_EQ(back.offset, 1234u);
 
-    const std::string withOffset = renderError(
-        std::nullopt, ErrorCode::ProtocolError, "desync", 1234);
-    EXPECT_NE(withOffset.find("protocol_error"), std::string::npos);
-    EXPECT_NE(withOffset.find("\"offset\":1234"), std::string::npos);
-    Expected<Response> parsed = parseResponseLine(withOffset);
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value().error.code, ErrorCode::ProtocolError);
-    EXPECT_EQ(parsed.value().error.offset, 1234u);
+    // ...and an offset of 0 (not applicable) is left out.
+    ErrorInfo full;
+    full.code = ErrorCode::Overloaded;
+    full.message = "full";
+    const std::string plain = renderErrorObject(full);
+    EXPECT_NE(plain.find("\"code\":\"overloaded\""), std::string::npos);
+    EXPECT_EQ(plain.find("\"offset\""), std::string::npos);
 }
 
 TEST(ServerUtil, MethodAndErrorCodeVocabularyRoundTrips)
 {
-    for (const Method method :
-         {Method::Health, Method::Stats, Method::Shutdown,
-          Method::Analyze, Method::Impact, Method::Mine,
-          Method::Ingest, Method::Sleep}) {
+    std::set<std::string_view> names;
+    for (std::size_t i = 0; i < kMethodCount; ++i) {
+        const Method method = static_cast<Method>(i);
+        EXPECT_FALSE(methodName(method).empty());
+        EXPECT_TRUE(names.insert(methodName(method)).second)
+            << "duplicate wire name " << methodName(method);
         EXPECT_EQ(parseMethod(methodName(method)), method);
+        EXPECT_EQ(methodWireByte(method), i);
         EXPECT_EQ(methodFromWireByte(methodWireByte(method)), method);
     }
     EXPECT_FALSE(parseMethod("frobnicate").has_value());
+    EXPECT_FALSE(
+        methodFromWireByte(static_cast<std::uint8_t>(kMethodCount))
+            .has_value());
     EXPECT_FALSE(methodFromWireByte(200).has_value());
     for (const ErrorCode code :
          {ErrorCode::BadRequest, ErrorCode::Overloaded,
@@ -670,6 +568,35 @@ TEST(ServerUtil, MethodAndErrorCodeVocabularyRoundTrips)
         EXPECT_EQ(parseErrorCode(errorCodeName(code)), code);
     }
     EXPECT_FALSE(parseErrorCode("no_such_code").has_value());
+}
+
+TEST(ServerUtil, DocsMethodTableListsExactlyTheMethods)
+{
+    const std::string path = std::string(TRACELENS_DOCS_DIR) + "/SERVER.md";
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "cannot read " << path;
+    // The first-column names of the table under "### Methods"
+    // ("| `analyze` | ...").
+    std::set<std::string> documented;
+    bool inMethods = false;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("### ", 0) == 0) {
+            inMethods = line == "### Methods";
+            continue;
+        }
+        if (inMethods && line.rfind("| `", 0) == 0)
+            documented.insert(line.substr(3, line.find('`', 3) - 3));
+    }
+    std::set<std::string> spoken;
+    for (std::size_t i = 0; i < kMethodCount; ++i)
+        spoken.emplace(methodName(static_cast<Method>(i)));
+    for (const std::string &name : documented)
+        EXPECT_TRUE(spoken.count(name) != 0)
+            << path << " documents \"" << name << "\", which Method lacks";
+    for (const std::string &name : spoken)
+        EXPECT_TRUE(documented.count(name) != 0)
+            << path << " does not document the method \"" << name << "\"";
 }
 
 } // namespace

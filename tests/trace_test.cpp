@@ -15,6 +15,7 @@
 #include "src/trace/stream.h"
 #include "src/trace/symbols.h"
 #include "src/trace/validate.h"
+#include "tests/corpus_bytes.h"
 
 namespace tracelens
 {
@@ -245,7 +246,7 @@ TEST(Serialize, RoundTripPreservesEverything)
 
     std::stringstream buffer;
     writeCorpus(original, buffer);
-    const TraceCorpus copy = readCorpus(buffer);
+    const TraceCorpus copy = decodeCorpusBytes(buffer.str());
 
     ASSERT_EQ(copy.streamCount(), original.streamCount());
     ASSERT_EQ(copy.totalEvents(), original.totalEvents());
@@ -282,7 +283,7 @@ TEST(Serialize, DoubleRoundTripIsIdentical)
     std::stringstream b1, b2;
     writeCorpus(original, b1);
     const std::string first = b1.str();
-    writeCorpus(readCorpus(b1), b2);
+    writeCorpus(decodeCorpusBytes(first), b2);
     EXPECT_EQ(first, b2.str());
 }
 
@@ -294,7 +295,7 @@ TEST(Serialize, CompressedRoundTripPreservesEverything)
     CorpusWriteOptions options;
     options.compressEvents = true;
     writeCorpus(original, buffer, options);
-    const TraceCorpus copy = readCorpus(buffer);
+    const TraceCorpus copy = decodeCorpusBytes(buffer.str());
 
     ASSERT_EQ(copy.streamCount(), original.streamCount());
     ASSERT_EQ(copy.totalEvents(), original.totalEvents());
@@ -335,7 +336,7 @@ TEST(Serialize, CompressedWriteIsSmallerAndRawStaysByteStable)
     // reproduces the raw bytes exactly: nothing was lost in delta
     // space.
     std::stringstream again;
-    writeCorpus(readCorpus(packed), again);
+    writeCorpus(decodeCorpusBytes(packed.str()), again);
     EXPECT_EQ(raw.str(), again.str());
 }
 

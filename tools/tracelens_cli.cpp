@@ -29,13 +29,10 @@
  *   serve      --listen HOST:PORT [...]
  *              Long-running analysis daemon (docs/SERVER.md): keeps
  *              corpora and artifacts warm, answers concurrent clients
- *              over protocol v2 (multiplexed binary frames) or v1
- *              (newline-delimited JSON), negotiated per connection.
+ *              over protocol v2 (multiplexed binary frames).
  *   query      METHOD --connect HOST:PORT [--params JSON]
  *              One request against a running daemon; prints the
  *              result JSON (--field KEY prints just that field).
- *              --protocol auto|v1|v2 picks the wire revision
- *              (default auto).
  *   watch      DIR [--scenario NAME]... [--window-ms N] [...]
  *              Continuous mode without a daemon (docs/FLEET.md):
  *              poll DIR for renamed-into-place shards, bucket them
@@ -189,7 +186,7 @@ usage()
            " [--analysis-threads N]\n"
            "      [--max-sessions N] [--idle-timeout-s N]"
            " [--artifact-cache DIR]\n"
-           "      [--port-file FILE] [--disable-protocol-v2]\n"
+           "      [--port-file FILE]\n"
            "      [--coordinator --cluster-workers HOST:PORT,...]"
            " [--shard-deadline-ms N]\n"
            "      [--metrics-listen HOST:PORT]"
@@ -205,7 +202,7 @@ usage()
            "  tracelens query METHOD --connect HOST:PORT"
            " [--params JSON]\n"
            "      [--deadline-ms N] [--timeout-ms N]"
-           " [--protocol auto|v1|v2] [--wire-stats]\n"
+           " [--wire-stats]\n"
            "      [--no-trace] [--field KEY] [--params-file FILE]\n"
            "  tracelens watch DIR [--scenario NAME]..."
            " [--window-ms N] [--max-windows N]\n"
@@ -823,10 +820,7 @@ cmdVersion()
               << "  artifact cache:  TLA1 v" << artifactCacheVersion()
               << "\n"
               << "  server protocol: v" << server::kProtocolVersion
-              << " (speaks";
-    for (std::uint32_t revision : server::supportedProtocolVersions())
-        std::cout << " v" << revision;
-    std::cout << ")\n"
+              << "\n"
               << "  partial encoding: TLP1 v"
               << partialEncodingRevision()
               << " (cluster scatter/gather)\n"
@@ -1000,10 +994,6 @@ cmdServe(const Args &args)
          args.has("watch-scenario") || args.has("alerts-out"))) {
         TL_FATAL("continuous-mode flags require --watch DIR");
     }
-    // Ops escape hatch: behave like a pre-v2 daemon (clients fall
-    // back to JSON lines), e.g. to bisect a protocol regression.
-    config.enableProtocolV2 = !args.has("disable-protocol-v2");
-
     server::Server daemon(config);
     Expected<std::uint16_t> port = daemon.start();
     if (!port)
@@ -1091,14 +1081,6 @@ cmdQuery(const Args &args)
         options.ioTimeout = std::chrono::milliseconds(
             parseUnsignedFlag("--timeout-ms", *v, 86'400'000));
     }
-    if (auto v = args.flag("protocol")) {
-        if (*v == "v1")
-            options.prefer = server::ProtocolPreference::V1;
-        else if (*v == "v2")
-            options.prefer = server::ProtocolPreference::V2;
-        else if (*v != "auto")
-            TL_FATAL("--protocol expects auto|v1|v2, got '", *v, "'");
-    }
 
     Expected<server::Session> session = server::Session::connect(
         address.value().first, address.value().second, options);
@@ -1106,7 +1088,7 @@ cmdQuery(const Args &args)
         TL_FATAL(session.error().render());
     // Root a fresh distributed trace at the CLI when the server
     // negotiated tracing, so a coordinator query stitches end to end
-    // under one id (--no-trace opts out; v1 silently skips).
+    // under one id (--no-trace opts out).
     if (!args.has("no-trace") && session.value().tracingNegotiated()) {
         call.traceContext.traceId = Telemetry::newTraceId();
         call.traceContext.parentSpanId = 0;
@@ -1122,8 +1104,8 @@ cmdQuery(const Args &args)
         // stderr, not TL_LOG(Info): the query result owns stdout so
         // the output stays pipeable with --wire-stats on.
         const server::WireStats wire = session.value().wireStats();
-        std::cerr << "query: protocol v"
-                  << session.value().protocolVersion() << ", "
+        std::cerr << "query: protocol v" << server::kProtocolVersion
+                  << ", "
                   << wire.bytesSent << " bytes out / "
                   << wire.bytesReceived << " bytes in ("
                   << wire.framesSent << "/" << wire.framesReceived
