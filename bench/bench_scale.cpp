@@ -16,9 +16,8 @@
  *   BENCH_scale_scenario_speedup, BENCH_scale_pipeline_speedup,
  *   BENCH_scale_ingest_speedup
  * and writes the eager-vs-mmap ingestion comparison to
- * BENCH_ingest.json, the cold-vs-warm artifact-cache pipeline
- * comparison to BENCH_pipeline.json, the self-telemetry
- * (span-recording) overhead measurement to BENCH_telemetry.json, and
+ * BENCH_ingest.json, the self-telemetry (span-recording) overhead
+ * measurement to BENCH_telemetry.json, and
  * the analysis-service load test (multithreaded clients against a
  * live daemon, cold vs warm query latency) to BENCH_server.json, and
  * the protocol-v2 transport comparison (wire bytes with the symbol
@@ -275,128 +274,8 @@ main(int argc, char **argv)
                      speedup(pipeline_serial, pipeline_parallel), 2)});
     std::cout << perf.render();
 
-    // ---- artifact cache: no cache vs cold vs warm full pipeline -----
-    // The same corpus and scenario set analyzed three times: with no
-    // cache, then twice through a disk artifact cache. The cold run
-    // computes and persists every AWG; the warm run (a fresh Analyzer,
-    // as a new process would be) restores them and recomputes the
-    // rest. The warm run is worth its cache only if it beats the run
-    // with no cache at all.
-    const std::filesystem::path cache_dir =
-        std::filesystem::temp_directory_path() /
-        "tracelens_bench_artifact_cache";
-    std::filesystem::remove_all(cache_dir);
-
-    AnalyzerConfig cached_config;
-    cached_config.threads = threads;
-    cached_config.artifactCacheDir = cache_dir.string();
-
-    auto stageTotals = [](const PipelineStats &stats) {
-        StageStats total;
-        for (const StageStats &s : stats.stages) {
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.diskHits += s.diskHits;
-            total.diskWrites += s.diskWrites;
-            total.diskBytes += s.diskBytes;
-        }
-        return total;
-    };
-
-    double nocache_ms = 0, cold_ms = 0, warm_ms = 0;
-    StageStats nocache_totals, cold_totals, warm_totals;
-    std::size_t nocache_patterns = 0, cold_patterns = 0, warm_patterns = 0;
-    {
-        AnalyzerConfig nocache_config = cached_config;
-        nocache_config.artifactCacheDir.clear();
-        EagerSource source(corpus);
-        const auto start = std::chrono::steady_clock::now();
-        Analyzer analyzer(source, nocache_config);
-        const auto analyses = analyzer.analyzeScenarios(scenarios);
-        nocache_ms = msSince(start);
-        nocache_totals = stageTotals(analyzer.pipelineStats());
-        for (const auto &analysis : analyses)
-            nocache_patterns += analysis.mining.patterns.size();
-    }
-    {
-        EagerSource source(corpus);
-        const auto start = std::chrono::steady_clock::now();
-        Analyzer analyzer(source, cached_config);
-        const auto analyses = analyzer.analyzeScenarios(scenarios);
-        cold_ms = msSince(start);
-        cold_totals = stageTotals(analyzer.pipelineStats());
-        for (const auto &analysis : analyses)
-            cold_patterns += analysis.mining.patterns.size();
-    }
-    {
-        EagerSource source(corpus);
-        const auto start = std::chrono::steady_clock::now();
-        Analyzer analyzer(source, cached_config);
-        const auto analyses = analyzer.analyzeScenarios(scenarios);
-        warm_ms = msSince(start);
-        warm_totals = stageTotals(analyzer.pipelineStats());
-        for (const auto &analysis : analyses)
-            warm_patterns += analysis.mining.patterns.size();
-    }
-    std::uint64_t cache_bytes = 0;
-    std::size_t cache_files = 0;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(cache_dir)) {
-        cache_bytes += std::filesystem::file_size(entry.path());
-        ++cache_files;
-    }
-    std::filesystem::remove_all(cache_dir);
-    if (cold_patterns != warm_patterns ||
-        nocache_patterns != warm_patterns) {
-        std::cerr << "warm-cache mining mismatch\n";
-        return 1;
-    }
-
-    std::cout << "\n== Artifact cache (" << cache_files << " files, "
-              << TextTable::num(
-                     static_cast<double>(cache_bytes) / (1024.0 * 1024.0),
-                     1)
-              << " MiB) ==\n";
-    TextTable cache({"Run", "ms", "misses", "disk hits", "disk writes"});
-    cache.addRow({"no cache", TextTable::num(nocache_ms, 0),
-                  std::to_string(nocache_totals.misses),
-                  std::to_string(nocache_totals.diskHits),
-                  std::to_string(nocache_totals.diskWrites)});
-    cache.addRow({"cold", TextTable::num(cold_ms, 0),
-                  std::to_string(cold_totals.misses),
-                  std::to_string(cold_totals.diskHits),
-                  std::to_string(cold_totals.diskWrites)});
-    cache.addRow({"warm", TextTable::num(warm_ms, 0),
-                  std::to_string(warm_totals.misses),
-                  std::to_string(warm_totals.diskHits),
-                  std::to_string(warm_totals.diskWrites)});
-    std::cout << cache.render();
-
-    {
-        std::ofstream json("BENCH_pipeline.json");
-        json << "{\n"
-             << "  \"scenarios\": " << scenarios.size() << ",\n"
-             << "  \"threads\": " << threads << ",\n"
-             << "  \"cache_files\": " << cache_files << ",\n"
-             << "  \"cache_bytes\": " << cache_bytes << ",\n"
-             << "  \"nocache_ms\": " << nocache_ms << ",\n"
-             << "  \"cold_ms\": " << cold_ms << ",\n"
-             << "  \"cold_misses\": " << cold_totals.misses << ",\n"
-             << "  \"cold_disk_writes\": " << cold_totals.diskWrites
-             << ",\n"
-             << "  \"warm_ms\": " << warm_ms << ",\n"
-             << "  \"warm_misses\": " << warm_totals.misses << ",\n"
-             << "  \"warm_disk_hits\": " << warm_totals.diskHits << ",\n"
-             << "  \"warm_speedup\": " << speedup(cold_ms, warm_ms)
-             << ",\n"
-             << "  \"warm_vs_nocache\": " << speedup(nocache_ms, warm_ms)
-             << "\n}\n";
-        std::cout << "wrote BENCH_pipeline.json\n";
-    }
-
     // ---- self-telemetry overhead: span recording off vs on ---------
-    // The full scenario pipeline (fresh Analyzer, memory-only cache)
-    // timed best-of-3 with span recording disabled and enabled. Spans
+    // The full scenario pipeline (fresh Analyzer) timed best-of-3 with span recording disabled and enabled. Spans
     // sit at shard/stage granularity, so the delta bounds what
     // --trace-out costs a real analysis run; the overhead contract in
     // src/util/telemetry.h calls for < 3%.
@@ -566,13 +445,12 @@ main(int argc, char **argv)
     // ---- analysis service: cold vs warm query latency under load ---
     // A live daemon on an ephemeral loopback port, the corpus from
     // above on disk, and real clients over TCP. Cold phase: each
-    // scenario is queried against a freshly started daemon with an
-    // empty artifact cache — what the first query after a deployment
-    // pays (session open, wait-graph and AWG construction, mining).
-    // Warm phase: client threads hammer a long-lived daemon with the
-    // same queries; every one is answered from the shared
-    // ArtifactStore / response cache. The contract (docs/SERVER.md):
-    // warm p50 must beat cold p50 by >= 100x.
+    // scenario is queried against a freshly started daemon — what the
+    // first query after a deployment pays (session open, wait-graph
+    // and AWG construction, mining). Warm phase: client threads hammer
+    // a long-lived daemon with the same queries; every one is answered
+    // from the response cache. The contract (docs/SERVER.md): warm p50
+    // must beat cold p50 by >= 100x.
     const std::filesystem::path server_dir =
         std::filesystem::temp_directory_path() /
         "tracelens_bench_server";
@@ -587,8 +465,6 @@ main(int argc, char **argv)
     server_config.port = 0;
     server_config.workers = threads;
     server_config.maxInflight = 256;
-    server_config.registry.artifactCacheDir =
-        (server_dir / "artifacts").string();
     // The multiplexing bench below saturates the workers with the
     // test-only sleep method.
     server_config.enableTestMethods = true;
@@ -622,8 +498,6 @@ main(int argc, char **argv)
 
     std::vector<double> cold_us;
     for (const ScenarioThresholds &scenario : scenarios) {
-        std::filesystem::remove_all(
-            server_config.registry.artifactCacheDir);
         server::Server daemon(server_config);
         startDaemon(daemon);
         server::Session client = connectClient(daemon.port());
@@ -640,13 +514,12 @@ main(int argc, char **argv)
         daemon.wait();
     }
 
-    std::filesystem::remove_all(server_config.registry.artifactCacheDir);
     server::Server daemon(server_config);
     startDaemon(daemon);
     const std::uint16_t server_port = daemon.port();
     {
-        // Untimed warm-up: build the artifacts once and populate the
-        // response cache, so the timed phase measures steady state.
+        // Untimed warm-up: analyze once and populate the response
+        // cache, so the timed phase measures steady state.
         server::Session client = connectClient(server_port);
         for (const ScenarioThresholds &scenario : scenarios) {
             const auto reply = client.call(server::Method::Analyze,
@@ -1079,8 +952,8 @@ main(int argc, char **argv)
         return params;
     };
 
-    // Byte-identity first (this also warms the threshold-independent
-    // wait-graph artifacts on every daemon, so the timed phase below
+    // Byte-identity first (this also builds the threshold-independent
+    // wait graphs on every daemon, so the timed phase below
     // measures the per-query scenario stages on both sides).
     bool cluster_identical = true;
     {
@@ -1344,8 +1217,6 @@ main(int argc, char **argv)
               << "\n"
               << "BENCH_scale_ingest_speedup="
               << speedup(eager_ms, scan_ms) << "\n"
-              << "BENCH_scale_artifact_warm_speedup="
-              << speedup(cold_ms, warm_ms) << "\n"
               << "BENCH_scale_telemetry_overhead_pct="
               << telemetry_overhead_pct << "\n"
               << "BENCH_scale_server_warm_rps=" << warm_rps << "\n"

@@ -23,8 +23,7 @@ fail() { echo "smoke_server: FAIL: $*" >&2; exit 1; }
 "$CLI" generate --out "$WORK/corpus.tlc" --machines 10 --seed 42 \
     >/dev/null 2>&1 || fail "corpus generation"
 
-tl_start_daemon srv --workers 2 --artifact-cache "$WORK/artifacts" \
-    || fail "daemon startup"
+tl_start_daemon srv --workers 2 || fail "daemon startup"
 ADDR="$srv_ADDR"
 
 "$CLI" query health --connect "$ADDR" | grep -q '"status":"ok"' \

@@ -1,15 +1,17 @@
 /**
  * @file
- * Analyzer: per-shard ingestion with content digesting, the artifact
- * stage graph (wait graphs -> per-instance summaries -> classes/impact
- * -> AWGs -> mining), per-scenario eviction of per-query artifacts,
- * and the multi-scenario fan-out.
+ * Analyzer: per-shard ingestion with content digesting, the stage
+ * graph (wait graphs -> per-instance summaries -> classes/impact ->
+ * AWGs -> mining), the per-scenario slots of last-asked results, the
+ * per-stage counters, and the multi-scenario fan-out.
  */
 
 #include "src/core/analyzer.h"
 
-#include <algorithm>
+#include <chrono>
 #include <iterator>
+#include <sstream>
+#include <utility>
 
 #include "src/trace/merge.h"
 #include "src/trace/serialize.h"
@@ -19,6 +21,63 @@
 
 namespace tracelens
 {
+
+std::string_view
+stageName(Stage stage)
+{
+    switch (stage) {
+    case Stage::WaitGraphs:
+        return "wait-graphs";
+    case Stage::Classes:
+        return "classes";
+    case Stage::Impact:
+        return "impact";
+    case Stage::Awg:
+        return "awg";
+    case Stage::Mining:
+        return "mining";
+    }
+    return "unknown";
+}
+
+namespace
+{
+
+/** Span name literal per stage (span names must outlive the flush). */
+const char *
+stageSpanName(Stage stage)
+{
+    switch (stage) {
+    case Stage::WaitGraphs:
+        return "stage.wait-graphs";
+    case Stage::Classes:
+        return "stage.classes";
+    case Stage::Impact:
+        return "stage.impact";
+    case Stage::Awg:
+        return "stage.awg";
+    case Stage::Mining:
+        return "stage.mining";
+    }
+    return "stage.unknown";
+}
+
+} // namespace
+
+std::string
+PipelineStats::render() const
+{
+    std::ostringstream oss;
+    oss << "pipeline stages:\n";
+    for (std::size_t i = 0; i < kStageCount; ++i) {
+        const StageStats &s = stages[i];
+        oss << "  " << stageName(static_cast<Stage>(i)) << ": "
+            << s.hits << " hit" << (s.hits == 1 ? "" : "s") << ", "
+            << s.misses << " miss" << (s.misses == 1 ? "" : "es")
+            << ", " << s.buildMs << " ms build\n";
+    }
+    return oss.str();
+}
 
 double
 ScenarioAnalysis::driverCostShare()
@@ -43,9 +102,19 @@ ScenarioAnalysis::nonOptimizableShare() const
 
 Analyzer::Analyzer(TraceSource &source, AnalyzerConfig config)
     : source_(&source), config_(std::move(config)),
-      components_(config_.components), store_(config_.artifactCacheDir)
+      components_(config_.components)
 {
-    computeFingerprints();
+    // Resolve the per-stage counter handles once; every update after
+    // this is a relaxed atomic increment.
+    for (std::size_t i = 0; i < kStageCount; ++i) {
+        const std::string prefix =
+            "pipeline." + std::string(stageName(static_cast<Stage>(i)));
+        counters_[i].hits = &metrics_.counter(prefix + ".hits");
+        counters_[i].misses = &metrics_.counter(prefix + ".misses");
+        counters_[i].buildNs = &metrics_.counter(prefix + ".build_ns");
+        counters_[i].summaries =
+            &metrics_.counter(prefix + ".summaries");
+    }
     const std::size_t count = source.shardCount();
     for (std::size_t i = 0; i < count; ++i) {
         Expected<CorpusPtr> shard = source.shard(i);
@@ -55,34 +124,24 @@ Analyzer::Analyzer(TraceSource &source, AnalyzerConfig config)
     }
 }
 
-void
-Analyzer::computeFingerprints()
+Analyzer::~Analyzer()
 {
-    Digest base;
-    base.mix(kSchemaVersion);
-    base.mix(static_cast<std::uint64_t>(config_.components.size()));
-    for (const std::string &component : config_.components)
-        base.mix(std::string_view(component));
+    metrics_.mergeInto(MetricsRegistry::global());
+}
 
-    fpWaitGraph_ = base;
-    fpWaitGraph_.mix(config_.waitGraph.maxDepth)
-        .mix(config_.waitGraph.maxNodes)
-        .mix(static_cast<std::uint64_t>(config_.waitGraph.containmentOnly))
-        .mix(static_cast<std::uint64_t>(config_.waitGraph.clipToWindows));
-
-    // Classification reads only instance durations, so its fingerprint
-    // carries no component or graph options.
-    fpClasses_ = Digest{};
-    fpClasses_.mix(kSchemaVersion);
-
-    fpAwg_ = fpWaitGraph_;
-    fpAwg_.mix(static_cast<std::uint64_t>(
-                   config_.awg.eliminateInnerIrrelevant))
-        .mix(static_cast<std::uint64_t>(config_.awg.reduceNonOptimizable));
-
-    fpMining_ = fpAwg_;
-    fpMining_.mix(config_.maxSegmentLength)
-        .mix(static_cast<std::uint64_t>(config_.useMetaPatternGate));
+PipelineStats
+Analyzer::pipelineStats() const
+{
+    PipelineStats stats;
+    for (std::size_t i = 0; i < kStageCount; ++i) {
+        StageStats &s = stats.stages[i];
+        const StageCounters &c = counters_[i];
+        s.hits = c.hits->value();
+        s.misses = c.misses->value();
+        s.buildMs = static_cast<double>(c.buildNs->value()) / 1e6;
+        s.summaries = c.summaries->value();
+    }
+    return stats;
 }
 
 void
@@ -95,10 +154,8 @@ Analyzer::absorb(const TraceCorpus &part, CorpusPtr alias)
                  static_cast<std::uint64_t>(part.instances().size()));
     }
 
+    corpusDigest_.mix(digestCorpus(part));
     ShardRecord record;
-    record.digest = digestCorpus(part);
-    record.chain = shards_.empty() ? Digest{} : shards_.back().chain;
-    record.chain.mix(record.digest);
     record.firstInstance =
         static_cast<std::uint32_t>(corpus_->instances().size());
     record.instanceCount =
@@ -116,6 +173,8 @@ Analyzer::absorb(const TraceCorpus &part, CorpusPtr alias)
     shards_.push_back(record);
     for (std::uint32_t i = 0; i < record.instanceCount; ++i)
         summaries_.emplace_back();
+    corpusImpact_ = std::make_unique<CorpusImpact>();
+    slots_.clear();
 
     // (Re-)prime the symbol table's per-filter match cache: the
     // parallel stages consult it concurrently, which is safe only
@@ -130,7 +189,7 @@ Analyzer::ensureOwned()
         return;
     // appendCorpus re-interns in id order, so the copy is structurally
     // identical to the alias (same ids, same instance order) and every
-    // existing artifact stays valid.
+    // wait graph and summary already built stays valid.
     ownedCorpus_ = TraceCorpus{};
     appendCorpus(ownedCorpus_, *aliasShard_);
     aliasShard_.reset();
@@ -144,21 +203,40 @@ Analyzer::addStreams(const TraceCorpus &part)
     absorb(part, nullptr);
 }
 
-const Digest &
-Analyzer::chainTip() const
+template <typename Build>
+void
+Analyzer::runStage(Stage stage, bool held, Build &&build) const
 {
-    static const Digest kEmptyChain;
-    return shards_.empty() ? kEmptyChain : shards_.back().chain;
+    const StageCounters &counters =
+        counters_[static_cast<std::size_t>(stage)];
+    Span span(stageSpanName(stage), "pipeline");
+    if (span.active())
+        span.arg("outcome", std::string(held ? "hit" : "miss"));
+    if (held) {
+        counters.hits->add(1);
+        return;
+    }
+    const auto start = std::chrono::steady_clock::now();
+    build();
+    counters.misses->add(1);
+    counters.buildNs->add(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
 }
 
-Digest
-Analyzer::stageKey(const Digest &fingerprint, std::string_view salt,
-                   const Digest &input)
+template <typename T, typename Build>
+const T &
+Analyzer::memo(Stage stage, Lazy<T> &lazy, Build &&build) const
 {
-    Digest key = fingerprint;
-    key.mix(salt);
-    key.mix(input);
-    return key;
+    bool built = false;
+    std::call_once(lazy.once, [&] {
+        runStage(stage, false, [&] { lazy.value = build(); });
+        built = true;
+    });
+    if (!built)
+        runStage(stage, true, [] {});
+    return lazy.value;
 }
 
 const std::vector<WaitGraph> &
@@ -181,9 +259,7 @@ Analyzer::graphs() const
             // streams, and the ids the prefix interned), so the graphs
             // of shards already built stay as they are.
             const ShardRecord &shard = shards_[i];
-            const Digest key =
-                stageKey(fpWaitGraph_, "waitgraphs", shard.chain);
-            store_.track(Stage::WaitGraphs, key, i < graphsShards_, [&] {
+            runStage(Stage::WaitGraphs, i < graphsShards_, [&] {
                 std::vector<WaitGraph> built = builder.buildRangeParallel(
                     shard.firstInstance, shard.instanceCount, threads);
                 graphs_.insert(graphs_.end(),
@@ -199,52 +275,35 @@ Analyzer::graphs() const
 ImpactResult
 Analyzer::impactAll() const
 {
-    const Digest key = stageKey(fpWaitGraph_, "impact:all", chainTip());
-    auto result = store_.get<ImpactResult>(Stage::Impact, key, [&] {
+    return memo(Stage::Impact, corpusImpact_->all, [&] {
         ImpactAnalysis impact(*corpus_, components_);
         return impact.analyze(graphs(), config_.threads);
     });
-    return *result;
 }
 
 std::unordered_map<std::uint32_t, ImpactResult>
 Analyzer::impactPerScenario() const
 {
-    const Digest key =
-        stageKey(fpWaitGraph_, "impact:per-scenario", chainTip());
-    using Map = std::unordered_map<std::uint32_t, ImpactResult>;
-    auto result = store_.get<Map>(Stage::Impact, key, [&] {
+    return memo(Stage::Impact, corpusImpact_->perScenario, [&] {
         ImpactAnalysis impact(*corpus_, components_);
         return impact.analyzePerScenario(graphs(), config_.threads);
     });
-    return *result;
 }
 
-Digest
-Analyzer::queryCoords(std::uint32_t scenario, DurationNs t_fast,
-                      DurationNs t_slow) const
+std::shared_ptr<Analyzer::QuerySlot>
+Analyzer::querySlot(std::uint32_t scenario, DurationNs t_fast,
+                    DurationNs t_slow) const
 {
-    Digest coords = chainTip();
-    coords.mix(scenario)
-        .mix(static_cast<std::uint64_t>(t_fast))
-        .mix(static_cast<std::uint64_t>(t_slow));
-    return coords;
-}
-
-void
-Analyzer::keepQueryKey(std::uint32_t scenario, const Digest &coords,
-                       const Digest &key) const
-{
-    std::lock_guard<std::mutex> lock(queryKeysMutex_);
-    QueryKeys &kept = queryKeys_[scenario];
-    if (!(kept.coords == coords)) {
-        store_.erase(kept.keys);
-        kept.keys.clear();
-        kept.coords = coords;
+    std::shared_ptr<QuerySlot> replaced; // freed after the unlock
+    const std::lock_guard<std::mutex> lock(slotsMutex_);
+    std::shared_ptr<QuerySlot> &slot = slots_[scenario];
+    if (slot == nullptr || slot->tFast != t_fast ||
+        slot->tSlow != t_slow) {
+        replaced = std::exchange(slot, std::make_shared<QuerySlot>());
+        slot->tFast = t_fast;
+        slot->tSlow = t_slow;
     }
-    if (std::find(kept.keys.begin(), kept.keys.end(), key) ==
-        kept.keys.end())
-        kept.keys.push_back(key);
+    return slot;
 }
 
 ContrastClasses
@@ -252,29 +311,23 @@ Analyzer::classify(std::uint32_t scenario, DurationNs t_fast,
                    DurationNs t_slow) const
 {
     TL_ASSERT(t_fast > 0 && t_slow > t_fast, "bad thresholds");
-    const Digest coords = queryCoords(scenario, t_fast, t_slow);
-    const Digest key = stageKey(fpClasses_, "classes", coords);
-    auto classes = store_.get<ContrastClasses>(Stage::Classes, key, [&] {
-        ContrastClasses result;
-        // T_fast/T_slow classification as a sweep over the instance
-        // columns — two small arrays instead of the full records.
-        const auto scenarios = corpus_->instanceScenarios();
-        const auto durations = corpus_->instanceDurations();
-        for (std::uint32_t i = 0; i < scenarios.size(); ++i) {
-            if (scenarios[i] != scenario)
-                continue;
-            const DurationNs duration = durations[i];
-            if (duration < t_fast)
-                result.fast.push_back(i);
-            else if (duration > t_slow)
-                result.slow.push_back(i);
-            else
-                result.middle.push_back(i);
-        }
-        return result;
-    });
-    keepQueryKey(scenario, coords, key);
-    return *classes;
+    ContrastClasses result;
+    // T_fast/T_slow classification as a sweep over the instance
+    // columns — two small arrays instead of the full records.
+    const auto scenarios = corpus_->instanceScenarios();
+    const auto durations = corpus_->instanceDurations();
+    for (std::uint32_t i = 0; i < scenarios.size(); ++i) {
+        if (scenarios[i] != scenario)
+            continue;
+        const DurationNs duration = durations[i];
+        if (duration < t_fast)
+            result.fast.push_back(i);
+        else if (duration > t_slow)
+            result.slow.push_back(i);
+        else
+            result.middle.push_back(i);
+    }
+    return result;
 }
 
 template <typename T, typename Compute>
@@ -309,7 +362,8 @@ Analyzer::classImpact(const std::vector<std::uint32_t> &members,
     const std::uint64_t computed = summarize(
         members, &InstanceSummaries::contribution, threads,
         [&](std::uint32_t i) { return impact.collect(all[i]); });
-    store_.countSummaries(Stage::Impact, computed);
+    counters_[static_cast<std::size_t>(Stage::Impact)].summaries->add(
+        computed);
 
     // The D_waitdist dedup is order-sensitive: fold in instance order.
     PartialImpact partial;
@@ -332,7 +386,8 @@ Analyzer::classAwg(const std::vector<std::uint32_t> &members,
     const std::uint64_t computed = summarize(
         members, &InstanceSummaries::fragment, threads,
         [&](std::uint32_t i) { return builder.summarize(all[i]); });
-    store_.countSummaries(Stage::Awg, computed);
+    counters_[static_cast<std::size_t>(Stage::Awg)].summaries->add(
+        computed);
 
     // The trie's node layout follows absorb order: fold in instance
     // order.
@@ -441,54 +496,43 @@ Analyzer::analyzeScenarioWithThreads(std::string_view name,
     analysis.tFast = t_fast;
     analysis.tSlow = t_slow;
 
-    // Per-scenario stage keys share this suffix: the data chain plus
-    // the (scenario, thresholds) coordinates of the contrast classes.
-    // Every key fetched at these coordinates is kept as the
-    // scenario's per-query set, replacing the previous coordinates'.
-    const Digest coords = queryCoords(scenario, t_fast, t_slow);
-    analysis.classes = classify(scenario, t_fast, t_slow);
+    const std::shared_ptr<QuerySlot> slot =
+        querySlot(scenario, t_fast, t_slow);
+    analysis.classes = memo(Stage::Classes, slot->classes, [&] {
+        return classify(scenario, t_fast, t_slow);
+    });
     graphs(); // built outside the stage spans
 
-    const Digest slowImpactKey =
-        stageKey(fpWaitGraph_, "impact:slow", coords);
-    auto slowImpact =
-        store_.get<ImpactResult>(Stage::Impact, slowImpactKey, [&] {
-            return classImpact(analysis.classes.slow, threads).finalize();
-        });
-    keepQueryKey(scenario, coords, slowImpactKey);
-    analysis.slowImpact = *slowImpact;
+    analysis.slowImpact = memo(Stage::Impact, slot->slowImpact, [&] {
+        return classImpact(analysis.classes.slow, threads).finalize();
+    });
     for (std::uint32_t i : analysis.classes.slow)
         analysis.slowDuration += corpus_->instances()[i].duration();
 
-    auto classAwgAt = [&](std::string_view salt,
-                          const std::vector<std::uint32_t> &members) {
-        const Digest key = stageKey(fpAwg_, salt, coords);
-        auto awg = store_.awg(key, [&] {
+    auto classAwgAt = [&](Lazy<AggregatedWaitGraph> &awg,
+                          const std::vector<std::uint32_t> &members)
+        -> const AggregatedWaitGraph & {
+        return memo(Stage::Awg, awg, [&] {
             return classAwg(members, threads)
                 .finalize(config_.awg.reduceNonOptimizable);
         });
-        keepQueryKey(scenario, coords, key);
-        return awg;
     };
-    auto awgFast = classAwgAt("awg:fast", analysis.classes.fast);
-    auto awgSlow = classAwgAt("awg:slow", analysis.classes.slow);
-    analysis.awgFast = *awgFast;
-    analysis.awgSlow = *awgSlow;
+    const AggregatedWaitGraph &awgFast =
+        classAwgAt(slot->awgFast, analysis.classes.fast);
+    const AggregatedWaitGraph &awgSlow =
+        classAwgAt(slot->awgSlow, analysis.classes.slow);
+    analysis.awgFast = awgFast;
+    analysis.awgSlow = awgSlow;
 
-    const Digest miningKey = stageKey(fpMining_, "mining", coords);
-    auto mining = store_.get<MiningResult>(
-        Stage::Mining, miningKey, [&] {
-            MiningOptions mining_options;
-            mining_options.maxSegmentLength = config_.maxSegmentLength;
-            mining_options.tFast = t_fast;
-            mining_options.tSlow = t_slow;
-            mining_options.useMetaPatternGate =
-                config_.useMetaPatternGate;
-            ContrastMiner miner(*corpus_, mining_options);
-            return miner.mine(*awgFast, *awgSlow, threads);
-        });
-    keepQueryKey(scenario, coords, miningKey);
-    analysis.mining = *mining;
+    analysis.mining = memo(Stage::Mining, slot->mining, [&] {
+        MiningOptions mining_options;
+        mining_options.maxSegmentLength = config_.maxSegmentLength;
+        mining_options.tFast = t_fast;
+        mining_options.tSlow = t_slow;
+        mining_options.useMetaPatternGate = config_.useMetaPatternGate;
+        ContrastMiner miner(*corpus_, mining_options);
+        return miner.mine(awgFast, awgSlow, threads);
+    });
 
     // RQ1 denominator: the total driver cost as aggregated — the kept
     // graph plus the non-optimizable portion removed by ReduceAWG

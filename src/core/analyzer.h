@@ -1,8 +1,7 @@
 /**
  * @file
  * The TraceLens pipeline facade: the full two-step analysis of the
- * paper over a trace corpus, restructured as an explicit stage graph
- * over an artifact store.
+ * paper over a trace corpus, as an explicit stage graph.
  *
  * Step 1 (impact analysis, Section 3): corpus-wide and per-scenario
  * IA_run / IA_wait / IA_opt for a chosen component filter.
@@ -18,29 +17,26 @@
  * thresholds nor the other instances, so the Analyzer computes them
  * the first time a query needs that instance and keeps them: a
  * per-class stage (slow-class impact, fast and slow AWGs) folds its
- * class members' kept values in instance order. Every result derived
- * from a class is an *artifact* in an ArtifactStore
- * (src/core/artifacts.h), keyed by a content hash of its inputs: the
- * digest chain of the ingested shards plus a fingerprint of the
- * relevant configuration. Per scenario, the store keeps only the
- * per-query artifacts (classes, slow impact, AWGs, mining) of the
- * coordinates the scenario was last asked at — chain tip, T_fast,
- * T_slow — so a daemon exploring thresholds does not pile them up.
- * Two consequences of content keys:
+ * class members' kept values in instance order. On top of those the
+ * Analyzer keeps two things:
  *
- *  - Incrementality: addStreams() appends trace data and invalidates
- *    nothing that was derived from the existing shards — only the new
- *    shard's wait graphs (and whole-corpus aggregates) are built. The
- *    results are bit-identical to a cold analysis of the merged
- *    corpus (asserted by tests/incremental_test.cpp).
- *  - Warm starts: with AnalyzerConfig::artifactCacheDir set, AWGs
- *    persist to disk and a later process reuses them. Wait graphs do
- *    not: rebuilding them is faster than reloading them.
+ *  - the corpus-wide and per-scenario impact, computed once;
+ *  - per scenario, one slot holding the classes, slow-class impact,
+ *    both AWGs and the mining result at the thresholds the scenario
+ *    was last asked at. A query at those thresholds shares the slot;
+ *    a query at other thresholds replaces it, so a daemon exploring
+ *    thresholds does not pile results up.
  *
- * Keys exclude the thread count: every stage merges per-shard results
- * deterministically, so analysis output is bit-identical for every
- * thread count (see docs/ARCHITECTURE.md for the threading model and
- * the stage-graph key derivation).
+ * Incrementality: addStreams() appends trace data and keeps the
+ * existing shards' wait graphs and per-instance summaries — only the
+ * new shard's wait graphs are built, and the whole-corpus results
+ * (impact, slots) are dropped and rebuilt on demand. The results are
+ * bit-identical to a cold analysis of the merged corpus (asserted by
+ * tests/incremental_test.cpp).
+ *
+ * Every stage merges per-shard results deterministically, so analysis
+ * output is bit-identical for every thread count (see
+ * docs/ARCHITECTURE.md for the threading model and the stage graph).
  */
 
 #ifndef TRACELENS_CORE_ANALYZER_H
@@ -58,7 +54,6 @@
 #include <vector>
 
 #include "src/awg/awg.h"
-#include "src/core/artifacts.h"
 #include "src/core/partial.h"
 #include "src/impact/impact.h"
 #include "src/mining/coverage.h"
@@ -66,10 +61,56 @@
 #include "src/trace/source.h"
 #include "src/trace/stream.h"
 #include "src/util/hash.h"
+#include "src/util/telemetry.h"
 #include "src/waitgraph/waitgraph.h"
 
 namespace tracelens
 {
+
+/** The stages of the analysis pipeline, as traced and counted. */
+enum class Stage : std::uint8_t
+{
+    WaitGraphs = 0, //!< Per-shard wait graphs.
+    Classes = 1,    //!< Per-scenario fast/slow contrast classes.
+    Impact = 2,     //!< Corpus / per-scenario / slow-class impact.
+    Awg = 3,        //!< Fast and slow aggregated wait graphs.
+    Mining = 4,     //!< Per-scenario contrast-mining results.
+};
+
+/** Number of pipeline stages (array sizing). */
+inline constexpr std::size_t kStageCount = 5;
+
+/** Human-readable stage name ("wait-graphs", ...). */
+std::string_view stageName(Stage stage);
+
+/** Counters of one pipeline stage. */
+struct StageStats
+{
+    std::uint64_t hits = 0;   //!< Served from what the Analyzer holds.
+    std::uint64_t misses = 0; //!< Built from the inputs.
+    double buildMs = 0.0;     //!< Wall time spent producing values.
+    /** Per-instance summaries computed for the stage's class folds
+     *  (impact contributions, AWG fragments); not rendered. */
+    std::uint64_t summaries = 0;
+};
+
+/**
+ * Per-stage counters of one Analyzer: a snapshot view over its
+ * MetricsRegistry ("pipeline.<stage>.<name>" counters), rendered by
+ * the CLI's --pipeline-stats.
+ */
+struct PipelineStats
+{
+    StageStats stages[kStageCount];
+
+    const StageStats &of(Stage stage) const
+    {
+        return stages[static_cast<std::size_t>(stage)];
+    }
+
+    /** Multi-line human-readable rendering (CLI --pipeline-stats). */
+    std::string render() const;
+};
 
 /** Pipeline configuration. */
 struct AnalyzerConfig
@@ -87,14 +128,13 @@ struct AnalyzerConfig
      * the analyzeScenarios fan-out): 0 = all hardware threads
      * (default), 1 = fully serial. Every stage merges per-shard
      * results deterministically, so analysis output is bit-identical
-     * for every thread count — which is also why artifact keys exclude
-     * the thread count.
+     * for every thread count.
      */
     unsigned threads = 0;
     /**
-     * Directory for the on-disk artifact cache (AWGs survive the
-     * process; CLI: --artifact-cache DIR). Empty (default) = in-memory
-     * memoization only.
+     * Read by nothing: the on-disk artifact cache it named is gone. It
+     * remains because existing callers (the repository benchmark's
+     * probes and checks) still set the field.
      */
     std::string artifactCacheDir;
 };
@@ -150,20 +190,24 @@ class Analyzer
      * Analyze the corpus served by @p source: the source decides how
      * trace bytes reach memory (eager load, mmap, sharded directory)
      * and isolates corrupt shards; the analyzer ingests the usable
-     * shards one at a time, recording each shard's content digest for
-     * artifact keying, so construction may materialize. @p source
-     * must outlive the analyzer.
+     * shards one at a time, folding each shard's content digest into
+     * corpusDigest(), so construction may materialize. @p source must
+     * outlive the analyzer.
      */
     explicit Analyzer(TraceSource &source, AnalyzerConfig config = {});
 
+    /** Folds this analyzer's stage counters into
+     *  MetricsRegistry::global(), so --metrics-out reports
+     *  process-wide pipeline totals. */
+    ~Analyzer();
+
     /**
      * Append @p part's streams and instances to the analysis corpus
-     * as one additional shard. The existing shards' wait graphs stay
-     * as they are, and artifacts derived from them keep their keys and
-     * are served from the store; only the new shard's wait graphs and
-     * the whole-corpus aggregates (impact, classes, AWGs, mining)
-     * rebuild. Results are
-     * bit-identical to analyzing the merged corpus cold.
+     * as one additional shard. The existing shards' wait graphs and
+     * per-instance summaries stay as they are; only the new shard's
+     * wait graphs are built, and the whole-corpus results (impact,
+     * classes, AWGs, mining) are dropped and rebuilt when next asked.
+     * Results are bit-identical to analyzing the merged corpus cold.
      *
      * Not thread-safe against concurrent analysis calls; references
      * previously returned by corpus() and graphs() are invalidated.
@@ -178,10 +222,8 @@ class Analyzer
     impactPerScenario() const;
 
     /**
-     * Classify one scenario's instances against thresholds. Like
-     * every per-query stage, this makes (t_fast, t_slow) the
-     * scenario's current coordinates: the store drops the scenario's
-     * per-query artifacts of other thresholds.
+     * Classify one scenario's instances against thresholds: a sweep
+     * over the instance columns, neither kept nor counted.
      */
     ContrastClasses classify(std::uint32_t scenario, DurationNs t_fast,
                              DurationNs t_slow) const;
@@ -189,8 +231,8 @@ class Analyzer
     /**
      * Run the full causality analysis for one scenario. Its class
      * stages fold the members' per-instance summaries, computing those
-     * no earlier query needed; its per-query artifacts replace those
-     * of the scenario's previous thresholds in the store.
+     * no earlier query needed; its results replace those of the
+     * scenario's previous thresholds in the scenario's slot.
      */
     ScenarioAnalysis analyzeScenario(std::string_view name,
                                      DurationNs t_fast,
@@ -244,34 +286,23 @@ class Analyzer
     std::size_t shardCount() const { return shards_.size(); }
 
     /**
-     * Content digest of the whole ingested corpus (the shard-chain
-     * tip every whole-corpus artifact key hashes). Two analyzers over
-     * identical shard sequences report equal digests, which is what
-     * the analysis service keys its response cache on.
+     * Content digest of the whole ingested corpus: a running digest
+     * over the shards' content digests. Two analyzers over identical
+     * shard sequences report equal digests, which is what the
+     * analysis service keys its response cache on.
      */
-    const Digest &corpusDigest() const { return chainTip(); }
+    const Digest &corpusDigest() const { return corpusDigest_; }
 
-    /** Snapshot of the per-stage artifact-cache counters. */
-    PipelineStats pipelineStats() const { return store_.stats(); }
+    /** Snapshot of the per-stage counters. */
+    PipelineStats pipelineStats() const;
 
   private:
-    /**
-     * One ingested shard: its content digest, the running chain
-     * digest over all shards up to and including it (artifact keys
-     * hash the chain, so a change anywhere in the prefix invalidates
-     * every later shard's artifacts), and its instance range in the
-     * merged corpus.
-     */
+    /** One ingested shard's instance range in the merged corpus. */
     struct ShardRecord
     {
-        Digest digest;
-        Digest chain;
         std::uint32_t firstInstance = 0;
         std::uint32_t instanceCount = 0;
     };
-
-    /** Derive the per-stage config fingerprints (constructor). */
-    void computeFingerprints();
 
     /**
      * Ingest @p part as the next shard. @p alias, when non-null, is a
@@ -284,13 +315,6 @@ class Analyzer
     /** Switch from an aliased single shard to an owned copy. */
     void ensureOwned();
 
-    /** Chain digest over all ingested shards (seed when none). */
-    const Digest &chainTip() const;
-
-    /** fingerprint + stage salt + input digest -> artifact key. */
-    static Digest stageKey(const Digest &fingerprint,
-                           std::string_view salt, const Digest &input);
-
     /** analyzeScenario with an explicit stage-level thread count. */
     ScenarioAnalysis analyzeScenarioWithThreads(std::string_view name,
                                                 DurationNs t_fast,
@@ -302,8 +326,8 @@ class Analyzer
     struct Lazy
     {
         std::once_flag once;
-        /** Set after @c value is written; lets a query skip a slot
-         *  without entering the once. */
+        /** Set after @c value is written; lets summarize() skip a
+         *  computed value without entering the once. */
         std::atomic<bool> ready{false};
         T value;
     };
@@ -314,6 +338,51 @@ class Analyzer
         Lazy<AwgFragment> fragment;
         Lazy<ImpactContribution> contribution;
     };
+
+    /** The corpus-wide impact results, computed once per corpus. */
+    struct CorpusImpact
+    {
+        Lazy<ImpactResult> all;
+        Lazy<std::unordered_map<std::uint32_t, ImpactResult>> perScenario;
+    };
+
+    /**
+     * One scenario's results at the thresholds it was last asked at.
+     * Each stage builds once even when concurrent queries at these
+     * thresholds need it (the others wait in its once).
+     */
+    struct QuerySlot
+    {
+        DurationNs tFast = 0;
+        DurationNs tSlow = 0;
+        Lazy<ContrastClasses> classes;
+        Lazy<ImpactResult> slowImpact;
+        Lazy<AggregatedWaitGraph> awgFast;
+        Lazy<AggregatedWaitGraph> awgSlow;
+        Lazy<MiningResult> mining;
+    };
+
+    /**
+     * The slot of @p scenario at (t_fast, t_slow): the held one when
+     * it is at those thresholds, else a new one that replaces it. A
+     * query still running on a replaced slot keeps it alive.
+     */
+    std::shared_ptr<QuerySlot> querySlot(std::uint32_t scenario,
+                                         DurationNs t_fast,
+                                         DurationNs t_slow) const;
+
+    /**
+     * Trace and count one use of @p stage under a "stage.<name>"
+     * span: a hit when @p held, or else a miss that runs @p build and
+     * counts its wall time.
+     */
+    template <typename Build>
+    void runStage(Stage stage, bool held, Build &&build) const;
+
+    /** @p lazy's value, built by @p build on first use (a miss of
+     *  @p stage); every later use is a hit. */
+    template <typename T, typename Build>
+    const T &memo(Stage stage, Lazy<T> &lazy, Build &&build) const;
 
     /**
      * Compute @p slot for every instance of @p members that lacks it,
@@ -334,21 +403,6 @@ class Analyzer
     PartialAwg classAwg(const std::vector<std::uint32_t> &members,
                         unsigned threads) const;
 
-    /** Chain tip + scenario + thresholds: a query's coordinates. */
-    Digest queryCoords(std::uint32_t scenario, DurationNs t_fast,
-                       DurationNs t_slow) const;
-
-    /**
-     * Record @p key, just fetched from the store, as a per-query
-     * artifact of @p scenario at @p coords. When @p coords differ from
-     * those of the keys recorded so far (a new query, or one still in
-     * flight that another query overtook), erase those keys from the
-     * store first: per scenario, the store holds the per-query
-     * artifacts of one set of coordinates.
-     */
-    void keepQueryKey(std::uint32_t scenario, const Digest &coords,
-                      const Digest &key) const;
-
     TraceSource *source_;
     AnalyzerConfig config_;
     NameFilter components_;
@@ -360,13 +414,8 @@ class Analyzer
     const TraceCorpus *corpus_ = &ownedCorpus_;
 
     std::vector<ShardRecord> shards_;
-    static constexpr std::uint64_t kSchemaVersion = 1;
-    Digest fpWaitGraph_; //!< components + wait-graph options.
-    Digest fpClasses_;   //!< thresholds-only stage (no components).
-    Digest fpAwg_;       //!< fpWaitGraph_ + AWG options.
-    Digest fpMining_;    //!< fpAwg_ + mining options.
+    Digest corpusDigest_;
 
-    mutable ArtifactStore store_;
     mutable std::mutex graphsMutex_;
     mutable std::vector<WaitGraph> graphs_;
     /** Shards whose graphs graphs_ holds (the rest are built next). */
@@ -378,14 +427,24 @@ class Analyzer
      */
     mutable std::deque<InstanceSummaries> summaries_;
 
-    /** The per-query artifact keys of one scenario. */
-    struct QueryKeys
+    /** Replaced by absorb(), so a grown corpus computes it afresh. */
+    std::unique_ptr<CorpusImpact> corpusImpact_;
+
+    /** Per scenario id; absorb() clears it. */
+    mutable std::mutex slotsMutex_;
+    mutable std::unordered_map<std::uint32_t, std::shared_ptr<QuerySlot>>
+        slots_;
+
+    /** Counter handles into metrics_, one set per stage. */
+    struct StageCounters
     {
-        Digest coords; //!< Coordinates the scenario was last asked at.
-        std::vector<Digest> keys; //!< Stored under those coordinates.
+        Counter *hits = nullptr;
+        Counter *misses = nullptr;
+        Counter *buildNs = nullptr;
+        Counter *summaries = nullptr;
     };
-    mutable std::mutex queryKeysMutex_;
-    mutable std::unordered_map<std::uint32_t, QueryKeys> queryKeys_;
+    MetricsRegistry metrics_;
+    StageCounters counters_[kStageCount];
 };
 
 } // namespace tracelens

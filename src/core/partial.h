@@ -14,7 +14,7 @@
  * "Partial-result merge layer") is what makes thread counts, shard
  * splits, and machine boundaries all invisible in the output.
  *
- * The cross-machine types additionally carry a versioned TLA1-style
+ * The cross-machine types additionally carry a versioned binary
  * wire encoding ("TLP1": magic, revision, typed payload —
  * src/util/bytecodec.h primitives, every read bounds-checked). Frame
  * identity across machines: a scenario partial embeds its shard's full

@@ -147,12 +147,9 @@ WindowedAnalyzer::shardPartial(const ShardEntry &entry,
     if (it != entry.partials.end())
         return it->second;
 
-    // Transient single-shard analyzer; the partial is the artifact we
-    // keep, so the analyzer's own store stays in-memory.
-    AnalyzerConfig config = config_.analyzer;
-    config.artifactCacheDir.clear();
+    // Transient single-shard analyzer; the partial is what we keep.
     EagerSource source(entry.corpus);
-    Analyzer analyzer(source, std::move(config));
+    Analyzer analyzer(source, config_.analyzer);
     ScenarioPartial partial =
         analyzer.scenarioPartial(scenario, tFast, tSlow);
     return entry.partials.emplace(key, std::move(partial))

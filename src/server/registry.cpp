@@ -70,7 +70,19 @@ CorpusSession::cacheResponse(const Digest &key,
                              std::shared_ptr<const std::string> line)
 {
     std::lock_guard<std::mutex> lock(responseMutex_);
-    responses_.insert_or_assign(key, std::move(line));
+    const std::size_t bytes = line->size();
+    // A key already present holds the same answer (a concurrent miss
+    // rendered it too).
+    if (!responses_.try_emplace(key, std::move(line)).second)
+        return;
+    responseOrder_.push_back(key);
+    responseBytes_ += bytes;
+    while (responseBytes_ > kResponseCacheBytes) {
+        const auto oldest = responses_.find(responseOrder_.front());
+        responseBytes_ -= oldest->second->size();
+        responses_.erase(oldest);
+        responseOrder_.pop_front();
+    }
 }
 
 void
@@ -79,6 +91,10 @@ CorpusSession::absorbShard(const TraceCorpus &corpus)
     const std::unique_lock<std::shared_mutex> lock(analysisMutex_);
     analyzer_->addStreams(corpus);
     corpusDigest_ = analyzer_->corpusDigest();
+    const std::lock_guard<std::mutex> responseLock(responseMutex_);
+    responses_.clear();
+    responseOrder_.clear();
+    responseBytes_ = 0;
 }
 
 SessionRegistry::Handle::Handle(std::shared_ptr<Entry> entry,
@@ -150,7 +166,6 @@ SessionRegistry::acquire(const std::string &path,
 
         AnalyzerConfig analyzerConfig;
         analyzerConfig.threads = config_.analysisThreads;
-        analyzerConfig.artifactCacheDir = config_.artifactCacheDir;
         if (!components.empty())
             analyzerConfig.components = components;
         session->analyzer_ = std::make_unique<Analyzer>(

@@ -4,9 +4,10 @@
  * corpora *warm* between requests.
  *
  * A session owns exactly the state PRs 2–4 built for one corpus: the
- * TraceSource (mmap or eager), the Analyzer with its artifact store,
- * and a response cache keyed by content digests. The registry maps a
- * (corpus path, component filter) pair to an open session with
+ * TraceSource (mmap or eager), the Analyzer with the results it
+ * keeps, and a byte-bounded response cache keyed by content digests.
+ * The registry maps a (corpus path, component filter) pair to an open
+ * session with
  *
  *  - once-semantics on open: concurrent first requests for one corpus
  *    share a single ingestion instead of racing N of them;
@@ -19,8 +20,8 @@
  *
  * Thread-safety: acquire()/evictIdle()/stats() may be called from any
  * thread. A *session's* Analyzer is safe for concurrent analyze calls
- * (the artifact store serializes builds per key); the TraceSource is
- * only touched during the single-threaded open.
+ * (it builds each kept result once); the TraceSource is only touched
+ * during the single-threaded open.
  */
 
 #ifndef TRACELENS_SERVER_REGISTRY_H
@@ -29,6 +30,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -50,8 +52,6 @@ struct RegistryConfig
 {
     /** Ingestion options for every session (mmap, cache budget). */
     SourceOptions source;
-    /** Shared on-disk artifact cache; empty = memory-only. */
-    std::string artifactCacheDir;
     /**
      * Worker threads of each session's Analyzer. Requests already run
      * concurrently on the server pool, so the default avoids
@@ -94,13 +94,18 @@ class CorpusSession
     Analyzer &analyzer() const { return *analyzer_; }
     const SessionIngestInfo &ingestInfo() const { return ingest_; }
 
-    /** Digest of the ingested corpus content (artifact-chain tip). */
+    /** Digest of the ingested corpus content (Analyzer::corpusDigest). */
     const Digest &corpusDigest() const { return corpusDigest_; }
 
+    /** Bound on the rendered bytes the response cache holds. */
+    static constexpr std::size_t kResponseCacheBytes = 64u << 20;
+
     /**
-     * Response cache: rendered response lines keyed by a digest of
+     * Response cache: rendered responses keyed by a digest of
      * (method, params, corpus digest). An unchanged corpus answers a
-     * repeated query without re-entering the pipeline at all.
+     * repeated query without re-entering the pipeline at all. Past
+     * kResponseCacheBytes, the oldest-inserted answers are evicted
+     * first.
      */
     std::shared_ptr<const std::string>
     cachedResponse(const Digest &key) const;
@@ -108,10 +113,10 @@ class CorpusSession
                        std::shared_ptr<const std::string> line);
 
     /**
-     * Absorb a pushed shard into the warm Analyzer and refresh the
-     * response-cache digest so stale cached renders stop matching
-     * (continuous mode's `ingest_push`). Takes the exclusive side of
-     * analysisLock() for the brief append.
+     * Absorb a pushed shard into the warm Analyzer, refresh the
+     * corpus digest and empty the response cache, whose answers no
+     * longer match (continuous mode's `ingest_push`). Takes the
+     * exclusive side of analysisLock() for the brief append.
      */
     void absorbShard(const TraceCorpus &corpus);
 
@@ -141,6 +146,10 @@ class CorpusSession
     std::unordered_map<Digest, std::shared_ptr<const std::string>,
                        DigestHash>
         responses_;
+    /** Keys of responses_, oldest first (the eviction order). */
+    std::deque<Digest> responseOrder_;
+    /** Rendered bytes responses_ holds. */
+    std::size_t responseBytes_ = 0;
 };
 
 /** Registry counters (the `stats` method reports these). */

@@ -256,8 +256,6 @@ Server::start()
         fleetConfig.maxWindows = config_.fleetMaxWindows;
         fleetConfig.pollMs = config_.fleetPollMs;
         fleetConfig.alertsPath = config_.fleetAlertsPath;
-        fleetConfig.analyzer.artifactCacheDir =
-            config_.registry.artifactCacheDir;
         fleetConfig.sentinel.baselineWindows =
             config_.fleetBaselineWindows;
         for (const ScenarioSpec &spec : scenarioCatalog()) {
@@ -1297,6 +1295,31 @@ checkDeadline(const std::optional<Clock::time_point> &deadline)
                     "deadline elapsed during processing");
 }
 
+/**
+ * A cached method's answer for @p session. Under the session's shared
+ * analysis lock, which excludes ingest_push's absorbShard, serve the
+ * answer stored under a digest of @p method, the corpus digest and
+ * @p params; else run @p render and store what it returns.
+ */
+template <typename Render>
+std::string
+cachedAnswer(CorpusSession &session, Method method, const Digest &params,
+             Render &&render)
+{
+    const std::shared_lock<std::shared_mutex> analysisLock =
+        session.analysisLock();
+    Digest key;
+    key.mix(methodName(method)).mix(session.corpusDigest()).mix(params);
+    if (auto cached = session.cachedResponse(key)) {
+        TL_SPAN("server.response-cache-hit", "server");
+        return *cached;
+    }
+    std::string rendered = render();
+    session.cacheResponse(key,
+                          std::make_shared<const std::string>(rendered));
+    return rendered;
+}
+
 } // namespace
 
 std::string
@@ -1323,47 +1346,35 @@ Server::handleAnalyze(const QueuedRequest &request)
         failRequest(ErrorCode::NotFound, session.error().render());
     checkDeadline(request.deadline);
 
-    // Shared-side analysis lock: excludes ingest_push's absorbShard
-    // while this handler reads the warm analyzer and its digest.
-    const std::shared_lock<std::shared_mutex> analysisLock =
-        session.value()->analysisLock();
-
-    Digest cacheKey;
-    cacheKey.mix("analyze").mix(session.value()->corpusDigest());
-    cacheKey.mix(scenario)
+    Digest keyParams;
+    keyParams.mix(scenario)
         .mix(static_cast<std::uint64_t>(tFast))
         .mix(static_cast<std::uint64_t>(tSlow))
         .mix(static_cast<std::uint64_t>(top))
         .mix(static_cast<std::uint64_t>(applyFilter));
-    if (auto cached = session.value()->cachedResponse(cacheKey)) {
-        TL_SPAN("server.response-cache-hit", "server");
-        return *cached;
-    }
+    CorpusSession &warm = *session.value();
+    return cachedAnswer(warm, Method::Analyze, keyParams, [&] {
+        Analyzer &analyzer = warm.analyzer();
+        const TraceCorpus &corpus = analyzer.corpus();
+        if (corpus.findScenario(scenario) == UINT32_MAX)
+            failRequest(ErrorCode::NotFound,
+                        "scenario \"" + scenario +
+                            "\" not present in corpus");
+        const ScenarioAnalysis analysis =
+            analyzer.analyzeScenario(scenario, tFast, tSlow);
+        checkDeadline(request.deadline);
 
-    Analyzer &analyzer = session.value()->analyzer();
-    const TraceCorpus &corpus = analyzer.corpus();
-    if (corpus.findScenario(scenario) == UINT32_MAX)
-        failRequest(ErrorCode::NotFound,
-                    "scenario \"" + scenario +
-                        "\" not present in corpus");
-    const ScenarioAnalysis analysis =
-        analyzer.analyzeScenario(scenario, tFast, tSlow);
-    checkDeadline(request.deadline);
-
-    PartialClasses classes;
-    classes.fast = analysis.classes.fast.size();
-    classes.middle = analysis.classes.middle.size();
-    classes.slow = analysis.classes.slow.size();
-    classes.slowDuration = analysis.slowDuration;
-    const JsonValue result = scenarioJson(
-        scenario, tFast, tSlow, classes, analysis.slowImpact,
-        analysis.mining, analysis.coverage, corpus.symbols(), top,
-        applyFilter);
-
-    std::string rendered = result.render();
-    session.value()->cacheResponse(
-        cacheKey, std::make_shared<const std::string>(rendered));
-    return rendered;
+        PartialClasses classes;
+        classes.fast = analysis.classes.fast.size();
+        classes.middle = analysis.classes.middle.size();
+        classes.slow = analysis.classes.slow.size();
+        classes.slowDuration = analysis.slowDuration;
+        return scenarioJson(scenario, tFast, tSlow, classes,
+                            analysis.slowImpact, analysis.mining,
+                            analysis.coverage, corpus.symbols(), top,
+                            applyFilter)
+            .render();
+    });
 }
 
 std::string
@@ -1380,41 +1391,28 @@ Server::handleImpact(const QueuedRequest &request)
         failRequest(ErrorCode::NotFound, session.error().render());
     checkDeadline(request.deadline);
 
-    // Shared-side analysis lock: excludes ingest_push's absorbShard
-    // while this handler reads the warm analyzer and its digest.
-    const std::shared_lock<std::shared_mutex> analysisLock =
-        session.value()->analysisLock();
+    CorpusSession &warm = *session.value();
+    return cachedAnswer(warm, Method::Impact, Digest{}, [&] {
+        Analyzer &analyzer = warm.analyzer();
+        const TraceCorpus &corpus = analyzer.corpus();
 
-    Digest cacheKey;
-    cacheKey.mix("impact").mix(session.value()->corpusDigest());
-    if (auto cached = session.value()->cachedResponse(cacheKey)) {
-        TL_SPAN("server.response-cache-hit", "server");
-        return *cached;
-    }
-
-    Analyzer &analyzer = session.value()->analyzer();
-    const TraceCorpus &corpus = analyzer.corpus();
-
-    JsonValue result = JsonValue::makeObject();
-    JsonValue componentsJson = JsonValue::makeArray();
-    for (const std::string &glob :
-         analyzer.components().patterns())
-        componentsJson.push(JsonValue(glob));
-    result.set("components", std::move(componentsJson));
-    result.set("all", impactJson(analyzer.impactAll()));
-    checkDeadline(request.deadline);
-    JsonValue perScenario = JsonValue::makeObject();
-    for (const auto &[scenarioId, impact] :
-         analyzer.impactPerScenario()) {
-        perScenario.set(corpus.scenarioName(scenarioId),
-                        impactJson(impact));
-    }
-    result.set("per_scenario", std::move(perScenario));
-
-    std::string rendered = result.render();
-    session.value()->cacheResponse(
-        cacheKey, std::make_shared<const std::string>(rendered));
-    return rendered;
+        JsonValue result = JsonValue::makeObject();
+        JsonValue componentsJson = JsonValue::makeArray();
+        for (const std::string &glob :
+             analyzer.components().patterns())
+            componentsJson.push(JsonValue(glob));
+        result.set("components", std::move(componentsJson));
+        result.set("all", impactJson(analyzer.impactAll()));
+        checkDeadline(request.deadline);
+        JsonValue perScenario = JsonValue::makeObject();
+        for (const auto &[scenarioId, impact] :
+             analyzer.impactPerScenario()) {
+            perScenario.set(corpus.scenarioName(scenarioId),
+                            impactJson(impact));
+        }
+        result.set("per_scenario", std::move(perScenario));
+        return result.render();
+    });
 }
 
 std::string
@@ -1439,40 +1437,27 @@ Server::handleMine(const QueuedRequest &request)
         failRequest(ErrorCode::NotFound, session.error().render());
     checkDeadline(request.deadline);
 
-    // Shared-side analysis lock: excludes ingest_push's absorbShard
-    // while this handler reads the warm analyzer and its digest.
-    const std::shared_lock<std::shared_mutex> analysisLock =
-        session.value()->analysisLock();
-
-    Digest cacheKey;
-    cacheKey.mix("mine").mix(session.value()->corpusDigest());
-    cacheKey.mix(scenario)
+    Digest keyParams;
+    keyParams.mix(scenario)
         .mix(static_cast<std::uint64_t>(tFast))
         .mix(static_cast<std::uint64_t>(tSlow))
         .mix(static_cast<std::uint64_t>(maxPatterns));
-    if (auto cached = session.value()->cachedResponse(cacheKey)) {
-        TL_SPAN("server.response-cache-hit", "server");
-        return *cached;
-    }
+    CorpusSession &warm = *session.value();
+    return cachedAnswer(warm, Method::Mine, keyParams, [&] {
+        Analyzer &analyzer = warm.analyzer();
+        const TraceCorpus &corpus = analyzer.corpus();
+        if (corpus.findScenario(scenario) == UINT32_MAX)
+            failRequest(ErrorCode::NotFound,
+                        "scenario \"" + scenario +
+                            "\" not present in corpus");
+        const ScenarioAnalysis analysis =
+            analyzer.analyzeScenario(scenario, tFast, tSlow);
+        checkDeadline(request.deadline);
 
-    Analyzer &analyzer = session.value()->analyzer();
-    const TraceCorpus &corpus = analyzer.corpus();
-    if (corpus.findScenario(scenario) == UINT32_MAX)
-        failRequest(ErrorCode::NotFound,
-                    "scenario \"" + scenario +
-                        "\" not present in corpus");
-    const ScenarioAnalysis analysis =
-        analyzer.analyzeScenario(scenario, tFast, tSlow);
-    checkDeadline(request.deadline);
-
-    const JsonValue result =
-        mineJson(scenario, tSlow, analysis.mining, analysis.coverage,
-                 corpus.symbols(), maxPatterns);
-
-    std::string rendered = result.render();
-    session.value()->cacheResponse(
-        cacheKey, std::make_shared<const std::string>(rendered));
-    return rendered;
+        return mineJson(scenario, tSlow, analysis.mining,
+                        analysis.coverage, corpus.symbols(), maxPatterns)
+            .render();
+    });
 }
 
 std::string
@@ -1559,40 +1544,27 @@ Server::handleAnalyzePartial(const QueuedRequest &request)
         failRequest(ErrorCode::NotFound, session.error().render());
     checkDeadline(request.deadline);
 
-    // Shared-side analysis lock: excludes ingest_push's absorbShard
-    // while this handler reads the warm analyzer and its digest.
-    const std::shared_lock<std::shared_mutex> analysisLock =
-        session.value()->analysisLock();
-
-    Digest cacheKey;
-    cacheKey.mix("analyze_partial")
-        .mix(session.value()->corpusDigest())
-        .mix(scenario)
+    Digest keyParams;
+    keyParams.mix(scenario)
         .mix(static_cast<std::uint64_t>(tFast))
         .mix(static_cast<std::uint64_t>(tSlow));
-    if (auto cached = session.value()->cachedResponse(cacheKey)) {
-        TL_SPAN("server.response-cache-hit", "server");
-        return *cached;
-    }
+    CorpusSession &warm = *session.value();
+    return cachedAnswer(warm, Method::AnalyzePartial, keyParams, [&] {
+        Analyzer &analyzer = warm.analyzer();
+        const bool found =
+            analyzer.corpus().findScenario(scenario) != UINT32_MAX;
+        const ScenarioPartial partial =
+            analyzer.scenarioPartial(scenario, tFast, tSlow);
+        checkDeadline(request.deadline);
 
-    Analyzer &analyzer = session.value()->analyzer();
-    const bool found =
-        analyzer.corpus().findScenario(scenario) != UINT32_MAX;
-    const ScenarioPartial partial =
-        analyzer.scenarioPartial(scenario, tFast, tSlow);
-    checkDeadline(request.deadline);
-
-    JsonValue result = JsonValue::makeObject();
-    result.set("encoding_revision",
-               JsonValue(partialEncodingRevision()));
-    result.set("scenario_found", JsonValue(found));
-    result.set("partial",
-               JsonValue(base64Encode(encodeScenarioPartial(partial))));
-
-    std::string rendered = result.render();
-    session.value()->cacheResponse(
-        cacheKey, std::make_shared<const std::string>(rendered));
-    return rendered;
+        JsonValue result = JsonValue::makeObject();
+        result.set("encoding_revision",
+                   JsonValue(partialEncodingRevision()));
+        result.set("scenario_found", JsonValue(found));
+        result.set("partial", JsonValue(base64Encode(
+                                  encodeScenarioPartial(partial))));
+        return result.render();
+    });
 }
 
 std::string
@@ -1609,33 +1581,18 @@ Server::handleImpactPartial(const QueuedRequest &request)
         failRequest(ErrorCode::NotFound, session.error().render());
     checkDeadline(request.deadline);
 
-    // Shared-side analysis lock: excludes ingest_push's absorbShard
-    // while this handler reads the warm analyzer and its digest.
-    const std::shared_lock<std::shared_mutex> analysisLock =
-        session.value()->analysisLock();
+    CorpusSession &warm = *session.value();
+    return cachedAnswer(warm, Method::ImpactPartial, Digest{}, [&] {
+        const ImpactPartial partial = warm.analyzer().impactPartial();
+        checkDeadline(request.deadline);
 
-    Digest cacheKey;
-    cacheKey.mix("impact_partial")
-        .mix(session.value()->corpusDigest());
-    if (auto cached = session.value()->cachedResponse(cacheKey)) {
-        TL_SPAN("server.response-cache-hit", "server");
-        return *cached;
-    }
-
-    const ImpactPartial partial =
-        session.value()->analyzer().impactPartial();
-    checkDeadline(request.deadline);
-
-    JsonValue result = JsonValue::makeObject();
-    result.set("encoding_revision",
-               JsonValue(partialEncodingRevision()));
-    result.set("partial",
-               JsonValue(base64Encode(encodeImpactPartial(partial))));
-
-    std::string rendered = result.render();
-    session.value()->cacheResponse(
-        cacheKey, std::make_shared<const std::string>(rendered));
-    return rendered;
+        JsonValue result = JsonValue::makeObject();
+        result.set("encoding_revision",
+                   JsonValue(partialEncodingRevision()));
+        result.set("partial", JsonValue(base64Encode(
+                                  encodeImpactPartial(partial))));
+        return result.render();
+    });
 }
 
 // ------------------------------------------- coordinator handlers

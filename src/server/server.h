@@ -117,7 +117,7 @@ struct ServerConfig
     std::string selfTraceCorpusDir;
     /** Flight-recorder ring size (completed-request records). */
     std::size_t flightRecorderCapacity = 256;
-    /** Session layer: ingestion options, artifact cache, eviction. */
+    /** Session layer: ingestion options, analysis threads, eviction. */
     RegistryConfig registry;
     /**
      * Continuous fleet mode (CLI: `tracelens serve --watch DIR`,

@@ -67,9 +67,9 @@ void writeCorpus(const TraceCorpus &corpus, std::ostream &out,
  * TLC1 serialization (no buffer is materialized). Two corpora digest
  * equal iff their serialized bytes are equal, so the digest identifies
  * a shard's logical content independently of how it reached memory
- * (eager read, mmap materialization, in-memory generation). This is
- * the shard-level input key of the artifact-cached analysis pipeline
- * (src/core/artifacts.h).
+ * (eager read, mmap materialization, in-memory generation). The
+ * Analyzer folds each shard's digest into its corpus digest, which the
+ * analysis service keys its response cache on.
  */
 Digest digestCorpus(const TraceCorpus &corpus);
 

@@ -31,7 +31,7 @@ inline constexpr std::uint32_t kVersion = 2;
  * Version 3 extends the container with per-stream event-block
  * encodings: each stream carries a u32 encoding tag after its event
  * count. Uncompressed writes still emit version 2 byte-for-byte (the
- * corpus digest — the artifact-cache key — is the hash of the
+ * corpus digest — the response-cache key — is the hash of the
  * canonical v2 serialization and must stay stable), so version 3
  * appears on disk only when block compression was requested. Readers
  * accept both.

@@ -1,12 +1,10 @@
 /**
  * @file
- * Little-endian byte-codec helpers shared by the binary artifact
- * formats: appenders over std::string payloads and a bounds-checked
- * reader. Extracted from src/core/artifacts.cpp so the partial-result
- * wire encoding (src/core/partial.h) and the artifact cache speak the
- * same primitives — one place to keep the hostile-input discipline
- * (every read bounds-checked, counts validated against the remaining
- * buffer before any reserve).
+ * Little-endian byte-codec helpers of the partial-result wire encoding
+ * (TLP1, src/core/partial.h): appenders over std::string payloads and
+ * a bounds-checked reader — one place to keep the hostile-input
+ * discipline (every read bounds-checked, counts validated against the
+ * remaining buffer before any reserve).
  */
 
 #ifndef TRACELENS_UTIL_BYTECODEC_H

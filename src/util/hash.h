@@ -1,6 +1,6 @@
 /**
  * @file
- * Content hashing for artifact keys and hash-table functors.
+ * Content hashing for cache keys and hash-table functors.
  *
  * Two primitives live here:
  *
@@ -11,15 +11,14 @@
  *    32-bit size_t targets (no undefined shifts).
  *
  *  - Digest: a streaming 128-bit content hash (two independently
- *    seeded FNV-1a lanes plus splitmix absorption for integers). It is
- *    the key type of the artifact-cached analysis pipeline
- *    (src/core/artifacts.h): shard byte digests, config fingerprints,
- *    and stage keys are all Digests. Not cryptographic — collision
- *    resistance is "good enough for cache keys", nothing more.
+ *    seeded FNV-1a lanes plus splitmix absorption for integers). Shard
+ *    content digests, the Analyzer's corpus digest and the analysis
+ *    service's response-cache keys are Digests. Not cryptographic —
+ *    collision resistance is "good enough for cache keys", nothing
+ *    more.
  *
  * Digests are deterministic across runs, processes, and platforms
- * (fixed seeds, fixed byte order of absorbed integers), which is what
- * makes the on-disk artifact cache reusable between analyses.
+ * (fixed seeds, fixed byte order of absorbed integers).
  */
 
 #ifndef TRACELENS_UTIL_HASH_H
@@ -92,19 +91,6 @@ class Digest
 
     constexpr std::uint64_t hi() const { return hi_; }
     constexpr std::uint64_t lo() const { return lo_; }
-
-    /** 32 lowercase hex digits — stable artifact file names. */
-    std::string
-    hex() const
-    {
-        static const char digits[] = "0123456789abcdef";
-        std::string out(32, '0');
-        for (int i = 0; i < 16; ++i) {
-            out[15 - i] = digits[(hi_ >> (4 * i)) & 0xF];
-            out[31 - i] = digits[(lo_ >> (4 * i)) & 0xF];
-        }
-        return out;
-    }
 
     friend constexpr bool
     operator==(const Digest &a, const Digest &b)

@@ -16,8 +16,8 @@
  *    ingest -> wait-graph -> impact -> AWG -> mining pipeline.
  *  - Metrics: a registry of named counters, gauges, and log-scale
  *    histograms (p50/p95/p99), dumpable as JSON (CLI: --metrics-out
- *    FILE). The artifact store's PipelineStats is a thin view over
- *    one of these registries (src/core/artifacts.h).
+ *    FILE). The Analyzer's PipelineStats is a thin view over one of
+ *    these registries (src/core/analyzer.h).
  *
  * Overhead contract: span recording is off by default; a disabled
  * Span costs one relaxed atomic load. Enabled recording appends to a
@@ -205,7 +205,7 @@ std::string renderPrometheus(
  * metric once and hold the reference.
  *
  * Registries are instantiable so a component can keep private
- * counters (the ArtifactStore's per-analyzer PipelineStats) and still
+ * counters (the Analyzer's PipelineStats) and still
  * fold them into the process-wide registry via mergeInto().
  */
 class MetricsRegistry

@@ -1,20 +1,13 @@
 /**
  * @file
- * Tests for the incremental, artifact-cached analysis pipeline:
- * appending shards must build only the new shard's wait graphs and
- * still produce byte-identical reports, and the optional disk cache
- * must warm-start fresh analyzers' AWGs (while never trusting corrupt
- * files). Wait graphs never touch the disk cache. The per-class stages
- * fold per-instance summaries that are computed once per instance,
- * and per scenario only the last-asked coordinates' per-query
- * artifacts stay in the store.
+ * Tests for the incremental analysis pipeline: appending shards must
+ * build only the new shard's wait graphs and still produce
+ * byte-identical reports. The per-class stages fold per-instance
+ * summaries that are computed once per instance, and per scenario the
+ * Analyzer keeps only the results at the last-asked thresholds.
  */
 
-#include <unistd.h>
-
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,34 +26,6 @@ namespace tracelens
 {
 namespace
 {
-
-namespace fs = std::filesystem;
-
-/**
- * Self-cleaning temp directory for disk-cache tests. The path embeds
- * the process id: this file builds into more than one test binary,
- * and ctest -j runs those binaries concurrently, so a fixed name
- * would let two processes stomp each other's cache fixtures.
- */
-class ScratchDir
-{
-  public:
-    explicit ScratchDir(const std::string &name)
-        : path_(fs::temp_directory_path() /
-                ("tracelens_incremental_test_" +
-                 std::to_string(::getpid()) + "_" + name))
-    {
-        fs::remove_all(path_);
-        fs::create_directories(path_);
-    }
-    ~ScratchDir() { fs::remove_all(path_); }
-
-    std::string str() const { return path_.string(); }
-    const fs::path &path() const { return path_; }
-
-  private:
-    fs::path path_;
-};
 
 CorpusSpec
 smallSpec()
@@ -88,16 +53,6 @@ std::string
 reportOf(const Analyzer &analyzer)
 {
     return buildReport(analyzer, catalogThresholds(analyzer.corpus()));
-}
-
-/** True when @p dir holds a wait-graph cache file. */
-bool
-hasWaitGraphFiles(const fs::path &dir)
-{
-    for (const auto &entry : fs::directory_iterator(dir))
-        if (entry.path().filename().string().starts_with("wait-graphs-"))
-            return true;
-    return false;
 }
 
 /** Everything a scenario analysis answers, for byte comparison. */
@@ -279,228 +234,40 @@ TEST(Incremental, RepeatedQueriesHitTheMemoizedStore)
     EXPECT_GE(stats.of(Stage::Impact).hits, 1u);
 }
 
-TEST(Incremental, DiskCacheWarmStartsAFreshAnalyzer)
+TEST(Incremental, ConcurrentAnalyzersOverOneCorpusMatchSerial)
 {
-    const ScratchDir dir("warm");
+    // Several analyzers over one borrowed corpus at once, each priming
+    // the corpus's symbol filter cache as it ingests. Every report
+    // must equal a serial analyzer's.
     const TraceCorpus corpus = generateCorpus(smallSpec());
-
     AnalyzerConfig config;
     config.threads = 1;
-    config.artifactCacheDir = dir.str();
 
-    std::string cold_report;
-    {
-        EagerSource source(corpus);
-        Analyzer cold(source, config);
-        cold_report = reportOf(cold);
-        const PipelineStats stats = cold.pipelineStats();
-        EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 1u);
-        EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 0u);
-        EXPECT_EQ(stats.of(Stage::WaitGraphs).diskWrites, 0u);
-        EXPECT_GT(stats.of(Stage::Awg).diskWrites, 0u);
-    }
-    ASSERT_FALSE(fs::is_empty(dir.path()));
-    EXPECT_FALSE(hasWaitGraphFiles(dir.path()));
-
-    // A fresh analyzer — different process in real life, and a
-    // different thread count on purpose: artifact keys must not
-    // depend on parallelism.
-    AnalyzerConfig warm_config = config;
-    warm_config.threads = 4;
-    EagerSource source(corpus);
-    Analyzer warm(source, warm_config);
-    EXPECT_EQ(reportOf(warm), cold_report);
-    const PipelineStats stats = warm.pipelineStats();
-    EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 1u);
-    EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 0u);
-    EXPECT_GT(stats.of(Stage::Awg).diskHits, 0u);
-    EXPECT_EQ(stats.of(Stage::Awg).misses, 0u);
-}
-
-TEST(Incremental, CorruptCacheFilesAreRebuiltNotTrusted)
-{
-    const ScratchDir dir("corrupt");
-    const TraceCorpus corpus = generateCorpus(smallSpec());
-
-    AnalyzerConfig config;
-    config.threads = 1;
-    config.artifactCacheDir = dir.str();
-
-    std::string cold_report;
-    {
-        EagerSource source(corpus);
-        Analyzer cold(source, config);
-        cold_report = reportOf(cold);
-    }
-
-    // Damage every cached artifact: truncate half of them, scramble
-    // payload bytes in the rest. Neither must ever be deserialized.
-    std::size_t corrupted = 0;
-    for (const auto &entry : fs::directory_iterator(dir.path())) {
-        const auto size = fs::file_size(entry.path());
-        if (corrupted % 2 == 0) {
-            fs::resize_file(entry.path(), size / 2);
-        } else {
-            std::fstream f(entry.path(),
-                           std::ios::in | std::ios::out |
-                               std::ios::binary);
-            f.seekp(static_cast<std::streamoff>(size / 2));
-            f.write("\xde\xad\xbe\xef", 4);
-        }
-        ++corrupted;
-    }
-    ASSERT_GT(corrupted, 0u);
-
-    EagerSource source(corpus);
-    Analyzer rebuilt(source, config);
-    EXPECT_EQ(reportOf(rebuilt), cold_report);
-    const PipelineStats stats = rebuilt.pipelineStats();
-    EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 0u);
-    EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 1u);
-    EXPECT_EQ(stats.of(Stage::Awg).diskHits, 0u);
-}
-
-TEST(Incremental, CacheDirIsSharedAcrossDistinctConfigs)
-{
-    // Different analysis options fingerprint to different keys, so
-    // one directory serves both without cross-contamination.
-    const ScratchDir dir("configs");
-    const TraceCorpus corpus = generateCorpus(smallSpec());
-
-    AnalyzerConfig a;
-    a.threads = 1;
-    a.artifactCacheDir = dir.str();
-    AnalyzerConfig b = a;
-    b.waitGraph.maxDepth = 3; // different graphs, different keys
-
-    const ScenarioThresholds scn = catalogThresholds(corpus).front();
-    EagerSource source_a(corpus), source_b(corpus);
-    Analyzer ana_a(source_a, a), ana_b(source_b, b);
-    (void)ana_a.analyzeScenario(scn.name, scn.tFast, scn.tSlow);
-    (void)ana_b.analyzeScenario(scn.name, scn.tFast, scn.tSlow);
-    EXPECT_EQ(ana_a.pipelineStats().of(Stage::WaitGraphs).misses, 1u);
-    EXPECT_EQ(ana_b.pipelineStats().of(Stage::WaitGraphs).misses, 1u);
-
-    // Re-running either configuration now warm-starts its AWGs from
-    // disk, and only its own: the other configuration's files have
-    // other keys.
-    EagerSource source_a2(corpus);
-    Analyzer again(source_a2, a);
-    (void)again.analyzeScenario(scn.name, scn.tFast, scn.tSlow);
-    const PipelineStats stats = again.pipelineStats();
-    EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 0u);
-    EXPECT_GT(stats.of(Stage::Awg).diskHits, 0u);
-    EXPECT_EQ(stats.of(Stage::Awg).misses, 0u);
-}
-
-TEST(Incremental, TornWritesAndTempLitterDegradeToCacheMiss)
-{
-    // An interrupted writer can leave a zero-byte artifact, a
-    // header-only prefix, or abandoned ".tmp.<pid>.<n>" files in the
-    // cache directory. All three must read as cache misses (never a
-    // crash or a wrong artifact), and the rebuilt run must repair the
-    // cache in place.
-    const ScratchDir dir("torn");
-    const TraceCorpus corpus = generateCorpus(smallSpec());
-
-    AnalyzerConfig config;
-    config.threads = 1;
-    config.artifactCacheDir = dir.str();
-
-    std::string cold_report;
-    {
-        EagerSource source(corpus);
-        Analyzer cold(source, config);
-        cold_report = reportOf(cold);
-    }
-
-    std::size_t torn = 0;
-    for (const auto &entry : fs::directory_iterator(dir.path())) {
-        if (torn % 2 == 0) {
-            fs::resize_file(entry.path(), 0); // rename of empty tmp
-        } else {
-            fs::resize_file(entry.path(), 16); // mid-header tear
-        }
-        // Abandoned unique temp files from a killed writer.
-        std::ofstream litter(entry.path().string() + ".tmp.99999." +
-                             std::to_string(torn));
-        litter << "partial";
-        ++torn;
-    }
-    ASSERT_GT(torn, 0u);
-
-    {
-        EagerSource source(corpus);
-        Analyzer rebuilt(source, config);
-        EXPECT_EQ(reportOf(rebuilt), cold_report);
-        const PipelineStats stats = rebuilt.pipelineStats();
-        EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 0u);
-        EXPECT_EQ(stats.of(Stage::Awg).diskHits, 0u);
-    }
-
-    // The rebuild repaired the artifacts: a third analyzer disk-hits.
-    EagerSource source(corpus);
-    Analyzer warm(source, config);
-    EXPECT_EQ(reportOf(warm), cold_report);
-    EXPECT_EQ(warm.pipelineStats().of(Stage::WaitGraphs).diskHits, 0u);
-    EXPECT_GT(warm.pipelineStats().of(Stage::Awg).diskHits, 0u);
-}
-
-TEST(Incremental, ConcurrentWritersShareOneCacheDirSafely)
-{
-    // Several analyzers over the same corpus and cache directory,
-    // all storing the same artifacts at once. Unique temp names make
-    // the concurrent renames last-writer-wins over identical content;
-    // a shared temp name would let one writer rename another's
-    // half-written file into place. After the storm every cached file
-    // must be valid: a fresh analyzer warm-starts entirely from disk.
-    const ScratchDir dir("racers");
-    const TraceCorpus corpus = generateCorpus(smallSpec());
-
-    AnalyzerConfig config;
-    config.threads = 1;
-    config.artifactCacheDir = dir.str();
-
-    std::string cold_report;
+    std::string serial_report;
     {
         EagerSource probe(corpus);
-        Analyzer cold(probe, AnalyzerConfig{.threads = 1});
-        cold_report = reportOf(cold);
+        Analyzer serial(probe, config);
+        serial_report = reportOf(serial);
     }
 
-    constexpr int kWriters = 6;
-    std::vector<std::string> reports(kWriters);
+    constexpr int kAnalyzers = 6;
+    std::vector<std::string> reports(kAnalyzers);
     {
-        std::vector<std::thread> writers;
-        writers.reserve(kWriters);
-        for (int i = 0; i < kWriters; ++i) {
-            writers.emplace_back([&, i] {
+        std::vector<std::thread> analyzers;
+        analyzers.reserve(kAnalyzers);
+        for (int i = 0; i < kAnalyzers; ++i) {
+            analyzers.emplace_back([&, i] {
                 EagerSource source(corpus);
                 Analyzer analyzer(source, config);
                 reports[static_cast<std::size_t>(i)] =
                     reportOf(analyzer);
             });
         }
-        for (std::thread &t : writers)
+        for (std::thread &t : analyzers)
             t.join();
     }
     for (const std::string &report : reports)
-        EXPECT_EQ(report, cold_report);
-
-    // No temp litter left behind, and every artifact loads cleanly.
-    for (const auto &entry : fs::directory_iterator(dir.path())) {
-        EXPECT_EQ(entry.path().string().find(".tmp."),
-                  std::string::npos)
-            << "leftover temp file: " << entry.path();
-    }
-    EXPECT_FALSE(hasWaitGraphFiles(dir.path()));
-    EagerSource source(corpus);
-    Analyzer warm(source, config);
-    EXPECT_EQ(reportOf(warm), cold_report);
-    const PipelineStats stats = warm.pipelineStats();
-    EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 0u);
-    EXPECT_GT(stats.of(Stage::Awg).diskHits, 0u);
-    EXPECT_EQ(stats.of(Stage::Awg).misses, 0u);
+        EXPECT_EQ(report, serial_report);
 }
 
 TEST(Incremental, ClassFoldsMatchTheReferencePath)
@@ -586,7 +353,7 @@ TEST(Incremental, ChangedThresholdsEvictPerQueryArtifacts)
     (void)analyzer.analyzeScenario(s.name, t2Fast, t2Slow);
     const StageStats beforeThird = awgStats();
 
-    // Back at t1: the t2 query erased t1's AWGs, so both rebuild...
+    // Back at t1: the t2 query replaced t1's slot, so both rebuild...
     const std::string third = renderAnalysis(
         analyzer.analyzeScenario(s.name, s.tFast, s.tSlow),
         corpus.symbols());
@@ -607,8 +374,9 @@ TEST(Incremental, ChangedThresholdsEvictPerQueryArtifacts)
 TEST(Incremental, ConcurrentQueriesAtAlternatingThresholdsMatchSerial)
 {
     // Four threads keep moving one scenario between two threshold
-    // pairs, so erasures race builds and summaries are first needed by
-    // several queries at once. Every answer must equal the serial one.
+    // pairs, so slot replacements race builds and summaries are first
+    // needed by several queries at once. Every answer must equal the
+    // serial one.
     const TraceCorpus corpus = generateCorpus(smallSpec());
     const ScenarioThresholds s = catalogThresholds(corpus).front();
     const std::pair<DurationNs, DurationNs> thresholds[2] = {

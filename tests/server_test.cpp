@@ -4,9 +4,10 @@
  * against hostile input (malformed params, unknown methods, oversized
  * and half-closed connections, clients vanishing mid-response), the
  * refusal of the retired JSON-line protocol v1, backpressure and
- * deadline behaviour, the session registry's leak-freedom, warm-query
- * serving from the artifact store (asserted via stage-span outcomes),
- * and graceful drain. Frame-level corruption and multiplexing live in
+ * deadline behaviour, the session registry's leak-freedom and its
+ * bounded response cache, warm-query serving from the results the
+ * Analyzer keeps (asserted via stage-span outcomes), and graceful
+ * drain. Frame-level corruption and multiplexing live in
  * tests/protocol2_test.cpp; this file drives the daemon through the
  * typed Session API and through raw frames (tests/server_fixture.h).
  * Built into the "server" ctest label so the whole file runs under
@@ -191,7 +192,7 @@ TEST_F(ServerTest, UnknownMethodAndUnknownCorpusAnswerNotFound)
     EXPECT_EQ(scenario.value().error.code, ErrorCode::NotFound);
 }
 
-TEST_F(ServerTest, WarmQueriesAreServedFromTheArtifactStore)
+TEST_F(ServerTest, WarmQueriesAreServedFromTheAnalyzer)
 {
     startServer();
     Session session = connect();
@@ -210,8 +211,8 @@ TEST_F(ServerTest, WarmQueriesAreServedFromTheArtifactStore)
         << coldTrace;
 
     // Warm, different params (top=5): a different response-cache key
-    // but the same underlying artifacts — every stage the pipeline
-    // re-enters must be served from the store, nothing recomputed.
+    // but the same thresholds — every stage the pipeline re-enters
+    // must be served from the scenario's slot, nothing recomputed.
     Telemetry::reset();
     Expected<Response> warm = session.analyze(analyzeRequest(5));
     ASSERT_TRUE(warm.ok());
@@ -499,6 +500,43 @@ TEST_F(ServerTest, RegistryEvictionSurvivesConcurrentHandleChurn)
         << "zero idle timeout + LRU bound of one must have evicted";
     registry.evictAll();
     EXPECT_EQ(registry.stats().openSessions, 0u);
+}
+
+TEST_F(ServerTest, ResponseCacheIsBoundedAndEmptiedByAbsorb)
+{
+    SessionRegistry registry;
+    Expected<SessionRegistry::Handle> handle = registry.acquire(corpusPath_);
+    ASSERT_TRUE(handle.ok()) << handle.error().render();
+    CorpusSession &session = *handle.value();
+
+    auto answer = [](std::size_t bytes) {
+        return std::make_shared<const std::string>(bytes, 'x');
+    };
+    constexpr std::size_t kSmall = 1024;
+    const Digest oldest = Digest{}.mix(std::uint64_t{1});
+    const Digest big = Digest{}.mix(std::uint64_t{2});
+    const Digest newest = Digest{}.mix(std::uint64_t{3});
+
+    // Exactly at the bound nothing is evicted...
+    session.cacheResponse(oldest, answer(kSmall));
+    session.cacheResponse(
+        big, answer(CorpusSession::kResponseCacheBytes - kSmall));
+    EXPECT_NE(session.cachedResponse(oldest), nullptr);
+
+    // ...and one answer past it evicts the oldest-inserted one only.
+    session.cacheResponse(newest, answer(kSmall));
+    EXPECT_EQ(session.cachedResponse(oldest), nullptr);
+    EXPECT_NE(session.cachedResponse(big), nullptr);
+    ASSERT_NE(session.cachedResponse(newest), nullptr);
+    EXPECT_EQ(session.cachedResponse(newest)->size(), kSmall);
+
+    // A pushed shard changes the corpus: no stored answer is served.
+    CorpusSpec spec;
+    spec.machines = 2;
+    spec.seed = 7;
+    session.absorbShard(generateCorpus(spec));
+    EXPECT_EQ(session.cachedResponse(big), nullptr);
+    EXPECT_EQ(session.cachedResponse(newest), nullptr);
 }
 
 TEST(ServerUtil, ParseHostPort)

@@ -328,7 +328,7 @@ TEST(Serialize, CompressedWriteIsSmallerAndRawStaysByteStable)
     // this small.
     EXPECT_LT(packed.str().size(), raw.str().size());
     // Not compressing must keep the historical byte layout — the
-    // corpus digest (and with it every artifact-cache key) depends on
+    // corpus digest (and with it every response-cache key) depends on
     // it.
     EXPECT_EQ(raw.str(), rawExplicit.str());
 

@@ -28,7 +28,7 @@
  *   import-csv --events IN --instances IN --out FILE
  *   serve      --listen HOST:PORT [...]
  *              Long-running analysis daemon (docs/SERVER.md): keeps
- *              corpora and artifacts warm, answers concurrent clients
+ *              corpora and analyses warm, answers concurrent clients
  *              over protocol v2 (multiplexed binary frames).
  *   query      METHOD --connect HOST:PORT [--params JSON]
  *              One request against a running daemon; prints the
@@ -44,9 +44,8 @@
  * a directory of shards, and takes --mmap (zero-copy mmap ingestion)
  * and --cache-bytes N (shard-cache budget); corrupt shards inside a
  * directory are reported and skipped, never fatal. Analysis commands
- * additionally take --artifact-cache DIR (persist AWGs across runs)
- * and --pipeline-stats (print per-stage cache counters and build
- * times).
+ * additionally take --pipeline-stats (print per-stage hit/miss
+ * counters and build times).
  *
  * Self-telemetry flags, valid for every subcommand (docs/TELEMETRY.md):
  *   --trace-out FILE    Record pipeline spans and write them as Chrome
@@ -185,8 +184,7 @@ usage()
            "      [--default-deadline-ms N] [--max-line-bytes N]"
            " [--analysis-threads N]\n"
            "      [--max-sessions N] [--idle-timeout-s N]"
-           " [--artifact-cache DIR]\n"
-           "      [--port-file FILE]\n"
+           " [--port-file FILE]\n"
            "      [--coordinator --cluster-workers HOST:PORT,...]"
            " [--shard-deadline-ms N]\n"
            "      [--metrics-listen HOST:PORT]"
@@ -219,8 +217,7 @@ usage()
            "ingestion) and --cache-bytes N\n(shard-cache budget, "
            "suffixes k/m/g).\n--threads 0 (default) uses every "
            "hardware thread; 1 runs serially.\nAnalysis commands also "
-           "accept --artifact-cache DIR (persist AWGs\nacross runs) "
-           "and --pipeline-stats (per-stage cache counters\nand "
+           "accept --pipeline-stats (per-stage hit/miss\ncounters and "
            "build times).\nEvery command accepts "
            "--trace-out FILE (self-telemetry spans as\nChrome "
            "trace_event JSON, Perfetto-loadable), --metrics-out FILE\n"
@@ -358,17 +355,12 @@ threadsFlag(const Args &args)
     return threads;
 }
 
-/** Shared analyzer flags: --threads plus --artifact-cache DIR. */
+/** Shared analyzer flags: --threads. */
 AnalyzerConfig
 analyzerConfigFlag(const Args &args)
 {
     AnalyzerConfig config;
     config.threads = threadsFlag(args);
-    if (auto dir = args.flag("artifact-cache")) {
-        if (dir->empty())
-            TL_FATAL("--artifact-cache expects a directory path");
-        config.artifactCacheDir = *dir;
-    }
     return config;
 }
 
@@ -389,7 +381,7 @@ requireUsable(const TraceSource &source)
     }
 }
 
-/** Print the per-stage artifact counters under --pipeline-stats. */
+/** Print the per-stage counters under --pipeline-stats. */
 void
 maybePrintPipelineStats(const Args &args, const Analyzer &analyzer)
 {
@@ -817,8 +809,6 @@ cmdVersion()
     std::cout << "tracelens " << kTracelensVersion << "\n"
               << "  trace format:    TLC1 v" << traceFormatVersion()
               << "\n"
-              << "  artifact cache:  TLA1 v" << artifactCacheVersion()
-              << "\n"
               << "  server protocol: v" << server::kProtocolVersion
               << "\n"
               << "  partial encoding: TLP1 v"
@@ -902,11 +892,6 @@ cmdServe(const Args &args)
     if (auto v = args.flag("idle-timeout-s")) {
         config.registry.idleTimeout = std::chrono::seconds(
             parseUnsignedFlag("--idle-timeout-s", *v, 86'400));
-    }
-    if (auto dir = args.flag("artifact-cache")) {
-        if (dir->empty())
-            TL_FATAL("--artifact-cache expects a directory path");
-        config.registry.artifactCacheDir = *dir;
     }
     config.registry.source = sourceOptionsFlag(args);
     config.enableTestMethods = args.has("enable-test-methods");
