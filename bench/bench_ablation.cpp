@@ -66,11 +66,11 @@ main(int argc, char **argv)
             const double elapsed = millisSince(start);
             table.addRow(
                 {std::to_string(k),
-                 std::to_string(analysis.mining.stats.slowMetaPatterns),
+                 std::to_string(analysis.mining->stats.slowMetaPatterns),
                  std::to_string(
-                     analysis.mining.stats.slowOnlyContrasts +
-                     analysis.mining.stats.ratioContrasts),
-                 std::to_string(analysis.mining.patterns.size()),
+                     analysis.mining->stats.slowOnlyContrasts +
+                     analysis.mining->stats.ratioContrasts),
+                 std::to_string(analysis.mining->patterns.size()),
                  TextTable::pct(analysis.coverage.ttc()),
                  TextTable::num(elapsed, 1)});
         }
@@ -90,11 +90,13 @@ main(int argc, char **argv)
             Analyzer analyzer(analyzer_source, config);
             const ScenarioAnalysis analysis = analyzer.analyzeScenario(
                 scn.name, scn.tFast, scn.tSlow);
+            const AggregatedWaitGraph awgSlow =
+                analyzer.scenarioAwgs(scn.name, scn.tFast, scn.tSlow).slow;
             table.addRow(
                 {reduce ? "on" : "off",
-                 TextTable::num(toMs(analysis.awgSlow.reducedCost()), 1),
-                 std::to_string(analysis.awgSlow.roots().size()),
-                 std::to_string(analysis.mining.patterns.size()),
+                 TextTable::num(toMs(awgSlow.reducedCost()), 1),
+                 std::to_string(awgSlow.roots().size()),
+                 std::to_string(analysis.mining->patterns.size()),
                  TextTable::pct(analysis.coverage.ttc())});
         }
         std::cout << table.render()
@@ -114,10 +116,10 @@ main(int argc, char **argv)
                 scn.name, scn.tFast, scn.tSlow);
             table.addRow(
                 {gate ? "on" : "off",
-                 std::to_string(analysis.mining.patterns.size()),
-                 std::to_string(analysis.mining.stats.selectedPaths) +
+                 std::to_string(analysis.mining->patterns.size()),
+                 std::to_string(analysis.mining->stats.selectedPaths) +
                      "/" +
-                     std::to_string(analysis.mining.stats.fullPaths)});
+                     std::to_string(analysis.mining->stats.fullPaths)});
         }
         std::cout << table.render()
                   << "(the gate excludes non-contrast paths, the "
@@ -197,8 +199,12 @@ main(int argc, char **argv)
                 scn.name, scn.tFast, scn.tSlow);
             table.addRow(
                 {inner ? "on" : "off",
-                 std::to_string(analysis.awgSlow.nodes().size()),
-                 std::to_string(analysis.mining.patterns.size())});
+                 std::to_string(analyzer
+                                    .scenarioAwgs(scn.name, scn.tFast,
+                                                  scn.tSlow)
+                                    .slow.nodes()
+                                    .size()),
+                 std::to_string(analysis.mining->patterns.size())});
         }
         std::cout << table.render()
                   << "(keeping kernel-only hops inflates the graph "

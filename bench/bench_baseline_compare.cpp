@@ -73,9 +73,9 @@ main()
 
     const ScenarioAnalysis analysis = analyzer.analyzeScenario(
         "BrowserTabCreate", fromMs(300), fromMs(500));
-    if (!analysis.mining.patterns.empty()) {
+    if (!analysis.mining->patterns.empty()) {
         std::cout << "top contrast pattern (connects the whole chain):\n"
-                  << analysis.mining.patterns[0].tuple.render(
+                  << analysis.mining->patterns[0].tuple.render(
                          corpus.symbols());
     }
     return 0;

@@ -95,11 +95,11 @@ main()
 
     std::cout << "\n--- top mined contrast pattern (paper Section 2.3) "
                  "---\n";
-    if (analysis.mining.patterns.empty()) {
+    if (analysis.mining->patterns.empty()) {
         std::cout << "no patterns (unexpected)\n";
         return 1;
     }
-    const ContrastPattern &top = analysis.mining.patterns[0];
+    const ContrastPattern &top = analysis.mining->patterns[0];
     std::cout << top.tuple.render(sym);
     std::cout << "impact (P.C/P.N) = "
               << toMs(static_cast<DurationNs>(top.impact()))

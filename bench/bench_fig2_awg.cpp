@@ -41,21 +41,21 @@ main(int argc, char **argv)
     EagerSource analyzer_source(corpus);
 
     Analyzer analyzer(analyzer_source);
-    const ScenarioAnalysis analysis = analyzer.analyzeScenario(
-        "BrowserTabCreate", fromMs(300), fromMs(500));
+    const AggregatedWaitGraph awgSlow =
+        analyzer.scenarioAwgs("BrowserTabCreate", fromMs(300), fromMs(500))
+            .slow;
 
-    std::cout << "slow instances aggregated: "
-              << analysis.awgSlow.sourceGraphs() << "\n";
+    std::cout << "slow instances aggregated: " << awgSlow.sourceGraphs()
+              << "\n";
     std::cout << "non-optimizable (reduced) time: "
-              << toMs(analysis.awgSlow.reducedCost()) << "ms; kept: "
-              << toMs(analysis.awgSlow.totalRootCost()) << "ms\n\n";
+              << toMs(awgSlow.reducedCost()) << "ms; kept: "
+              << toMs(awgSlow.totalRootCost()) << "ms\n\n";
 
     std::cout << "--- text form (heaviest subtrees first) ---\n"
-              << analysis.awgSlow.renderText(corpus.symbols(), 80)
-              << "\n";
+              << awgSlow.renderText(corpus.symbols(), 80) << "\n";
 
     std::cout << "--- DOT form ---\n"
-              << analysis.awgSlow.renderDot(corpus.symbols(), 120);
+              << awgSlow.renderDot(corpus.symbols(), 120);
 
     std::cout << "\n(paper figure: an aggregated path DiskService / "
                  "se.sys -> fs.sys!AcquireMDU -> fv.sys!QueryFileTable "

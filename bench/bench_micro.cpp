@@ -144,7 +144,7 @@ BM_FullScenarioAnalysis(benchmark::State &state)
         Analyzer analyzer(analyzer_source);
         const ScenarioAnalysis analysis = analyzer.analyzeScenario(
             "WebPageNavigation", fromMs(500), fromMs(1000));
-        benchmark::DoNotOptimize(analysis.mining.patterns.size());
+        benchmark::DoNotOptimize(analysis.mining->patterns.size());
     }
 }
 BENCHMARK(BM_FullScenarioAnalysis)->Unit(benchmark::kMillisecond);

@@ -43,9 +43,9 @@ main(int argc, char **argv)
         const SymbolTable &sym = corpus.symbols();
         int with_network = 0;
         const std::size_t top_n =
-            std::min<std::size_t>(10, analysis.mining.patterns.size());
+            std::min<std::size_t>(10, analysis.mining->patterns.size());
         for (std::size_t i = 0; i < top_n; ++i) {
-            const auto &tuple = analysis.mining.patterns[i].tuple;
+            const auto &tuple = analysis.mining->patterns[i].tuple;
             bool network = false;
             auto scan = [&](const std::vector<FrameId> &frames) {
                 for (FrameId f : frames) {
@@ -66,7 +66,7 @@ main(int argc, char **argv)
                   << "drivers: " << with_network << " (paper: 7/10)\n";
         if (top_n > 0) {
             std::cout << "\ntop pattern:\n"
-                      << analysis.mining.patterns[0].tuple.render(sym);
+                      << analysis.mining->patterns[0].tuple.render(sym);
         }
         std::cout << "advice reproduced: menu items fetched from remote "
                      "servers should be asynchronous/prefetched so "

@@ -243,8 +243,8 @@ main(int argc, char **argv)
     const double scn_parallel_ms = msSince(scn_parallel_start);
 
     for (std::size_t i = 0; i < serial_analyses.size(); ++i) {
-        if (serial_analyses[i].mining.patterns.size() !=
-            parallel_analyses[i].mining.patterns.size()) {
+        if (serial_analyses[i].mining->patterns.size() !=
+            parallel_analyses[i].mining->patterns.size()) {
             std::cerr << "parallel mining mismatch in "
                       << serial_analyses[i].name << "\n";
             return 1;
@@ -287,7 +287,7 @@ main(int argc, char **argv)
         const auto analyses = tel_analyzer.analyzeScenarios(scenarios);
         patterns = 0;
         for (const auto &analysis : analyses)
-            patterns += analysis.mining.patterns.size();
+            patterns += analysis.mining->patterns.size();
     };
 
     constexpr int kTelemetryReps = 3;

@@ -44,17 +44,17 @@ main(int argc, char **argv)
             continue;
         const ScenarioAnalysis analysis = analyzer.analyzeScenario(
             scn.name, scn.tFast, scn.tSlow);
-        const double p10 = topPatternCoverage(analysis.mining, 0.10);
-        const double p20 = topPatternCoverage(analysis.mining, 0.20);
-        const double p30 = topPatternCoverage(analysis.mining, 0.30);
+        const double p10 = topPatternCoverage(*analysis.mining, 0.10);
+        const double p20 = topPatternCoverage(*analysis.mining, 0.20);
+        const double p30 = topPatternCoverage(*analysis.mining, 0.30);
         table.addRow({scn.name,
-                      std::to_string(analysis.mining.patterns.size()),
+                      std::to_string(analysis.mining->patterns.size()),
                       TextTable::pct(p10), TextTable::pct(p20),
                       TextTable::pct(p30)});
         c10 += p10;
         c20 += p20;
         c30 += p30;
-        patterns += analysis.mining.patterns.size();
+        patterns += analysis.mining->patterns.size();
         ++rows;
     }
     if (rows > 0) {

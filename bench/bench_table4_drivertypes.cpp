@@ -84,7 +84,7 @@ main(int argc, char **argv)
         const ScenarioAnalysis analysis = analyzer.analyzeScenario(
             scn.name, scn.tFast, scn.tSlow);
         const auto counts =
-            countDriverTypes(corpus, analysis.mining, 10);
+            countDriverTypes(corpus, *analysis.mining, 10);
         std::vector<std::string> row = {scn.name};
         for (int c : counts)
             row.push_back(c == 0 ? "-" : std::to_string(c));

@@ -94,8 +94,8 @@ main()
     Analyzer analyzer(analyzer_source);
     const ScenarioAnalysis analysis = analyzer.analyzeScenario(
         "BrowserTabCreate", fromMs(300), fromMs(500));
-    if (!analysis.mining.patterns.empty()) {
-        std::cout << analysis.mining.patterns[0].tuple.render(sym)
+    if (!analysis.mining->patterns.empty()) {
+        std::cout << analysis.mining->patterns[0].tuple.render(sym)
                   << "\nReading: the cost of the running signatures "
                      "propagates through the unwait signatures to the "
                      "wait signatures. Reducing lock granularity in "

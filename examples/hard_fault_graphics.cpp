@@ -50,9 +50,9 @@ main()
         "AppNonResponsive", fromMs(350), fromMs(700));
 
     std::cout << "mined contrast patterns ("
-              << analysis.mining.patterns.size() << "):\n";
+              << analysis.mining->patterns.size() << "):\n";
     const SymbolTable &sym = corpus.symbols();
-    for (const ContrastPattern &p : analysis.mining.patterns) {
+    for (const ContrastPattern &p : analysis.mining->patterns) {
         std::cout << p.tuple.render(sym) << "impact="
                   << toMs(static_cast<DurationNs>(p.impact()))
                   << "ms\n\n";

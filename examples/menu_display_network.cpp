@@ -44,10 +44,10 @@ main()
 
     const SymbolTable &sym = corpus.symbols();
     const std::size_t top_n =
-        std::min<std::size_t>(10, analysis.mining.patterns.size());
+        std::min<std::size_t>(10, analysis.mining->patterns.size());
     int network_patterns = 0;
     for (std::size_t i = 0; i < top_n; ++i) {
-        const auto &tuple = analysis.mining.patterns[i].tuple;
+        const auto &tuple = analysis.mining->patterns[i].tuple;
         bool network = false;
         auto scan = [&](const std::vector<FrameId> &frames) {
             for (FrameId f : frames) {

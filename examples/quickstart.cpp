@@ -45,14 +45,14 @@ main()
     std::cout << "BrowserTabCreate: "
               << analysis.classes.fast.size() << " fast / "
               << analysis.classes.slow.size() << " slow instances; "
-              << analysis.mining.patterns.size()
+              << analysis.mining->patterns.size()
               << " contrast patterns\n";
     std::cout << "coverage: " << analysis.coverage.render() << "\n\n";
 
     const std::size_t top_n =
-        std::min<std::size_t>(3, analysis.mining.patterns.size());
+        std::min<std::size_t>(3, analysis.mining->patterns.size());
     for (std::size_t i = 0; i < top_n; ++i) {
-        const ContrastPattern &p = analysis.mining.patterns[i];
+        const ContrastPattern &p = analysis.mining->patterns[i];
         std::cout << "--- pattern " << i + 1 << " (impact "
                   << toMs(static_cast<DurationNs>(p.impact()))
                   << "ms, N=" << p.count << ") ---\n"

@@ -34,8 +34,11 @@
  * boundary: AwgBuilder::summarize() turns one wait graph into a flat
  * AwgFragment, PartialAwg::absorb() folds fragments into the trie
  * (step 3), and PartialAwg::finalize() applies step 4. The Analyzer
- * keeps each instance's fragment, so a query at new thresholds only
- * folds its class members' fragments.
+ * keeps each instance's fragment and maps it once into its scenario's
+ * path trie (src/mining/pathtrie.h), so a query at new thresholds
+ * folds its class members' node maps into a column over that trie;
+ * it builds AggregatedWaitGraph objects only for callers that draw
+ * them.
  */
 
 #ifndef TRACELENS_AWG_AWG_H
@@ -167,6 +170,28 @@ struct AwgFragment
 
     std::vector<Node> nodes;
 };
+
+/**
+ * Algorithm 1 step 4's test on one root of a class AWG. "Single
+ * hardware-service leaf" in aggregated terms: a direct device wait,
+ * signalled by the device itself (no component unwait signature), with
+ * nothing under it but hardware leaves (queue-mates on the same device
+ * are still pure hardware time). Lock waits *fed* by hardware keep
+ * their component unwait signature and survive: that time did
+ * propagate. Childless device-readied waits are also pure hardware
+ * time: their service interval was claimed by an earlier window.
+ *
+ * @param children The root's children in the class.
+ * @param hardwareLeaves How many of them are hardware nodes with no
+ *        children of their own in the class.
+ */
+inline bool
+prunableRoot(const AwgKey &root, std::size_t children,
+             std::size_t hardwareLeaves)
+{
+    return root.status == AwgStatus::Waiting &&
+           root.secondary == kNoFrame && hardwareLeaves == children;
+}
 
 /** Options controlling AWG construction. */
 struct AwgOptions

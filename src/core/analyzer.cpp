@@ -2,14 +2,17 @@
  * @file
  * Analyzer: per-shard ingestion with content digesting, the stage
  * graph (wait graphs -> per-instance summaries -> classes/impact ->
- * AWGs -> mining), the per-scenario slots of last-asked results, the
- * per-stage counters, and the multi-scenario fan-out.
+ * class columns over the scenario's path trie -> mining), the
+ * per-scenario slots of last-asked results, the per-stage counters,
+ * and the multi-scenario fan-out.
  */
 
 #include "src/core/analyzer.h"
 
 #include <chrono>
 #include <iterator>
+#include <map>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -92,12 +95,11 @@ ScenarioAnalysis::driverCostShare()
 double
 ScenarioAnalysis::nonOptimizableShare() const
 {
-    const DurationNs reduced = awgSlow.reducedCost();
-    const DurationNs kept = awgSlow.totalRootCost();
-    if (reduced + kept == 0)
+    const DurationNs total = slowReducedCost + slowRootCost;
+    if (total == 0)
         return 0.0;
-    return static_cast<double>(reduced) /
-           static_cast<double>(reduced + kept);
+    return static_cast<double>(slowReducedCost) /
+           static_cast<double>(total);
 }
 
 Analyzer::Analyzer(TraceSource &source, AnalyzerConfig config)
@@ -275,18 +277,22 @@ Analyzer::graphs() const
 ImpactResult
 Analyzer::impactAll() const
 {
-    return memo(Stage::Impact, corpusImpact_->all, [&] {
-        ImpactAnalysis impact(*corpus_, components_);
-        return impact.analyze(graphs(), config_.threads);
-    });
+    graphs(); // built outside the stage spans
+    return memo(Stage::Impact, corpusImpact_->all,
+                [&] { return corpusImpactPartial().finalize(); });
 }
 
 std::unordered_map<std::uint32_t, ImpactResult>
 Analyzer::impactPerScenario() const
 {
+    graphs(); // built outside the stage spans
     return memo(Stage::Impact, corpusImpact_->perScenario, [&] {
-        ImpactAnalysis impact(*corpus_, components_);
-        return impact.analyzePerScenario(graphs(), config_.threads);
+        // Inserted in ascending id order, as ImpactAnalysis does, so
+        // the map iterates alike.
+        std::unordered_map<std::uint32_t, ImpactResult> results;
+        for (const auto &[scenario, partial] : scenarioImpactPartials())
+            results.emplace(scenario, partial.finalize());
+        return results;
     });
 }
 
@@ -302,6 +308,10 @@ Analyzer::querySlot(std::uint32_t scenario, DurationNs t_fast,
         replaced = std::exchange(slot, std::make_shared<QuerySlot>());
         slot->tFast = t_fast;
         slot->tSlow = t_slow;
+        std::unique_ptr<ScenarioTrie> &trie = tries_[scenario];
+        if (trie == nullptr)
+            trie = std::make_unique<ScenarioTrie>(config_.maxSegmentLength);
+        slot->trie = trie.get();
     }
     return slot;
 }
@@ -332,7 +342,7 @@ Analyzer::classify(std::uint32_t scenario, DurationNs t_fast,
 
 template <typename T, typename Compute>
 std::uint64_t
-Analyzer::summarize(const std::vector<std::uint32_t> &members,
+Analyzer::summarize(std::span<const std::uint32_t> members,
                     Lazy<T> InstanceSummaries::*slot, unsigned threads,
                     Compute &&compute) const
 {
@@ -352,18 +362,26 @@ Analyzer::summarize(const std::vector<std::uint32_t> &members,
     return computed.load(std::memory_order_relaxed);
 }
 
-PartialImpact
-Analyzer::classImpact(const std::vector<std::uint32_t> &members,
-                      unsigned threads) const
+std::uint64_t
+Analyzer::contributions(std::span<const std::uint32_t> members,
+                        unsigned threads) const
 {
     const std::vector<WaitGraph> &all = graphs();
-    Span span("impact.analyze", "analysis");
     const ImpactAnalysis impact(*corpus_, components_);
     const std::uint64_t computed = summarize(
         members, &InstanceSummaries::contribution, threads,
         [&](std::uint32_t i) { return impact.collect(all[i]); });
     counters_[static_cast<std::size_t>(Stage::Impact)].summaries->add(
         computed);
+    return computed;
+}
+
+PartialImpact
+Analyzer::classImpact(const std::vector<std::uint32_t> &members,
+                      unsigned threads) const
+{
+    Span span("impact.analyze", "analysis");
+    const std::uint64_t computed = contributions(members, threads);
 
     // The D_waitdist dedup is order-sensitive: fold in instance order.
     PartialImpact partial;
@@ -376,18 +394,55 @@ Analyzer::classImpact(const std::vector<std::uint32_t> &members,
     return partial;
 }
 
-PartialAwg
-Analyzer::classAwg(const std::vector<std::uint32_t> &members,
-                   unsigned threads) const
+PartialImpact
+Analyzer::corpusImpactPartial() const
+{
+    std::vector<std::uint32_t> all(corpus_->instances().size());
+    std::iota(all.begin(), all.end(), 0u);
+    return classImpact(all, config_.threads);
+}
+
+std::vector<std::pair<std::uint32_t, PartialImpact>>
+Analyzer::scenarioImpactPartials() const
+{
+    Span span("impact.analyze", "analysis");
+    const auto scenarios = corpus_->instanceScenarios();
+    std::vector<std::uint32_t> all(scenarios.size());
+    std::iota(all.begin(), all.end(), 0u);
+    const std::uint64_t computed = contributions(all, config_.threads);
+
+    std::map<std::uint32_t, PartialImpact> partials;
+    for (std::uint32_t i = 0; i < scenarios.size(); ++i)
+        partials[scenarios[i]].absorbInstance(
+            summaries_[i].contribution.value);
+    if (span.active()) {
+        span.arg("graphs", static_cast<std::uint64_t>(all.size()));
+        span.arg("computed", computed);
+    }
+    return {std::make_move_iterator(partials.begin()),
+            std::make_move_iterator(partials.end())};
+}
+
+std::uint64_t
+Analyzer::fragments(std::span<const std::uint32_t> members,
+                    unsigned threads) const
 {
     const std::vector<WaitGraph> &all = graphs();
-    Span span("awg.aggregate", "analysis");
     const AwgBuilder builder(*corpus_, components_, config_.awg);
     const std::uint64_t computed = summarize(
         members, &InstanceSummaries::fragment, threads,
         [&](std::uint32_t i) { return builder.summarize(all[i]); });
     counters_[static_cast<std::size_t>(Stage::Awg)].summaries->add(
         computed);
+    return computed;
+}
+
+PartialAwg
+Analyzer::classAwg(const std::vector<std::uint32_t> &members,
+                   unsigned threads) const
+{
+    Span span("awg.aggregate", "analysis");
+    const std::uint64_t computed = fragments(members, threads);
 
     // The trie's node layout follows absorb order: fold in instance
     // order.
@@ -399,6 +454,64 @@ Analyzer::classAwg(const std::vector<std::uint32_t> &members,
         span.arg("computed", computed);
     }
     return partial;
+}
+
+void
+Analyzer::growTrie(ScenarioTrie &scenario,
+                   const std::vector<std::uint32_t> &members) const
+{
+    std::vector<std::uint32_t> missing;
+    {
+        const std::shared_lock lock(scenario.mutex);
+        for (std::uint32_t i : members)
+            if (!summaries_[i].mapped)
+                missing.push_back(i);
+    }
+    if (missing.empty())
+        return;
+
+    Span span("awg.grow-trie", "analysis");
+    const std::unique_lock lock(scenario.mutex);
+    const std::uint32_t before = scenario.trie.size();
+    std::uint64_t mapped = 0;
+    for (std::uint32_t i : missing) {
+        InstanceSummaries &summaries = summaries_[i];
+        if (summaries.mapped)
+            continue; // a concurrent query mapped it first
+        const AwgFragment &fragment = summaries.fragment.value;
+        summaries.trieNodes.reserve(fragment.nodes.size());
+        scenario.trie.map(fragment, summaries.trieNodes);
+        summaries.mapped = true;
+        ++mapped;
+    }
+    if (span.active()) {
+        span.arg("members", mapped);
+        span.arg("nodes", static_cast<std::uint64_t>(scenario.trie.size() -
+                                                     before));
+    }
+}
+
+AwgColumn
+Analyzer::classColumn(ScenarioTrie &scenario,
+                      const std::vector<std::uint32_t> &members,
+                      unsigned threads) const
+{
+    Span span("awg.aggregate", "analysis");
+    const std::uint64_t computed = fragments(members, threads);
+    growTrie(scenario, members);
+
+    // Integer sums by node id: the fold order does not matter.
+    const std::shared_lock lock(scenario.mutex);
+    AwgColumn column(scenario.trie.size());
+    for (std::uint32_t i : members)
+        column.absorb(summaries_[i].fragment.value,
+                      summaries_[i].trieNodes);
+    column.finalize(scenario.trie, config_.awg.reduceNonOptimizable);
+    if (span.active()) {
+        span.arg("graphs", static_cast<std::uint64_t>(members.size()));
+        span.arg("computed", computed);
+    }
+    return column;
 }
 
 ScenarioPartial
@@ -444,10 +557,8 @@ Analyzer::impactPartial() const
     ImpactPartial partial;
     partial.streamCount =
         static_cast<std::uint32_t>(corpus_->streamCount());
-    ImpactAnalysis impact(*corpus_, components_);
-    partial.all = impact.analyzePartial(graphs(), config_.threads);
-    for (auto &[scenario, accumulator] :
-         impact.analyzePerScenarioPartial(graphs(), config_.threads)) {
+    partial.all = corpusImpactPartial();
+    for (auto &[scenario, accumulator] : scenarioImpactPartials()) {
         partial.perScenario.emplace_back(
             corpus_->scenarioName(scenario), std::move(accumulator));
     }
@@ -509,20 +620,15 @@ Analyzer::analyzeScenarioWithThreads(std::string_view name,
     for (std::uint32_t i : analysis.classes.slow)
         analysis.slowDuration += corpus_->instances()[i].duration();
 
-    auto classAwgAt = [&](Lazy<AggregatedWaitGraph> &awg,
-                          const std::vector<std::uint32_t> &members)
-        -> const AggregatedWaitGraph & {
-        return memo(Stage::Awg, awg, [&] {
-            return classAwg(members, threads)
-                .finalize(config_.awg.reduceNonOptimizable);
-        });
-    };
-    const AggregatedWaitGraph &awgFast =
-        classAwgAt(slot->awgFast, analysis.classes.fast);
-    const AggregatedWaitGraph &awgSlow =
-        classAwgAt(slot->awgSlow, analysis.classes.slow);
-    analysis.awgFast = awgFast;
-    analysis.awgSlow = awgSlow;
+    ScenarioTrie &trie = *slot->trie;
+    const AwgColumn &fast = memo(Stage::Awg, slot->fast, [&] {
+        return classColumn(trie, analysis.classes.fast, threads);
+    });
+    const AwgColumn &slow = memo(Stage::Awg, slot->slow, [&] {
+        return classColumn(trie, analysis.classes.slow, threads);
+    });
+    analysis.slowReducedCost = slow.reducedCost;
+    analysis.slowRootCost = slow.rootCost;
 
     analysis.mining = memo(Stage::Mining, slot->mining, [&] {
         MiningOptions mining_options;
@@ -530,8 +636,10 @@ Analyzer::analyzeScenarioWithThreads(std::string_view name,
         mining_options.tFast = t_fast;
         mining_options.tSlow = t_slow;
         mining_options.useMetaPatternGate = config_.useMetaPatternGate;
-        ContrastMiner miner(*corpus_, mining_options);
-        return miner.mine(awgFast, awgSlow, threads);
+        const ContrastMiner miner(*corpus_, mining_options);
+        const std::shared_lock lock(trie.mutex);
+        return std::make_shared<const MiningResult>(
+            miner.mine(trie.trie, fast, slow));
     });
 
     // RQ1 denominator: the total driver cost as aggregated — the kept
@@ -539,11 +647,25 @@ Analyzer::analyzeScenarioWithThreads(std::string_view name,
     // (Section 5.2.2 accounts exactly this way). Cheap to derive, so
     // not memoized.
     analysis.coverage = computeCoverage(
-        analysis.mining,
-        analysis.awgSlow.reducedCost() + analysis.awgSlow.totalRootCost(),
-        t_slow);
+        *analysis.mining, slow.reducedCost + slow.rootCost, t_slow);
 
     return analysis;
+}
+
+ClassAwgs
+Analyzer::scenarioAwgs(std::string_view name, DurationNs t_fast,
+                       DurationNs t_slow) const
+{
+    const std::uint32_t scenario = corpus_->findScenario(name);
+    if (scenario == UINT32_MAX)
+        TL_FATAL("scenario '", std::string(name), "' not in corpus");
+    const ContrastClasses classes = classify(scenario, t_fast, t_slow);
+    graphs(); // built outside the fold spans
+    const bool reduce = config_.awg.reduceNonOptimizable;
+    ClassAwgs awgs;
+    awgs.fast = classAwg(classes.fast, config_.threads).finalize(reduce);
+    awgs.slow = classAwg(classes.slow, config_.threads).finalize(reduce);
+    return awgs;
 }
 
 } // namespace tracelens

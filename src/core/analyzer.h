@@ -15,24 +15,29 @@
  * one vector. Each instance's AWG fragment (Algorithm 1 steps 1-2)
  * and impact contribution (the Section 3 scan) depend on neither the
  * thresholds nor the other instances, so the Analyzer computes them
- * the first time a query needs that instance and keeps them: a
- * per-class stage (slow-class impact, fast and slow AWGs) folds its
- * class members' kept values in instance order. On top of those the
- * Analyzer keeps two things:
+ * the first time a query needs that instance and keeps them: the
+ * slow-class impact folds its members' kept contributions in instance
+ * order, and the corpus-wide and per-scenario impact fold every
+ * instance's. Per scenario the Analyzer keeps one path trie
+ * (src/mining/pathtrie.h), grown from the fragments of the class
+ * members that queries asked about, and each mapped instance's node
+ * ids in it: a class AWG is a column over the trie, folded by index
+ * from its members' node maps, and mining runs over two columns. On
+ * top of those the Analyzer keeps two things:
  *
  *  - the corpus-wide and per-scenario impact, computed once;
  *  - per scenario, one slot holding the classes, slow-class impact,
- *    both AWGs and the mining result at the thresholds the scenario
- *    was last asked at. A query at those thresholds shares the slot;
- *    a query at other thresholds replaces it, so a daemon exploring
- *    thresholds does not pile results up.
+ *    both class columns and the mining result at the thresholds the
+ *    scenario was last asked at. A query at those thresholds shares
+ *    the slot; a query at other thresholds replaces it, so a daemon
+ *    exploring thresholds does not pile results up.
  *
  * Incrementality: addStreams() appends trace data and keeps the
- * existing shards' wait graphs and per-instance summaries — only the
- * new shard's wait graphs are built, and the whole-corpus results
- * (impact, slots) are dropped and rebuilt on demand. The results are
- * bit-identical to a cold analysis of the merged corpus (asserted by
- * tests/incremental_test.cpp).
+ * existing shards' wait graphs, per-instance summaries and the path
+ * tries — only the new shard's wait graphs are built, and the
+ * whole-corpus results (impact, slots) are dropped and rebuilt on
+ * demand. The results are bit-identical to a cold analysis of the
+ * merged corpus (asserted by tests/incremental_test.cpp).
  *
  * Every stage merges per-shard results deterministically, so analysis
  * output is bit-identical for every thread count (see
@@ -47,6 +52,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -58,6 +64,7 @@
 #include "src/impact/impact.h"
 #include "src/mining/coverage.h"
 #include "src/mining/miner.h"
+#include "src/mining/pathtrie.h"
 #include "src/trace/source.h"
 #include "src/trace/stream.h"
 #include "src/util/hash.h"
@@ -73,7 +80,7 @@ enum class Stage : std::uint8_t
     WaitGraphs = 0, //!< Per-shard wait graphs.
     Classes = 1,    //!< Per-scenario fast/slow contrast classes.
     Impact = 2,     //!< Corpus / per-scenario / slow-class impact.
-    Awg = 3,        //!< Fast and slow aggregated wait graphs.
+    Awg = 3,        //!< Fast and slow class AWG columns.
     Mining = 4,     //!< Per-scenario contrast-mining results.
 };
 
@@ -123,12 +130,12 @@ struct AnalyzerConfig
     std::uint32_t maxSegmentLength = 5;
     bool useMetaPatternGate = true;
     /**
-     * Worker threads for every pipeline stage (wait-graph
-     * construction, impact accumulation, AWG aggregation, mining, and
-     * the analyzeScenarios fan-out): 0 = all hardware threads
-     * (default), 1 = fully serial. Every stage merges per-shard
-     * results deterministically, so analysis output is bit-identical
-     * for every thread count.
+     * Worker threads for the parallel stages (wait-graph
+     * construction, impact contributions, AWG fragments, and the
+     * analyzeScenarios fan-out; mining runs serially): 0 = all
+     * hardware threads (default), 1 = fully serial. Every stage
+     * merges per-shard results deterministically, so analysis output
+     * is bit-identical for every thread count.
      */
     unsigned threads = 0;
     /**
@@ -168,9 +175,13 @@ struct ScenarioAnalysis
     /** Total instance time of the slow class (D_scn of the class). */
     DurationNs slowDuration = 0;
 
-    AggregatedWaitGraph awgFast;
-    AggregatedWaitGraph awgSlow;
-    MiningResult mining;
+    /** Slow-class AWG time removed as non-optimizable (ReduceAWG). */
+    DurationNs slowReducedCost = 0;
+    /** Slow-class AWG time kept: the total of its roots' cost. */
+    DurationNs slowRootCost = 0;
+
+    /** The ranked patterns, shared with the Analyzer that mined them. */
+    std::shared_ptr<const MiningResult> mining;
     CoverageResult coverage;
 
     /** Driver time share of the slow class: (D_wait+D_run)/D_scn. */
@@ -180,6 +191,13 @@ struct ScenarioAnalysis
      * hardware service (ReduceAWG).
      */
     double nonOptimizableShare() const;
+};
+
+/** The fast- and slow-class AWGs of one scenario query. */
+struct ClassAwgs
+{
+    AggregatedWaitGraph fast;
+    AggregatedWaitGraph slow;
 };
 
 /** The pipeline facade. */
@@ -237,6 +255,16 @@ class Analyzer
     ScenarioAnalysis analyzeScenario(std::string_view name,
                                      DurationNs t_fast,
                                      DurationNs t_slow) const;
+
+    /**
+     * The fast- and slow-class AWGs of @p name at these thresholds,
+     * for callers that draw or compare AWG layouts: the members'
+     * fragments folded in instance order, then finalized, so the
+     * layout is Algorithm 1's. analyzeScenario() does not build them.
+     * Neither kept nor counted as a stage.
+     */
+    ClassAwgs scenarioAwgs(std::string_view name, DurationNs t_fast,
+                           DurationNs t_slow) const;
 
     /**
      * Analyze several scenarios, fanning the independent analyses out
@@ -337,6 +365,24 @@ class Analyzer
     {
         Lazy<AwgFragment> fragment;
         Lazy<ImpactContribution> contribution;
+        /** The scenario trie's node for each fragment node, and
+         *  whether they are set; guarded by that trie's mutex. */
+        std::vector<std::uint32_t> trieNodes;
+        bool mapped = false;
+    };
+
+    /**
+     * One scenario's path trie. Growing it is exclusive; folding a
+     * column and mining read it under the shared lock, so no reader
+     * sees its vectors reallocate, and queries on different scenarios
+     * never share a lock.
+     */
+    struct ScenarioTrie
+    {
+        explicit ScenarioTrie(std::uint32_t k) : trie(k) {}
+
+        std::shared_mutex mutex;
+        PathTrie trie;
     };
 
     /** The corpus-wide impact results, computed once per corpus. */
@@ -355,17 +401,20 @@ class Analyzer
     {
         DurationNs tFast = 0;
         DurationNs tSlow = 0;
+        /** The scenario's trie, which outlives every slot. */
+        ScenarioTrie *trie = nullptr;
         Lazy<ContrastClasses> classes;
         Lazy<ImpactResult> slowImpact;
-        Lazy<AggregatedWaitGraph> awgFast;
-        Lazy<AggregatedWaitGraph> awgSlow;
-        Lazy<MiningResult> mining;
+        Lazy<AwgColumn> fast;
+        Lazy<AwgColumn> slow;
+        Lazy<std::shared_ptr<const MiningResult>> mining;
     };
 
     /**
      * The slot of @p scenario at (t_fast, t_slow): the held one when
      * it is at those thresholds, else a new one that replaces it. A
-     * query still running on a replaced slot keeps it alive.
+     * query still running on a replaced slot keeps it alive. Creates
+     * the scenario's trie on first use.
      */
     std::shared_ptr<QuerySlot> querySlot(std::uint32_t scenario,
                                          DurationNs t_fast,
@@ -391,17 +440,44 @@ class Analyzer
      * wait in its once). Returns how many this call computed.
      */
     template <typename T, typename Compute>
-    std::uint64_t summarize(const std::vector<std::uint32_t> &members,
+    std::uint64_t summarize(std::span<const std::uint32_t> members,
                             Lazy<T> InstanceSummaries::*slot,
                             unsigned threads, Compute &&compute) const;
+
+    /** Compute the impact contributions @p members lack; returns how
+     *  many it computed. */
+    std::uint64_t contributions(std::span<const std::uint32_t> members,
+                                unsigned threads) const;
+
+    /** Every instance's contribution, folded in instance order. */
+    PartialImpact corpusImpactPartial() const;
+
+    /** Every instance's contribution, folded in instance order into
+     *  one accumulator per scenario id, ascending. */
+    std::vector<std::pair<std::uint32_t, PartialImpact>>
+    scenarioImpactPartials() const;
 
     /** Slow-class impact: @p members' contributions folded in order. */
     PartialImpact classImpact(const std::vector<std::uint32_t> &members,
                               unsigned threads) const;
 
+    /** Compute the AWG fragments @p members lack; returns how many it
+     *  computed. */
+    std::uint64_t fragments(std::span<const std::uint32_t> members,
+                            unsigned threads) const;
+
     /** A class's unreduced AWG: @p members' fragments folded in order. */
     PartialAwg classAwg(const std::vector<std::uint32_t> &members,
                         unsigned threads) const;
+
+    /** Map every member of @p members the trie has no nodes for. */
+    void growTrie(ScenarioTrie &scenario,
+                  const std::vector<std::uint32_t> &members) const;
+
+    /** A class's column over its scenario's trie, finalized. */
+    AwgColumn classColumn(ScenarioTrie &scenario,
+                          const std::vector<std::uint32_t> &members,
+                          unsigned threads) const;
 
     TraceSource *source_;
     AnalyzerConfig config_;
@@ -430,10 +506,12 @@ class Analyzer
     /** Replaced by absorb(), so a grown corpus computes it afresh. */
     std::unique_ptr<CorpusImpact> corpusImpact_;
 
-    /** Per scenario id; absorb() clears it. */
+    /** Per scenario id; absorb() clears slots_ and keeps tries_. */
     mutable std::mutex slotsMutex_;
     mutable std::unordered_map<std::uint32_t, std::shared_ptr<QuerySlot>>
         slots_;
+    mutable std::unordered_map<std::uint32_t, std::unique_ptr<ScenarioTrie>>
+        tries_;
 
     /** Counter handles into metrics_, one set per stage. */
     struct StageCounters

@@ -186,10 +186,10 @@ buildHtmlReport(const Analyzer &analyzer,
              << "</p>\n";
 
         std::vector<ContrastPattern> patterns =
-            analysis.mining.patterns;
+            analysis.mining->patterns;
         if (options.applyKnowledgeFilter) {
             FilteredMiningResult filtered =
-                knowledge.apply(analysis.mining, corpus.symbols());
+                knowledge.apply(*analysis.mining, corpus.symbols());
             if (!filtered.suppressed.empty()) {
                 html << "<p class=muted>"
                      << filtered.suppressed.size()
@@ -215,23 +215,27 @@ buildHtmlReport(const Analyzer &analyzer,
                  << "</span></div>\n";
         }
 
-        if (!analysis.awgSlow.empty()) {
+        const AggregatedWaitGraph awgSlow =
+            analyzer
+                .scenarioAwgs(scenario.name, scenario.tFast,
+                              scenario.tSlow)
+                .slow;
+        if (!awgSlow.empty()) {
             html << "<details><summary>slow-class Aggregated Wait "
                  << "Graph (heaviest roots)</summary>\n";
             // Heaviest three roots, each to limited depth.
-            std::vector<std::uint32_t> roots(
-                analysis.awgSlow.roots().begin(),
-                analysis.awgSlow.roots().end());
+            std::vector<std::uint32_t> roots(awgSlow.roots().begin(),
+                                             awgSlow.roots().end());
             std::sort(roots.begin(), roots.end(),
                       [&](std::uint32_t a, std::uint32_t b) {
-                          return analysis.awgSlow.node(a).cost >
-                                 analysis.awgSlow.node(b).cost;
+                          return awgSlow.node(a).cost >
+                                 awgSlow.node(b).cost;
                       });
             for (std::size_t r = 0; r < std::min<std::size_t>(
                                             3, roots.size());
                  ++r) {
-                renderAwgNode(html, analysis.awgSlow,
-                              corpus.symbols(), roots[r], 0, 6);
+                renderAwgNode(html, awgSlow, corpus.symbols(), roots[r],
+                              0, 6);
             }
             html << "</details>\n";
         }

@@ -255,23 +255,13 @@ PartialAwg::finalize(bool reduce)
     std::vector<char> removed(awg.nodes_.size(), 0);
     for (std::uint32_t root : awg.roots_) {
         const auto &n = awg.nodes_[root];
-        // "Single hardware-service leaf" in aggregated terms: a direct
-        // device wait — signalled by the device itself (no component
-        // unwait signature) with nothing under it but hardware leaves
-        // (queue-mates on the same device are still pure hardware
-        // time). Lock waits *fed* by hardware keep their component
-        // unwait signature and survive: that time did propagate.
-        // Childless device-readied waits are also pure hardware time:
-        // their service interval was claimed by an earlier window.
-        bool prunable = n.key.status == AwgStatus::Waiting &&
-                        n.key.secondary == kNoFrame;
+        std::size_t hardware_leaves = 0;
         for (std::uint32_t child : n.children) {
-            prunable = prunable &&
-                       awg.nodes_[child].key.status ==
-                           AwgStatus::Hardware &&
-                       awg.nodes_[child].children.empty();
+            const auto &c = awg.nodes_[child];
+            if (c.key.status == AwgStatus::Hardware && c.children.empty())
+                ++hardware_leaves;
         }
-        if (prunable) {
+        if (prunableRoot(n.key, n.children.size(), hardware_leaves)) {
             awg.reducedCost_ += n.cost;
             awg.reducedNodes_ += 1 + n.children.size();
             removed[root] = 1;
@@ -387,33 +377,6 @@ PartialAwg::decode(ByteReader &reader, PartialAwg &out)
     out.awg_.sourceGraphs_ =
         static_cast<std::size_t>(reader.u64());
     return !reader.failed();
-}
-
-// ---------------------------------------------------------------- mining
-
-void
-PartialMeta::merge(const PartialMeta &other)
-{
-    for (const auto &[tuple, stats] : other.metas) {
-        MetaPatternStats &into = metas[tuple];
-        into.cost += stats.cost;
-        into.count += stats.count;
-    }
-}
-
-void
-PartialPatterns::merge(const PartialPatterns &other)
-{
-    fullPaths += other.fullPaths;
-    selectedPaths += other.selectedPaths;
-    for (const auto &[tuple, pattern] : other.patterns) {
-        ContrastPattern &into = patterns[tuple];
-        if (into.count == 0)
-            into.tuple = pattern.tuple;
-        into.cost += pattern.cost;
-        into.count += pattern.count;
-        into.maxExec = std::max(into.maxExec, pattern.maxExec);
-    }
 }
 
 // ------------------------------------------------- cross-machine bundles

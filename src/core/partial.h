@@ -3,7 +3,7 @@
  * Mergeable partial results: the explicit merge layer of the pipeline.
  *
  * Every reduction in the analysis stack — the thread-level folds inside
- * ImpactAnalysis / AwgBuilder / ContrastMiner, the incremental
+ * ImpactAnalysis / AwgBuilder, the incremental
  * `Analyzer::addStreams` path, and the cross-machine scatter/gather of
  * coordinator mode (docs/SERVER.md) — goes through the Partial* types
  * in this header. Each type is an accumulator with an associative
@@ -40,7 +40,6 @@
 
 #include "src/awg/awg.h"
 #include "src/impact/impact.h"
-#include "src/mining/miner.h"
 #include "src/trace/symbols.h"
 #include "src/util/bytecodec.h"
 #include "src/util/expected.h"
@@ -135,8 +134,9 @@ class PartialImpact
  * the non-optimizable reduction. Owns the node-creation bookkeeping
  * (per-node parent, (parent, key) lookup), so that the same
  * first-encounter node layout is reproduced whether per-graph
- * fragments are absorbed (thread, incremental and per-query paths) or
- * whole shard tries are merged (coordinator gather). Partials stay
+ * fragments are absorbed (AwgBuilder, scenario partials and the
+ * Analyzer's AWG drawings) or whole shard tries are merged
+ * (coordinator gather). Partials stay
  * *unreduced* — a root prunable within one shard may gain children
  * from another — and `finalize()` applies the reduction exactly once
  * over the merged trie.
@@ -200,37 +200,6 @@ class PartialAwg
         std::uint32_t,
         std::unordered_map<AwgKey, std::uint32_t, AwgKeyHash>>
         lookup_;
-};
-
-// ---------------------------------------------------------------- mining
-
-/**
- * Partial meta-pattern tally (mining step 1): per-tuple (C, N) sums.
- * Merge is integer summation — associative and commutative.
- */
-struct PartialMeta
-{
-    std::unordered_map<SignatureSetTuple, MetaPatternStats,
-                       SignatureSetTupleHash>
-        metas;
-
-    void merge(const PartialMeta &other);
-};
-
-/**
- * Partial full-path contrast patterns (mining step 3): per-tuple
- * aggregates plus the path counters. Merge sums C/N/path counters and
- * takes the max single execution.
- */
-struct PartialPatterns
-{
-    std::unordered_map<SignatureSetTuple, ContrastPattern,
-                       SignatureSetTupleHash>
-        patterns;
-    std::uint64_t fullPaths = 0;
-    std::uint64_t selectedPaths = 0;
-
-    void merge(const PartialPatterns &other);
 };
 
 // ------------------------------------------------- cross-machine bundles

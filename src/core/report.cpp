@@ -88,10 +88,10 @@ buildReport(const Analyzer &analyzer,
             << TextTable::pct(analysis.nonOptimizableShare()) << "\n";
 
         std::vector<ContrastPattern> patterns =
-            analysis.mining.patterns;
+            analysis.mining->patterns;
         if (options.applyKnowledgeFilter) {
             FilteredMiningResult filtered =
-                knowledge.apply(analysis.mining, corpus.symbols());
+                knowledge.apply(*analysis.mining, corpus.symbols());
             if (!filtered.suppressed.empty()) {
                 oss << filtered.suppressed.size()
                     << " pattern(s) suppressed as by-design ("

@@ -96,13 +96,21 @@ scenarioJson(const std::string &scenario, DurationNs tFast,
              const CoverageResult &coverage, const SymbolTable &symbols,
              std::size_t top, bool applyKnowledgeFilter)
 {
-    std::vector<ContrastPattern> patterns = mining.patterns;
+    // One walk: list the first @p top kept patterns and count every
+    // suppressed one.
+    const KnowledgeBase knowledge = KnowledgeBase::defaults();
     std::size_t suppressed = 0;
-    if (applyKnowledgeFilter) {
-        const auto filtered =
-            KnowledgeBase::defaults().apply(mining, symbols);
-        suppressed = filtered.suppressed.size();
-        patterns = filtered.kept;
+    JsonValue list = JsonValue::makeArray();
+    std::size_t listed = 0;
+    for (const ContrastPattern &pattern : mining.patterns) {
+        if (applyKnowledgeFilter &&
+            knowledge.matches(pattern.tuple, symbols)) {
+            ++suppressed;
+        } else if (listed < top) {
+            list.push(patternJson(pattern, tSlow, symbols, ++listed));
+        } else if (!applyKnowledgeFilter) {
+            break;
+        }
     }
 
     JsonValue result = JsonValue::makeObject();
@@ -120,9 +128,6 @@ scenarioJson(const std::string &scenario, DurationNs tFast,
     result.set("coverage", JsonValue(coverage.render()));
     result.set("mining_stats", JsonValue(mining.stats.render()));
     result.set("suppressed", JsonValue(suppressed));
-    JsonValue list = JsonValue::makeArray();
-    for (std::size_t i = 0; i < std::min(top, patterns.size()); ++i)
-        list.push(patternJson(patterns[i], tSlow, symbols, i + 1));
     result.set("patterns", std::move(list));
     return result;
 }

@@ -116,9 +116,9 @@ ImpactAnalysis::collect(const WaitGraph &graph) const
     return contribution;
 }
 
-PartialImpact
-ImpactAnalysis::analyzePartial(std::span<const WaitGraph> graphs,
-                               unsigned threads) const
+ImpactResult
+ImpactAnalysis::analyze(std::span<const WaitGraph> graphs,
+                        unsigned threads) const
 {
     Span span("impact.analyze", "analysis");
     if (span.active())
@@ -128,7 +128,7 @@ ImpactAnalysis::analyzePartial(std::span<const WaitGraph> graphs,
     if (resolveThreads(threads) <= 1 || graphs.size() < 2) {
         for (const WaitGraph &graph : graphs)
             partial.absorbInstance(collect(graph));
-        return partial;
+        return partial.finalize();
     }
 
     // Parallel per-graph scans, serial in-order dedup fold: the
@@ -140,19 +140,12 @@ ImpactAnalysis::analyzePartial(std::span<const WaitGraph> graphs,
             [&](std::size_t i) { return collect(graphs[i]); });
     for (const ImpactContribution &c : contributions)
         partial.absorbInstance(c);
-    return partial;
+    return partial.finalize();
 }
 
-ImpactResult
-ImpactAnalysis::analyze(std::span<const WaitGraph> graphs,
-                        unsigned threads) const
-{
-    return analyzePartial(graphs, threads).finalize();
-}
-
-std::vector<std::pair<std::uint32_t, PartialImpact>>
-ImpactAnalysis::analyzePerScenarioPartial(
-    std::span<const WaitGraph> graphs, unsigned threads) const
+std::unordered_map<std::uint32_t, ImpactResult>
+ImpactAnalysis::analyzePerScenario(std::span<const WaitGraph> graphs,
+                                   unsigned threads) const
 {
     std::unordered_map<std::uint32_t, PartialImpact> partials;
     if (resolveThreads(threads) <= 1 || graphs.size() < 2) {
@@ -169,25 +162,14 @@ ImpactAnalysis::analyzePerScenarioPartial(
                 contributions[i]);
     }
 
-    std::vector<std::pair<std::uint32_t, PartialImpact>> ordered;
-    ordered.reserve(partials.size());
-    for (auto &[scenario, partial] : partials)
-        ordered.emplace_back(scenario, std::move(partial));
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    return ordered;
-}
-
-std::unordered_map<std::uint32_t, ImpactResult>
-ImpactAnalysis::analyzePerScenario(std::span<const WaitGraph> graphs,
-                                   unsigned threads) const
-{
+    // Inserted in ascending id order, so equal inputs iterate alike.
+    std::vector<std::uint32_t> scenarios;
+    for (const auto &[scenario, partial] : partials)
+        scenarios.push_back(scenario);
+    std::sort(scenarios.begin(), scenarios.end());
     std::unordered_map<std::uint32_t, ImpactResult> results;
-    for (const auto &[scenario, partial] :
-         analyzePerScenarioPartial(graphs, threads))
-        results.emplace(scenario, partial.finalize());
+    for (std::uint32_t scenario : scenarios)
+        results.emplace(scenario, partials.at(scenario).finalize());
     return results;
 }
 

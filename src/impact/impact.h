@@ -48,8 +48,6 @@
 namespace tracelens
 {
 
-class PartialImpact; // src/core/partial.h
-
 /** Aggregated impact metrics for one set of instances. */
 struct ImpactResult
 {
@@ -123,23 +121,6 @@ class ImpactAnalysis
     std::unordered_map<std::uint32_t, ImpactResult>
     analyzePerScenario(std::span<const WaitGraph> graphs,
                        unsigned threads = 1) const;
-
-    /**
-     * analyze() without the finalize: the mergeable accumulator,
-     * for callers that combine several instance subsets (the
-     * coordinator's cross-shard gather). analyze() is exactly
-     * analyzePartial().finalize().
-     */
-    PartialImpact analyzePartial(std::span<const WaitGraph> graphs,
-                                 unsigned threads = 1) const;
-
-    /**
-     * analyzePerScenario() as accumulators, one per scenario id in
-     * ascending id order (deterministic for encoding).
-     */
-    std::vector<std::pair<std::uint32_t, PartialImpact>>
-    analyzePerScenarioPartial(std::span<const WaitGraph> graphs,
-                              unsigned threads = 1) const;
 
     /**
      * Scan one graph: its contribution, for the caller to fold in

@@ -1,19 +1,16 @@
 /**
  * @file
- * Contrast-pattern mining: sharded meta-pattern enumeration, contrast
- * discovery, and per-root-subtree full-path extraction with a strict
- * total ranking order.
+ * Contrast-pattern mining over the class columns of a path trie:
+ * meta-pattern tallies by tuple id, contrast discovery, and full-path
+ * extraction with a strict total ranking order.
  */
 
 #include "src/mining/miner.h"
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
-#include "src/core/partial.h"
 #include "src/util/logging.h"
-#include "src/util/parallel.h"
 #include "src/util/telemetry.h"
 
 namespace tracelens
@@ -63,52 +60,32 @@ MiningResult::impactfulPatternCost(DurationNs t_slow) const
 namespace
 {
 
-/** Project a chain of AWG nodes to its Signature Set Tuple. */
-SignatureSetTuple
-tupleOfChain(const AggregatedWaitGraph &awg,
-             const std::vector<std::uint32_t> &chain)
+/**
+ * Step 1 over one class: every segment ending at a class node is one
+ * of its interned upward chains, and adds the node's (C, N) to the
+ * chain's tuple. Indexed by tuple id; N == 0 means absent.
+ */
+std::vector<MetaPatternStats>
+tallyMetas(const PathTrie &trie, const AwgColumn &column)
 {
-    SignatureSetTuple tuple;
-    for (std::uint32_t id : chain) {
-        const auto &node = awg.node(id);
-        switch (node.key.status) {
-          case AwgStatus::Waiting:
-            tuple.waits.push_back(node.key.primary);
-            tuple.unwaits.push_back(node.key.secondary);
-            break;
-          case AwgStatus::Running:
-          case AwgStatus::Hardware:
-            // Hardware dummies join the running set (Section 4.1).
-            tuple.runnings.push_back(node.key.primary);
-            break;
+    std::vector<MetaPatternStats> metas(trie.tupleCount());
+    for (std::uint32_t v = 0; v < column.size(); ++v) {
+        if (column.count[v] == 0)
+            continue;
+        for (std::uint32_t tuple : trie.chains(v)) {
+            metas[tuple].cost += column.cost[v];
+            metas[tuple].count += column.count[v];
         }
     }
-    tuple.normalize();
-    return tuple;
+    return metas;
 }
 
-using MetaMap = std::unordered_map<SignatureSetTuple, MetaPatternStats,
-                                   SignatureSetTupleHash>;
-using ContrastSet =
-    std::unordered_set<SignatureSetTuple, SignatureSetTupleHash>;
-
-/** Depth-first enumeration of segments starting at one node. */
-void
-enumerateFrom(const AggregatedWaitGraph &awg, std::uint32_t node_id,
-              std::uint32_t max_length,
-              std::vector<std::uint32_t> &chain, MetaMap &metas)
+std::size_t
+distinctMetas(const std::vector<MetaPatternStats> &metas)
 {
-    chain.push_back(node_id);
-    const auto &end = awg.node(node_id);
-    MetaPatternStats &stats = metas[tupleOfChain(awg, chain)];
-    stats.cost += end.cost;
-    stats.count += end.count;
-
-    if (chain.size() < max_length) {
-        for (std::uint32_t child : end.children)
-            enumerateFrom(awg, child, max_length, chain, metas);
-    }
-    chain.pop_back();
+    return static_cast<std::size_t>(
+        std::count_if(metas.begin(), metas.end(),
+                      [](const MetaPatternStats &m) { return m.count > 0; }));
 }
 
 /** Deterministic ordering for ranked output. */
@@ -141,98 +118,76 @@ ContrastMiner::ContrastMiner(const TraceCorpus &corpus,
     }
 }
 
-MetaMap
+std::unordered_map<SignatureSetTuple, MetaPatternStats,
+                   SignatureSetTupleHash>
 ContrastMiner::enumerateMetaPatterns(const AggregatedWaitGraph &awg,
-                                     unsigned threads) const
+                                     unsigned /*threads*/) const
 {
-    const std::size_t node_count = awg.nodes().size();
-    const unsigned workers = resolveThreads(threads);
-
-    Span span("mining.enumerate-metas", "analysis");
-    if (span.active())
-        span.arg("nodes", static_cast<std::uint64_t>(node_count));
-
-    if (workers <= 1 || node_count < 2) {
-        MetaMap metas;
-        std::vector<std::uint32_t> chain;
-        chain.reserve(options_.maxSegmentLength);
-        // Segments may start at any node, not only at roots.
-        for (std::uint32_t id = 0; id < node_count; ++id)
-            enumerateFrom(awg, id, options_.maxSegmentLength, chain,
-                          metas);
-        return metas;
-    }
-
-    // Shard the segment-start nodes; per-shard tallies merge through
-    // PartialMeta (integer summation — associative and commutative),
-    // so the merged map's contents match the serial enumeration
-    // exactly.
-    const unsigned shard_count = std::min<unsigned>(
-        workers * 4, static_cast<unsigned>(node_count));
-    const std::vector<PartialMeta> shards = parallelMap<PartialMeta>(
-        threads, shard_count, [&](std::size_t shard) {
-            const std::size_t begin = node_count * shard / shard_count;
-            const std::size_t end =
-                node_count * (shard + 1) / shard_count;
-            PartialMeta metas;
-            std::vector<std::uint32_t> chain;
-            chain.reserve(options_.maxSegmentLength);
-            for (std::size_t id = begin; id < end; ++id) {
-                enumerateFrom(awg, static_cast<std::uint32_t>(id),
-                              options_.maxSegmentLength, chain,
-                              metas.metas);
-            }
-            return metas;
-        });
-
-    PartialMeta merged;
-    for (const PartialMeta &shard : shards)
-        merged.merge(shard);
-    return std::move(merged.metas);
+    PathTrie trie(options_.maxSegmentLength);
+    const AwgColumn column = AwgColumn::of(trie, awg);
+    const std::vector<MetaPatternStats> metas = tallyMetas(trie, column);
+    std::unordered_map<SignatureSetTuple, MetaPatternStats,
+                       SignatureSetTupleHash>
+        out;
+    for (std::uint32_t t = 0; t < metas.size(); ++t)
+        if (metas[t].count > 0)
+            out.emplace(trie.tuple(t), metas[t]);
+    return out;
 }
 
 MiningResult
 ContrastMiner::mine(const AggregatedWaitGraph &fast,
                     const AggregatedWaitGraph &slow,
-                    unsigned threads) const
+                    unsigned /*threads*/) const
 {
+    PathTrie trie(options_.maxSegmentLength);
+    const AwgColumn fast_column = AwgColumn::of(trie, fast);
+    const AwgColumn slow_column = AwgColumn::of(trie, slow);
+    return mine(trie, fast_column, slow_column);
+}
+
+MiningResult
+ContrastMiner::mine(const PathTrie &trie, const AwgColumn &fast,
+                    const AwgColumn &slow) const
+{
+    TL_ASSERT(trie.maxSegmentLength() == options_.maxSegmentLength,
+              "path trie interned for k=", trie.maxSegmentLength(),
+              ", miner wants k=", options_.maxSegmentLength);
     Span span("mining.mine", "analysis");
     if (span.active()) {
-        span.arg("fast_nodes",
-                 static_cast<std::uint64_t>(fast.nodes().size()));
-        span.arg("slow_nodes",
-                 static_cast<std::uint64_t>(slow.nodes().size()));
+        span.arg("trie_nodes", static_cast<std::uint64_t>(trie.size()));
+        span.arg("tuples", static_cast<std::uint64_t>(trie.tupleCount()));
     }
 
     MiningResult result;
 
-    // Step 1: meta-pattern enumeration per class.
-    const MetaMap fast_metas = enumerateMetaPatterns(fast, threads);
-    const MetaMap slow_metas = enumerateMetaPatterns(slow, threads);
-    result.stats.fastMetaPatterns = fast_metas.size();
-    result.stats.slowMetaPatterns = slow_metas.size();
+    // Step 1: meta-pattern tallies per class.
+    const std::vector<MetaPatternStats> fast_metas = tallyMetas(trie, fast);
+    const std::vector<MetaPatternStats> slow_metas = tallyMetas(trie, slow);
+    result.stats.fastMetaPatterns = distinctMetas(fast_metas);
+    result.stats.slowMetaPatterns = distinctMetas(slow_metas);
 
     // Step 2: contrast meta-patterns.
-    ContrastSet contrasts;
+    std::vector<char> contrast(slow_metas.size(), 0);
     const double threshold_ratio =
         static_cast<double>(options_.tSlow) /
         static_cast<double>(options_.tFast);
-    for (const auto &[tuple, slow_stats] : slow_metas) {
-        auto it = fast_metas.find(tuple);
-        if (it == fast_metas.end()) {
-            contrasts.insert(tuple);
+    for (std::uint32_t t = 0; t < slow_metas.size(); ++t) {
+        const MetaPatternStats &slow_stats = slow_metas[t];
+        const MetaPatternStats &fast_stats = fast_metas[t];
+        if (slow_stats.count == 0)
+            continue;
+        if (fast_stats.count == 0) {
+            contrast[t] = 1;
             ++result.stats.slowOnlyContrasts;
             continue;
         }
-        const MetaPatternStats &fast_stats = it->second;
-        if (slow_stats.count == 0)
-            continue;
         const double slow_avg = static_cast<double>(slow_stats.cost) /
                                 static_cast<double>(slow_stats.count);
-        if (fast_stats.cost <= 0 || fast_stats.count == 0) {
+        if (fast_stats.cost <= 0) {
             // Zero-cost in the fast class: any slow cost is a contrast.
             if (slow_avg > 0) {
-                contrasts.insert(tuple);
+                contrast[t] = 1;
                 ++result.stats.ratioContrasts;
             }
             continue;
@@ -240,89 +195,60 @@ ContrastMiner::mine(const AggregatedWaitGraph &fast,
         const double fast_avg = static_cast<double>(fast_stats.cost) /
                                 static_cast<double>(fast_stats.count);
         if (slow_avg / fast_avg > threshold_ratio) {
-            contrasts.insert(tuple);
+            contrast[t] = 1;
             ++result.stats.ratioContrasts;
         }
     }
 
-    // Step 3: full-path contrast patterns over the slow AWG, sharded
-    // per root subtree. Each shard mines its subtree independently;
-    // shard tallies merge through PartialPatterns (summation + max)
-    // and the ranking below imposes a strict total order, so the
-    // output is thread-count independent.
-    auto pathSelected = [&](const std::vector<std::uint32_t> &path) {
-        if (!options_.useMetaPatternGate)
-            return true;
-        // The path contains a contrast meta-pattern iff one of its own
-        // length-<=k sub-segments projects onto one (sub-segment tuples
-        // are exactly how meta-patterns arise in step 1).
-        std::vector<std::uint32_t> segment;
-        for (std::size_t start = 0; start < path.size(); ++start) {
-            segment.clear();
-            const std::size_t limit =
-                std::min<std::size_t>(path.size(),
-                                      start + options_.maxSegmentLength);
-            for (std::size_t i = start; i < limit; ++i) {
-                segment.push_back(path[i]);
-                if (contrasts.count(tupleOfChain(slow, segment)))
-                    return true;
-            }
-        }
-        return false;
+    // Step 3: full paths of the slow class. A path contains a contrast
+    // meta-pattern iff one of its nodes ends a contrast chain, so the
+    // "selected" flag flows from each root down (parents have smaller
+    // ids); each slow leaf adds to its root path's tuple.
+    const std::uint32_t nodes = slow.size();
+    std::vector<char> has_child(nodes, 0);
+    for (std::uint32_t v = 0; v < nodes; ++v) {
+        const std::uint32_t p = trie.parent(v);
+        if (slow.count[v] > 0 && p != kInvalidIndex)
+            has_child[p] = 1;
+    }
+    struct PathTally
+    {
+        DurationNs cost = 0;
+        std::uint64_t count = 0;
+        DurationNs maxExec = 0;
     };
-
-    auto mineRoot = [&](std::uint32_t root) {
-        PartialPatterns mined;
-        std::vector<std::uint32_t> chain;
-        auto walk = [&](auto &&self, std::uint32_t node_id) -> void {
-            chain.push_back(node_id);
-            const auto &node = slow.node(node_id);
-            if (node.children.empty()) {
-                ++mined.fullPaths;
-                if (pathSelected(chain)) {
-                    ++mined.selectedPaths;
-                    SignatureSetTuple tuple = tupleOfChain(slow, chain);
-                    ContrastPattern &pattern = mined.patterns[tuple];
-                    if (pattern.count == 0)
-                        pattern.tuple = std::move(tuple);
-                    pattern.cost += node.cost;
-                    pattern.count += node.count;
-                    pattern.maxExec =
-                        std::max(pattern.maxExec, node.maxCost);
-                }
-            } else {
-                for (std::uint32_t child : node.children)
-                    self(self, child);
-            }
-            chain.pop_back();
-        };
-        walk(walk, root);
-        return mined;
-    };
-
-    const auto &slow_roots = slow.roots();
-    std::vector<PartialPatterns> mined_roots;
-    if (resolveThreads(threads) <= 1 || slow_roots.size() < 2) {
-        mined_roots.reserve(slow_roots.size());
-        for (std::uint32_t root : slow_roots)
-            mined_roots.push_back(mineRoot(root));
-    } else {
-        mined_roots = parallelMap<PartialPatterns>(
-            threads, slow_roots.size(),
-            [&](std::size_t i) { return mineRoot(slow_roots[i]); });
+    std::vector<PathTally> paths(trie.tupleCount());
+    std::vector<char> selected(nodes, 0);
+    for (std::uint32_t v = 0; v < nodes; ++v) {
+        if (slow.count[v] == 0)
+            continue;
+        const std::uint32_t p = trie.parent(v);
+        bool chosen = !options_.useMetaPatternGate ||
+                      (p != kInvalidIndex && selected[p]);
+        for (std::uint32_t tuple : trie.chains(v))
+            chosen = chosen || contrast[tuple];
+        selected[v] = chosen;
+        if (has_child[v])
+            continue;
+        ++result.stats.fullPaths;
+        if (!chosen)
+            continue;
+        ++result.stats.selectedPaths;
+        PathTally &path = paths[trie.rootPath(v)];
+        path.cost += slow.cost[v];
+        path.count += slow.count[v];
+        path.maxExec = std::max(path.maxExec, slow.maxCost[v]);
     }
 
-    PartialPatterns merged;
-    for (const PartialPatterns &mined : mined_roots)
-        merged.merge(mined);
-    result.stats.fullPaths =
-        static_cast<std::size_t>(merged.fullPaths);
-    result.stats.selectedPaths =
-        static_cast<std::size_t>(merged.selectedPaths);
-
-    result.patterns.reserve(merged.patterns.size());
-    for (auto &[tuple, pattern] : merged.patterns)
-        result.patterns.push_back(std::move(pattern));
+    for (std::uint32_t t = 0; t < paths.size(); ++t) {
+        if (paths[t].count == 0)
+            continue;
+        ContrastPattern &pattern = result.patterns.emplace_back();
+        pattern.tuple = trie.tuple(t);
+        pattern.cost = paths[t].cost;
+        pattern.count = paths[t].count;
+        pattern.maxExec = paths[t].maxExec;
+    }
     std::sort(result.patterns.begin(), result.patterns.end(),
               rankBefore);
     return result;

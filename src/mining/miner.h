@@ -15,10 +15,16 @@
  *          cost ratio exceeds the threshold ratio:
  *          (Ps.C / Ps.N) / (Pf.C / Pf.N) > T_slow / T_fast.
  *  3. Contrast-pattern discovery: each full root-to-leaf path of the
- *     slow AWG whose tuple contains a contrast meta-pattern is selected
- *     (checked via the path's own <=k sub-segments, which is how the
- *     containment can arise from step 1); identical path patterns merge
- *     their P.C / P.N, and results are ranked by impact P.C / P.N.
+ *     slow AWG that contains a contrast meta-pattern (one of its own
+ *     length-<=k sub-segments projects onto one) is selected;
+ *     identical path patterns merge their P.C / P.N, and results are
+ *     ranked by impact P.C / P.N.
+ *
+ * The steps run over two AwgColumns of one PathTrie
+ * (src/mining/pathtrie.h): the segments ending at a node are its
+ * interned upward chains, so step 1 is array adds by tuple id, step 2
+ * compares two tallies by tuple id, and step 3 passes a "selected"
+ * flag from each root down to its leaves.
  */
 
 #ifndef TRACELENS_MINING_MINER_H
@@ -30,6 +36,7 @@
 #include <vector>
 
 #include "src/awg/awg.h"
+#include "src/mining/pathtrie.h"
 #include "src/mining/signature.h"
 
 namespace tracelens
@@ -111,23 +118,29 @@ class ContrastMiner
     ContrastMiner(const TraceCorpus &corpus, MiningOptions options = {});
 
     /**
-     * Run the three mining steps.
+     * Run the three mining steps over the column pair of a trie built
+     * from @p fast and @p slow, which must already be reduced.
      *
-     * @param threads Worker count (0 = all hardware threads, 1 =
-     *        serial). Meta-pattern enumeration and the full-path walk
-     *        are sharded over AWG node/root partitions; per-shard maps
-     *        merge by integer summation (associative and commutative)
-     *        and the final ranking uses a strict total order, so the
-     *        ranked result is bit-identical for every thread count.
+     * @param threads Ignored: the steps are linear passes over a few
+     *        thousand trie nodes and tuple ids, and run serially.
      */
     MiningResult mine(const AggregatedWaitGraph &fast,
                       const AggregatedWaitGraph &slow,
                       unsigned threads = 1) const;
 
     /**
+     * Run the three mining steps over two class columns of @p trie,
+     * whose segment length must be options().maxSegmentLength. Only
+     * nodes in a class (N > 0) take part, and only the ranked patterns
+     * become SignatureSetTuples.
+     */
+    MiningResult mine(const PathTrie &trie, const AwgColumn &fast,
+                      const AwgColumn &slow) const;
+
+    /**
      * Step 1 alone: enumerate and aggregate the meta-patterns of one
-     * AWG (exposed for tests and the ablation bench). Sharded over
-     * segment-start nodes when @p threads allows.
+     * AWG (exposed for tests and the ablation bench). @p threads is
+     * ignored, as in mine().
      */
     std::unordered_map<SignatureSetTuple, MetaPatternStats,
                        SignatureSetTupleHash>

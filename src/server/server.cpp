@@ -1370,7 +1370,7 @@ Server::handleAnalyze(const QueuedRequest &request)
         classes.slow = analysis.classes.slow.size();
         classes.slowDuration = analysis.slowDuration;
         return scenarioJson(scenario, tFast, tSlow, classes,
-                            analysis.slowImpact, analysis.mining,
+                            analysis.slowImpact, *analysis.mining,
                             analysis.coverage, corpus.symbols(), top,
                             applyFilter)
             .render();
@@ -1454,7 +1454,7 @@ Server::handleMine(const QueuedRequest &request)
             analyzer.analyzeScenario(scenario, tFast, tSlow);
         checkDeadline(request.deadline);
 
-        return mineJson(scenario, tSlow, analysis.mining,
+        return mineJson(scenario, tSlow, *analysis.mining,
                         analysis.coverage, corpus.symbols(), maxPatterns)
             .render();
     });

@@ -62,20 +62,20 @@ TEST(Analyzer, MotivatingExampleEndToEnd)
 
     EXPECT_EQ(analysis.classes.fast.size(), 1u);
     EXPECT_EQ(analysis.classes.slow.size(), 1u);
-    ASSERT_FALSE(analysis.mining.patterns.empty());
+    ASSERT_FALSE(analysis.mining->patterns.empty());
 
     // The top pattern must be the paper's Signature Set Tuple: fv/fs
     // waits fed by the se.sys + DiskService running set.
     const SymbolTable &sym = corpus.symbols();
     const std::string top =
-        analysis.mining.patterns[0].tuple.render(sym);
+        analysis.mining->patterns[0].tuple.render(sym);
     EXPECT_NE(top.find("fv.sys!QueryFileTable"), std::string::npos);
     EXPECT_NE(top.find("fs.sys!AcquireMDU"), std::string::npos);
     EXPECT_NE(top.find("se.sys!ReadDecrypt"), std::string::npos);
     EXPECT_NE(top.find("DiskService"), std::string::npos);
 
     // That pattern is high impact (one execution beyond T_slow).
-    EXPECT_TRUE(analysis.mining.patterns[0].highImpact(fromMs(500)));
+    EXPECT_TRUE(analysis.mining->patterns[0].highImpact(fromMs(500)));
     EXPECT_GT(analysis.coverage.itc(), 0.0);
     EXPECT_GE(analysis.coverage.ttc(), analysis.coverage.itc());
 }

@@ -158,7 +158,7 @@ TEST(MiningDiff, TwoSeedsOfSameWorkloadAreMostlyStable)
         "BrowserTabCreate", fromMs(300), fromMs(500));
 
     const MiningDiff diff = diffMiningResults(
-        ra.mining, a.symbols(), rb.mining, b.symbols(), 3.0);
+        *ra.mining, a.symbols(), *rb.mining, b.symbols(), 3.0);
     // Shared structure exists: at least some patterns match exactly.
     EXPECT_GT(diff.stable + diff.changed.size(), 0u);
 }

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,22 +56,29 @@ reportOf(const Analyzer &analyzer)
     return buildReport(analyzer, catalogThresholds(analyzer.corpus()));
 }
 
-/** Everything a scenario analysis answers, for byte comparison. */
+/**
+ * Everything a scenario query answers, and the layouts of its class
+ * AWGs, for byte comparison.
+ */
 std::string
-renderAnalysis(const ScenarioAnalysis &analysis,
-               const SymbolTable &symbols)
+renderAnalysis(const Analyzer &analyzer, const std::string &name,
+               DurationNs tFast, DurationNs tSlow)
 {
+    const ScenarioAnalysis analysis =
+        analyzer.analyzeScenario(name, tFast, tSlow);
+    const ClassAwgs awgs = analyzer.scenarioAwgs(name, tFast, tSlow);
+    const SymbolTable &symbols = analyzer.corpus().symbols();
     std::ostringstream oss;
     oss << analysis.classes.fast.size() << "/"
         << analysis.classes.middle.size() << "/"
         << analysis.classes.slow.size() << "\n"
         << analysis.slowImpact.render() << " D_scn(slow)="
         << analysis.slowDuration << "\n"
-        << analysis.awgFast.renderText(symbols, 100000)
-        << analysis.awgSlow.renderText(symbols, 100000)
-        << analysis.mining.stats.render() << "\n"
+        << awgs.fast.renderText(symbols, 100000)
+        << awgs.slow.renderText(symbols, 100000)
+        << analysis.mining->stats.render() << "\n"
         << analysis.coverage.render() << "\n";
-    for (const ContrastPattern &pattern : analysis.mining.patterns)
+    for (const ContrastPattern &pattern : analysis.mining->patterns)
         oss << pattern.impact() << " " << pattern.count << "\n"
             << pattern.tuple.render(symbols);
     return oss.str();
@@ -298,14 +306,62 @@ TEST(Incremental, ClassFoldsMatchTheReferencePath)
                     copiesOf(analyzer, analysis.classes.slow);
                 expectSameImpact(analysis.slowImpact,
                                  impact.analyze(slow, threads));
-                expectSameAwg(analysis.awgFast,
-                              builder.aggregate(fast, threads),
+                const ClassAwgs awgs =
+                    analyzer.scenarioAwgs(s.name, tFast, tSlow);
+                const AggregatedWaitGraph slowAwg =
+                    builder.aggregate(slow, threads);
+                expectSameAwg(awgs.fast, builder.aggregate(fast, threads),
                               corpus.symbols());
-                expectSameAwg(analysis.awgSlow,
-                              builder.aggregate(slow, threads),
-                              corpus.symbols());
+                expectSameAwg(awgs.slow, slowAwg, corpus.symbols());
+                EXPECT_EQ(analysis.slowReducedCost, slowAwg.reducedCost());
+                EXPECT_EQ(analysis.slowRootCost, slowAwg.totalRootCost());
             }
         }
+    }
+}
+
+/** An impact-per-scenario map in its iteration order. */
+std::string
+renderPerScenario(
+    const std::unordered_map<std::uint32_t, ImpactResult> &impacts)
+{
+    std::ostringstream oss;
+    for (const auto &[scenario, impact] : impacts)
+        oss << scenario << " " << impact.render() << "\n";
+    return oss.str();
+}
+
+TEST(Incremental, ImpactScansEachInstanceOnce)
+{
+    // The corpus-wide, per-scenario and partial impact and every
+    // slow-class fold share one kept contribution per instance.
+    const TraceCorpus corpus = generateCorpus(smallSpec());
+    for (const unsigned threads : {1u, 3u}) {
+        AnalyzerConfig config;
+        config.threads = threads;
+        EagerSource source(corpus);
+        Analyzer analyzer(source, config);
+        const ImpactResult all = analyzer.impactAll();
+        const std::unordered_map<std::uint32_t, ImpactResult> per =
+            analyzer.impactPerScenario();
+        const ImpactPartial partial = analyzer.impactPartial();
+        for (const ScenarioThresholds &s : catalogThresholds(corpus))
+            (void)analyzer.analyzeScenario(s.name, s.tFast, s.tSlow);
+        EXPECT_EQ(analyzer.pipelineStats().of(Stage::Impact).summaries,
+                  corpus.instances().size());
+
+        const ImpactAnalysis impact(corpus, analyzer.components());
+        const ImpactResult want_all = impact.analyze(analyzer.graphs());
+        const std::unordered_map<std::uint32_t, ImpactResult> want_per =
+            impact.analyzePerScenario(analyzer.graphs());
+        expectSameImpact(all, want_all);
+        expectSameImpact(partial.all.finalize(), want_all);
+        // The daemon renders the map in iteration order.
+        EXPECT_EQ(renderPerScenario(per), renderPerScenario(want_per));
+        ASSERT_EQ(partial.perScenario.size(), want_per.size());
+        for (const auto &[name, accumulator] : partial.perScenario)
+            expectSameImpact(accumulator.finalize(),
+                             want_per.at(corpus.findScenario(name)));
     }
 }
 
@@ -347,25 +403,22 @@ TEST(Incremental, ChangedThresholdsEvictPerQueryArtifacts)
     const DurationNs t2Slow = s.tSlow * 3 / 2;
     auto awgStats = [&] { return analyzer.pipelineStats().of(Stage::Awg); };
 
-    const std::string first = renderAnalysis(
-        analyzer.analyzeScenario(s.name, s.tFast, s.tSlow),
-        corpus.symbols());
+    const std::string first =
+        renderAnalysis(analyzer, s.name, s.tFast, s.tSlow);
     (void)analyzer.analyzeScenario(s.name, t2Fast, t2Slow);
     const StageStats beforeThird = awgStats();
 
     // Back at t1: the t2 query replaced t1's slot, so both rebuild...
-    const std::string third = renderAnalysis(
-        analyzer.analyzeScenario(s.name, s.tFast, s.tSlow),
-        corpus.symbols());
+    const std::string third =
+        renderAnalysis(analyzer, s.name, s.tFast, s.tSlow);
     EXPECT_EQ(awgStats().misses, beforeThird.misses + 2);
     EXPECT_EQ(awgStats().hits, beforeThird.hits);
     EXPECT_EQ(third, first);
 
     // ...and a repeat at t1 finds them kept.
     const StageStats beforeFourth = awgStats();
-    const std::string fourth = renderAnalysis(
-        analyzer.analyzeScenario(s.name, s.tFast, s.tSlow),
-        corpus.symbols());
+    const std::string fourth =
+        renderAnalysis(analyzer, s.name, s.tFast, s.tSlow);
     EXPECT_EQ(awgStats().misses, beforeFourth.misses);
     EXPECT_EQ(awgStats().hits, beforeFourth.hits + 2);
     EXPECT_EQ(fourth, first);
@@ -387,10 +440,9 @@ TEST(Incremental, ConcurrentQueriesAtAlternatingThresholdsMatchSerial)
         EagerSource source(corpus);
         Analyzer analyzer(source, AnalyzerConfig{.threads = 1});
         for (int t = 0; t < 2; ++t)
-            serial[t] = renderAnalysis(
-                analyzer.analyzeScenario(s.name, thresholds[t].first,
-                                         thresholds[t].second),
-                corpus.symbols());
+            serial[t] = renderAnalysis(analyzer, s.name,
+                                       thresholds[t].first,
+                                       thresholds[t].second);
     }
 
     AnalyzerConfig config;
@@ -406,9 +458,7 @@ TEST(Incremental, ConcurrentQueriesAtAlternatingThresholdsMatchSerial)
             for (int round = 0; round < kRounds; ++round) {
                 const auto &[tFast, tSlow] = thresholds[(k + round) % 2];
                 answers[static_cast<std::size_t>(k)].push_back(
-                    renderAnalysis(
-                        analyzer.analyzeScenario(s.name, tFast, tSlow),
-                        corpus.symbols()));
+                    renderAnalysis(analyzer, s.name, tFast, tSlow));
             }
         });
     }

@@ -71,7 +71,10 @@ TEST(Integration, EveryScenarioAnalyzesCleanly)
                   analysis.coverage.ttc() + 1e-9)
             << scn.name;
         if (!analysis.classes.slow.empty()) {
-            EXPECT_FALSE(analysis.awgSlow.empty()) << scn.name;
+            EXPECT_FALSE(
+                analyzer.scenarioAwgs(scn.name, scn.tFast, scn.tSlow)
+                    .slow.empty())
+                << scn.name;
         }
     }
 }
@@ -86,7 +89,7 @@ TEST(Integration, PatternIndexAcrossScenarios)
             continue;
         const ScenarioAnalysis analysis = analyzer.analyzeScenario(
             scn.name, scn.tFast, scn.tSlow);
-        index.add(scn.name, analysis.mining);
+        index.add(scn.name, *analysis.mining);
     }
     ASSERT_GT(index.patternCount(), 0u);
 
@@ -123,9 +126,9 @@ TEST(Integration, KnowledgeFilterOnRealMiningOutput)
         const ScenarioAnalysis analysis = analyzer.analyzeScenario(
             scn.name, scn.tFast, scn.tSlow);
         const FilteredMiningResult filtered =
-            kb.apply(analysis.mining, corpus.symbols());
+            kb.apply(*analysis.mining, corpus.symbols());
         EXPECT_EQ(filtered.kept.size() + filtered.suppressed.size(),
-                  analysis.mining.patterns.size());
+                  analysis.mining->patterns.size());
         saw_suppression |= !filtered.suppressed.empty();
         for (const SuppressedPattern &s : filtered.suppressed)
             EXPECT_FALSE(s.reason.empty());

@@ -235,18 +235,24 @@ TEST(ParallelDeterminism, ScenarioAnalysisIdentical)
 
         // AWGs: identical structure including node order (the trie
         // fold is serial and ordered in both paths).
-        EXPECT_EQ(a.awgSlow.reducedCost(), b.awgSlow.reducedCost());
-        EXPECT_EQ(a.awgSlow.totalRootCost(), b.awgSlow.totalRootCost());
-        EXPECT_EQ(a.awgFast.renderText(corpus.symbols(), 10000),
-                  b.awgFast.renderText(corpus.symbols(), 10000));
-        EXPECT_EQ(a.awgSlow.renderText(corpus.symbols(), 10000),
-                  b.awgSlow.renderText(corpus.symbols(), 10000));
+        EXPECT_EQ(a.slowReducedCost, b.slowReducedCost);
+        EXPECT_EQ(a.slowRootCost, b.slowRootCost);
+        const ClassAwgs awgsA =
+            serial.scenarioAwgs(spec.name, spec.tFast, spec.tSlow);
+        const ClassAwgs awgsB =
+            parallel.scenarioAwgs(spec.name, spec.tFast, spec.tSlow);
+        EXPECT_EQ(awgsA.slow.reducedCost(), awgsB.slow.reducedCost());
+        EXPECT_EQ(awgsA.slow.totalRootCost(), awgsB.slow.totalRootCost());
+        EXPECT_EQ(awgsA.fast.renderText(corpus.symbols(), 10000),
+                  awgsB.fast.renderText(corpus.symbols(), 10000));
+        EXPECT_EQ(awgsA.slow.renderText(corpus.symbols(), 10000),
+                  awgsB.slow.renderText(corpus.symbols(), 10000));
 
         // Mined pattern ranking: identical order and contents.
-        ASSERT_EQ(a.mining.patterns.size(), b.mining.patterns.size());
-        for (std::size_t i = 0; i < a.mining.patterns.size(); ++i) {
-            const ContrastPattern &pa = a.mining.patterns[i];
-            const ContrastPattern &pb = b.mining.patterns[i];
+        ASSERT_EQ(a.mining->patterns.size(), b.mining->patterns.size());
+        for (std::size_t i = 0; i < a.mining->patterns.size(); ++i) {
+            const ContrastPattern &pa = a.mining->patterns[i];
+            const ContrastPattern &pb = b.mining->patterns[i];
             EXPECT_EQ(pa.cost, pb.cost) << "pattern " << i;
             EXPECT_EQ(pa.count, pb.count) << "pattern " << i;
             EXPECT_EQ(pa.maxExec, pb.maxExec) << "pattern " << i;
@@ -254,9 +260,9 @@ TEST(ParallelDeterminism, ScenarioAnalysisIdentical)
             EXPECT_EQ(pa.tuple.unwaits, pb.tuple.unwaits);
             EXPECT_EQ(pa.tuple.runnings, pb.tuple.runnings);
         }
-        EXPECT_EQ(a.mining.stats.fullPaths, b.mining.stats.fullPaths);
-        EXPECT_EQ(a.mining.stats.selectedPaths,
-                  b.mining.stats.selectedPaths);
+        EXPECT_EQ(a.mining->stats.fullPaths, b.mining->stats.fullPaths);
+        EXPECT_EQ(a.mining->stats.selectedPaths,
+                  b.mining->stats.selectedPaths);
 
         EXPECT_EQ(a.coverage.componentCost, b.coverage.componentCost);
         EXPECT_EQ(a.coverage.impactfulCost, b.coverage.impactfulCost);
@@ -290,13 +296,13 @@ TEST(ParallelDeterminism, ScenarioFanOutMatchesSequentialCalls)
         EXPECT_EQ(fanned[i].name, direct.name);
         EXPECT_EQ(fanned[i].classes.slow, direct.classes.slow);
         expectSameImpact(fanned[i].slowImpact, direct.slowImpact);
-        ASSERT_EQ(fanned[i].mining.patterns.size(),
-                  direct.mining.patterns.size());
-        for (std::size_t p = 0; p < direct.mining.patterns.size(); ++p) {
-            EXPECT_EQ(fanned[i].mining.patterns[p].cost,
-                      direct.mining.patterns[p].cost);
-            EXPECT_EQ(fanned[i].mining.patterns[p].count,
-                      direct.mining.patterns[p].count);
+        ASSERT_EQ(fanned[i].mining->patterns.size(),
+                  direct.mining->patterns.size());
+        for (std::size_t p = 0; p < direct.mining->patterns.size(); ++p) {
+            EXPECT_EQ(fanned[i].mining->patterns[p].cost,
+                      direct.mining->patterns[p].cost);
+            EXPECT_EQ(fanned[i].mining->patterns[p].count,
+                      direct.mining->patterns[p].count);
         }
     }
 }

@@ -118,6 +118,8 @@ TEST(Partial, ScatterGatherMatchesSingleNodeByteForByte)
     Analyzer single(source, config);
     const ScenarioAnalysis full =
         single.analyzeScenario(scn.name, scn.tFast, scn.tSlow);
+    const ClassAwgs fullAwgs =
+        single.scenarioAwgs(scn.name, scn.tFast, scn.tSlow);
 
     for (const bool through_wire : {false, true}) {
         for (const unsigned threads : {1u, 3u}) {
@@ -140,15 +142,17 @@ TEST(Partial, ScatterGatherMatchesSingleNodeByteForByte)
             const AggregatedWaitGraph awgSlow =
                 g.awgSlow.finalize(true);
             EXPECT_EQ(awgFast.renderText(g.symbols),
-                      full.awgFast.renderText(merged.symbols()));
+                      fullAwgs.fast.renderText(merged.symbols()));
             EXPECT_EQ(awgSlow.renderText(g.symbols),
-                      full.awgSlow.renderText(merged.symbols()));
+                      fullAwgs.slow.renderText(merged.symbols()));
             EXPECT_EQ(awgSlow.reducedCost(),
-                      full.awgSlow.reducedCost());
+                      fullAwgs.slow.reducedCost());
+            EXPECT_EQ(awgSlow.reducedCost(), full.slowReducedCost);
+            EXPECT_EQ(awgSlow.totalRootCost(), full.slowRootCost);
             EXPECT_EQ(awgSlow.reducedNodes(),
-                      full.awgSlow.reducedNodes());
+                      fullAwgs.slow.reducedNodes());
             EXPECT_EQ(awgSlow.sourceGraphs(),
-                      full.awgSlow.sourceGraphs());
+                      fullAwgs.slow.sourceGraphs());
 
             // Mining + coverage, exactly as the coordinator runs them
             // over the gathered AWGs.
@@ -159,10 +163,10 @@ TEST(Partial, ScatterGatherMatchesSingleNodeByteForByte)
             ContrastMiner miner(dummy, mining_options);
             const MiningResult mining = miner.mine(awgFast, awgSlow, 1);
             ASSERT_EQ(mining.patterns.size(),
-                      full.mining.patterns.size());
+                      full.mining->patterns.size());
             for (std::size_t i = 0; i < mining.patterns.size(); ++i) {
                 const ContrastPattern &a = mining.patterns[i];
-                const ContrastPattern &b = full.mining.patterns[i];
+                const ContrastPattern &b = full.mining->patterns[i];
                 EXPECT_EQ(a.cost, b.cost) << "pattern " << i;
                 EXPECT_EQ(a.count, b.count) << "pattern " << i;
                 EXPECT_EQ(a.maxExec, b.maxExec) << "pattern " << i;
@@ -171,7 +175,7 @@ TEST(Partial, ScatterGatherMatchesSingleNodeByteForByte)
                 EXPECT_EQ(a.tuple.runnings, b.tuple.runnings);
             }
             EXPECT_EQ(mining.stats.render(),
-                      full.mining.stats.render());
+                      full.mining->stats.render());
 
             const CoverageResult coverage = computeCoverage(
                 mining,

@@ -201,7 +201,7 @@ TEST_P(CorpusProperty, ScenarioAnalysisInvariants)
 
         // Ranking is by impact, descending; tuples are canonical.
         double last = std::numeric_limits<double>::infinity();
-        for (const ContrastPattern &p : analysis.mining.patterns) {
+        for (const ContrastPattern &p : analysis.mining->patterns) {
             EXPECT_LE(p.impact(), last + 1e-9);
             last = p.impact();
             SignatureSetTuple normalized = p.tuple;
@@ -215,28 +215,28 @@ TEST_P(CorpusProperty, ScenarioAnalysisInvariants)
         // Ranked coverage is monotone in the inspected fraction.
         double prev = 0.0;
         for (double f : {0.1, 0.2, 0.3, 0.5, 1.0}) {
-            const double cov = topPatternCoverage(analysis.mining, f);
+            const double cov = topPatternCoverage(*analysis.mining, f);
             EXPECT_GE(cov, prev - 1e-9);
             prev = cov;
         }
-        if (!analysis.mining.patterns.empty() &&
-            analysis.mining.totalPatternCost() > 0) {
-            EXPECT_NEAR(topPatternCoverage(analysis.mining, 1.0), 1.0,
+        if (!analysis.mining->patterns.empty() &&
+            analysis.mining->totalPatternCost() > 0) {
+            EXPECT_NEAR(topPatternCoverage(*analysis.mining, 1.0), 1.0,
                         1e-9);
         }
 
         // AWG structural sanity: no node reachable twice from roots.
+        const AggregatedWaitGraph awgSlow =
+            analyzer.scenarioAwgs(scn.name, scn.tFast, scn.tSlow).slow;
         std::unordered_set<std::uint32_t> visited;
-        std::vector<std::uint32_t> stack(
-            analysis.awgSlow.roots().begin(),
-            analysis.awgSlow.roots().end());
+        std::vector<std::uint32_t> stack(awgSlow.roots().begin(),
+                                         awgSlow.roots().end());
         while (!stack.empty()) {
             const std::uint32_t id = stack.back();
             stack.pop_back();
             EXPECT_TRUE(visited.insert(id).second)
                 << "AWG node " << id << " reachable twice";
-            for (std::uint32_t child :
-                 analysis.awgSlow.node(id).children)
+            for (std::uint32_t child : awgSlow.node(id).children)
                 stack.push_back(child);
         }
     }
@@ -278,7 +278,7 @@ TEST(MiningProperty, MiningIsDeterministic)
         const ScenarioAnalysis analysis = analyzer.analyzeScenario(
             "WebPageNavigation", fromMs(500), fromMs(1000));
         std::ostringstream oss;
-        for (const ContrastPattern &p : analysis.mining.patterns) {
+        for (const ContrastPattern &p : analysis.mining->patterns) {
             oss << p.tuple.renderCompact(corpus.symbols()) << "|"
                 << p.cost << "|" << p.count << "\n";
         }
@@ -304,8 +304,8 @@ TEST(MiningProperty, MetaPatternsGrowMonotonicallyWithK)
         Analyzer analyzer(analyzer_source, config);
         const ScenarioAnalysis analysis = analyzer.analyzeScenario(
             "BrowserTabCreate", fromMs(300), fromMs(500));
-        EXPECT_GE(analysis.mining.stats.slowMetaPatterns, last);
-        last = analysis.mining.stats.slowMetaPatterns;
+        EXPECT_GE(analysis.mining->stats.slowMetaPatterns, last);
+        last = analysis.mining->stats.slowMetaPatterns;
     }
 }
 

@@ -7,6 +7,7 @@
  */
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -135,6 +136,44 @@ TEST_F(TelemetryPipelineTest, PipelineStatsMatchGlobalRegistryMerge)
         global.findCounter("pipeline.wait-graphs.misses");
     ASSERT_NE(after_counter, nullptr);
     EXPECT_EQ(after_counter->value() - before, misses);
+}
+
+TEST_F(TelemetryPipelineTest, GraphBuildsNeverNestInImpactStages)
+{
+    // Every impact entry point builds the wait graphs before its timed
+    // stage, so --pipeline-stats never counts that build twice.
+    const TraceCorpus corpus = generateCorpus(smallSpec());
+    Telemetry::setEnabled(true);
+    {
+        EagerSource source(corpus);
+        Analyzer analyzer(source);
+        (void)analyzer.impactAll();
+        (void)analyzer.impactPerScenario();
+        (void)buildReport(analyzer, catalogThresholds(corpus));
+    }
+    {
+        EagerSource source(corpus);
+        Analyzer analyzer(source);
+        (void)analyzer.impactPerScenario();
+    }
+    Telemetry::setEnabled(false);
+
+    const std::vector<SpanSnapshot> spans = Telemetry::snapshotSpans();
+    std::unordered_map<std::uint64_t, const SpanSnapshot *> byId;
+    for (const SpanSnapshot &span : spans)
+        byId[span.spanId] = &span;
+    std::size_t graphs = 0, impact = 0;
+    for (const SpanSnapshot &span : spans) {
+        impact += span.name == "stage.impact";
+        if (span.name != "analyzer.graphs")
+            continue;
+        ++graphs;
+        for (auto it = byId.find(span.parentSpanId); it != byId.end();
+             it = byId.find(it->second->parentSpanId))
+            EXPECT_NE(it->second->name, "stage.impact");
+    }
+    EXPECT_EQ(graphs, 2u);
+    EXPECT_GT(impact, 0u);
 }
 
 } // namespace

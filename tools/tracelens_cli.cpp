@@ -617,12 +617,12 @@ cmdAnalyze(const Args &args)
     std::cout << "slow impact: " << analysis.slowImpact.render()
               << "\n";
     std::cout << "coverage: " << analysis.coverage.render() << "\n";
-    std::cout << "mining: " << analysis.mining.stats.render() << "\n\n";
+    std::cout << "mining: " << analysis.mining->stats.render() << "\n\n";
 
-    std::vector<ContrastPattern> patterns = analysis.mining.patterns;
+    std::vector<ContrastPattern> patterns = analysis.mining->patterns;
     if (!args.has("no-knowledge-filter")) {
         const auto filtered = KnowledgeBase::defaults().apply(
-            analysis.mining, corpus.symbols());
+            *analysis.mining, corpus.symbols());
         if (!filtered.suppressed.empty()) {
             std::cout << filtered.suppressed.size()
                       << " pattern(s) suppressed as by-design "
@@ -742,7 +742,7 @@ cmdDiff(const Args &args)
         ana_after.analyzeScenario(*scenario, t_fast, t_slow);
 
     const MiningDiff diff = diffMiningResults(
-        rb.mining, before.symbols(), ra.mining, after.symbols());
+        *rb.mining, before.symbols(), *ra.mining, after.symbols());
     std::cout << diff.render(after.symbols());
     return 0;
 }
