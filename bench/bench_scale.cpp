@@ -13,10 +13,8 @@
  *
  * Emits machine-parseable BENCH_* lines for the trajectory:
  *   BENCH_scale_waitgraph_speedup, BENCH_scale_impact_speedup,
- *   BENCH_scale_scenario_speedup, BENCH_scale_pipeline_speedup,
- *   BENCH_scale_ingest_speedup
- * and writes the eager-vs-mmap ingestion comparison to
- * BENCH_ingest.json, the self-telemetry (span-recording) overhead
+ *   BENCH_scale_scenario_speedup, BENCH_scale_pipeline_speedup
+ * and writes the self-telemetry (span-recording) overhead
  * measurement to BENCH_telemetry.json, and
  * the analysis-service load test (multithreaded clients against a
  * live daemon, cold vs warm query latency) to BENCH_server.json, and
@@ -348,98 +346,6 @@ main(int argc, char **argv)
              << "  \"trace_bytes\": " << telemetry_trace_bytes
              << "\n}\n";
         std::cout << "wrote BENCH_telemetry.json\n";
-    }
-
-    // ---- ingestion throughput: eager full-read vs mmap streaming ---
-    // The corpus from above (>= 100 instances), sharded on disk the
-    // way fleet collections arrive. Three ingestion modes:
-    //   eager       — read every shard fully and merge (the classic
-    //                 path behind EagerSource).
-    //   mmap-scan   — map the shards and take per-shard summaries
-    //                 (instance windows, scenario names, event
-    //                 counts); symbol tables and events stay
-    //                 unmaterialized. This is what threshold selection
-    //                 and corpus triage actually need.
-    //   mmap-full   — map, then materialize the merged corpus through
-    //                 the shard cache (upper bound for mmap cost).
-    const std::filesystem::path shard_dir =
-        std::filesystem::temp_directory_path() /
-        "tracelens_bench_ingest_shards";
-    std::filesystem::remove_all(shard_dir);
-    const std::size_t shard_count = 16;
-    writeShardedCorpusDir(corpus, shard_dir.string(), shard_count);
-
-    std::uint64_t shard_bytes = 0;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(shard_dir))
-        shard_bytes += std::filesystem::file_size(entry.path());
-    const double shard_mb =
-        static_cast<double>(shard_bytes) / (1024.0 * 1024.0);
-
-    auto mbps = [shard_mb](double ms) {
-        return ms <= 0.0 ? 0.0 : shard_mb / (ms / 1000.0);
-    };
-
-    double eager_ms = 0, scan_ms = 0, full_ms = 0;
-    std::uint64_t eager_events = 0, scan_events = 0, full_events = 0;
-    {
-        const auto start = std::chrono::steady_clock::now();
-        auto source = openSource(shard_dir.string());
-        eager_events = source.value()->corpus().totalEvents();
-        eager_ms = msSince(start);
-    }
-    {
-        SourceOptions options;
-        options.useMmap = true;
-        const auto start = std::chrono::steady_clock::now();
-        auto source = openSource(shard_dir.string(), options);
-        for (std::size_t i = 0; i < source.value()->shardCount(); ++i)
-            scan_events += source.value()->summarize(i).value().events;
-        scan_ms = msSince(start);
-    }
-    {
-        SourceOptions options;
-        options.useMmap = true;
-        const auto start = std::chrono::steady_clock::now();
-        auto source = openSource(shard_dir.string(), options);
-        full_events = source.value()->corpus().totalEvents();
-        full_ms = msSince(start);
-    }
-    std::filesystem::remove_all(shard_dir);
-    if (eager_events != scan_events || eager_events != full_events) {
-        std::cerr << "ingestion event-count mismatch\n";
-        return 1;
-    }
-
-    std::cout << "\n== Ingestion throughput (" << shard_count
-              << " shards, " << TextTable::num(shard_mb, 1)
-              << " MiB on disk) ==\n";
-    TextTable ingest({"Mode", "ms", "MiB/s", "vs eager"});
-    ingest.addRow({"eager full read", TextTable::num(eager_ms, 1),
-                   TextTable::num(mbps(eager_ms), 1), "1.00"});
-    ingest.addRow({"mmap skip-scan", TextTable::num(scan_ms, 1),
-                   TextTable::num(mbps(scan_ms), 1),
-                   TextTable::num(speedup(eager_ms, scan_ms), 2)});
-    ingest.addRow({"mmap materialize", TextTable::num(full_ms, 1),
-                   TextTable::num(mbps(full_ms), 1),
-                   TextTable::num(speedup(eager_ms, full_ms), 2)});
-    std::cout << ingest.render();
-
-    {
-        std::ofstream json("BENCH_ingest.json");
-        json << "{\n"
-             << "  \"shards\": " << shard_count << ",\n"
-             << "  \"bytes\": " << shard_bytes << ",\n"
-             << "  \"events\": " << eager_events << ",\n"
-             << "  \"eager_ms\": " << eager_ms << ",\n"
-             << "  \"eager_mbps\": " << mbps(eager_ms) << ",\n"
-             << "  \"mmap_scan_ms\": " << scan_ms << ",\n"
-             << "  \"mmap_scan_mbps\": " << mbps(scan_ms) << ",\n"
-             << "  \"mmap_full_ms\": " << full_ms << ",\n"
-             << "  \"mmap_full_mbps\": " << mbps(full_ms) << ",\n"
-             << "  \"ingest_speedup\": " << speedup(eager_ms, scan_ms)
-             << "\n}\n";
-        std::cout << "wrote BENCH_ingest.json\n";
     }
 
     // ---- analysis service: cold vs warm query latency under load ---
@@ -1211,12 +1117,6 @@ main(int argc, char **argv)
               << speedup(scn_serial_ms, scn_parallel_ms) << "\n"
               << "BENCH_scale_pipeline_speedup="
               << speedup(pipeline_serial, pipeline_parallel) << "\n"
-              << "BENCH_scale_ingest_mbps_eager=" << mbps(eager_ms)
-              << "\n"
-              << "BENCH_scale_ingest_mbps_mmap=" << mbps(scan_ms)
-              << "\n"
-              << "BENCH_scale_ingest_speedup="
-              << speedup(eager_ms, scan_ms) << "\n"
               << "BENCH_scale_telemetry_overhead_pct="
               << telemetry_overhead_pct << "\n"
               << "BENCH_scale_server_warm_rps=" << warm_rps << "\n"

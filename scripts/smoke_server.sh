@@ -23,6 +23,11 @@ fail() { echo "smoke_server: FAIL: $*" >&2; exit 1; }
 "$CLI" generate --out "$WORK/corpus.tlc" --machines 10 --seed 42 \
     >/dev/null 2>&1 || fail "corpus generation"
 
+# The batch `ingest` command reads the same corpus: it exits 0 (no
+# shard skipped) and prints a tally row per scenario.
+INGEST="$("$CLI" ingest "$WORK/corpus.tlc" 2>&1)" || fail "ingest command"
+grep -q '^| BrowserTabCreate ' <<<"$INGEST" || fail "ingest tally row"
+
 tl_start_daemon srv --workers 2 || fail "daemon startup"
 ADDR="$srv_ADDR"
 

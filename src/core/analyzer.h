@@ -206,8 +206,8 @@ class Analyzer
   public:
     /**
      * Analyze the corpus served by @p source: the source decides how
-     * trace bytes reach memory (eager load, mmap, sharded directory)
-     * and isolates corrupt shards; the analyzer ingests the usable
+     * trace bytes reach memory (in-memory corpus, file, sharded
+     * directory) and isolates corrupt shards; the analyzer ingests the usable
      * shards one at a time, folding each shard's content digest into
      * corpusDigest(), so construction may materialize. @p source must
      * outlive the analyzer.

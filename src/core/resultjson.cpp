@@ -30,6 +30,24 @@ impactJson(const ImpactResult &impact)
 }
 
 JsonValue
+impactAnswerJson(const std::vector<std::string> &components,
+                 const ImpactResult &all,
+                 const std::map<std::string, ImpactResult> &perScenario)
+{
+    JsonValue result = JsonValue::makeObject();
+    JsonValue componentsJson = JsonValue::makeArray();
+    for (const std::string &glob : components)
+        componentsJson.push(JsonValue(glob));
+    result.set("components", std::move(componentsJson));
+    result.set("all", impactJson(all));
+    JsonValue perScenarioJson = JsonValue::makeObject();
+    for (const auto &[name, impact] : perScenario)
+        perScenarioJson.set(name, impactJson(impact));
+    result.set("per_scenario", std::move(perScenarioJson));
+    return result;
+}
+
+JsonValue
 patternJson(const ContrastPattern &pattern, DurationNs tSlow,
             const SymbolTable &symbols, std::size_t rank)
 {

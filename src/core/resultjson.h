@@ -9,16 +9,18 @@
  * scripts/smoke_fleet.sh. Rather than keeping two renderers in sync
  * by convention, the finalize-and-render path lives here once:
  * impact/pattern JSON shapes, the gathered-AWG miner, and one
- * renderer per answer shape (`analyze` and `mine`), each taking an
- * already-mined result so a single node, a coordinator and a rolling
- * window all render through the same code.
+ * renderer per answer shape (`impact`, `analyze` and `mine`), each
+ * taking already-computed results so a single node, a coordinator and
+ * a rolling window all render through the same code.
  */
 
 #ifndef TRACELENS_CORE_RESULTJSON_H
 #define TRACELENS_CORE_RESULTJSON_H
 
 #include <cstddef>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "src/awg/awg.h"
 #include "src/core/partial.h"
@@ -34,6 +36,17 @@ namespace tracelens
 
 /** The `slow_impact` / `impact` JSON object shape. */
 JsonValue impactJson(const ImpactResult &impact);
+
+/**
+ * The `impact` answer object: the resolved component globs, the
+ * corpus-wide impact (`all`) and one impact per scenario name
+ * (`per_scenario`). A single node and a coordinator both render it
+ * here.
+ */
+JsonValue
+impactAnswerJson(const std::vector<std::string> &components,
+                 const ImpactResult &all,
+                 const std::map<std::string, ImpactResult> &perScenario);
 
 /** One ranked pattern entry of a `patterns` array. */
 JsonValue patternJson(const ContrastPattern &pattern, DurationNs tSlow,

@@ -14,8 +14,8 @@
  *  - Each shard's ScenarioPartial is computed once (transient
  *    single-shard Analyzer) and cached per (scenario, thresholds).
  *  - A summary merges the selected windows' cached partials in
- *    *name-sorted order* — the same filename order openSource() and
- *    the coordinator's enumerateShards() use — through the exact
+ *    *name-sorted order* — the same filename order listShardFiles()
+ *    gives openSource() and the coordinator — through the exact
  *    gather fold of coordinator mode, then finalizes through the
  *    shared renderer (src/core/resultjson.h).
  *

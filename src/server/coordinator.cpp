@@ -8,7 +8,6 @@
 #include "src/server/coordinator.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <map>
 
 #include "src/server/client.h"
@@ -120,41 +119,6 @@ Coordinator::Coordinator(CoordinatorConfig config)
     : config_(std::move(config)),
       ring_(config_.workers, config_.virtualNodes)
 {
-}
-
-Expected<std::vector<std::string>>
-Coordinator::enumerateShards(const std::string &corpusPath)
-{
-    // Mirrors openSource() (src/trace/source.cpp): shard order IS
-    // merge order, so any divergence here breaks byte-identity with
-    // single-node analysis.
-    std::error_code ec;
-    const auto status = std::filesystem::status(corpusPath, ec);
-    if (ec || status.type() == std::filesystem::file_type::not_found)
-        return SourceError{corpusPath, 0, "no such file or directory"};
-
-    std::vector<std::string> shards;
-    if (std::filesystem::is_directory(status)) {
-        for (const auto &entry :
-             std::filesystem::directory_iterator(corpusPath, ec)) {
-            if (entry.is_regular_file() &&
-                isShardFilename(entry.path().filename().string()))
-                shards.push_back(entry.path().string());
-        }
-        if (ec) {
-            return SourceError{corpusPath, 0,
-                               "cannot list directory: " + ec.message()};
-        }
-        std::sort(shards.begin(), shards.end());
-        if (shards.empty()) {
-            return SourceError{
-                corpusPath, 0,
-                "directory contains no *.tlc shard files"};
-        }
-    } else {
-        shards.push_back(corpusPath);
-    }
-    return shards;
 }
 
 // -------------------------------------------------- Scatter (private)
@@ -583,7 +547,7 @@ Coordinator::gatherScenario(
 {
     Span span("coordinator.gather-scenario", "server");
     Expected<std::vector<std::string>> shards =
-        enumerateShards(corpusPath);
+        listShardFiles(corpusPath);
     if (!shards)
         return GatherError{ErrorCode::NotFound,
                            shards.error().render()};
@@ -654,7 +618,7 @@ Coordinator::gatherImpact(
 {
     Span span("coordinator.gather-impact", "server");
     Expected<std::vector<std::string>> shards =
-        enumerateShards(corpusPath);
+        listShardFiles(corpusPath);
     if (!shards)
         return GatherError{ErrorCode::NotFound,
                            shards.error().render()};

@@ -9,9 +9,9 @@
  * `tracelens serve --coordinator --cluster-workers host:port,...`
  * runs a Server whose analyze/impact/mine handlers delegate here. The
  * workers are plain `tracelens serve` daemons sharing a filesystem
- * view of the corpus; the coordinator enumerates the corpus's shard
- * files exactly as a single-node analyzer would (openSource's
- * directory order), asks each shard's owner worker for that shard's
+ * view of the corpus; the coordinator lists the corpus's shard files
+ * with the same listShardFiles() a single-node openSource() uses,
+ * asks each shard's owner worker for that shard's
  * partial, and folds the partials *in global shard order* with the
  * same merge functions the thread-level and incremental paths use —
  * which is why coordinator reports are byte-identical to single-node
@@ -170,15 +170,6 @@ class Coordinator
     {
         return ring_;
     }
-
-    /**
-     * The corpus's shard files in *exactly* the order a single-node
-     * analyzer ingests them (openSource: directory -> sorted "*.tlc"
-     * files; plain file -> itself). Shard order is the merge order,
-     * so this must never diverge from src/trace/source.cpp.
-     */
-    static Expected<std::vector<std::string>>
-    enumerateShards(const std::string &corpusPath);
 
     /**
      * Scatter one scenario-partial request per shard (@p method is

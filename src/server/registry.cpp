@@ -77,7 +77,7 @@ CorpusSession::cacheResponse(const Digest &key,
         return;
     responseOrder_.push_back(key);
     responseBytes_ += bytes;
-    while (responseBytes_ > kResponseCacheBytes) {
+    while (responseBytes_ > kMaxCachedResponseBytes) {
         const auto oldest = responses_.find(responseOrder_.front());
         responseBytes_ -= oldest->second->size();
         responses_.erase(oldest);
@@ -155,7 +155,7 @@ SessionRegistry::acquire(const std::string &path,
     std::call_once(entry->openOnce, [&] {
         TL_SPAN("server.session-open", "server");
         Expected<std::unique_ptr<TraceSource>> source =
-            openSource(path, config_.source);
+            openSource(path);
         if (!source) {
             entry->openError = source.error();
             return;

@@ -3,9 +3,9 @@
  * Session registry of the analysis service: the layer that keeps
  * corpora *warm* between requests.
  *
- * A session owns exactly the state PRs 2–4 built for one corpus: the
- * TraceSource (mmap or eager), the Analyzer with the results it
- * keeps, and a byte-bounded response cache keyed by content digests.
+ * A session owns the state of one corpus: the TraceSource, the
+ * Analyzer with the results it keeps, and a byte-bounded response
+ * cache keyed by content digests.
  * The registry maps a (corpus path, component filter) pair to an open
  * session with
  *
@@ -50,8 +50,6 @@ namespace server
 /** Registry configuration (a slice of ServerConfig). */
 struct RegistryConfig
 {
-    /** Ingestion options for every session (mmap, cache budget). */
-    SourceOptions source;
     /**
      * Worker threads of each session's Analyzer. Requests already run
      * concurrently on the server pool, so the default avoids
@@ -98,13 +96,13 @@ class CorpusSession
     const Digest &corpusDigest() const { return corpusDigest_; }
 
     /** Bound on the rendered bytes the response cache holds. */
-    static constexpr std::size_t kResponseCacheBytes = 64u << 20;
+    static constexpr std::size_t kMaxCachedResponseBytes = 64u << 20;
 
     /**
      * Response cache: rendered responses keyed by a digest of
      * (method, params, corpus digest). An unchanged corpus answers a
      * repeated query without re-entering the pipeline at all. Past
-     * kResponseCacheBytes, the oldest-inserted answers are evicted
+     * kMaxCachedResponseBytes, the oldest-inserted answers are evicted
      * first.
      */
     std::shared_ptr<const std::string>

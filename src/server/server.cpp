@@ -1395,23 +1395,15 @@ Server::handleImpact(const QueuedRequest &request)
     return cachedAnswer(warm, Method::Impact, Digest{}, [&] {
         Analyzer &analyzer = warm.analyzer();
         const TraceCorpus &corpus = analyzer.corpus();
-
-        JsonValue result = JsonValue::makeObject();
-        JsonValue componentsJson = JsonValue::makeArray();
-        for (const std::string &glob :
-             analyzer.components().patterns())
-            componentsJson.push(JsonValue(glob));
-        result.set("components", std::move(componentsJson));
-        result.set("all", impactJson(analyzer.impactAll()));
+        const ImpactResult all = analyzer.impactAll();
         checkDeadline(request.deadline);
-        JsonValue perScenario = JsonValue::makeObject();
+        std::map<std::string, ImpactResult> perScenario;
         for (const auto &[scenarioId, impact] :
-             analyzer.impactPerScenario()) {
-            perScenario.set(corpus.scenarioName(scenarioId),
-                            impactJson(impact));
-        }
-        result.set("per_scenario", std::move(perScenario));
-        return result.render();
+             analyzer.impactPerScenario())
+            perScenario.emplace(corpus.scenarioName(scenarioId), impact);
+        return impactAnswerJson(analyzer.components().patterns(), all,
+                                perScenario)
+            .render();
     });
 }
 
@@ -1681,16 +1673,11 @@ Server::handleCoordImpact(const QueuedRequest &request)
     const std::vector<std::string> &resolved =
         components.empty() ? AnalyzerConfig{}.components : components;
 
-    JsonValue result = JsonValue::makeObject();
-    JsonValue componentsJson = JsonValue::makeArray();
-    for (const std::string &glob : resolved)
-        componentsJson.push(JsonValue(glob));
-    result.set("components", std::move(componentsJson));
-    result.set("all", impactJson(gather.all.finalize()));
-    JsonValue perScenario = JsonValue::makeObject();
+    std::map<std::string, ImpactResult> perScenario;
     for (const auto &[name, accumulator] : gather.perScenario)
-        perScenario.set(name, impactJson(accumulator.finalize()));
-    result.set("per_scenario", std::move(perScenario));
+        perScenario.emplace(name, accumulator.finalize());
+    JsonValue result =
+        impactAnswerJson(resolved, gather.all.finalize(), perScenario);
     attachGatherReport(result, gather.report);
     return result.render();
 }

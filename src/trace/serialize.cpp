@@ -4,12 +4,11 @@
  * docs/TRACE_FORMAT.md for the byte-level layout).
  *
  * All decoding funnels through parseCorpus(), a bounds-checked parser
- * over an in-memory byte image: the eager path slurps the file into a
- * buffer first, the mmap path (src/trace/mmapreader.h) hands in the
- * mapped region directly. On-disk counts, string lengths, ids, and
- * record arrays are validated against the actual buffer size before
- * any allocation or access, so truncated and hostile inputs fail with
- * a located SourceError instead of overrunning the buffer.
+ * over an in-memory byte image, which readCorpusFileChecked() fills
+ * from the file. On-disk counts, string lengths, ids, and record
+ * arrays are validated against the actual buffer size before any
+ * allocation or access, so truncated and hostile inputs fail with a
+ * located SourceError instead of overrunning the buffer.
  */
 
 #include "src/trace/serialize.h"

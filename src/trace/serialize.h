@@ -67,7 +67,7 @@ void writeCorpus(const TraceCorpus &corpus, std::ostream &out,
  * TLC1 serialization (no buffer is materialized). Two corpora digest
  * equal iff their serialized bytes are equal, so the digest identifies
  * a shard's logical content independently of how it reached memory
- * (eager read, mmap materialization, in-memory generation). The
+ * (file read, corpus merge, in-memory generation). The
  * Analyzer folds each shard's digest into its corpus digest, which the
  * analysis service keys its response cache on.
  */
@@ -107,8 +107,7 @@ Expected<EventColumns> decodeDeltaEventBlock(
  * checking; @p file names the origin in any SourceError. The returned
  * corpus owns all its data — @p bytes may be released afterwards —
  * but decoding itself is zero-copy: strings are interned straight from
- * views into the buffer and packed records are decoded in place, which
- * is what makes the mmap path fast.
+ * views into the buffer and packed records are decoded in place.
  */
 Expected<TraceCorpus> parseCorpus(std::span<const std::byte> bytes,
                                   const std::string &file = "<memory>");

@@ -1,8 +1,7 @@
 /**
  * @file
- * TraceSource implementations: eager wrapper/loader, the mmap-backed
- * streaming source with its byte-budget LRU shard cache, and the
- * path-dispatching openSource() factory.
+ * TraceSource implementation: the eager wrapper/loader, the shard
+ * listing, and the path-dispatching openSource() factory.
  */
 
 #include "src/trace/source.h"
@@ -24,25 +23,13 @@ namespace
 
 const std::string kMemoryPath = "<memory>";
 
-/** Process-wide ingestion metrics ("source.cache.*" counters). */
-struct SourceMetrics
+/** Process-wide "source.shard_loads" counter. */
+Counter &
+shardLoads()
 {
-    Counter &cacheHits;
-    Counter &cacheMisses;
-    Counter &cacheEvictions;
-    Counter &shardLoads;
-};
-
-SourceMetrics &
-sourceMetrics()
-{
-    static SourceMetrics metrics{
-        MetricsRegistry::global().counter("source.cache.hits"),
-        MetricsRegistry::global().counter("source.cache.misses"),
-        MetricsRegistry::global().counter("source.cache.evictions"),
-        MetricsRegistry::global().counter("source.shard_loads"),
-    };
-    return metrics;
+    static Counter &counter =
+        MetricsRegistry::global().counter("source.shard_loads");
+    return counter;
 }
 
 std::uint64_t
@@ -53,22 +40,6 @@ fileSizeOrZero(const std::string &path)
     return ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
-/** Build a ShardSummary from a fully materialized corpus. */
-ShardSummary
-summarizeCorpus(const TraceCorpus &corpus, std::string path,
-                std::uint64_t file_bytes)
-{
-    ShardSummary summary;
-    summary.path = std::move(path);
-    summary.fileBytes = file_bytes;
-    summary.events = corpus.totalEvents();
-    summary.scenarios.reserve(corpus.scenarioCount());
-    for (std::uint32_t id = 0; id < corpus.scenarioCount(); ++id)
-        summary.scenarios.push_back(corpus.scenarioName(id));
-    summary.instances = corpus.instances();
-    return summary;
-}
-
 } // namespace
 
 std::string
@@ -77,41 +48,10 @@ IngestStats::render() const
     std::ostringstream oss;
     oss << "shards:   " << shards << " (" << loadedShards
         << " loaded, " << skippedShards << " skipped)\n"
-        << "bytes:    " << ingestBytes << " ingested, " << residentBytes
-        << " resident\n"
-        << "cache:    " << cacheHits << " hits / " << cacheMisses
-        << " misses / " << cacheEvictions << " evictions\n";
+        << "bytes:    " << ingestBytes << " ingested\n";
     for (const SourceError &e : errors)
         oss << "skipped:  " << e.render() << "\n";
     return oss.str();
-}
-
-std::size_t
-estimateCorpusBytes(const TraceCorpus &corpus)
-{
-    // Containers carry per-element bookkeeping beyond payload; the
-    // constants approximate libstdc++ node/header overheads closely
-    // enough for cache budgeting.
-    std::size_t bytes = sizeof(TraceCorpus);
-    bytes += corpus.totalEvents() * sizeof(Event);
-    bytes += corpus.instances().size() * sizeof(ScenarioInstance);
-    const SymbolTable &sym = corpus.symbols();
-    for (FrameId f = 0;
-         f < static_cast<FrameId>(sym.frameCount()); ++f)
-        bytes += sym.frameName(f).size() + 48;
-    for (CallstackId s = 0;
-         s < static_cast<CallstackId>(sym.stackCount()); ++s)
-        bytes += sym.stackFrames(s).size() * sizeof(FrameId) + 16;
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(corpus.streamCount()); ++i) {
-        const TraceStream &stream = corpus.stream(i);
-        bytes += sizeof(TraceStream) + stream.name.size();
-        for (const auto &[key, value] : stream.tags)
-            bytes += key.size() + value.size() + 64;
-    }
-    for (std::uint32_t id = 0; id < corpus.scenarioCount(); ++id)
-        bytes += corpus.scenarioName(id).size() + 48;
-    return bytes;
 }
 
 // --------------------------------------------------------------- EagerSource
@@ -161,44 +101,25 @@ EagerSource::shardPath(std::size_t shard) const
     return paths_[shard];
 }
 
-void
-EagerSource::countLoaded(std::size_t shard, std::uint64_t bytes)
+Expected<TraceCorpus>
+EagerSource::readShard(std::size_t shard)
 {
-    if (everLoaded_[shard])
-        return;
-    everLoaded_[shard] = true;
-    stats_.loadedShards++;
-    stats_.ingestBytes += bytes;
-    sourceMetrics().shardLoads.add(1);
-}
-
-void
-EagerSource::recordError(std::size_t shard, const SourceError &error)
-{
-    if (reported_[shard])
-        return;
-    reported_[shard] = true;
-    warn("skipping corrupt shard: ", error.render());
-    stats_.skippedShards++;
-    stats_.errors.push_back(error);
-}
-
-Expected<ShardSummary>
-EagerSource::summarize(std::size_t shard)
-{
-    if (paths_.empty()) {
-        return summarizeCorpus(corpus(), kMemoryPath,
-                               estimateCorpusBytes(corpus()));
-    }
     TL_ASSERT(shard < paths_.size(), "bad shard index ", shard);
     Expected<TraceCorpus> loaded = readCorpusFileChecked(paths_[shard]);
     if (!loaded) {
-        recordError(shard, loaded.error());
-        return loaded.error();
+        if (!reported_[shard]) {
+            reported_[shard] = true;
+            warn("skipping corrupt shard: ", loaded.error().render());
+            stats_.skippedShards++;
+            stats_.errors.push_back(loaded.error());
+        }
+    } else if (!everLoaded_[shard]) {
+        everLoaded_[shard] = true;
+        stats_.loadedShards++;
+        stats_.ingestBytes += fileSizeOrZero(paths_[shard]);
+        shardLoads().add(1);
     }
-    countLoaded(shard, fileSizeOrZero(paths_[shard]));
-    return summarizeCorpus(loaded.value(), paths_[shard],
-                           fileSizeOrZero(paths_[shard]));
+    return loaded;
 }
 
 Expected<CorpusPtr>
@@ -209,13 +130,9 @@ EagerSource::shard(std::size_t shard)
         // (same contract as borrowing the corpus directly).
         return CorpusPtr(CorpusPtr{}, &corpus());
     }
-    TL_ASSERT(shard < paths_.size(), "bad shard index ", shard);
-    Expected<TraceCorpus> loaded = readCorpusFileChecked(paths_[shard]);
-    if (!loaded) {
-        recordError(shard, loaded.error());
+    Expected<TraceCorpus> loaded = readShard(shard);
+    if (!loaded)
         return loaded.error();
-    }
-    countLoaded(shard, fileSizeOrZero(paths_[shard]));
     return CorpusPtr(
         std::make_shared<const TraceCorpus>(std::move(loaded.value())));
 }
@@ -229,22 +146,21 @@ EagerSource::ensureLoaded()
     Span span("source.load-eager", "ingest");
     if (span.active())
         span.arg("shards", static_cast<std::uint64_t>(paths_.size()));
-    std::vector<TraceCorpus> parts;
-    parts.reserve(paths_.size());
+    // Append each shard as it is read, so only the merged corpus and
+    // one decoded shard are resident at a time. The first usable shard
+    // is moved in whole; appending the rest in order gives the corpus
+    // mergeCorpora() would.
     for (std::size_t i = 0; i < paths_.size(); ++i) {
-        Expected<TraceCorpus> part = readCorpusFileChecked(paths_[i]);
-        if (!part) {
-            recordError(i, part.error());
+        Expected<TraceCorpus> part = readShard(i);
+        if (!part)
             continue;
-        }
-        countLoaded(i, fileSizeOrZero(paths_[i]));
-        parts.push_back(std::move(part.value()));
+        if (!owned_)
+            owned_ = std::move(part.value());
+        else
+            appendCorpus(*owned_, part.value());
     }
-    if (parts.size() == 1)
-        owned_ = std::move(parts.front());
-    else
-        owned_ = mergeCorpora(parts);
-    stats_.residentBytes = estimateCorpusBytes(*owned_);
+    if (!owned_)
+        owned_.emplace(); // no usable shard: empty corpus
 }
 
 const TraceCorpus &
@@ -262,190 +178,10 @@ EagerSource::stats() const
     return stats_;
 }
 
-// ---------------------------------------------------------------- MmapSource
+// ------------------------------------------------------------- openSource
 
-MmapSource::MmapSource(std::vector<std::string> paths,
-                       SourceOptions options)
-    : paths_(std::move(paths)), options_(options),
-      everLoaded_(paths_.size(), false)
-{
-    stats_.shards = paths_.size();
-    readers_.reserve(paths_.size());
-    for (std::size_t i = 0; i < paths_.size(); ++i) {
-        Expected<MmapReader> reader = MmapReader::open(paths_[i]);
-        if (!reader) {
-            readers_.emplace_back(std::nullopt);
-            markBad(i, reader.error());
-            continue;
-        }
-        stats_.ingestBytes += reader.value().fileBytes();
-        readers_.emplace_back(std::move(reader.value()));
-    }
-}
-
-std::string
-MmapSource::describe() const
-{
-    return "mmap(" + std::to_string(paths_.size()) + " shard" +
-           (paths_.size() == 1 ? "" : "s") + ", cache " +
-           std::to_string(options_.cacheBytes) + " bytes)";
-}
-
-std::size_t
-MmapSource::shardCount() const
-{
-    return paths_.size();
-}
-
-const std::string &
-MmapSource::shardPath(std::size_t shard) const
-{
-    TL_ASSERT(shard < paths_.size(), "bad shard index ", shard);
-    return paths_[shard];
-}
-
-void
-MmapSource::markBad(std::size_t shard, SourceError error)
-{
-    if (bad_.count(shard) > 0)
-        return;
-    warn("skipping corrupt shard: ", error.render());
-    stats_.skippedShards++;
-    stats_.errors.push_back(error);
-    bad_.emplace(shard, std::move(error));
-}
-
-Expected<ShardSummary>
-MmapSource::summarize(std::size_t shard)
-{
-    TL_ASSERT(shard < paths_.size(), "bad shard index ", shard);
-    if (auto it = bad_.find(shard); it != bad_.end())
-        return it->second;
-    const MmapReader &reader = *readers_[shard];
-    ShardSummary summary;
-    summary.path = reader.path();
-    summary.fileBytes = reader.fileBytes();
-    summary.events = reader.index().eventCount;
-    summary.scenarios = reader.scenarioNames();
-    summary.instances = reader.instances();
-    return summary;
-}
-
-void
-MmapSource::touch(CacheEntry &entry, std::size_t shard)
-{
-    lru_.erase(entry.lruIt);
-    lru_.push_front(shard);
-    entry.lruIt = lru_.begin();
-}
-
-void
-MmapSource::evictOver(std::size_t budget)
-{
-    // Never evict the most recently used entry: one oversized shard
-    // must stay usable under any budget.
-    while (stats_.residentBytes > budget && lru_.size() > 1) {
-        const std::size_t victim = lru_.back();
-        lru_.pop_back();
-        auto it = cache_.find(victim);
-        TL_ASSERT(it != cache_.end(), "LRU/cache out of sync");
-        stats_.residentBytes -= it->second.bytes;
-        cache_.erase(it);
-        stats_.cacheEvictions++;
-        sourceMetrics().cacheEvictions.add(1);
-    }
-}
-
-Expected<CorpusPtr>
-MmapSource::shard(std::size_t shard)
-{
-    TL_ASSERT(shard < paths_.size(), "bad shard index ", shard);
-    if (auto bad = bad_.find(shard); bad != bad_.end())
-        return bad->second;
-
-    Span span("source.shard", "ingest");
-    if (span.active())
-        span.arg("shard", static_cast<std::uint64_t>(shard));
-
-    if (auto it = cache_.find(shard); it != cache_.end()) {
-        stats_.cacheHits++;
-        sourceMetrics().cacheHits.add(1);
-        if (span.active())
-            span.arg("outcome", std::string("hit"));
-        touch(it->second, shard);
-        return it->second.corpus;
-    }
-
-    stats_.cacheMisses++;
-    sourceMetrics().cacheMisses.add(1);
-    if (span.active())
-        span.arg("outcome", std::string("miss"));
-    Expected<TraceCorpus> materialized = readers_[shard]->materialize();
-    if (!materialized) {
-        markBad(shard, materialized.error());
-        return materialized.error();
-    }
-    if (!everLoaded_[shard]) {
-        everLoaded_[shard] = true;
-        stats_.loadedShards++;
-        sourceMetrics().shardLoads.add(1);
-    }
-
-    CacheEntry entry;
-    entry.corpus = std::make_shared<const TraceCorpus>(
-        std::move(materialized.value()));
-    entry.bytes = estimateCorpusBytes(*entry.corpus);
-    lru_.push_front(shard);
-    entry.lruIt = lru_.begin();
-    stats_.residentBytes += entry.bytes;
-    CorpusPtr result = entry.corpus;
-    cache_.emplace(shard, std::move(entry));
-    evictOver(options_.cacheBytes);
-    return result;
-}
-
-const TraceCorpus &
-MmapSource::corpus()
-{
-    if (merged_)
-        return *merged_;
-    if (mergedShard_)
-        return *mergedShard_;
-
-    if (paths_.size() == 1) {
-        // Single-shard fast path: adopt the materialized corpus
-        // without an extra merge copy.
-        if (Expected<CorpusPtr> part = shard(0)) {
-            mergedShard_ = part.value();
-            return *mergedShard_;
-        }
-        merged_.emplace(); // corrupt single shard: empty corpus
-        return *merged_;
-    }
-
-    // Walk shards one at a time, releasing each handle before the
-    // next materialization, so peak residency during the merge stays
-    // bounded by the cache budget plus the merged result itself.
-    merged_.emplace();
-    for (std::size_t i = 0; i < paths_.size(); ++i) {
-        Expected<CorpusPtr> part = shard(i);
-        if (!part)
-            continue; // isolated and recorded in stats()
-        appendCorpus(*merged_, *part.value());
-    }
-    return *merged_;
-}
-
-const IngestStats &
-MmapSource::stats() const
-{
-    return stats_;
-}
-
-// ---------------------------------------------------------------- openSource
-
-Expected<std::unique_ptr<TraceSource>>
-openSource(const std::string &path, const SourceOptions &options)
+Expected<std::vector<std::string>>
+listShardFiles(const std::string &path)
 {
     std::error_code ec;
     const auto status = std::filesystem::status(path, ec);
@@ -453,34 +189,36 @@ openSource(const std::string &path, const SourceOptions &options)
         return SourceError{path, 0,
                            "no such file or directory"};
     }
+    if (!std::filesystem::is_directory(status))
+        return std::vector<std::string>{path};
 
     std::vector<std::string> shards;
-    if (std::filesystem::is_directory(status)) {
-        for (const auto &entry :
-             std::filesystem::directory_iterator(path, ec)) {
-            if (entry.is_regular_file() &&
-                isShardFilename(entry.path().filename().string()))
-                shards.push_back(entry.path().string());
-        }
-        if (ec) {
-            return SourceError{path, 0,
-                               "cannot list directory: " + ec.message()};
-        }
-        std::sort(shards.begin(), shards.end());
-        if (shards.empty()) {
-            return SourceError{
-                path, 0, "directory contains no *.tlc shard files"};
-        }
-    } else {
-        shards.push_back(path);
+    for (const auto &entry :
+         std::filesystem::directory_iterator(path, ec)) {
+        if (entry.is_regular_file() &&
+            isShardFilename(entry.path().filename().string()))
+            shards.push_back(entry.path().string());
     }
+    if (ec) {
+        return SourceError{path, 0,
+                           "cannot list directory: " + ec.message()};
+    }
+    std::sort(shards.begin(), shards.end());
+    if (shards.empty()) {
+        return SourceError{
+            path, 0, "directory contains no *.tlc shard files"};
+    }
+    return shards;
+}
 
-    if (options.useMmap) {
-        return std::unique_ptr<TraceSource>(
-            std::make_unique<MmapSource>(std::move(shards), options));
-    }
+Expected<std::unique_ptr<TraceSource>>
+openSource(const std::string &path)
+{
+    Expected<std::vector<std::string>> shards = listShardFiles(path);
+    if (!shards)
+        return shards.error();
     return std::unique_ptr<TraceSource>(
-        std::make_unique<EagerSource>(std::move(shards)));
+        std::make_unique<EagerSource>(std::move(shards.value())));
 }
 
 bool

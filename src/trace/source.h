@@ -3,26 +3,14 @@
  * TraceSource: the ingestion boundary between trace storage and the
  * analyses.
  *
- * The original API assumed a fully resident TraceCorpus before any
- * analysis could start. At fleet scale (the paper ran over 19,500 ETW
- * streams) ingestion is the wall, so the pipeline now consumes a
- * TraceSource instead: an abstraction over *where the bytes live* —
- * one file, a sharded directory, or an already-loaded corpus — with
- * two implementations:
+ * The pipeline consumes a TraceSource: an abstraction over *where the
+ * bytes live* — one file, a sharded directory, or an already-loaded
+ * corpus. EagerSource is its implementation: it wraps an in-memory
+ * TraceCorpus, or reads each shard file through
+ * readCorpusFileChecked(), the one TLC1 decoder.
  *
- *  - EagerSource   wraps an in-memory TraceCorpus (zero behavior
- *                  change for existing callers) or loads shard files
- *                  through the classic full-read path.
- *  - MmapSource    maps shards zero-copy (MmapReader), answers
- *                  summary queries (instance windows, scenario names,
- *                  event counts) without materializing symbol tables,
- *                  and materializes shards on demand through an LRU
- *                  cache bounded by a configurable byte budget.
- *
- * Both implementations isolate per-shard errors: a corrupt trace file
- * is recorded in IngestStats::errors and skipped — never fatal. The
- * two paths produce bit-identical analysis results (asserted by
- * tests/source_test.cpp).
+ * Per-shard errors are isolated: a corrupt trace file is recorded in
+ * IngestStats::errors and skipped — never fatal.
  */
 
 #ifndef TRACELENS_TRACE_SOURCE_H
@@ -30,51 +18,29 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "src/trace/mmapreader.h"
 #include "src/trace/stream.h"
 #include "src/util/expected.h"
 
 namespace tracelens
 {
 
-/** Ingestion configuration. */
-struct SourceOptions
-{
-    /**
-     * Byte budget for MmapSource's materialized-shard LRU cache. The
-     * most recently used shard is always kept resident, even when it
-     * alone exceeds the budget — otherwise repeated access to one
-     * large shard would thrash.
-     */
-    std::size_t cacheBytes = 256ull << 20;
-    /** openSource(): mmap the shards instead of eager full reads. */
-    bool useMmap = false;
-};
-
 /** Ingestion counters and the per-shard errors that were isolated. */
 struct IngestStats
 {
     /** Shard files discovered (or 1 for an in-memory corpus). */
     std::size_t shards = 0;
-    /** Shards materialized successfully at least once. */
+    /** Shards decoded successfully at least once. */
     std::size_t loadedShards = 0;
     /** Corrupt/unreadable shards reported and skipped. */
     std::size_t skippedShards = 0;
     /** Raw file bytes of the usable shards. */
     std::uint64_t ingestBytes = 0;
-    std::size_t cacheHits = 0;
-    std::size_t cacheMisses = 0;
-    std::size_t cacheEvictions = 0;
-    /** Estimated bytes of currently cached materialized shards. */
-    std::size_t residentBytes = 0;
     /** One entry per skipped shard: file, offset, reason. */
     std::vector<SourceError> errors;
 
@@ -82,50 +48,29 @@ struct IngestStats
     std::string render() const;
 };
 
-/**
- * What a shard contains, answerable without materializing its symbol
- * table (cheap on the mmap path): classification windows, per-shard
- * scenario names, and size figures.
- */
-struct ShardSummary
-{
-    std::string path;
-    std::uint64_t fileBytes = 0;
-    std::uint64_t events = 0;
-    /** Shard-local scenario names, in interning order. */
-    std::vector<std::string> scenarios;
-    /** Instance records; .scenario indexes into @ref scenarios. */
-    std::vector<ScenarioInstance> instances;
-};
-
-/** Shared handle to a materialized (possibly cached) shard corpus. */
+/** Shared handle to a decoded shard corpus. */
 using CorpusPtr = std::shared_ptr<const TraceCorpus>;
 
 /**
  * Pure interface the Analyzer (and CLI) ingest through. Implementations
  * are not required to be thread-safe; share one source across threads
- * only behind external synchronization. corpus() may materialize and
- * so may be expensive on first call; it is cached afterwards.
+ * only behind external synchronization. corpus() may decode and so
+ * may be expensive on first call; it is cached afterwards.
  */
 class TraceSource
 {
   public:
     virtual ~TraceSource() = default;
 
-    /** One-line description ("mmap dir corpus/ (8 shards)", ...). */
+    /** One-line description ("eager(8 shard files)", ...). */
     virtual std::string describe() const = 0;
 
     virtual std::size_t shardCount() const = 0;
     virtual const std::string &shardPath(std::size_t shard) const = 0;
 
-    /** Cheap shard summary; error for a corrupt shard (also recorded
-     *  in stats()). */
-    virtual Expected<ShardSummary> summarize(std::size_t shard) = 0;
-
     /**
-     * The materialized corpus of one shard. MmapSource serves this
-     * through its byte-budget LRU cache; holding the returned
-     * CorpusPtr keeps the shard alive across evictions.
+     * The decoded corpus of one shard; error for a corrupt shard
+     * (also recorded in stats()).
      */
     virtual Expected<CorpusPtr> shard(std::size_t shard) = 0;
 
@@ -142,7 +87,7 @@ class TraceSource
 /**
  * TraceSource over the classic eager-load path: either wrapping an
  * existing in-memory corpus (borrowed or owned — zero behavior
- * change), or reading shard files fully into memory on first use.
+ * change), or reading shard files fully into memory on use.
  */
 class EagerSource : public TraceSource
 {
@@ -152,24 +97,21 @@ class EagerSource : public TraceSource
     /** Take ownership of a corpus (rvalues only, so a const lvalue
      * unambiguously borrows). */
     explicit EagerSource(TraceCorpus &&corpus);
-    /** Load these shard files eagerly on first corpus()/shard(). */
+    /** Read these shard files on first corpus()/shard(). */
     explicit EagerSource(std::vector<std::string> paths);
 
     std::string describe() const override;
     std::size_t shardCount() const override;
     const std::string &shardPath(std::size_t shard) const override;
-    Expected<ShardSummary> summarize(std::size_t shard) override;
     Expected<CorpusPtr> shard(std::size_t shard) override;
     const TraceCorpus &corpus() override;
     const IngestStats &stats() const override;
 
   private:
     void ensureLoaded();
-    /** Record a shard's load error in stats (once per shard). */
-    void recordError(std::size_t shard, const SourceError &error);
-
-    /** Count shard @p i as loaded (first success only). */
-    void countLoaded(std::size_t shard, std::uint64_t bytes);
+    /** Decode shard @p shard, counting it as loaded or recording its
+     *  error (each once per shard). */
+    Expected<TraceCorpus> readShard(std::size_t shard);
 
     const TraceCorpus *borrowed_ = nullptr;
     std::optional<TraceCorpus> owned_;
@@ -183,65 +125,22 @@ class EagerSource : public TraceSource
 };
 
 /**
- * TraceSource over mmap'ed shards: summaries come straight from the
- * zero-copy skip-scan index; full materializations go through an LRU
- * cache bounded by SourceOptions::cacheBytes.
+ * The shard files of the corpus at @p path, in the order every reader
+ * ingests them: a regular file is a single-shard corpus; a directory
+ * is a sharded corpus of its finished shard files (isShardFilename)
+ * in filename order (see docs/TRACE_FORMAT.md, "Sharded corpora").
+ * Shard order is merge order, so openSource() and the coordinator's
+ * gathers both take it from here. Fails only when @p path itself is
+ * unusable (missing, or a directory with no shards).
  */
-class MmapSource : public TraceSource
-{
-  public:
-    explicit MmapSource(std::vector<std::string> paths,
-                        SourceOptions options = {});
-
-    std::string describe() const override;
-    std::size_t shardCount() const override;
-    const std::string &shardPath(std::size_t shard) const override;
-    Expected<ShardSummary> summarize(std::size_t shard) override;
-    Expected<CorpusPtr> shard(std::size_t shard) override;
-    const TraceCorpus &corpus() override;
-    const IngestStats &stats() const override;
-
-  private:
-    struct CacheEntry
-    {
-        CorpusPtr corpus;
-        std::size_t bytes = 0;
-        std::list<std::size_t>::iterator lruIt;
-    };
-
-    /** Record shard @p i as corrupt (first time only). */
-    void markBad(std::size_t shard, SourceError error);
-    void touch(CacheEntry &entry, std::size_t shard);
-    void evictOver(std::size_t budget);
-
-    std::vector<std::string> paths_;
-    SourceOptions options_;
-    /** Open readers; nullopt for shards that failed to open/index. */
-    std::vector<std::optional<MmapReader>> readers_;
-    /** Open/materialize error per bad shard. */
-    std::unordered_map<std::size_t, SourceError> bad_;
-    /** Shards that counted toward loadedShards already. */
-    std::vector<bool> everLoaded_;
-
-    std::unordered_map<std::size_t, CacheEntry> cache_;
-    /** Front = most recently used shard. */
-    std::list<std::size_t> lru_;
-
-    std::optional<TraceCorpus> merged_;
-    CorpusPtr mergedShard_; // pins the single-shard fast path
-    IngestStats stats_;
-};
+Expected<std::vector<std::string>> listShardFiles(const std::string &path);
 
 /**
- * Open @p path as a TraceSource: a regular file is a single-shard
- * corpus; a directory is a sharded corpus of its "*.tlc" files in
- * filename order (see docs/TRACE_FORMAT.md, "Sharded corpora").
- * Fails only when @p path itself is unusable (missing, or a directory
- * with no shards) — corrupt shard *files* are isolated later, per
- * shard.
+ * Open @p path as a TraceSource over listShardFiles(@p path). Fails
+ * only when @p path itself is unusable — corrupt shard *files* are
+ * isolated later, per shard.
  */
-Expected<std::unique_ptr<TraceSource>>
-openSource(const std::string &path, const SourceOptions &options = {});
+Expected<std::unique_ptr<TraceSource>> openSource(const std::string &path);
 
 /**
  * True when @p filename (the final path component, no directory) is a
@@ -250,19 +149,11 @@ openSource(const std::string &path, const SourceOptions &options = {});
  * notably the `*.tmp` staging names of the rename-into-place
  * convention (docs/TRACE_FORMAT.md "Sharded corpora") — are skipped,
  * so a writer racing a reader can never surface a torn shard as a
- * corrupt-input error. Every directory scan (openSource, the
- * coordinator's enumerateShards, the fleet watcher) shares this
- * predicate: shard *selection* feeding shard order IS merge order,
- * so any divergence breaks byte-identity.
+ * corrupt-input error. Every directory scan (listShardFiles, the
+ * fleet watcher) shares this predicate: shard *selection* feeding
+ * shard order IS merge order, so any divergence breaks byte-identity.
  */
 bool isShardFilename(std::string_view filename);
-
-/**
- * Estimated resident bytes of a materialized corpus (events,
- * instances, symbol table, stream metadata) — the unit of
- * SourceOptions::cacheBytes accounting.
- */
-std::size_t estimateCorpusBytes(const TraceCorpus &corpus);
 
 } // namespace tracelens
 

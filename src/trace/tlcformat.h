@@ -2,9 +2,9 @@
  * @file
  * Shared low-level decoding machinery for the TLC1 container: format
  * constants, packed record sizes, and the bounds-checked ByteCursor
- * both decoders are built on (the eager buffer parser in
- * serialize.cpp and the lazy skip-scan indexer in mmapreader.cpp).
- * Internal to src/trace — not part of the public API.
+ * the buffer parser in serialize.cpp is built on (columns.cpp reuses
+ * the record size). Internal to src/trace — not part of the public
+ * API.
  */
 
 #ifndef TRACELENS_TRACE_TLCFORMAT_H
@@ -59,7 +59,7 @@ inline constexpr std::size_t kInstanceRecordBytes = 28;
  * violation was detected) and every subsequent read becomes a no-op
  * returning false, so parse loops can bail out cheaply. All loads go
  * through memcpy: the TLC1 sections are packed with no alignment
- * guarantees (see docs/TRACE_FORMAT.md), so records inside an mmap'ed
+ * guarantees (see docs/TRACE_FORMAT.md), so records inside a file
  * image must never be dereferenced through reinterpret_cast.
  */
 class ByteCursor
@@ -151,24 +151,6 @@ class ByteCursor
         sv = std::string_view(
             reinterpret_cast<const char *>(bytes_.data() + pos_), len);
         pos_ += len;
-        return true;
-    }
-
-    /** Skip a length-prefixed string without materializing a view. */
-    bool
-    skipString(const char *what)
-    {
-        std::string_view sv;
-        return stringView(sv, what);
-    }
-
-    /** Skip @p n raw bytes (record blobs the caller decodes later). */
-    bool
-    skip(std::size_t n, const char *what)
-    {
-        if (!need(n, what))
-            return false;
-        pos_ += n;
         return true;
     }
 

@@ -58,9 +58,9 @@ ValidationReport validateCorpus(const TraceCorpus &corpus);
 
 /**
  * Validate a whole source shard by shard. Streams each shard through
- * TraceSource::shard() — on the mmap path memory stays bounded by the
- * source's cache budget instead of the corpus size — and folds
- * corrupt-shard errors into the report's loadErrors.
+ * TraceSource::shard(), so memory stays bounded by the largest shard
+ * instead of the corpus size, and folds corrupt-shard errors into the
+ * report's loadErrors.
  */
 ValidationReport validateSource(TraceSource &source);
 

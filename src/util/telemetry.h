@@ -31,7 +31,7 @@
  * "<layer>.<operation>" ("stage.wait-graphs", "pool.run-shards"),
  * categories are the coarse layer ("ingest", "pipeline", "analysis",
  * "pool", "cli"); metric names are dot-paths ("pipeline.awg.hits",
- * "source.cache.misses", "pool.queue_depth").
+ * "source.shard_loads", "pool.queue_depth").
  */
 
 #ifndef TRACELENS_UTIL_TELEMETRY_H

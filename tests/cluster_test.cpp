@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the sharded-cluster layer (src/server/coordinator.h): the
- * consistent-hash ring, shard enumeration (which must mirror the
- * single-node ingest order exactly), the coordinator's scatter/gather
+ * consistent-hash ring, the shard listing both the coordinator and
+ * a single node ingest in, the coordinator's scatter/gather
  * byte-identity contract against a single-node daemon, worker-failure
  * semantics (replica retry, degraded responses under a deadline), the
  * mixed-revision handshake, and the worker-side `*_partial` methods.
@@ -30,6 +30,7 @@
 #include "src/server/protocol.h"
 #include "src/server/server.h"
 #include "src/trace/serialize.h"
+#include "src/trace/source.h"
 #include "src/util/json.h"
 #include "src/util/telemetry.h"
 #include "src/workload/generator.h"
@@ -107,9 +108,9 @@ TEST(HashRing, SingleWorkerOwnsEverythingAndHasNoReplica)
     }
 }
 
-// ---------------------------------------------------- shard enumeration
+// -------------------------------------------------------- shard listing
 
-TEST(EnumerateShards, MirrorsSingleNodeIngestOrder)
+TEST(ListShardFiles, MirrorsSingleNodeIngestOrder)
 {
     ScratchDir scratch("cluster_enumerate");
     CorpusSpec spec;
@@ -124,34 +125,30 @@ TEST(EnumerateShards, MirrorsSingleNodeIngestOrder)
     std::ofstream(scratch.path() / "corpus" / "README.txt") << "hi";
     fs::create_directories(scratch.path() / "corpus" / "sub");
 
-    Expected<std::vector<std::string>> shards =
-        Coordinator::enumerateShards(dir);
+    Expected<std::vector<std::string>> shards = listShardFiles(dir);
     ASSERT_TRUE(shards.ok()) << shards.error().render();
     std::vector<std::string> expected = written;
     std::sort(expected.begin(), expected.end());
     EXPECT_EQ(shards.value(), expected);
 
-    // A plain corpus file enumerates to itself.
-    Expected<std::vector<std::string>> single =
-        Coordinator::enumerateShards(written[0]);
+    // A plain corpus file is its own single shard.
+    Expected<std::vector<std::string>> single = listShardFiles(written[0]);
     ASSERT_TRUE(single.ok());
     EXPECT_EQ(single.value(),
               std::vector<std::string>{written[0]});
 }
 
-TEST(EnumerateShards, EmptyDirAndMissingPathFail)
+TEST(ListShardFiles, EmptyDirAndMissingPathFail)
 {
     ScratchDir scratch("cluster_enumerate_bad");
     const std::string empty = (scratch.path() / "empty").string();
     fs::create_directories(empty);
-    Expected<std::vector<std::string>> none =
-        Coordinator::enumerateShards(empty);
+    Expected<std::vector<std::string>> none = listShardFiles(empty);
     ASSERT_FALSE(none.ok());
     EXPECT_NE(none.error().render().find("*.tlc"), std::string::npos);
 
     Expected<std::vector<std::string>> missing =
-        Coordinator::enumerateShards(
-            (scratch.path() / "nope").string());
+        listShardFiles((scratch.path() / "nope").string());
     EXPECT_FALSE(missing.ok());
 }
 

@@ -520,7 +520,7 @@ TEST_F(ServerTest, ResponseCacheIsBoundedAndEmptiedByAbsorb)
     // Exactly at the bound nothing is evicted...
     session.cacheResponse(oldest, answer(kSmall));
     session.cacheResponse(
-        big, answer(CorpusSession::kResponseCacheBytes - kSmall));
+        big, answer(CorpusSession::kMaxCachedResponseBytes - kSmall));
     EXPECT_NE(session.cachedResponse(oldest), nullptr);
 
     // ...and one answer past it evicts the oldest-inserted one only.

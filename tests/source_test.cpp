@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the streaming ingestion layer (src/trace/source.h): eager
- * vs mmap equivalence, the byte-budget LRU shard cache, corrupt-shard
+ * Tests for the ingestion layer (src/trace/source.h): file and
+ * sharded sources against the in-memory corpus, corrupt-shard
  * isolation, and hostile-input robustness of the bounds-checked
  * parser.
  */
@@ -21,7 +21,7 @@
 #include "src/core/analyzer.h"
 #include "src/core/report.h"
 #include "src/trace/builder.h"
-#include "src/trace/mmapreader.h"
+#include "src/trace/merge.h"
 #include "src/trace/serialize.h"
 #include "src/trace/source.h"
 #include "src/trace/validate.h"
@@ -119,9 +119,9 @@ tinyCorpusBytes()
     return bytes;
 }
 
-// ------------------------------------------------- eager/mmap equivalence
+// ------------------------------------------------ in-memory equivalence
 
-TEST(Source, EagerAndMmapReportsAreIdentical)
+TEST(Source, SingleFileReportEqualsInMemoryCorpus)
 {
     const ScratchDir dir("equiv");
     const TraceCorpus corpus = generateCorpus(smallSpec());
@@ -133,27 +133,20 @@ TEST(Source, EagerAndMmapReportsAreIdentical)
 
     // Reference: the in-memory corpus through the legacy wrapper. A
     // serialized round-trip reproduces interning order, so the
-    // single-file reports must equal this byte for byte. The sharded
+    // single-file report must equal this byte for byte. The sharded
     // layout re-interns symbols per shard (different ids, same
-    // semantics), so it gets its own reference; eager and mmap must
-    // still agree byte for byte within the layout.
+    // semantics), so it only has to open and load every shard.
     EagerSource reference(corpus);
     const std::string expected = reportFor(reference);
     ASSERT_FALSE(expected.empty());
 
-    SourceOptions eager_opts, mmap_opts;
-    mmap_opts.useMmap = true;
     for (const std::string &path : {single, sharded}) {
-        std::vector<std::string> reports;
-        for (const SourceOptions &opts : {eager_opts, mmap_opts}) {
-            auto source = openSource(path, opts);
-            ASSERT_TRUE(source.ok()) << source.error().render();
-            reports.push_back(reportFor(*source.value()));
-            EXPECT_EQ(source.value()->stats().skippedShards, 0u);
-        }
-        EXPECT_EQ(reports[0], reports[1]) << "eager != mmap: " << path;
+        auto source = openSource(path);
+        ASSERT_TRUE(source.ok()) << source.error().render();
+        const std::string report = reportFor(*source.value());
+        EXPECT_EQ(source.value()->stats().skippedShards, 0u);
         if (path == single) {
-            EXPECT_EQ(reports[0], expected);
+            EXPECT_EQ(report, expected);
         }
     }
 }
@@ -178,17 +171,12 @@ TEST(Source, CompressedCorpusYieldsIdenticalReports)
     EagerSource reference(corpus);
     const std::string expected = reportFor(reference);
 
-    SourceOptions eager_opts, mmap_opts;
-    mmap_opts.useMmap = true;
     for (const std::string &path : {raw, compact, shards}) {
-        for (const SourceOptions &opts : {eager_opts, mmap_opts}) {
-            auto source = openSource(path, opts);
-            ASSERT_TRUE(source.ok()) << source.error().render();
-            EXPECT_EQ(source.value()->stats().skippedShards, 0u);
-            if (path != shards) {
-                EXPECT_EQ(reportFor(*source.value()), expected)
-                    << path << (opts.useMmap ? " (mmap)" : " (eager)");
-            }
+        auto source = openSource(path);
+        ASSERT_TRUE(source.ok()) << source.error().render();
+        EXPECT_EQ(source.value()->stats().skippedShards, 0u);
+        if (path != shards) {
+            EXPECT_EQ(reportFor(*source.value()), expected) << path;
         }
     }
 
@@ -202,39 +190,6 @@ TEST(Source, CompressedCorpusYieldsIdenticalReports)
     EXPECT_EQ(reportFor(*a.value()), reportFor(*b.value()));
 }
 
-TEST(Source, ShardSummariesMatchBetweenPaths)
-{
-    const ScratchDir dir("summaries");
-    const std::string sharded = dir.file("shards");
-    writeShardedCorpusDir(generateCorpus(smallSpec()), sharded, 5);
-
-    SourceOptions mmap_opts;
-    mmap_opts.useMmap = true;
-    auto eager = openSource(sharded);
-    auto mapped = openSource(sharded, mmap_opts);
-    ASSERT_TRUE(eager.ok() && mapped.ok());
-    ASSERT_EQ(eager.value()->shardCount(), mapped.value()->shardCount());
-
-    for (std::size_t i = 0; i < eager.value()->shardCount(); ++i) {
-        auto a = eager.value()->summarize(i);
-        auto b = mapped.value()->summarize(i);
-        ASSERT_TRUE(a.ok() && b.ok());
-        EXPECT_EQ(a.value().path, b.value().path);
-        EXPECT_EQ(a.value().fileBytes, b.value().fileBytes);
-        EXPECT_EQ(a.value().events, b.value().events);
-        EXPECT_EQ(a.value().scenarios, b.value().scenarios);
-        ASSERT_EQ(a.value().instances.size(), b.value().instances.size());
-        for (std::size_t j = 0; j < a.value().instances.size(); ++j) {
-            EXPECT_EQ(a.value().instances[j].scenario,
-                      b.value().instances[j].scenario);
-            EXPECT_EQ(a.value().instances[j].t0,
-                      b.value().instances[j].t0);
-            EXPECT_EQ(a.value().instances[j].t1,
-                      b.value().instances[j].t1);
-        }
-    }
-}
-
 TEST(Source, ShardedDirectoryEqualsMonolithicFile)
 {
     // The sharded layout must analyze identically to the single file
@@ -242,7 +197,8 @@ TEST(Source, ShardedDirectoryEqualsMonolithicFile)
     const ScratchDir dir("split");
     const TraceCorpus corpus = generateCorpus(smallSpec());
     const std::string sharded = dir.file("shards");
-    writeShardedCorpusDir(corpus, sharded, 3);
+    const std::vector<std::string> paths =
+        writeShardedCorpusDir(corpus, sharded, 3);
 
     auto source = openSource(sharded);
     ASSERT_TRUE(source.ok());
@@ -251,6 +207,13 @@ TEST(Source, ShardedDirectoryEqualsMonolithicFile)
     EXPECT_EQ(merged.totalEvents(), corpus.totalEvents());
     EXPECT_EQ(merged.instances().size(), corpus.instances().size());
 
+    // corpus() appends each shard as it is read; that must give the
+    // bytes of merging all the decoded shards at once.
+    std::vector<TraceCorpus> parts;
+    for (const std::string &path : paths)
+        parts.push_back(readCorpusFileChecked(path).value());
+    EXPECT_EQ(digestCorpus(merged), digestCorpus(mergeCorpora(parts)));
+
     EagerSource mono_source(corpus);
     const ImpactResult a = Analyzer(mono_source).impactAll();
     const ImpactResult b = Analyzer(*source.value()).impactAll();
@@ -258,67 +221,6 @@ TEST(Source, ShardedDirectoryEqualsMonolithicFile)
     EXPECT_EQ(a.dWait, b.dWait);
     EXPECT_EQ(a.dRun, b.dRun);
     EXPECT_EQ(a.dWaitDist, b.dWaitDist);
-}
-
-// ----------------------------------------------------------- LRU cache
-
-TEST(Source, CacheEvictsUnderTinyBudgetAndStaysCorrect)
-{
-    const ScratchDir dir("cache");
-    const std::string sharded = dir.file("shards");
-    writeShardedCorpusDir(generateCorpus(smallSpec()), sharded, 5);
-
-    SourceOptions opts;
-    opts.useMmap = true;
-    opts.cacheBytes = 1; // every shard overflows the budget
-    auto opened = openSource(sharded, opts);
-    ASSERT_TRUE(opened.ok());
-    TraceSource &source = *opened.value();
-
-    // Handles taken before evictions must stay valid throughout.
-    auto first = source.shard(0);
-    ASSERT_TRUE(first.ok());
-    const std::uint64_t first_events = first.value()->totalEvents();
-    EXPECT_GT(first_events, 0u);
-
-    std::vector<std::uint64_t> events(source.shardCount());
-    for (std::size_t i = 0; i < source.shardCount(); ++i) {
-        auto shard = source.shard(i);
-        ASSERT_TRUE(shard.ok());
-        events[i] = shard.value()->totalEvents();
-    }
-    EXPECT_GT(source.stats().cacheEvictions, 0u);
-    EXPECT_LE(source.stats().residentBytes, estimateCorpusBytes(
-                                                *first.value()) *
-                                                source.shardCount());
-
-    // Re-materializing an evicted shard reproduces the same contents.
-    for (std::size_t i = 0; i < source.shardCount(); ++i) {
-        auto shard = source.shard(i);
-        ASSERT_TRUE(shard.ok());
-        EXPECT_EQ(shard.value()->totalEvents(), events[i]);
-    }
-    EXPECT_EQ(first.value()->totalEvents(), first_events);
-}
-
-TEST(Source, MostRecentShardSurvivesOversizedBudget)
-{
-    const ScratchDir dir("mru");
-    const std::string sharded = dir.file("shards");
-    writeShardedCorpusDir(generateCorpus(smallSpec()), sharded, 2);
-
-    SourceOptions opts;
-    opts.useMmap = true;
-    opts.cacheBytes = 1;
-    auto opened = openSource(sharded, opts);
-    ASSERT_TRUE(opened.ok());
-    TraceSource &source = *opened.value();
-
-    ASSERT_TRUE(source.shard(0).ok());
-    const std::size_t misses = source.stats().cacheMisses;
-    ASSERT_TRUE(source.shard(0).ok()); // MRU kept despite the budget
-    EXPECT_EQ(source.stats().cacheMisses, misses);
-    EXPECT_GT(source.stats().cacheHits, 0u);
 }
 
 // ----------------------------------------------------- error isolation
@@ -347,35 +249,30 @@ TEST(Source, CorruptShardIsSkippedAndReported)
         out << "TLC1 this is not a corpus";
     }
 
-    SourceOptions eager_opts, mmap_opts;
-    mmap_opts.useMmap = true;
-    for (const SourceOptions &opts : {eager_opts, mmap_opts}) {
-        auto opened = openSource(sharded, opts);
-        ASSERT_TRUE(opened.ok());
-        TraceSource &source = *opened.value();
+    auto opened = openSource(sharded);
+    ASSERT_TRUE(opened.ok());
+    TraceSource &source = *opened.value();
 
-        const TraceCorpus &merged = source.corpus(); // never fatal
-        EXPECT_EQ(merged.instances().size(), good_instances);
+    const TraceCorpus &merged = source.corpus(); // never fatal
+    EXPECT_EQ(merged.instances().size(), good_instances);
 
-        const IngestStats &stats = source.stats();
-        EXPECT_EQ(stats.shards, 4u);
-        EXPECT_EQ(stats.loadedShards, 3u);
-        EXPECT_EQ(stats.skippedShards, 1u);
-        ASSERT_EQ(stats.errors.size(), 1u);
-        EXPECT_NE(stats.errors[0].file.find("shard-0002"),
-                  std::string::npos);
-        EXPECT_FALSE(stats.errors[0].reason.empty());
-        EXPECT_FALSE(source.summarize(2).ok());
-        EXPECT_FALSE(source.shard(2).ok());
-        // Repeated access must not double-count the skip.
-        EXPECT_EQ(source.stats().skippedShards, 1u);
+    const IngestStats &stats = source.stats();
+    EXPECT_EQ(stats.shards, 4u);
+    EXPECT_EQ(stats.loadedShards, 3u);
+    EXPECT_EQ(stats.skippedShards, 1u);
+    ASSERT_EQ(stats.errors.size(), 1u);
+    EXPECT_NE(stats.errors[0].file.find("shard-0002"),
+              std::string::npos);
+    EXPECT_FALSE(stats.errors[0].reason.empty());
+    EXPECT_FALSE(source.shard(2).ok());
+    // Repeated access must not double-count the skip.
+    EXPECT_EQ(source.stats().skippedShards, 1u);
 
-        const ValidationReport report = validateSource(source);
-        EXPECT_EQ(report.skippedShards, 1u);
-        EXPECT_FALSE(report.clean());
-        EXPECT_NE(report.render().find("load error"),
-                  std::string::npos);
-    }
+    const ValidationReport report = validateSource(source);
+    EXPECT_EQ(report.skippedShards, 1u);
+    EXPECT_FALSE(report.clean());
+    EXPECT_NE(report.render().find("load error"),
+              std::string::npos);
 }
 
 TEST(Source, OpenSourceRejectsMissingAndEmptyPaths)
@@ -431,20 +328,6 @@ TEST(Source, ParseCorpusRejectsImpossibleCounts)
     auto result = parseCorpus({bytes.data(), bytes.size()}, "huge");
     ASSERT_FALSE(result.ok());
     EXPECT_NE(result.error().reason.find("corpus"), std::string::npos);
-}
-
-TEST(Source, MmapReaderRejectsCorruptFilesCleanly)
-{
-    const ScratchDir dir("reader");
-    const std::vector<std::byte> bytes = tinyCorpusBytes();
-    for (std::size_t len = 0; len < bytes.size(); len += 7) {
-        const std::string path = dir.file("t.tlc");
-        std::ofstream(path, std::ios::binary | std::ios::trunc)
-            .write(reinterpret_cast<const char *>(bytes.data()),
-                   static_cast<std::streamsize>(len));
-        auto reader = MmapReader::open(path);
-        EXPECT_FALSE(reader.ok()) << "prefix of " << len << " bytes";
-    }
 }
 
 TEST(Source, BorrowingEagerSourceIsTheCorpusCompatibilityPath)

@@ -11,10 +11,10 @@
  *              --stressed-fraction F) tilt the machine mix; --drip DIR
  *              --interval-ms N feeds shards into a spool one by one by
  *              the rename-into-place convention (live-ingestion demo).
- *   ingest     PATH [--mmap] [--cache-bytes N]
- *              Streaming ingestion summary (per-scenario instance
- *              counts/durations) plus throughput and cache stats —
- *              on the mmap path without materializing symbol tables.
+ *   ingest     PATH
+ *              Ingestion summary: per-scenario instance counts and
+ *              mean durations, shard counts, skipped shards and
+ *              throughput.
  *   validate   PATH
  *              Structural validation report (shard by shard).
  *   impact     PATH [--components GLOB]...
@@ -41,11 +41,10 @@
  *   version    Build info plus format/protocol revisions (--version).
  *
  * Every PATH that names a corpus accepts either a single .tlc file or
- * a directory of shards, and takes --mmap (zero-copy mmap ingestion)
- * and --cache-bytes N (shard-cache budget); corrupt shards inside a
- * directory are reported and skipped, never fatal. Analysis commands
- * additionally take --pipeline-stats (print per-stage hit/miss
- * counters and build times).
+ * a directory of shards; corrupt shards inside a directory are
+ * reported and skipped, never fatal. Analysis commands additionally
+ * take --pipeline-stats (print per-stage hit/miss counters and build
+ * times).
  *
  * Self-telemetry flags, valid for every subcommand (docs/TELEMETRY.md):
  *   --trace-out FILE    Record pipeline spans and write them as Chrome
@@ -212,20 +211,16 @@ usage()
            "  tracelens cluster-trace --connect HOST:PORT --out FILE"
            " [--timeout-ms N]\n"
            "  tracelens version   (also --version)\n"
-           "\nPATH is a .tlc corpus file or a directory of shards; "
-           "corpus-reading\ncommands accept --mmap (zero-copy "
-           "ingestion) and --cache-bytes N\n(shard-cache budget, "
-           "suffixes k/m/g).\n--threads 0 (default) uses every "
-           "hardware thread; 1 runs serially.\nAnalysis commands also "
+           "\nPATH is a .tlc corpus file or a directory of shards.\n"
+           "--threads 0 (default) uses every hardware thread; 1 runs "
+           "serially.\nAnalysis commands also "
            "accept --pipeline-stats (per-stage hit/miss\ncounters and "
            "build times).\nEvery command accepts "
            "--trace-out FILE (self-telemetry spans as\nChrome "
            "trace_event JSON, Perfetto-loadable), --metrics-out FILE\n"
            "(counters/gauges/histograms as JSON) and --log-level "
            "LEVEL\n(debug|info|warn|error|off; default info).\n"
-           "Analysis results are "
-           "identical for every thread count and for every\n"
-           "ingestion path.\n";
+           "Analysis results are identical for every thread count.\n";
     return 2;
 }
 
@@ -277,43 +272,11 @@ parseFraction(const char *flag, const std::string &value)
     return parsed;
 }
 
-/** Shared --mmap / --cache-bytes ingestion flags. */
-SourceOptions
-sourceOptionsFlag(const Args &args)
-{
-    SourceOptions options;
-    options.useMmap = args.has("mmap");
-    if (auto v = args.flag("cache-bytes")) {
-        std::size_t multiplier = 1;
-        std::string digits = *v;
-        if (!digits.empty()) {
-            switch (digits.back()) {
-              case 'k': case 'K': multiplier = 1ull << 10; break;
-              case 'm': case 'M': multiplier = 1ull << 20; break;
-              case 'g': case 'G': multiplier = 1ull << 30; break;
-              default: break;
-            }
-            if (multiplier != 1)
-                digits.pop_back();
-        }
-        std::size_t value = 0;
-        const auto [ptr, ec] = std::from_chars(
-            digits.data(), digits.data() + digits.size(), value);
-        if (ec != std::errc() || ptr != digits.data() + digits.size()) {
-            TL_FATAL("--cache-bytes expects BYTES[k|m|g], got '",
-                     std::string(*v), "'");
-        }
-        options.cacheBytes = value * multiplier;
-    }
-    return options;
-}
-
 /** Open PATH as a TraceSource or die with the located error. */
 std::unique_ptr<TraceSource>
-openSourceOrDie(const std::string &path, const Args &args)
+openSourceOrDie(const std::string &path)
 {
-    Expected<std::unique_ptr<TraceSource>> source =
-        openSource(path, sourceOptionsFlag(args));
+    Expected<std::unique_ptr<TraceSource>> source = openSource(path);
     if (!source)
         TL_FATAL(source.error().render());
     return std::move(source.value());
@@ -486,23 +449,22 @@ cmdIngest(const Args &args)
         return usage();
     const auto start = std::chrono::steady_clock::now();
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0], args);
+        openSourceOrDie(args.positional()[0]);
 
-    // Per-scenario instance tallies straight from shard summaries: on
-    // the mmap path this touches only instance records and scenario
-    // names — frames, stacks, and events stay unmaterialized.
+    // Per-scenario instance tallies, one decoded shard at a time.
     std::map<std::string, std::pair<std::size_t, DurationNs>> scenarios;
     std::uint64_t events = 0;
     std::size_t instances = 0;
     for (std::size_t i = 0; i < source->shardCount(); ++i) {
-        Expected<ShardSummary> summary = source->summarize(i);
-        if (!summary)
+        Expected<CorpusPtr> shard = source->shard(i);
+        if (!shard)
             continue; // recorded in stats
-        events += summary.value().events;
-        instances += summary.value().instances.size();
-        for (const ScenarioInstance &inst : summary.value().instances) {
+        const TraceCorpus &corpus = *shard.value();
+        events += corpus.totalEvents();
+        instances += corpus.instances().size();
+        for (const ScenarioInstance &inst : corpus.instances()) {
             auto &[count, total] =
-                scenarios[summary.value().scenarios[inst.scenario]];
+                scenarios[corpus.scenarioName(inst.scenario)];
             ++count;
             total += inst.duration();
         }
@@ -539,7 +501,7 @@ cmdValidate(const Args &args)
     if (args.positional().empty())
         return usage();
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0], args);
+        openSourceOrDie(args.positional()[0]);
     const ValidationReport report = validateSource(*source);
     std::cout << report.render() << "\n";
     return report.strayUnwaits == 0 && report.selfUnwaits == 0 &&
@@ -554,7 +516,7 @@ cmdImpact(const Args &args)
     if (args.positional().empty())
         return usage();
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0], args);
+        openSourceOrDie(args.positional()[0]);
 
     AnalyzerConfig config = analyzerConfigFlag(args);
     const auto globs = args.flagAll("components");
@@ -585,7 +547,7 @@ cmdAnalyze(const Args &args)
     if (args.positional().empty() || !scenario)
         return usage();
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0], args);
+        openSourceOrDie(args.positional()[0]);
 
     // Thresholds default to the catalog's when the scenario is known.
     DurationNs t_fast = 0, t_slow = 0;
@@ -653,7 +615,7 @@ cmdThresholds(const Args &args)
     if (args.positional().empty())
         return usage();
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0], args);
+        openSourceOrDie(args.positional()[0]);
     const TraceCorpus &corpus = loadCorpus(*source);
     if (auto name = args.flag("scenario")) {
         std::cout << *name << ": "
@@ -673,7 +635,7 @@ cmdReport(const Args &args)
     if (args.positional().empty())
         return usage();
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0], args);
+        openSourceOrDie(args.positional()[0]);
     Analyzer analyzer(*source, analyzerConfigFlag(args));
     requireUsable(*source);
     const TraceCorpus &corpus = analyzer.corpus();
@@ -709,9 +671,9 @@ cmdDiff(const Args &args)
     if (args.positional().size() < 2 || !scenario)
         return usage();
     const std::unique_ptr<TraceSource> source_before =
-        openSourceOrDie(args.positional()[0], args);
+        openSourceOrDie(args.positional()[0]);
     const std::unique_ptr<TraceSource> source_after =
-        openSourceOrDie(args.positional()[1], args);
+        openSourceOrDie(args.positional()[1]);
 
     DurationNs t_fast = 0, t_slow = 0;
     for (const ScenarioSpec &spec : scenarioCatalog()) {
@@ -753,7 +715,7 @@ cmdDump(const Args &args)
     if (args.positional().empty())
         return usage();
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0], args);
+        openSourceOrDie(args.positional()[0]);
     const TraceCorpus &corpus = loadCorpus(*source);
     std::uint32_t stream = 0;
     std::size_t max_events = 100;
@@ -780,7 +742,7 @@ cmdExportCsv(const Args &args)
     if (args.positional().empty() || !events || !instances)
         return usage();
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0], args);
+        openSourceOrDie(args.positional()[0]);
     const TraceCorpus &corpus = loadCorpus(*source);
     writeCorpusCsvFiles(corpus, *events, *instances);
     TL_LOG(Info, "exported to ", *events, " + ", *instances);
@@ -893,7 +855,6 @@ cmdServe(const Args &args)
         config.registry.idleTimeout = std::chrono::seconds(
             parseUnsignedFlag("--idle-timeout-s", *v, 86'400));
     }
-    config.registry.source = sourceOptionsFlag(args);
     config.enableTestMethods = args.has("enable-test-methods");
     config.coordinator = args.has("coordinator");
     if (auto v = args.flag("cluster-workers")) {
