@@ -154,9 +154,9 @@ AggregatedWaitGraph::renderDot(const SymbolTable &symbols,
 AwgBuilder::AwgBuilder(const TraceCorpus &corpus, NameFilter components,
                        AwgOptions options)
     : corpus_(corpus), components_(std::move(components)),
-      options_(options)
+      options_(options),
+      matches_(corpus_.symbols().primeFilter(components_))
 {
-    corpus_.symbols().primeFilter(components_);
 }
 
 FrameId
@@ -164,7 +164,7 @@ AwgBuilder::signatureOf(CallstackId stack) const
 {
     if (stack == kNoCallstack)
         return kNoFrame;
-    return corpus_.symbols().topMatchingFrame(stack, components_);
+    return corpus_.symbols().topMatchingFrame(stack, matches_);
 }
 
 FrameId

@@ -246,8 +246,8 @@ class AwgBuilder
      * nodes (roots always; inner nodes when configured) and merge
      * wait/unwait pairs. The fragment depends only on the graph, the
      * component filter and the options, so callers may keep it and
-     * fold it into any number of classes. Thread-safe once the
-     * component filter is primed (done in the constructor).
+     * fold it into any number of classes. Thread-safe: reads only the
+     * filter's match column, which the constructor primed.
      */
     AwgFragment summarize(const WaitGraph &graph) const;
 
@@ -271,6 +271,9 @@ class AwgBuilder
     const TraceCorpus &corpus_;
     NameFilter components_;
     AwgOptions options_;
+    /** The filter's match column; the corpus interns no frame while
+     *  this builder lives. */
+    std::span<const char> matches_;
 };
 
 } // namespace tracelens

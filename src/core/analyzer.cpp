@@ -1,10 +1,10 @@
 /**
  * @file
- * Analyzer: per-shard ingestion with content digesting, the stage
- * graph (wait graphs -> per-instance summaries -> classes/impact ->
- * class columns over the scenario's path trie -> mining), the
- * per-scenario slots of last-asked results, the per-stage counters,
- * and the multi-scenario fan-out.
+ * Analyzer: per-shard ingestion, the stage graph (wait graphs ->
+ * per-instance summaries -> classes/impact -> class columns over the
+ * scenario's path trie -> mining), the per-scenario slots of
+ * last-asked results, the per-stage counters, and the multi-scenario
+ * fan-out.
  */
 
 #include "src/core/analyzer.h"
@@ -17,7 +17,6 @@
 #include <utility>
 
 #include "src/trace/merge.h"
-#include "src/trace/serialize.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/telemetry.h"
@@ -156,7 +155,6 @@ Analyzer::absorb(const TraceCorpus &part, CorpusPtr alias)
                  static_cast<std::uint64_t>(part.instances().size()));
     }
 
-    corpusDigest_.mix(digestCorpus(part));
     ShardRecord record;
     record.firstInstance =
         static_cast<std::uint32_t>(corpus_->instances().size());
@@ -293,6 +291,26 @@ Analyzer::impactPerScenario() const
         for (const auto &[scenario, partial] : scenarioImpactPartials())
             results.emplace(scenario, partial.finalize());
         return results;
+    });
+}
+
+std::vector<ComponentImpact>
+Analyzer::impactByComponent() const
+{
+    graphs(); // built outside the stage spans
+    return memo(Stage::Impact, corpusImpact_->components, [&] {
+        Span span("impact.analyze", "analysis");
+        std::vector<std::uint32_t> all(corpus_->instances().size());
+        std::iota(all.begin(), all.end(), 0u);
+        const std::uint64_t computed = contributions(all, config_.threads);
+        ComponentSplit split;
+        for (std::uint32_t i : all)
+            split.absorb(summaries_[i].contribution.value);
+        if (span.active()) {
+            span.arg("graphs", static_cast<std::uint64_t>(all.size()));
+            span.arg("computed", computed);
+        }
+        return split.finalize(corpus_->symbols());
     });
 }
 

@@ -25,7 +25,8 @@
  * from its members' node maps, and mining runs over two columns. On
  * top of those the Analyzer keeps two things:
  *
- *  - the corpus-wide and per-scenario impact, computed once;
+ *  - the corpus-wide and per-scenario impact and the per-component
+ *    split, computed once;
  *  - per scenario, one slot holding the classes, slow-class impact,
  *    both class columns and the mining result at the thresholds the
  *    scenario was last asked at. A query at those thresholds shares
@@ -67,7 +68,6 @@
 #include "src/mining/pathtrie.h"
 #include "src/trace/source.h"
 #include "src/trace/stream.h"
-#include "src/util/hash.h"
 #include "src/util/telemetry.h"
 #include "src/waitgraph/waitgraph.h"
 
@@ -207,10 +207,9 @@ class Analyzer
     /**
      * Analyze the corpus served by @p source: the source decides how
      * trace bytes reach memory (in-memory corpus, file, sharded
-     * directory) and isolates corrupt shards; the analyzer ingests the usable
-     * shards one at a time, folding each shard's content digest into
-     * corpusDigest(), so construction may materialize. @p source must
-     * outlive the analyzer.
+     * directory) and isolates corrupt shards; the analyzer ingests the
+     * usable shards one at a time, so construction decodes every
+     * shard. @p source must outlive the analyzer.
      */
     explicit Analyzer(TraceSource &source, AnalyzerConfig config = {});
 
@@ -238,6 +237,13 @@ class Analyzer
     /** Impact per scenario id. */
     std::unordered_map<std::uint32_t, ImpactResult>
     impactPerScenario() const;
+
+    /**
+     * The corpus-wide component time split by module, heaviest first:
+     * every instance's kept contribution folded by a ComponentSplit,
+     * so it walks no wait graph the impact scan did not.
+     */
+    std::vector<ComponentImpact> impactByComponent() const;
 
     /**
      * Classify one scenario's instances against thresholds: a sweep
@@ -313,14 +319,6 @@ class Analyzer
     /** Number of shards ingested so far (source shards + addStreams). */
     std::size_t shardCount() const { return shards_.size(); }
 
-    /**
-     * Content digest of the whole ingested corpus: a running digest
-     * over the shards' content digests. Two analyzers over identical
-     * shard sequences report equal digests, which is what the
-     * analysis service keys its response cache on.
-     */
-    const Digest &corpusDigest() const { return corpusDigest_; }
-
     /** Snapshot of the per-stage counters. */
     PipelineStats pipelineStats() const;
 
@@ -390,6 +388,7 @@ class Analyzer
     {
         Lazy<ImpactResult> all;
         Lazy<std::unordered_map<std::uint32_t, ImpactResult>> perScenario;
+        Lazy<std::vector<ComponentImpact>> components;
     };
 
     /**
@@ -490,7 +489,6 @@ class Analyzer
     const TraceCorpus *corpus_ = &ownedCorpus_;
 
     std::vector<ShardRecord> shards_;
-    Digest corpusDigest_;
 
     mutable std::mutex graphsMutex_;
     mutable std::vector<WaitGraph> graphs_;

@@ -10,7 +10,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/impact/breakdown.h"
 #include "src/mining/knowledge.h"
 #include "src/trace/validate.h"
 #include "src/util/logging.h"
@@ -143,8 +142,7 @@ buildHtmlReport(const Analyzer &analyzer,
 
     html << "<h2>Impact by component</h2>\n<table><tr><th>Component"
          << "</th><th>Wait</th><th>Run</th><th>Waits</th></tr>\n";
-    const auto by_component = impactByComponent(
-        corpus, analyzer.graphs(), analyzer.components());
+    const auto by_component = analyzer.impactByComponent();
     for (std::size_t i = 0;
          i < std::min(options.topComponents, by_component.size());
          ++i) {

@@ -8,7 +8,6 @@
 
 #include <sstream>
 
-#include "src/impact/breakdown.h"
 #include "src/trace/validate.h"
 #include "src/util/table.h"
 #include "src/util/telemetry.h"
@@ -43,8 +42,7 @@ buildReport(const Analyzer &analyzer,
     oss << analyzer.impactAll().render() << "\n\n";
 
     oss << "---- impact by component ----\n";
-    const auto by_component = impactByComponent(
-        corpus, analyzer.graphs(), analyzer.components());
+    const auto by_component = analyzer.impactByComponent();
     TextTable component_table({"Component", "Wait", "Run", "Waits"});
     for (std::size_t i = 0;
          i < std::min(options.topComponents, by_component.size());

@@ -1,13 +1,13 @@
 /**
  * @file
  * Impact-metric accumulation over Wait Graphs: per-graph scans
- * (parallelizable) feeding an order-preserving distinct-wait fold.
+ * (parallelizable) feeding an order-preserving distinct-wait fold and
+ * the per-component split.
  */
 
 #include "src/impact/impact.h"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 
 #include "src/core/partial.h"
@@ -67,11 +67,43 @@ ImpactResult::render() const
     return oss.str();
 }
 
+void
+ComponentSplit::absorb(const ImpactContribution &contribution)
+{
+    for (const ComponentShare &share : contribution.components) {
+        if (share.component >= byId_.size())
+            byId_.resize(share.component + 1);
+        ComponentShare &total = byId_[share.component];
+        total.frame = share.frame; // each of its frames names it
+        total.wait += share.wait;
+        total.run += share.run;
+        total.waitEvents += share.waitEvents;
+    }
+}
+
+std::vector<ComponentImpact>
+ComponentSplit::finalize(const SymbolTable &symbols) const
+{
+    std::vector<ComponentImpact> result;
+    for (const ComponentShare &share : byId_) {
+        if (share.frame != kNoFrame)
+            result.push_back({symbols.componentName(share.frame),
+                              share.wait, share.run, share.waitEvents});
+    }
+    std::sort(result.begin(), result.end(),
+              [](const ComponentImpact &a, const ComponentImpact &b) {
+                  if (a.total() != b.total())
+                      return a.total() > b.total();
+                  return a.component < b.component;
+              });
+    return result;
+}
+
 ImpactAnalysis::ImpactAnalysis(const TraceCorpus &corpus,
                                NameFilter components)
-    : corpus_(corpus), components_(std::move(components))
+    : corpus_(corpus), components_(std::move(components)),
+      matches_(corpus_.symbols().primeFilter(components_))
 {
-    corpus_.symbols().primeFilter(components_);
 }
 
 ImpactContribution
@@ -80,36 +112,49 @@ ImpactAnalysis::collect(const WaitGraph &graph) const
     const SymbolTable &sym = corpus_.symbols();
     ImpactContribution contribution;
     contribution.dScn = graph.topLevelDuration();
+    auto shareOf = [&](FrameId signature) -> ComponentShare & {
+        const std::uint32_t component = sym.componentId(signature);
+        for (ComponentShare &share : contribution.components)
+            if (share.component == component)
+                return share;
+        return contribution.components.emplace_back(
+            ComponentShare{component, signature});
+    };
 
     // Top-level component waits: breadth-first search that stops at the
     // first matching wait on each path (children constitute time already
     // counted by their parent). Recorded in BFS order so the caller's
     // serial dedup fold reproduces the original accumulation exactly.
-    std::deque<std::uint32_t> queue(graph.roots().begin(),
-                                    graph.roots().end());
-    while (!queue.empty()) {
-        const WaitGraph::Node &node = graph.node(queue.front());
-        queue.pop_front();
+    std::vector<std::uint32_t> queue(graph.roots());
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+        const WaitGraph::Node &node = graph.node(queue[head]);
         const Event &e = node.event;
-        if (e.type == EventType::Wait && e.stack != kNoCallstack &&
-            sym.stackTouches(e.stack, components_)) {
-            contribution.waitHits.emplace_back(node.ref, e.cost);
-            continue; // do not descend into already-counted time
+        if (e.type == EventType::Wait && e.stack != kNoCallstack) {
+            const FrameId signature = sym.topMatchingFrame(e.stack, matches_);
+            if (signature != kNoFrame) {
+                contribution.waitHits.emplace_back(node.ref, e.cost);
+                ComponentShare &share = shareOf(signature);
+                share.wait += e.cost;
+                ++share.waitEvents;
+                continue; // do not descend into already-counted time
+            }
         }
         for (std::uint32_t child : graph.children(node))
             queue.push_back(child);
     }
 
     // Component running time: every running sample in the graph whose
-    // callstack contains a chosen component, each distinct event counted
-    // once per instance.
+    // callstack contains a chosen component. D_run counts each distinct
+    // event once per instance; the split counts every node.
     std::unordered_set<EventRef, EventRefHash> seen_running;
     for (const WaitGraph::Node &node : graph.nodes()) {
         const Event &e = node.event;
         if (e.type != EventType::Running || e.stack == kNoCallstack)
             continue;
-        if (!sym.stackTouches(e.stack, components_))
+        const FrameId signature = sym.topMatchingFrame(e.stack, matches_);
+        if (signature == kNoFrame)
             continue;
+        shareOf(signature).run += e.cost;
         if (seen_running.insert(node.ref).second)
             contribution.dRun += e.cost;
     }
@@ -171,6 +216,18 @@ ImpactAnalysis::analyzePerScenario(std::span<const WaitGraph> graphs,
     for (std::uint32_t scenario : scenarios)
         results.emplace(scenario, partials.at(scenario).finalize());
     return results;
+}
+
+std::vector<ComponentImpact>
+impactByComponent(const TraceCorpus &corpus,
+                  std::span<const WaitGraph> graphs,
+                  const NameFilter &components)
+{
+    const ImpactAnalysis impact(corpus, components);
+    ComponentSplit split;
+    for (const WaitGraph &graph : graphs)
+        split.absorb(impact.collect(graph));
+    return split.finalize(corpus.symbols());
 }
 
 } // namespace tracelens

@@ -29,6 +29,9 @@
  * folds contributions in instance order. The Analyzer keeps each
  * instance's contribution, so a query at new thresholds only folds
  * its slow class's contributions.
+ *
+ * The same scan splits the component time by module (ComponentSplit),
+ * answering "which driver hurts the most?" without a second walk.
  */
 
 #ifndef TRACELENS_IMPACT_IMPACT_H
@@ -70,6 +73,32 @@ struct ImpactResult
     std::string render() const;
 };
 
+/** Aggregated impact of one component (module). */
+struct ComponentImpact
+{
+    std::string component;
+    DurationNs wait = 0;      //!< Top-level wait time attributed here.
+    DurationNs run = 0;       //!< Running time attributed here.
+    std::uint64_t waitEvents = 0;
+
+    DurationNs total() const { return wait + run; }
+};
+
+/**
+ * One component's share of one instance graph: the top-level matching
+ * waits whose signature (topmost matching frame) it owns, and every
+ * running node whose signature it owns. Unlike D_run, a running event
+ * reached twice in one graph counts twice.
+ */
+struct ComponentShare
+{
+    std::uint32_t component = 0; //!< SymbolTable::componentId.
+    FrameId frame = kNoFrame;    //!< A frame of the component (its name).
+    DurationNs wait = 0;
+    DurationNs run = 0;
+    std::uint64_t waitEvents = 0;
+};
+
 /**
  * One instance graph's share of the impact metrics: the sums, which
  * merge commutatively, and the matched top-level waits in BFS order,
@@ -82,6 +111,26 @@ struct ImpactContribution
     DurationNs dRun = 0;
     /** Matched top-level waits (ref, clipped cost), in BFS order. */
     std::vector<std::pair<EventRef, DurationNs>> waitHits;
+    /** Per-component split, one entry per component matched. */
+    std::vector<ComponentShare> components;
+};
+
+/**
+ * The per-component split of a set of instances: their contributions'
+ * component shares summed by component. Integer sums, so the fold
+ * order does not matter.
+ */
+class ComponentSplit
+{
+  public:
+    void absorb(const ImpactContribution &contribution);
+
+    /** Every component matched, heaviest total first, ties by name. */
+    std::vector<ComponentImpact> finalize(const SymbolTable &symbols) const;
+
+  private:
+    /** Indexed by component id; frame is kNoFrame where none matched. */
+    std::vector<ComponentShare> byId_;
 };
 
 /**
@@ -124,7 +173,8 @@ class ImpactAnalysis
 
     /**
      * Scan one graph: its contribution, for the caller to fold in
-     * instance order. Thread-safe: touches only primed caches.
+     * instance order. Thread-safe: reads only the filter's match
+     * column, which the constructor primed.
      */
     ImpactContribution collect(const WaitGraph &graph) const;
 
@@ -133,7 +183,21 @@ class ImpactAnalysis
   private:
     const TraceCorpus &corpus_;
     NameFilter components_;
+    /** The filter's match column; the corpus interns no frame while
+     *  this analysis lives. */
+    std::span<const char> matches_;
 };
+
+/**
+ * Split component impact by module over a set of wait graphs: each
+ * graph's collect() shares, folded by a ComponentSplit. A top-level
+ * matching wait's time goes to the component of its topmost matching
+ * frame, as do running samples. Sorted by total time descending.
+ */
+std::vector<ComponentImpact>
+impactByComponent(const TraceCorpus &corpus,
+                  std::span<const WaitGraph> graphs,
+                  const NameFilter &components);
 
 } // namespace tracelens
 

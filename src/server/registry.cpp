@@ -90,7 +90,6 @@ CorpusSession::absorbShard(const TraceCorpus &corpus)
 {
     const std::unique_lock<std::shared_mutex> lock(analysisMutex_);
     analyzer_->addStreams(corpus);
-    corpusDigest_ = analyzer_->corpusDigest();
     const std::lock_guard<std::mutex> responseLock(responseMutex_);
     responses_.clear();
     responseOrder_.clear();
@@ -179,7 +178,6 @@ SessionRegistry::acquire(const std::string &path,
                     : stats.errors.front();
             return;
         }
-        session->corpusDigest_ = session->analyzer_->corpusDigest();
 
         // Precompute the ingest summary now, single-threaded: the
         // TraceSource is not thread-safe, so request handlers must

@@ -5,7 +5,7 @@
  *
  * A session owns the state of one corpus: the TraceSource, the
  * Analyzer with the results it keeps, and a byte-bounded response
- * cache keyed by content digests.
+ * cache keyed by digests of (method, params).
  * The registry maps a (corpus path, component filter) pair to an open
  * session with
  *
@@ -92,18 +92,16 @@ class CorpusSession
     Analyzer &analyzer() const { return *analyzer_; }
     const SessionIngestInfo &ingestInfo() const { return ingest_; }
 
-    /** Digest of the ingested corpus content (Analyzer::corpusDigest). */
-    const Digest &corpusDigest() const { return corpusDigest_; }
-
     /** Bound on the rendered bytes the response cache holds. */
     static constexpr std::size_t kMaxCachedResponseBytes = 64u << 20;
 
     /**
      * Response cache: rendered responses keyed by a digest of
-     * (method, params, corpus digest). An unchanged corpus answers a
-     * repeated query without re-entering the pipeline at all. Past
-     * kMaxCachedResponseBytes, the oldest-inserted answers are evicted
-     * first.
+     * (method, params). The session fixes the corpus and the
+     * component filter, and absorbShard() empties the cache, so a
+     * repeated query on an unchanged corpus is answered without
+     * re-entering the pipeline at all. Past kMaxCachedResponseBytes,
+     * the oldest-inserted answers are evicted first.
      */
     std::shared_ptr<const std::string>
     cachedResponse(const Digest &key) const;
@@ -111,17 +109,18 @@ class CorpusSession
                        std::shared_ptr<const std::string> line);
 
     /**
-     * Absorb a pushed shard into the warm Analyzer, refresh the
-     * corpus digest and empty the response cache, whose answers no
-     * longer match (continuous mode's `ingest_push`). Takes the
-     * exclusive side of analysisLock() for the brief append.
+     * Absorb a pushed shard into the warm Analyzer and empty the
+     * response cache, whose answers no longer match (continuous
+     * mode's `ingest_push`). Takes the exclusive side of
+     * analysisLock() for the brief append.
      */
     void absorbShard(const TraceCorpus &corpus);
 
     /**
      * Shared lock a request handler holds while it reads the warm
-     * Analyzer and corpusDigest(); absorbShard() excludes them while
-     * it mutates the corpus. Plain analyze traffic only ever shares.
+     * Analyzer and the response cache; absorbShard() excludes them
+     * while it grows the corpus, so no answer rendered before a push
+     * is stored after it. Plain analyze traffic only ever shares.
      */
     std::shared_lock<std::shared_mutex> analysisLock() const
     {
@@ -135,7 +134,6 @@ class CorpusSession
     std::unique_ptr<TraceSource> source_;
     std::unique_ptr<Analyzer> analyzer_;
     SessionIngestInfo ingest_;
-    Digest corpusDigest_;
 
     /** Readers = analysis handlers; writer = absorbShard(). */
     mutable std::shared_mutex analysisMutex_;

@@ -1297,9 +1297,10 @@ checkDeadline(const std::optional<Clock::time_point> &deadline)
 
 /**
  * A cached method's answer for @p session. Under the session's shared
- * analysis lock, which excludes ingest_push's absorbShard, serve the
- * answer stored under a digest of @p method, the corpus digest and
- * @p params; else run @p render and store what it returns.
+ * analysis lock, which excludes ingest_push's absorbShard (that empties
+ * the cache), serve the answer stored under a digest of @p method and
+ * @p params; else run @p render and store what it returns. The session
+ * fixes the corpus and component filter, so nothing else keys it.
  */
 template <typename Render>
 std::string
@@ -1309,7 +1310,7 @@ cachedAnswer(CorpusSession &session, Method method, const Digest &params,
     const std::shared_lock<std::shared_mutex> analysisLock =
         session.analysisLock();
     Digest key;
-    key.mix(methodName(method)).mix(session.corpusDigest()).mix(params);
+    key.mix(methodName(method)).mix(params);
     if (auto cached = session.cachedResponse(key)) {
         TL_SPAN("server.response-cache-hit", "server");
         return *cached;
@@ -1862,8 +1863,8 @@ Server::handleIngestPush(const QueuedRequest &request)
                     "cannot finish shard rename: " + ec.message());
     }
 
-    // Extend the warm batch session in place. The corpus digest
-    // changes, so cached responses self-invalidate.
+    // Extend the warm batch session in place; that empties its
+    // response cache, so no answer from before the push is served.
     if (session)
         session.value()->absorbShard(corpus.value());
 

@@ -20,7 +20,6 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <streambuf>
 
 #include "src/trace/merge.h"
 #include "src/trace/tlcformat.h"
@@ -189,48 +188,6 @@ writeCorpus(const TraceCorpus &corpus, std::ostream &out,
         putI64(out, inst.t0);
         putI64(out, inst.t1);
     }
-}
-
-namespace
-{
-
-/** std::streambuf that hashes everything written through it. */
-class DigestStreambuf : public std::streambuf
-{
-  public:
-    const Digest &digest() const { return digest_; }
-
-  protected:
-    int_type
-    overflow(int_type ch) override
-    {
-        if (ch != traits_type::eof()) {
-            const char byte = static_cast<char>(ch);
-            digest_.mixBytes(&byte, 1);
-        }
-        return ch;
-    }
-
-    std::streamsize
-    xsputn(const char *data, std::streamsize count) override
-    {
-        digest_.mixBytes(data, static_cast<std::size_t>(count));
-        return count;
-    }
-
-  private:
-    Digest digest_;
-};
-
-} // namespace
-
-Digest
-digestCorpus(const TraceCorpus &corpus)
-{
-    DigestStreambuf hasher;
-    std::ostream out(&hasher);
-    writeCorpus(corpus, out);
-    return hasher.digest();
 }
 
 void

@@ -36,7 +36,6 @@
 
 #include "src/trace/stream.h"
 #include "src/util/expected.h"
-#include "src/util/hash.h"
 
 namespace tracelens
 {
@@ -44,12 +43,11 @@ namespace tracelens
 /**
  * Writer knobs for the TLC1 container. With @c compressEvents unset
  * the output is the canonical version-2 image, byte-identical to what
- * every prior release wrote (digestCorpus depends on that). With it
- * set, the file is written as version 3 and each stream's event block is
- * delta-of-timestamp + zigzag-varint encoded (see
- * docs/TRACE_FORMAT.md §"Compressed event blocks"), typically 3-5x
- * smaller on generated corpora. Readers accept both versions
- * transparently.
+ * every prior release wrote. With it set, the file is written as
+ * version 3 and each stream's event block is delta-of-timestamp +
+ * zigzag-varint encoded (see docs/TRACE_FORMAT.md §"Compressed event
+ * blocks"), typically 3-5x smaller on generated corpora. Readers
+ * accept both versions transparently.
  */
 struct CorpusWriteOptions {
     bool compressEvents = false;
@@ -61,17 +59,6 @@ void writeCorpus(const TraceCorpus &corpus, std::ostream &out);
 /** Serialize @p corpus with explicit writer options. */
 void writeCorpus(const TraceCorpus &corpus, std::ostream &out,
                  const CorpusWriteOptions &options);
-
-/**
- * Content digest of @p corpus: the streaming hash of its canonical
- * TLC1 serialization (no buffer is materialized). Two corpora digest
- * equal iff their serialized bytes are equal, so the digest identifies
- * a shard's logical content independently of how it reached memory
- * (file read, corpus merge, in-memory generation). The
- * Analyzer folds each shard's digest into its corpus digest, which the
- * analysis service keys its response cache on.
- */
-Digest digestCorpus(const TraceCorpus &corpus);
 
 /** Serialize @p corpus to the file at @p path (fatal on I/O failure). */
 void writeCorpusFile(const TraceCorpus &corpus, const std::string &path,

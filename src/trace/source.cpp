@@ -105,7 +105,14 @@ Expected<TraceCorpus>
 EagerSource::readShard(std::size_t shard)
 {
     TL_ASSERT(shard < paths_.size(), "bad shard index ", shard);
+    Span span("source.decode-shard", "ingest");
     Expected<TraceCorpus> loaded = readCorpusFileChecked(paths_[shard]);
+    if (span.active()) {
+        span.arg("shard", static_cast<std::uint64_t>(shard));
+        span.arg("bytes", fileSizeOrZero(paths_[shard]));
+        span.arg("events", static_cast<std::uint64_t>(
+                               loaded ? loaded.value().totalEvents() : 0));
+    }
     if (!loaded) {
         if (!reported_[shard]) {
             reported_[shard] = true;
@@ -143,9 +150,6 @@ EagerSource::ensureLoaded()
     if (loaded_)
         return;
     loaded_ = true;
-    Span span("source.load-eager", "ingest");
-    if (span.active())
-        span.arg("shards", static_cast<std::uint64_t>(paths_.size()));
     // Append each shard as it is read, so only the merged corpus and
     // one decoded shard are resident at a time. The first usable shard
     // is moved in whole; appending the rest in order gives the corpus

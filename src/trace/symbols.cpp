@@ -116,8 +116,8 @@ SymbolTable::stackFrames(CallstackId stack) const
     return {framePool_.data() + offset, length};
 }
 
-const std::vector<char> &
-SymbolTable::filterMatches(const NameFilter &filter) const
+std::span<const char>
+SymbolTable::primeFilter(const NameFilter &filter) const
 {
     std::string key;
     for (const auto &p : filter.patterns()) {
@@ -134,17 +134,17 @@ SymbolTable::filterMatches(const NameFilter &filter) const
     return matches;
 }
 
-void
-SymbolTable::primeFilter(const NameFilter &filter) const
-{
-    filterMatches(filter);
-}
-
 FrameId
 SymbolTable::topMatchingFrame(CallstackId stack,
                               const NameFilter &filter) const
 {
-    const auto &matches = filterMatches(filter);
+    return topMatchingFrame(stack, primeFilter(filter));
+}
+
+FrameId
+SymbolTable::topMatchingFrame(CallstackId stack,
+                              std::span<const char> matches) const
+{
     const auto frames = stackFrames(stack);
     for (auto it = frames.rbegin(); it != frames.rend(); ++it) {
         if (matches[*it])

@@ -75,11 +75,23 @@ class SymbolTable
     FrameId topMatchingFrame(CallstackId stack,
                              const NameFilter &filter) const;
 
+    /**
+     * topMatchingFrame against a match column primeFilter() returned:
+     * no filter lookup, for loops that resolve many stacks.
+     */
+    FrameId topMatchingFrame(CallstackId stack,
+                             std::span<const char> matches) const;
+
     /** True iff any frame on @p stack belongs to a matching component. */
     bool stackTouches(CallstackId stack, const NameFilter &filter) const;
 
-    /** Precompute filter matches for all known frames (idempotent). */
-    void primeFilter(const NameFilter &filter) const;
+    /**
+     * Precompute filter matches for all known frames (idempotent) and
+     * return the filter's match column, nonzero where the frame's
+     * component matches. The column stays valid and complete until a
+     * frame is interned.
+     */
+    std::span<const char> primeFilter(const NameFilter &filter) const;
 
     std::size_t frameCount() const { return frames_.size(); }
     std::size_t stackCount() const { return stacks_.size(); }
@@ -115,9 +127,6 @@ class SymbolTable
     // pattern list. Mutable: priming is a pure optimization.
     mutable std::unordered_map<std::string, std::vector<char>>
         filterCache_;
-
-    const std::vector<char> &
-    filterMatches(const NameFilter &filter) const;
 
     static std::uint64_t hashFrames(std::span<const FrameId> frames);
 };

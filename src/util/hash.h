@@ -11,11 +11,10 @@
  *    32-bit size_t targets (no undefined shifts).
  *
  *  - Digest: a streaming 128-bit content hash (two independently
- *    seeded FNV-1a lanes plus splitmix absorption for integers). Shard
- *    content digests, the Analyzer's corpus digest and the analysis
- *    service's response-cache keys are Digests. Not cryptographic —
- *    collision resistance is "good enough for cache keys", nothing
- *    more.
+ *    seeded FNV-1a lanes plus splitmix absorption for integers). The
+ *    analysis service's response-cache keys, digests of (method,
+ *    params), are Digests. Not cryptographic — collision resistance is
+ *    "good enough for cache keys", nothing more.
  *
  * Digests are deterministic across runs, processes, and platforms
  * (fixed seeds, fixed byte order of absorbed integers).

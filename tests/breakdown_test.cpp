@@ -1,15 +1,27 @@
 /**
  * @file
- * Tests for per-component impact attribution, per-instance breakdowns,
- * and the consolidated report builder.
+ * Tests for per-component impact attribution (the split the impact
+ * scan records, against a naive reference walk) and the consolidated
+ * report builder.
  */
+
+#include <unistd.h>
+
+#include <algorithm>
+#include <deque>
+#include <filesystem>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/report.h"
-#include "src/impact/breakdown.h"
 #include "src/impact/impact.h"
 #include "src/trace/builder.h"
+#include "src/trace/merge.h"
+#include "src/trace/serialize.h"
+#include "src/trace/source.h"
 #include "src/waitgraph/waitgraph.h"
 #include "src/workload/generator.h"
 
@@ -22,6 +34,102 @@ NameFilter
 drivers()
 {
     return NameFilter({"*.sys"});
+}
+
+// The per-component split as a second walk over each graph, kept
+// naive on purpose: a BFS over a deque that stops at matching waits,
+// then a pass over every node, each stack resolved through the
+// NameFilter lookup.
+
+/** Accumulate per-component wait/run over one graph's top levels. */
+void
+accumulateComponents(
+    const TraceCorpus &corpus, const WaitGraph &graph,
+    const NameFilter &components,
+    std::unordered_map<std::uint32_t, ComponentImpact> &by_component)
+{
+    const SymbolTable &sym = corpus.symbols();
+
+    // Top-level component waits: BFS stopping at matching waits.
+    std::deque<std::uint32_t> queue(graph.roots().begin(),
+                                    graph.roots().end());
+    while (!queue.empty()) {
+        const WaitGraph::Node &node = graph.node(queue.front());
+        queue.pop_front();
+        const Event &e = node.event;
+        if (e.type == EventType::Wait && e.stack != kNoCallstack) {
+            const FrameId sig = sym.topMatchingFrame(e.stack,
+                                                     components);
+            if (sig != kNoFrame) {
+                ComponentImpact &entry =
+                    by_component[sym.componentId(sig)];
+                if (entry.component.empty())
+                    entry.component = sym.componentName(sig);
+                entry.wait += e.cost;
+                ++entry.waitEvents;
+                continue;
+            }
+        }
+        for (std::uint32_t child : graph.children(node))
+            queue.push_back(child);
+    }
+
+    // Running attribution across the whole graph.
+    for (const WaitGraph::Node &node : graph.nodes()) {
+        const Event &e = node.event;
+        if (e.type != EventType::Running || e.stack == kNoCallstack)
+            continue;
+        const FrameId sig = sym.topMatchingFrame(e.stack, components);
+        if (sig == kNoFrame)
+            continue;
+        ComponentImpact &entry = by_component[sym.componentId(sig)];
+        if (entry.component.empty())
+            entry.component = sym.componentName(sig);
+        entry.run += e.cost;
+    }
+}
+
+std::vector<ComponentImpact>
+sortedComponents(
+    std::unordered_map<std::uint32_t, ComponentImpact> by_component)
+{
+    std::vector<ComponentImpact> result;
+    result.reserve(by_component.size());
+    for (auto &[id, entry] : by_component)
+        result.push_back(std::move(entry));
+    std::sort(result.begin(), result.end(),
+              [](const ComponentImpact &a, const ComponentImpact &b) {
+                  if (a.total() != b.total())
+                      return a.total() > b.total();
+                  return a.component < b.component;
+              });
+    return result;
+}
+
+/** The reference split of @p corpus: its graphs built afresh. */
+std::vector<ComponentImpact>
+referenceSplit(const TraceCorpus &corpus)
+{
+    const std::vector<WaitGraph> graphs =
+        WaitGraphBuilder(corpus).buildAll();
+    std::unordered_map<std::uint32_t, ComponentImpact> by_component;
+    for (const WaitGraph &graph : graphs)
+        accumulateComponents(corpus, graph, drivers(), by_component);
+    return sortedComponents(std::move(by_component));
+}
+
+void
+expectSameSplit(const std::vector<ComponentImpact> &got,
+                const std::vector<ComponentImpact> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].component, want[i].component) << "row " << i;
+        EXPECT_EQ(got[i].wait, want[i].wait) << want[i].component;
+        EXPECT_EQ(got[i].run, want[i].run) << want[i].component;
+        EXPECT_EQ(got[i].waitEvents, want[i].waitEvents)
+            << want[i].component;
+    }
 }
 
 TEST(ComponentImpact, AttributesWaitsToSignatureComponent)
@@ -69,82 +177,6 @@ TEST(ComponentImpact, RunningAttribution)
     EXPECT_EQ(components[0].wait, 0);
 }
 
-TEST(InstanceBreakdown, SplitsDurationIntoCategories)
-{
-    TraceCorpus corpus;
-    StreamBuilder b(corpus, "s");
-    const CallstackId app = b.stack({"app!U", "app!Compute"});
-    const CallstackId drv = b.stack({"app!U", "fs.sys!Read"});
-    const CallstackId kern = b.stack({"app!U", "kernel!Wait"});
-
-    b.running(1, 0, 100, app);   // running 100
-    b.wait(1, 100, drv);         // component wait 400
-    b.unwait(9, 500, 1, drv);
-    b.wait(1, 600, kern);        // other wait 300 (no nested drivers)
-    b.unwait(9, 900, 1, kern);
-    // 100 ns of unattributed gap at the end.
-    b.instance("S", 1, 0, 1000);
-    b.finish();
-
-    WaitGraphBuilder builder(corpus);
-    const WaitGraph graph = builder.build(corpus.instances()[0]);
-    const InstanceBreakdown breakdown =
-        explainInstance(corpus, graph, drivers());
-
-    EXPECT_EQ(breakdown.total, 1000);
-    EXPECT_EQ(breakdown.running, 100);
-    EXPECT_EQ(breakdown.componentWait, 400);
-    EXPECT_EQ(breakdown.otherWait, 300);
-    EXPECT_EQ(breakdown.unattributed, 200);
-    ASSERT_EQ(breakdown.byComponent.size(), 1u);
-    EXPECT_EQ(breakdown.byComponent[0].component, "fs.sys");
-    EXPECT_NE(breakdown.render().find("fs.sys"), std::string::npos);
-}
-
-TEST(InstanceBreakdown, NestedComponentWaitUnderOtherWait)
-{
-    // An app-level wait whose readying thread waited inside a driver:
-    // the nested driver wait counts as component wait and is carved
-    // out of "other wait".
-    TraceCorpus corpus;
-    StreamBuilder b(corpus, "s");
-    const CallstackId kern = b.stack({"app!U", "kernel!WaitForWorker"});
-    const CallstackId drv = b.stack({"w!T", "fs.sys!Read"});
-    b.wait(1, 0, kern);         // app-level wait [0, 1000]
-    b.wait(2, 100, drv);        // nested driver wait [100, 900]
-    b.unwait(9, 900, 2, drv);
-    b.unwait(2, 1000, 1, drv);
-    b.instance("S", 1, 0, 1000);
-    b.finish();
-
-    WaitGraphBuilder builder(corpus);
-    const WaitGraph graph = builder.build(corpus.instances()[0]);
-    const InstanceBreakdown breakdown =
-        explainInstance(corpus, graph, drivers());
-
-    EXPECT_EQ(breakdown.componentWait, 800);
-    EXPECT_EQ(breakdown.otherWait, 200); // 1000 - nested 800
-    EXPECT_EQ(breakdown.total, 1000);
-}
-
-TEST(InstanceBreakdown, CategoriesNeverExceedTotalOnGenerated)
-{
-    CorpusSpec spec;
-    spec.machines = 5;
-    spec.seed = 31;
-    const TraceCorpus corpus = generateCorpus(spec);
-    WaitGraphBuilder builder(corpus);
-    for (const ScenarioInstance &instance : corpus.instances()) {
-        const WaitGraph graph = builder.build(instance);
-        const InstanceBreakdown breakdown =
-            explainInstance(corpus, graph, drivers());
-        EXPECT_GE(breakdown.running, 0);
-        EXPECT_GE(breakdown.componentWait, 0);
-        EXPECT_GE(breakdown.otherWait, 0);
-        EXPECT_GE(breakdown.unattributed, 0);
-    }
-}
-
 TEST(ComponentImpact, ComponentWaitsSumToAggregateDwait)
 {
     // The per-component attribution uses the same top-level BFS rule
@@ -160,10 +192,74 @@ TEST(ComponentImpact, ComponentWaitsSumToAggregateDwait)
     const ImpactResult total = impact.analyze(graphs);
 
     DurationNs component_sum = 0;
+    DurationNs component_run = 0;
     for (const ComponentImpact &c :
-         impactByComponent(corpus, graphs, drivers()))
+         impactByComponent(corpus, graphs, drivers())) {
         component_sum += c.wait;
+        component_run += c.run;
+    }
     EXPECT_EQ(component_sum, total.dWait);
+    // A wait graph holds each event at most once (Definition 1), so
+    // counting every running node agrees with D_run's dedup.
+    EXPECT_EQ(component_run, total.dRun);
+}
+
+TEST(ComponentImpact, AnalyzerSplitMatchesTheReferenceWalk)
+{
+    // Through the file and the sharded-directory sources, at one and
+    // at three threads: the split folded from the kept contributions
+    // equals the naive walk, row for row (shard re-interning changes
+    // ids, never names or sums).
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("tracelens_breakdown_test_" + std::to_string(::getpid()));
+    for (const std::uint64_t seed : {1u, 3u, 7u, 11u}) {
+        CorpusSpec spec;
+        spec.machines = 4;
+        spec.seed = seed;
+        const TraceCorpus corpus = generateCorpus(spec);
+        const std::vector<ComponentImpact> want = referenceSplit(corpus);
+        ASSERT_GT(want.size(), 1u);
+
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        const std::string file = (dir / "corpus.tlc").string();
+        const std::string shards = (dir / "shards").string();
+        writeCorpusFile(corpus, file);
+        writeShardedCorpusDir(corpus, shards, 3);
+        for (const std::string &path : {file, shards}) {
+            for (const unsigned threads : {1u, 3u}) {
+                SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                             path + ", threads " +
+                             std::to_string(threads));
+                Expected<std::unique_ptr<TraceSource>> source =
+                    openSource(path);
+                ASSERT_TRUE(source.ok());
+                AnalyzerConfig config;
+                config.threads = threads;
+                const Analyzer analyzer(*source.value(), config);
+                expectSameSplit(analyzer.impactByComponent(), want);
+            }
+        }
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ComponentImpact, AnalyzerSplitFollowsAddStreams)
+{
+    CorpusSpec spec;
+    spec.machines = 6;
+    spec.seed = 13;
+    const TraceCorpus corpus = generateCorpus(spec);
+    const std::vector<TraceCorpus> parts = splitCorpus(corpus, 2);
+    ASSERT_EQ(parts.size(), 2u);
+
+    EagerSource source(parts[0]);
+    Analyzer analyzer(source);
+    expectSameSplit(analyzer.impactByComponent(),
+                    referenceSplit(parts[0]));
+    analyzer.addStreams(parts[1]);
+    expectSameSplit(analyzer.impactByComponent(), referenceSplit(corpus));
 }
 
 TEST(Report, ContainsAllSections)

@@ -333,15 +333,20 @@ renderPerScenario(
 
 TEST(Incremental, ImpactScansEachInstanceOnce)
 {
-    // The corpus-wide, per-scenario and partial impact and every
-    // slow-class fold share one kept contribution per instance.
+    // The corpus-wide, per-scenario and partial impact, the component
+    // split and every slow-class fold share one kept contribution per
+    // instance.
     const TraceCorpus corpus = generateCorpus(smallSpec());
     for (const unsigned threads : {1u, 3u}) {
         AnalyzerConfig config;
         config.threads = threads;
         EagerSource source(corpus);
         Analyzer analyzer(source, config);
+        const std::vector<ComponentImpact> split =
+            analyzer.impactByComponent();
         const ImpactResult all = analyzer.impactAll();
+        const std::vector<ComponentImpact> split_again =
+            analyzer.impactByComponent();
         const std::unordered_map<std::uint32_t, ImpactResult> per =
             analyzer.impactPerScenario();
         const ImpactPartial partial = analyzer.impactPartial();
@@ -356,6 +361,18 @@ TEST(Incremental, ImpactScansEachInstanceOnce)
             impact.analyzePerScenario(analyzer.graphs());
         expectSameImpact(all, want_all);
         expectSameImpact(partial.all.finalize(), want_all);
+        const std::vector<ComponentImpact> want_split = impactByComponent(
+            corpus, analyzer.graphs(), analyzer.components());
+        for (const auto *got : {&split, &split_again}) {
+            ASSERT_EQ(got->size(), want_split.size());
+            for (std::size_t i = 0; i < want_split.size(); ++i) {
+                const ComponentImpact &a = (*got)[i], &b = want_split[i];
+                EXPECT_EQ(a.component, b.component);
+                EXPECT_EQ(a.wait, b.wait);
+                EXPECT_EQ(a.run, b.run);
+                EXPECT_EQ(a.waitEvents, b.waitEvents);
+            }
+        }
         // The daemon renders the map in iteration order.
         EXPECT_EQ(renderPerScenario(per), renderPerScenario(want_per));
         ASSERT_EQ(partial.perScenario.size(), want_per.size());

@@ -6,6 +6,9 @@
  * off).
  */
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -14,6 +17,7 @@
 
 #include "src/core/analyzer.h"
 #include "src/core/report.h"
+#include "src/trace/serialize.h"
 #include "src/trace/source.h"
 #include "src/util/telemetry.h"
 #include "src/workload/generator.h"
@@ -174,6 +178,67 @@ TEST_F(TelemetryPipelineTest, GraphBuildsNeverNestInImpactStages)
     }
     EXPECT_EQ(graphs, 2u);
     EXPECT_GT(impact, 0u);
+}
+
+/** The value of @p span's arg @p key, or "" when it has none. */
+std::string
+argOf(const SpanSnapshot &span, const std::string &key)
+{
+    for (const auto &[name, value] : span.args)
+        if (name == key)
+            return value;
+    return "";
+}
+
+TEST_F(TelemetryPipelineTest, EachShardDecodesUnderItsOwnSpan)
+{
+    // The analysis path decodes a shard before ingesting it: one
+    // source.decode-shard span per shard, carrying the shard's file
+    // size and event count, closed before that shard's
+    // analyzer.ingest-shard opens.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("tracelens_telemetry_pipeline_test_" +
+         std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    const std::vector<std::string> paths = writeShardedCorpusDir(
+        generateCorpus(smallSpec()), dir.string(), 4);
+    ASSERT_EQ(paths.size(), 4u);
+    Expected<std::unique_ptr<TraceSource>> source =
+        openSource(dir.string());
+    ASSERT_TRUE(source.ok());
+
+    Telemetry::setEnabled(true);
+    { const Analyzer analyzer(*source.value()); }
+    Telemetry::setEnabled(false);
+
+    std::vector<const SpanSnapshot *> decodes(paths.size(), nullptr);
+    std::vector<const SpanSnapshot *> ingests(paths.size(), nullptr);
+    std::size_t decodeSpans = 0;
+    const std::vector<SpanSnapshot> spans = Telemetry::snapshotSpans();
+    for (const SpanSnapshot &span : spans) {
+        const bool decode = span.name == "source.decode-shard";
+        if (!decode && span.name != "analyzer.ingest-shard")
+            continue;
+        const std::size_t shard = std::stoul(argOf(span, "shard"));
+        ASSERT_LT(shard, paths.size());
+        (decode ? decodes : ingests)[shard] = &span;
+        decodeSpans += decode;
+    }
+    EXPECT_EQ(decodeSpans, paths.size());
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+        ASSERT_NE(decodes[i], nullptr) << "shard " << i;
+        ASSERT_NE(ingests[i], nullptr) << "shard " << i;
+        EXPECT_EQ(argOf(*decodes[i], "bytes"),
+                  std::to_string(std::filesystem::file_size(paths[i])));
+        EXPECT_EQ(argOf(*decodes[i], "events"),
+                  std::to_string(
+                      readCorpusFileChecked(paths[i]).value().totalEvents()));
+        EXPECT_LE(decodes[i]->startUs + decodes[i]->durUs,
+                  ingests[i]->startUs)
+            << "shard " << i;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

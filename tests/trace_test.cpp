@@ -327,9 +327,8 @@ TEST(Serialize, CompressedWriteIsSmallerAndRawStaysByteStable)
     // Delta-varint events beat 32-byte raw records even on a corpus
     // this small.
     EXPECT_LT(packed.str().size(), raw.str().size());
-    // Not compressing must keep the historical byte layout — the
-    // corpus digest (and with it every response-cache key) depends on
-    // it.
+    // Not compressing must keep the historical byte layout, so the
+    // bytes of an existing corpus file never shift.
     EXPECT_EQ(raw.str(), rawExplicit.str());
 
     // Re-serializing the decoded compressed corpus uncompressed
