@@ -249,7 +249,7 @@ main(int argc, char **argv)
         }
     }
 
-    TextTable perf({"Stage", "serial-ms", "parallel-ms", "speedup"});
+    TextTable perf({"Layer", "serial-ms", "parallel-ms", "speedup"});
     perf.addRow({"wait-graph build", TextTable::num(graphs_serial_ms, 0),
                  TextTable::num(graphs_parallel_ms, 0),
                  TextTable::num(

@@ -3,10 +3,9 @@
 # code emits.
 #
 # The emitted names are read from src/ and tools/: every string
-# literal passed as the name of a `Span` or `TL_SPAN`, plus the
-# `stage.*` names stageSpanName() returns (src/core/analyzer.cpp). A
-# span constructed with any other non-literal name fails the check,
-# since its name cannot be read. Two checks:
+# literal passed as the name of a `Span` or `TL_SPAN`. A span
+# constructed with a non-literal name fails the check, since its name
+# cannot be read. Two checks:
 #  1. every emitted span has a row in the "Span catalogue" table;
 #  2. every row of that table names an emitted span.
 # A span added, renamed or removed without its row fails here, so this
@@ -17,9 +16,8 @@ set -u
 
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 doc="$root/docs/TELEMETRY.md"
-analyzer="$root/src/core/analyzer.cpp"
 
-for path in "$doc" "$analyzer" "$root/src" "$root/tools"; do
+for path in "$doc" "$root/src" "$root/tools"; do
     if [ ! -e "$path" ]; then
         echo "check_spans: expected '$path' — update" \
              "scripts/check_spans.sh if the tree was restructured" >&2
@@ -37,24 +35,15 @@ sites=$(grep -rnE --include='*.cpp' --include='*.h' \
 
 literal='(Span [A-Za-z_][A-Za-z0-9_]*|TL_SPAN)\(\s*"[^"]+"'
 fail=0
-unreadable=$(printf '%s\n' "$sites" | grep -vE "$literal" |
-             grep -vE 'Span [A-Za-z_][A-Za-z0-9_]*\(stageSpanName\(')
+unreadable=$(printf '%s\n' "$sites" | grep -vE "$literal")
 if [ -n "$unreadable" ]; then
     printf 'check_spans: span name is not a string literal:\n%s\n' \
         "$unreadable" >&2
     fail=1
 fi
 
-stage_names=$(awk '/^stageSpanName\(/ { on = 1 }
-                   on && /^}/ { exit }
-                   on && prev ~ /case Stage::/ {
-                       if (match($0, /"stage\.[a-z-]+"/))
-                           print substr($0, RSTART + 1, RLENGTH - 2)
-                   }
-                   { prev = $0 }' "$analyzer")
-emitted=$({ printf '%s\n' "$sites" | grep -oE "$literal" |
-                sed -E 's/.*"([^"]+)"$/\1/'
-            printf '%s\n' "$stage_names"; } | sed '/^$/d' | sort -u)
+emitted=$(printf '%s\n' "$sites" | grep -oE "$literal" |
+          sed -E 's/.*"([^"]+)"$/\1/' | sed '/^$/d' | sort -u)
 
 # The catalogue: first-column names of the table under its heading.
 rows=$(awk '/^## Span catalogue/ { on = 1; next }
@@ -62,11 +51,10 @@ rows=$(awk '/^## Span catalogue/ { on = 1; next }
             on && /^\| `/ { split($0, cells, "`"); print cells[2] }' \
            "$doc" | sort)
 
-if [ -z "$emitted" ] || [ -z "$stage_names" ] || [ -z "$rows" ]; then
-    echo "check_spans: found no spans in the code, no stage names in" \
-         "stageSpanName(), or no rows under TELEMETRY.md's" \
-         "\"## Span catalogue\" — update scripts/check_spans.sh if" \
-         "either moved" >&2
+if [ -z "$emitted" ] || [ -z "$rows" ]; then
+    echo "check_spans: found no spans in the code or no rows under" \
+         "TELEMETRY.md's \"## Span catalogue\" — update" \
+         "scripts/check_spans.sh if either moved" >&2
     exit 2
 fi
 

@@ -1,19 +1,17 @@
 /**
  * @file
- * Analyzer: per-shard ingestion, the stage graph (wait graphs ->
- * per-instance summaries -> classes/impact -> class columns over the
- * scenario's path trie -> mining), the per-scenario slots of
- * last-asked results, the per-stage counters, and the multi-scenario
+ * Analyzer: per-shard ingestion, the kept per-instance summaries and
+ * per-scenario path tries, the folds every answer is made of (wait
+ * graphs -> per-instance summaries -> classes/impact -> class columns
+ * over the scenario's path trie -> mining), and the multi-scenario
  * fan-out.
  */
 
 #include "src/core/analyzer.h"
 
-#include <chrono>
 #include <iterator>
 #include <map>
 #include <numeric>
-#include <sstream>
 #include <utility>
 
 #include "src/trace/merge.h"
@@ -24,62 +22,32 @@
 namespace tracelens
 {
 
-std::string_view
-stageName(Stage stage)
-{
-    switch (stage) {
-    case Stage::WaitGraphs:
-        return "wait-graphs";
-    case Stage::Classes:
-        return "classes";
-    case Stage::Impact:
-        return "impact";
-    case Stage::Awg:
-        return "awg";
-    case Stage::Mining:
-        return "mining";
-    }
-    return "unknown";
-}
-
 namespace
 {
 
-/** Span name literal per stage (span names must outlive the flush). */
-const char *
-stageSpanName(Stage stage)
+/** What every Analyzer computes, counted process-wide. */
+struct AnalyzerCounters
 {
-    switch (stage) {
-    case Stage::WaitGraphs:
-        return "stage.wait-graphs";
-    case Stage::Classes:
-        return "stage.classes";
-    case Stage::Impact:
-        return "stage.impact";
-    case Stage::Awg:
-        return "stage.awg";
-    case Stage::Mining:
-        return "stage.mining";
-    }
-    return "stage.unknown";
+    /** Shards whose wait graphs were built. */
+    Counter &graphBuilds =
+        MetricsRegistry::global().counter("analyzer.graph_builds");
+    /** Per-instance impact contributions computed. */
+    Counter &contributions =
+        MetricsRegistry::global().counter("analyzer.contributions");
+    /** Per-instance AWG fragments computed. */
+    Counter &fragments =
+        MetricsRegistry::global().counter("analyzer.fragments");
+};
+
+/** The counters, resolved once. */
+AnalyzerCounters &
+counters()
+{
+    static AnalyzerCounters counters;
+    return counters;
 }
 
 } // namespace
-
-std::string
-PipelineStats::render() const
-{
-    std::ostringstream oss;
-    oss << "pipeline stages:\n";
-    for (std::size_t i = 0; i < kStageCount; ++i) {
-        const StageStats &s = stages[i];
-        oss << "  " << stageName(static_cast<Stage>(i)) << ": "
-            << s.hits << " hit" << (s.hits == 1 ? "" : "s") << ", "
-            << s.misses << " miss" << (s.misses == 1 ? "" : "es")
-            << ", " << s.buildMs << " ms build\n";
-    }
-    return oss.str();
-}
 
 double
 ScenarioAnalysis::driverCostShare()
@@ -105,17 +73,6 @@ Analyzer::Analyzer(TraceSource &source, AnalyzerConfig config)
     : source_(&source), config_(std::move(config)),
       components_(config_.components)
 {
-    // Resolve the per-stage counter handles once; every update after
-    // this is a relaxed atomic increment.
-    for (std::size_t i = 0; i < kStageCount; ++i) {
-        const std::string prefix =
-            "pipeline." + std::string(stageName(static_cast<Stage>(i)));
-        counters_[i].hits = &metrics_.counter(prefix + ".hits");
-        counters_[i].misses = &metrics_.counter(prefix + ".misses");
-        counters_[i].buildNs = &metrics_.counter(prefix + ".build_ns");
-        counters_[i].summaries =
-            &metrics_.counter(prefix + ".summaries");
-    }
     const std::size_t count = source.shardCount();
     for (std::size_t i = 0; i < count; ++i) {
         Expected<CorpusPtr> shard = source.shard(i);
@@ -123,26 +80,6 @@ Analyzer::Analyzer(TraceSource &source, AnalyzerConfig config)
             continue; // isolated and recorded in source.stats()
         absorb(*shard.value(), shard.value());
     }
-}
-
-Analyzer::~Analyzer()
-{
-    metrics_.mergeInto(MetricsRegistry::global());
-}
-
-PipelineStats
-Analyzer::pipelineStats() const
-{
-    PipelineStats stats;
-    for (std::size_t i = 0; i < kStageCount; ++i) {
-        StageStats &s = stats.stages[i];
-        const StageCounters &c = counters_[i];
-        s.hits = c.hits->value();
-        s.misses = c.misses->value();
-        s.buildMs = static_cast<double>(c.buildNs->value()) / 1e6;
-        s.summaries = c.summaries->value();
-    }
-    return stats;
 }
 
 void
@@ -173,8 +110,6 @@ Analyzer::absorb(const TraceCorpus &part, CorpusPtr alias)
     shards_.push_back(record);
     for (std::uint32_t i = 0; i < record.instanceCount; ++i)
         summaries_.emplace_back();
-    corpusImpact_ = std::make_unique<CorpusImpact>();
-    slots_.clear();
 
     // (Re-)prime the symbol table's per-filter match cache: the
     // parallel stages consult it concurrently, which is safe only
@@ -203,42 +138,6 @@ Analyzer::addStreams(const TraceCorpus &part)
     absorb(part, nullptr);
 }
 
-template <typename Build>
-void
-Analyzer::runStage(Stage stage, bool held, Build &&build) const
-{
-    const StageCounters &counters =
-        counters_[static_cast<std::size_t>(stage)];
-    Span span(stageSpanName(stage), "pipeline");
-    if (span.active())
-        span.arg("outcome", std::string(held ? "hit" : "miss"));
-    if (held) {
-        counters.hits->add(1);
-        return;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    build();
-    counters.misses->add(1);
-    counters.buildNs->add(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
-}
-
-template <typename T, typename Build>
-const T &
-Analyzer::memo(Stage stage, Lazy<T> &lazy, Build &&build) const
-{
-    bool built = false;
-    std::call_once(lazy.once, [&] {
-        runStage(stage, false, [&] { lazy.value = build(); });
-        built = true;
-    });
-    if (!built)
-        runStage(stage, true, [] {});
-    return lazy.value;
-}
-
 const std::vector<WaitGraph> &
 Analyzer::graphs() const
 {
@@ -254,19 +153,18 @@ Analyzer::graphs() const
         graphs_.reserve(corpus_->instances().size());
         const unsigned threads = resolveThreads(config_.threads);
         WaitGraphBuilder builder(*corpus_, config_.waitGraph);
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-            // A shard's graphs depend only on the shards up to it (its
-            // streams, and the ids the prefix interned), so the graphs
-            // of shards already built stay as they are.
+        // A shard's graphs depend only on the shards up to it (its
+        // streams, and the ids the prefix interned), so the graphs of
+        // shards already built stay as they are.
+        for (std::size_t i = graphsShards_; i < shards_.size(); ++i) {
             const ShardRecord &shard = shards_[i];
-            runStage(Stage::WaitGraphs, i < graphsShards_, [&] {
-                std::vector<WaitGraph> built = builder.buildRangeParallel(
-                    shard.firstInstance, shard.instanceCount, threads);
-                graphs_.insert(graphs_.end(),
-                               std::make_move_iterator(built.begin()),
-                               std::make_move_iterator(built.end()));
-            });
+            std::vector<WaitGraph> built = builder.buildRangeParallel(
+                shard.firstInstance, shard.instanceCount, threads);
+            graphs_.insert(graphs_.end(),
+                           std::make_move_iterator(built.begin()),
+                           std::make_move_iterator(built.end()));
         }
+        counters().graphBuilds.add(shards_.size() - graphsShards_);
         graphsShards_ = shards_.size();
     }
     return graphs_;
@@ -275,63 +173,48 @@ Analyzer::graphs() const
 ImpactResult
 Analyzer::impactAll() const
 {
-    graphs(); // built outside the stage spans
-    return memo(Stage::Impact, corpusImpact_->all,
-                [&] { return corpusImpactPartial().finalize(); });
+    graphs(); // built outside the fold spans
+    return corpusImpactPartial().finalize();
 }
 
 std::unordered_map<std::uint32_t, ImpactResult>
 Analyzer::impactPerScenario() const
 {
-    graphs(); // built outside the stage spans
-    return memo(Stage::Impact, corpusImpact_->perScenario, [&] {
-        // Inserted in ascending id order, as ImpactAnalysis does, so
-        // the map iterates alike.
-        std::unordered_map<std::uint32_t, ImpactResult> results;
-        for (const auto &[scenario, partial] : scenarioImpactPartials())
-            results.emplace(scenario, partial.finalize());
-        return results;
-    });
+    graphs(); // built outside the fold spans
+    // Inserted in ascending id order, as ImpactAnalysis does, so the
+    // map iterates alike.
+    std::unordered_map<std::uint32_t, ImpactResult> results;
+    for (const auto &[scenario, partial] : scenarioImpactPartials())
+        results.emplace(scenario, partial.finalize());
+    return results;
 }
 
 std::vector<ComponentImpact>
 Analyzer::impactByComponent() const
 {
-    graphs(); // built outside the stage spans
-    return memo(Stage::Impact, corpusImpact_->components, [&] {
-        Span span("impact.analyze", "analysis");
-        std::vector<std::uint32_t> all(corpus_->instances().size());
-        std::iota(all.begin(), all.end(), 0u);
-        const std::uint64_t computed = contributions(all, config_.threads);
-        ComponentSplit split;
-        for (std::uint32_t i : all)
-            split.absorb(summaries_[i].contribution.value);
-        if (span.active()) {
-            span.arg("graphs", static_cast<std::uint64_t>(all.size()));
-            span.arg("computed", computed);
-        }
-        return split.finalize(corpus_->symbols());
-    });
+    graphs(); // built outside the fold spans
+    Span span("impact.analyze", "analysis");
+    std::vector<std::uint32_t> all(corpus_->instances().size());
+    std::iota(all.begin(), all.end(), 0u);
+    const std::uint64_t computed = contributions(all, config_.threads);
+    ComponentSplit split;
+    for (std::uint32_t i : all)
+        split.absorb(summaries_[i].contribution.value);
+    if (span.active()) {
+        span.arg("graphs", static_cast<std::uint64_t>(all.size()));
+        span.arg("computed", computed);
+    }
+    return split.finalize(corpus_->symbols());
 }
 
-std::shared_ptr<Analyzer::QuerySlot>
-Analyzer::querySlot(std::uint32_t scenario, DurationNs t_fast,
-                    DurationNs t_slow) const
+Analyzer::ScenarioTrie &
+Analyzer::scenarioTrie(std::uint32_t scenario) const
 {
-    std::shared_ptr<QuerySlot> replaced; // freed after the unlock
-    const std::lock_guard<std::mutex> lock(slotsMutex_);
-    std::shared_ptr<QuerySlot> &slot = slots_[scenario];
-    if (slot == nullptr || slot->tFast != t_fast ||
-        slot->tSlow != t_slow) {
-        replaced = std::exchange(slot, std::make_shared<QuerySlot>());
-        slot->tFast = t_fast;
-        slot->tSlow = t_slow;
-        std::unique_ptr<ScenarioTrie> &trie = tries_[scenario];
-        if (trie == nullptr)
-            trie = std::make_unique<ScenarioTrie>(config_.maxSegmentLength);
-        slot->trie = trie.get();
-    }
-    return slot;
+    const std::lock_guard<std::mutex> lock(triesMutex_);
+    std::unique_ptr<ScenarioTrie> &trie = tries_[scenario];
+    if (trie == nullptr)
+        trie = std::make_unique<ScenarioTrie>(config_.maxSegmentLength);
+    return *trie;
 }
 
 ContrastClasses
@@ -389,8 +272,7 @@ Analyzer::contributions(std::span<const std::uint32_t> members,
     const std::uint64_t computed = summarize(
         members, &InstanceSummaries::contribution, threads,
         [&](std::uint32_t i) { return impact.collect(all[i]); });
-    counters_[static_cast<std::size_t>(Stage::Impact)].summaries->add(
-        computed);
+    counters().contributions.add(computed);
     return computed;
 }
 
@@ -450,8 +332,7 @@ Analyzer::fragments(std::span<const std::uint32_t> members,
     const std::uint64_t computed = summarize(
         members, &InstanceSummaries::fragment, threads,
         [&](std::uint32_t i) { return builder.summarize(all[i]); });
-    counters_[static_cast<std::size_t>(Stage::Awg)].summaries->add(
-        computed);
+    counters().fragments.add(computed);
     return computed;
 }
 
@@ -597,7 +478,7 @@ Analyzer::analyzeScenarios(
 {
     graphs(); // build once, up front, across all configured threads
     // Scenario analyses are independent; fan them out and keep each
-    // one's inner stages serial so the machine is not oversubscribed.
+    // one's inner folds serial so the machine is not oversubscribed.
     return parallelMap<ScenarioAnalysis>(
         config_.threads, scenarios.size(), [&](std::size_t i) {
             return analyzeScenarioWithThreads(
@@ -625,45 +506,35 @@ Analyzer::analyzeScenarioWithThreads(std::string_view name,
     analysis.tFast = t_fast;
     analysis.tSlow = t_slow;
 
-    const std::shared_ptr<QuerySlot> slot =
-        querySlot(scenario, t_fast, t_slow);
-    analysis.classes = memo(Stage::Classes, slot->classes, [&] {
-        return classify(scenario, t_fast, t_slow);
-    });
-    graphs(); // built outside the stage spans
+    analysis.classes = classify(scenario, t_fast, t_slow);
+    graphs(); // built outside the fold spans
 
-    analysis.slowImpact = memo(Stage::Impact, slot->slowImpact, [&] {
-        return classImpact(analysis.classes.slow, threads).finalize();
-    });
+    analysis.slowImpact =
+        classImpact(analysis.classes.slow, threads).finalize();
     for (std::uint32_t i : analysis.classes.slow)
         analysis.slowDuration += corpus_->instances()[i].duration();
 
-    ScenarioTrie &trie = *slot->trie;
-    const AwgColumn &fast = memo(Stage::Awg, slot->fast, [&] {
-        return classColumn(trie, analysis.classes.fast, threads);
-    });
-    const AwgColumn &slow = memo(Stage::Awg, slot->slow, [&] {
-        return classColumn(trie, analysis.classes.slow, threads);
-    });
+    ScenarioTrie &trie = scenarioTrie(scenario);
+    const AwgColumn fast = classColumn(trie, analysis.classes.fast, threads);
+    const AwgColumn slow = classColumn(trie, analysis.classes.slow, threads);
     analysis.slowReducedCost = slow.reducedCost;
     analysis.slowRootCost = slow.rootCost;
 
-    analysis.mining = memo(Stage::Mining, slot->mining, [&] {
-        MiningOptions mining_options;
-        mining_options.maxSegmentLength = config_.maxSegmentLength;
-        mining_options.tFast = t_fast;
-        mining_options.tSlow = t_slow;
-        mining_options.useMetaPatternGate = config_.useMetaPatternGate;
-        const ContrastMiner miner(*corpus_, mining_options);
+    MiningOptions mining_options;
+    mining_options.maxSegmentLength = config_.maxSegmentLength;
+    mining_options.tFast = t_fast;
+    mining_options.tSlow = t_slow;
+    mining_options.useMetaPatternGate = config_.useMetaPatternGate;
+    const ContrastMiner miner(*corpus_, mining_options);
+    {
         const std::shared_lock lock(trie.mutex);
-        return std::make_shared<const MiningResult>(
+        analysis.mining = std::make_shared<const MiningResult>(
             miner.mine(trie.trie, fast, slow));
-    });
+    }
 
     // RQ1 denominator: the total driver cost as aggregated — the kept
     // graph plus the non-optimizable portion removed by ReduceAWG
-    // (Section 5.2.2 accounts exactly this way). Cheap to derive, so
-    // not memoized.
+    // (Section 5.2.2 accounts exactly this way).
     analysis.coverage = computeCoverage(
         *analysis.mining, slow.reducedCost + slow.rootCost, t_slow);
 

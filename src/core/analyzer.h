@@ -1,7 +1,7 @@
 /**
  * @file
  * The TraceLens pipeline facade: the full two-step analysis of the
- * paper over a trace corpus, as an explicit stage graph.
+ * paper over a trace corpus.
  *
  * Step 1 (impact analysis, Section 3): corpus-wide and per-scenario
  * IA_run / IA_wait / IA_opt for a chosen component filter.
@@ -11,36 +11,38 @@
  * the two Aggregated Wait Graphs, mine ranked contrast patterns, and
  * compute the RQ1 coverage figures.
  *
- * The per-instance wait graphs are built once per shard and held in
- * one vector. Each instance's AWG fragment (Algorithm 1 steps 1-2)
- * and impact contribution (the Section 3 scan) depend on neither the
- * thresholds nor the other instances, so the Analyzer computes them
- * the first time a query needs that instance and keeps them: the
- * slow-class impact folds its members' kept contributions in instance
- * order, and the corpus-wide and per-scenario impact fold every
- * instance's. Per scenario the Analyzer keeps one path trie
- * (src/mining/pathtrie.h), grown from the fragments of the class
- * members that queries asked about, and each mapped instance's node
- * ids in it: a class AWG is a column over the trie, folded by index
- * from its members' node maps, and mining runs over two columns. On
- * top of those the Analyzer keeps two things:
+ * The Analyzer keeps three things, none of which depends on the
+ * thresholds:
  *
- *  - the corpus-wide and per-scenario impact and the per-component
- *    split, computed once;
- *  - per scenario, one slot holding the classes, slow-class impact,
- *    both class columns and the mining result at the thresholds the
- *    scenario was last asked at. A query at those thresholds shares
- *    the slot; a query at other thresholds replaces it, so a daemon
- *    exploring thresholds does not pile results up.
+ *  - the per-instance wait graphs, built once per shard and held in
+ *    one vector;
+ *  - each instance's AWG fragment (Algorithm 1 steps 1-2) and impact
+ *    contribution (the Section 3 scan), computed the first time a
+ *    query needs that instance;
+ *  - per scenario, one path trie (src/mining/pathtrie.h), grown from
+ *    the fragments of the class members that queries asked about, and
+ *    each mapped instance's node ids in it.
+ *
+ * Every answer is a fold of those. The corpus-wide and per-scenario
+ * impact and the per-component split fold every instance's
+ * contribution. A scenario query is one straight pass: classify, fold
+ * the slow members' contributions, fold the two class columns over
+ * the scenario's trie by index from the members' node maps, and mine
+ * the columns. Answers themselves are not kept: a daemon answers exact
+ * repeats from its response cache (docs/SERVER.md).
  *
  * Incrementality: addStreams() appends trace data and keeps the
  * existing shards' wait graphs, per-instance summaries and the path
- * tries — only the new shard's wait graphs are built, and the
- * whole-corpus results (impact, slots) are dropped and rebuilt on
- * demand. The results are bit-identical to a cold analysis of the
- * merged corpus (asserted by tests/incremental_test.cpp).
+ * tries — only the new shard's wait graphs are built. The results are
+ * bit-identical to a cold analysis of the merged corpus (asserted by
+ * tests/incremental_test.cpp).
  *
- * Every stage merges per-shard results deterministically, so analysis
+ * What the Analyzer computes is counted in MetricsRegistry::global():
+ * analyzer.graph_builds (shards whose wait graphs were built),
+ * analyzer.contributions and analyzer.fragments (per-instance
+ * summaries computed).
+ *
+ * Every fold merges per-shard results deterministically, so analysis
  * output is bit-identical for every thread count (see
  * docs/ARCHITECTURE.md for the threading model and the stage graph).
  */
@@ -68,56 +70,10 @@
 #include "src/mining/pathtrie.h"
 #include "src/trace/source.h"
 #include "src/trace/stream.h"
-#include "src/util/telemetry.h"
 #include "src/waitgraph/waitgraph.h"
 
 namespace tracelens
 {
-
-/** The stages of the analysis pipeline, as traced and counted. */
-enum class Stage : std::uint8_t
-{
-    WaitGraphs = 0, //!< Per-shard wait graphs.
-    Classes = 1,    //!< Per-scenario fast/slow contrast classes.
-    Impact = 2,     //!< Corpus / per-scenario / slow-class impact.
-    Awg = 3,        //!< Fast and slow class AWG columns.
-    Mining = 4,     //!< Per-scenario contrast-mining results.
-};
-
-/** Number of pipeline stages (array sizing). */
-inline constexpr std::size_t kStageCount = 5;
-
-/** Human-readable stage name ("wait-graphs", ...). */
-std::string_view stageName(Stage stage);
-
-/** Counters of one pipeline stage. */
-struct StageStats
-{
-    std::uint64_t hits = 0;   //!< Served from what the Analyzer holds.
-    std::uint64_t misses = 0; //!< Built from the inputs.
-    double buildMs = 0.0;     //!< Wall time spent producing values.
-    /** Per-instance summaries computed for the stage's class folds
-     *  (impact contributions, AWG fragments); not rendered. */
-    std::uint64_t summaries = 0;
-};
-
-/**
- * Per-stage counters of one Analyzer: a snapshot view over its
- * MetricsRegistry ("pipeline.<stage>.<name>" counters), rendered by
- * the CLI's --pipeline-stats.
- */
-struct PipelineStats
-{
-    StageStats stages[kStageCount];
-
-    const StageStats &of(Stage stage) const
-    {
-        return stages[static_cast<std::size_t>(stage)];
-    }
-
-    /** Multi-line human-readable rendering (CLI --pipeline-stats). */
-    std::string render() const;
-};
 
 /** Pipeline configuration. */
 struct AnalyzerConfig
@@ -180,7 +136,7 @@ struct ScenarioAnalysis
     /** Slow-class AWG time kept: the total of its roots' cost. */
     DurationNs slowRootCost = 0;
 
-    /** The ranked patterns, shared with the Analyzer that mined them. */
+    /** The ranked patterns; copies of an analysis share one list. */
     std::shared_ptr<const MiningResult> mining;
     CoverageResult coverage;
 
@@ -213,18 +169,12 @@ class Analyzer
      */
     explicit Analyzer(TraceSource &source, AnalyzerConfig config = {});
 
-    /** Folds this analyzer's stage counters into
-     *  MetricsRegistry::global(), so --metrics-out reports
-     *  process-wide pipeline totals. */
-    ~Analyzer();
-
     /**
      * Append @p part's streams and instances to the analysis corpus
      * as one additional shard. The existing shards' wait graphs and
-     * per-instance summaries stay as they are; only the new shard's
-     * wait graphs are built, and the whole-corpus results (impact,
-     * classes, AWGs, mining) are dropped and rebuilt when next asked.
-     * Results are bit-identical to analyzing the merged corpus cold.
+     * per-instance summaries stay as they are, and only the new
+     * shard's wait graphs are built when next asked. Results are
+     * bit-identical to analyzing the merged corpus cold.
      *
      * Not thread-safe against concurrent analysis calls; references
      * previously returned by corpus() and graphs() are invalidated.
@@ -253,10 +203,9 @@ class Analyzer
                              DurationNs t_slow) const;
 
     /**
-     * Run the full causality analysis for one scenario. Its class
-     * stages fold the members' per-instance summaries, computing those
-     * no earlier query needed; its results replace those of the
-     * scenario's previous thresholds in the scenario's slot.
+     * Run the full causality analysis for one scenario: classify, then
+     * fold the members' per-instance summaries (computing those no
+     * earlier query needed) and mine. Nothing of the answer is kept.
      */
     ScenarioAnalysis analyzeScenario(std::string_view name,
                                      DurationNs t_fast,
@@ -267,7 +216,6 @@ class Analyzer
      * for callers that draw or compare AWG layouts: the members'
      * fragments folded in instance order, then finalized, so the
      * layout is Algorithm 1's. analyzeScenario() does not build them.
-     * Neither kept nor counted as a stage.
      */
     ClassAwgs scenarioAwgs(std::string_view name, DurationNs t_fast,
                            DurationNs t_slow) const;
@@ -275,7 +223,7 @@ class Analyzer
     /**
      * Analyze several scenarios, fanning the independent analyses out
      * over the configured thread count (each analysis then runs its
-     * own stages serially to avoid oversubscription). Results are
+     * own folds serially to avoid oversubscription). Results are
      * returned in input order and are identical to calling
      * analyzeScenario once per entry. Fatal if any named scenario is
      * not in the corpus — filter with TraceCorpus::findScenario first.
@@ -319,9 +267,6 @@ class Analyzer
     /** Number of shards ingested so far (source shards + addStreams). */
     std::size_t shardCount() const { return shards_.size(); }
 
-    /** Snapshot of the per-stage counters. */
-    PipelineStats pipelineStats() const;
-
   private:
     /** One ingested shard's instance range in the merged corpus. */
     struct ShardRecord
@@ -341,13 +286,14 @@ class Analyzer
     /** Switch from an aliased single shard to an owned copy. */
     void ensureOwned();
 
-    /** analyzeScenario with an explicit stage-level thread count. */
+    /** analyzeScenario with an explicit fold-level thread count. */
     ScenarioAnalysis analyzeScenarioWithThreads(std::string_view name,
                                                 DurationNs t_fast,
                                                 DurationNs t_slow,
                                                 unsigned threads) const;
 
-    /** A value computed at most once, the first time it is needed. */
+    /** A per-instance summary, computed at most once, the first time
+     *  a query needs it. */
     template <typename T>
     struct Lazy
     {
@@ -383,54 +329,8 @@ class Analyzer
         PathTrie trie;
     };
 
-    /** The corpus-wide impact results, computed once per corpus. */
-    struct CorpusImpact
-    {
-        Lazy<ImpactResult> all;
-        Lazy<std::unordered_map<std::uint32_t, ImpactResult>> perScenario;
-        Lazy<std::vector<ComponentImpact>> components;
-    };
-
-    /**
-     * One scenario's results at the thresholds it was last asked at.
-     * Each stage builds once even when concurrent queries at these
-     * thresholds need it (the others wait in its once).
-     */
-    struct QuerySlot
-    {
-        DurationNs tFast = 0;
-        DurationNs tSlow = 0;
-        /** The scenario's trie, which outlives every slot. */
-        ScenarioTrie *trie = nullptr;
-        Lazy<ContrastClasses> classes;
-        Lazy<ImpactResult> slowImpact;
-        Lazy<AwgColumn> fast;
-        Lazy<AwgColumn> slow;
-        Lazy<std::shared_ptr<const MiningResult>> mining;
-    };
-
-    /**
-     * The slot of @p scenario at (t_fast, t_slow): the held one when
-     * it is at those thresholds, else a new one that replaces it. A
-     * query still running on a replaced slot keeps it alive. Creates
-     * the scenario's trie on first use.
-     */
-    std::shared_ptr<QuerySlot> querySlot(std::uint32_t scenario,
-                                         DurationNs t_fast,
-                                         DurationNs t_slow) const;
-
-    /**
-     * Trace and count one use of @p stage under a "stage.<name>"
-     * span: a hit when @p held, or else a miss that runs @p build and
-     * counts its wall time.
-     */
-    template <typename Build>
-    void runStage(Stage stage, bool held, Build &&build) const;
-
-    /** @p lazy's value, built by @p build on first use (a miss of
-     *  @p stage); every later use is a hit. */
-    template <typename T, typename Build>
-    const T &memo(Stage stage, Lazy<T> &lazy, Build &&build) const;
+    /** @p scenario's path trie, created on first use. */
+    ScenarioTrie &scenarioTrie(std::uint32_t scenario) const;
 
     /**
      * Compute @p slot for every instance of @p members that lacks it,
@@ -501,26 +401,10 @@ class Analyzer
      */
     mutable std::deque<InstanceSummaries> summaries_;
 
-    /** Replaced by absorb(), so a grown corpus computes it afresh. */
-    std::unique_ptr<CorpusImpact> corpusImpact_;
-
-    /** Per scenario id; absorb() clears slots_ and keeps tries_. */
-    mutable std::mutex slotsMutex_;
-    mutable std::unordered_map<std::uint32_t, std::shared_ptr<QuerySlot>>
-        slots_;
+    /** Per scenario id; kept across addStreams(). */
+    mutable std::mutex triesMutex_;
     mutable std::unordered_map<std::uint32_t, std::unique_ptr<ScenarioTrie>>
         tries_;
-
-    /** Counter handles into metrics_, one set per stage. */
-    struct StageCounters
-    {
-        Counter *hits = nullptr;
-        Counter *misses = nullptr;
-        Counter *buildNs = nullptr;
-        Counter *summaries = nullptr;
-    };
-    MetricsRegistry metrics_;
-    StageCounters counters_[kStageCount];
 };
 
 } // namespace tracelens

@@ -122,25 +122,6 @@ Histogram::mergeState(const State &other)
     }
 }
 
-void
-Histogram::mergeFrom(const Histogram &other)
-{
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-        const std::uint64_t n =
-            other.buckets_[b].load(std::memory_order_relaxed);
-        if (n > 0)
-            buckets_[b].fetch_add(n, std::memory_order_relaxed);
-    }
-    count_.fetch_add(other.count(), std::memory_order_relaxed);
-    sum_.fetch_add(other.sum(), std::memory_order_relaxed);
-    std::uint64_t theirs = other.max();
-    std::uint64_t seen = max_.load(std::memory_order_relaxed);
-    while (theirs > seen &&
-           !max_.compare_exchange_weak(seen, theirs,
-                                       std::memory_order_relaxed)) {
-    }
-}
-
 // ------------------------------------------------------- MetricsRegistry
 
 Counter &
@@ -185,38 +166,6 @@ MetricsRegistry::findCounter(std::string_view name) const
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = cells_.find(name);
     return it == cells_.end() ? nullptr : it->second.counter.get();
-}
-
-void
-MetricsRegistry::mergeInto(MetricsRegistry &target) const
-{
-    // Snapshot the cell pointers under our lock, then apply through
-    // the target's own locking accessors — no lock is ever held on
-    // both registries at once.
-    struct Item
-    {
-        std::string name;
-        const Counter *counter;
-        const Gauge *gauge;
-        const Histogram *histogram;
-    };
-    std::vector<Item> items;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        items.reserve(cells_.size());
-        for (const auto &[name, cell] : cells_) {
-            items.push_back({name, cell.counter.get(),
-                             cell.gauge.get(), cell.histogram.get()});
-        }
-    }
-    for (const Item &item : items) {
-        if (item.counter != nullptr)
-            target.counter(item.name).add(item.counter->value());
-        if (item.gauge != nullptr)
-            target.gauge(item.name).set(item.gauge->value());
-        if (item.histogram != nullptr)
-            target.histogram(item.name).mergeFrom(*item.histogram);
-    }
 }
 
 namespace

@@ -16,8 +16,9 @@
  *    ingest -> wait-graph -> impact -> AWG -> mining pipeline.
  *  - Metrics: a registry of named counters, gauges, and log-scale
  *    histograms (p50/p95/p99), dumpable as JSON (CLI: --metrics-out
- *    FILE). The Analyzer's PipelineStats is a thin view over one of
- *    these registries (src/core/analyzer.h).
+ *    FILE). Components count into the process-wide registry
+ *    (MetricsRegistry::global()), which the daemon's `metrics` method
+ *    and Prometheus listener expose while it runs.
  *
  * Overhead contract: span recording is off by default; a disabled
  * Span costs one relaxed atomic load. Enabled recording appends to a
@@ -28,9 +29,9 @@
  * < 3% (BENCH_telemetry.json).
  *
  * Naming conventions (docs/TELEMETRY.md): span names are
- * "<layer>.<operation>" ("stage.wait-graphs", "pool.run-shards"),
- * categories are the coarse layer ("ingest", "pipeline", "analysis",
- * "pool", "cli"); metric names are dot-paths ("pipeline.awg.hits",
+ * "<layer>.<operation>" ("waitgraph.build-range", "pool.worker"),
+ * categories are the coarse layer ("ingest", "analysis", "pool",
+ * "cli"); metric names are dot-paths ("analyzer.fragments",
  * "source.shard_loads", "pool.queue_depth").
  */
 
@@ -149,9 +150,6 @@ class Histogram
      */
     std::uint64_t percentile(double q) const;
 
-    /** Fold @p other's samples into this histogram. */
-    void mergeFrom(const Histogram &other);
-
     /** Snapshot the bucket state (see State). */
     State state() const;
 
@@ -204,9 +202,9 @@ std::string renderPrometheus(
  * mutex; the returned handles are lock-free, so hot paths resolve a
  * metric once and hold the reference.
  *
- * Registries are instantiable so a component can keep private
- * counters (the Analyzer's PipelineStats) and still
- * fold them into the process-wide registry via mergeInto().
+ * Most code counts into the process-wide registry (global()).
+ * Registries are also instantiable: the coordinator folds its workers'
+ * snapshots into one of its own with merge().
  */
 class MetricsRegistry
 {
@@ -223,12 +221,6 @@ class MetricsRegistry
 
     /** The counter named @p name, or nullptr if never created. */
     const Counter *findCounter(std::string_view name) const;
-
-    /**
-     * Fold every metric into @p target by name: counters add, gauges
-     * overwrite, histograms merge samples.
-     */
-    void mergeInto(MetricsRegistry &target) const;
 
     /**
      * JSON snapshot: {"counters": {...}, "gauges": {...},
@@ -398,7 +390,7 @@ struct NodeSpans
 #define TL_TELEMETRY_CONCAT2(a, b) a##b
 #define TL_TELEMETRY_CONCAT(a, b) TL_TELEMETRY_CONCAT2(a, b)
 
-/** Scope-level span: TL_SPAN("stage.mining", "pipeline"); */
+/** Scope-level span: TL_SPAN("mining.mine", "analysis"); */
 #define TL_SPAN(name, category) \
     ::tracelens::Span TL_TELEMETRY_CONCAT(tlSpan_, \
                                           __LINE__)(name, category)

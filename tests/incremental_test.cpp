@@ -2,14 +2,15 @@
  * @file
  * Tests for the incremental analysis pipeline: appending shards must
  * build only the new shard's wait graphs and still produce
- * byte-identical reports. The per-class stages fold per-instance
- * summaries that are computed once per instance, and per scenario the
- * Analyzer keeps only the results at the last-asked thresholds.
+ * byte-identical reports. The per-class folds use per-instance
+ * summaries that are computed once per instance, counted by the
+ * Analyzer's process-wide analyzer.* counters.
  */
 
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "src/core/report.h"
 #include "src/trace/merge.h"
 #include "src/trace/source.h"
+#include "src/util/telemetry.h"
 #include "src/workload/generator.h"
 #include "src/workload/scenarios.h"
 
@@ -47,6 +49,15 @@ catalogThresholds(const TraceCorpus &corpus)
             scenarios.push_back({spec.name, spec.tFast, spec.tSlow});
     }
     return scenarios;
+}
+
+/** The process-wide count of @p name, such as analyzer.graph_builds:
+ *  tests read its change across the calls they make. */
+std::uint64_t
+counted(std::string_view name)
+{
+    const Counter *counter = MetricsRegistry::global().findCounter(name);
+    return counter == nullptr ? 0 : counter->value();
 }
 
 /** The full analysis report — the byte-identity probe. */
@@ -147,18 +158,16 @@ TEST(Incremental, AppendRebuildsOnlyTheNewShard)
         config.threads = threads;
 
         // Three shards in, full report out: each shard's wait graphs
-        // built once, nothing kept from an earlier build yet.
+        // built once.
+        const std::uint64_t base = counted("analyzer.graph_builds");
         EagerSource first(parts[0]);
         Analyzer analyzer(first, config);
         analyzer.addStreams(parts[1]);
         analyzer.addStreams(parts[2]);
         ASSERT_EQ(analyzer.shardCount(), 3u);
         const std::string r1 = reportOf(analyzer);
-        {
-            const PipelineStats stats = analyzer.pipelineStats();
-            EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 3u);
-            EXPECT_EQ(stats.of(Stage::WaitGraphs).hits, 0u);
-        }
+        std::uint64_t builds = counted("analyzer.graph_builds") - base;
+        EXPECT_EQ(builds, 3u);
 
         // The cold equivalent of the three-shard state.
         const TraceCorpus merged3 = mergedPrefix(parts, 3);
@@ -169,13 +178,11 @@ TEST(Incremental, AppendRebuildsOnlyTheNewShard)
         // Appending the fourth shard invalidates only the suffix:
         // the three prefix shards' graphs are kept, and only the new
         // shard's are built.
+        const std::uint64_t before = counted("analyzer.graph_builds");
         analyzer.addStreams(parts[3]);
         const std::string r2 = reportOf(analyzer);
-        {
-            const PipelineStats stats = analyzer.pipelineStats();
-            EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 4u);
-            EXPECT_GE(stats.of(Stage::WaitGraphs).hits, 3u);
-        }
+        builds += counted("analyzer.graph_builds") - before;
+        EXPECT_EQ(builds, 4u);
 
         // Byte-identical to a cold full analysis of all four parts.
         const TraceCorpus merged4 = mergedPrefix(parts, 4);
@@ -191,6 +198,7 @@ TEST(Incremental, AppendKeepsPrefixGraphs)
     const std::vector<TraceCorpus> parts = splitCorpus(corpus, 2);
     ASSERT_EQ(parts.size(), 2u);
 
+    const std::uint64_t base = counted("analyzer.graph_builds");
     EagerSource first(parts[0]);
     Analyzer analyzer(first);
     std::vector<const WaitGraph::Node *> before;
@@ -205,9 +213,7 @@ TEST(Incremental, AppendKeepsPrefixGraphs)
     // into: moved along, neither rebuilt nor copied.
     for (std::size_t i = 0; i < before.size(); ++i)
         EXPECT_EQ(after[i].nodes().data(), before[i]) << "graph " << i;
-    const PipelineStats stats = analyzer.pipelineStats();
-    EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 2u);
-    EXPECT_EQ(stats.of(Stage::WaitGraphs).hits, 1u);
+    EXPECT_EQ(counted("analyzer.graph_builds") - base, 2u);
 }
 
 TEST(Incremental, SerialAndParallelReportsAreIdentical)
@@ -224,22 +230,6 @@ TEST(Incremental, SerialAndParallelReportsAreIdentical)
     Analyzer parallel(parallel_source, parallel_config);
 
     EXPECT_EQ(reportOf(serial), reportOf(parallel));
-}
-
-TEST(Incremental, RepeatedQueriesHitTheMemoizedStore)
-{
-    const TraceCorpus corpus = generateCorpus(smallSpec());
-    EagerSource source(corpus);
-    Analyzer analyzer(source);
-
-    const ImpactResult first = analyzer.impactAll();
-    const ImpactResult second = analyzer.impactAll();
-    EXPECT_EQ(first.dWait, second.dWait);
-    EXPECT_EQ(first.dWaitDist, second.dWaitDist);
-
-    const PipelineStats stats = analyzer.pipelineStats();
-    EXPECT_EQ(stats.of(Stage::Impact).misses, 1u);
-    EXPECT_GE(stats.of(Stage::Impact).hits, 1u);
 }
 
 TEST(Incremental, ConcurrentAnalyzersOverOneCorpusMatchSerial)
@@ -342,6 +332,7 @@ TEST(Incremental, ImpactScansEachInstanceOnce)
         config.threads = threads;
         EagerSource source(corpus);
         Analyzer analyzer(source, config);
+        const std::uint64_t base = counted("analyzer.contributions");
         const std::vector<ComponentImpact> split =
             analyzer.impactByComponent();
         const ImpactResult all = analyzer.impactAll();
@@ -352,7 +343,7 @@ TEST(Incremental, ImpactScansEachInstanceOnce)
         const ImpactPartial partial = analyzer.impactPartial();
         for (const ScenarioThresholds &s : catalogThresholds(corpus))
             (void)analyzer.analyzeScenario(s.name, s.tFast, s.tSlow);
-        EXPECT_EQ(analyzer.pipelineStats().of(Stage::Impact).summaries,
+        EXPECT_EQ(counted("analyzer.contributions") - base,
                   corpus.instances().size());
 
         const ImpactAnalysis impact(corpus, analyzer.components());
@@ -391,62 +382,33 @@ TEST(Incremental, NarrowerClassesComputeNoNewSummaries)
         catalogThresholds(corpus);
     ASSERT_FALSE(scenarios.empty());
 
+    const std::uint64_t fragments = counted("analyzer.fragments");
+    const std::uint64_t contributions = counted("analyzer.contributions");
     for (const ScenarioThresholds &s : scenarios)
         (void)analyzer.analyzeScenario(s.name, s.tFast, s.tSlow);
-    const PipelineStats first = analyzer.pipelineStats();
-    EXPECT_GT(first.of(Stage::Awg).summaries, 0u);
-    EXPECT_GT(first.of(Stage::Impact).summaries, 0u);
+    const std::uint64_t firstFragments =
+        counted("analyzer.fragments") - fragments;
+    const std::uint64_t firstContributions =
+        counted("analyzer.contributions") - contributions;
+    EXPECT_GT(firstFragments, 0u);
+    EXPECT_GT(firstContributions, 0u);
 
     // A lower T_fast and a higher T_slow only shrink both classes:
     // every member already has its fragment and contribution.
     for (const ScenarioThresholds &s : scenarios)
         (void)analyzer.analyzeScenario(s.name, s.tFast * 7 / 10,
                                        s.tSlow * 105 / 100);
-    const PipelineStats second = analyzer.pipelineStats();
-    EXPECT_GT(second.of(Stage::Awg).misses, first.of(Stage::Awg).misses);
-    EXPECT_EQ(second.of(Stage::Awg).summaries,
-              first.of(Stage::Awg).summaries);
-    EXPECT_EQ(second.of(Stage::Impact).summaries,
-              first.of(Stage::Impact).summaries);
-}
-
-TEST(Incremental, ChangedThresholdsEvictPerQueryArtifacts)
-{
-    const TraceCorpus corpus = generateCorpus(smallSpec());
-    EagerSource source(corpus);
-    Analyzer analyzer(source);
-    const ScenarioThresholds s = catalogThresholds(corpus).front();
-    const DurationNs t2Fast = s.tFast * 2;
-    const DurationNs t2Slow = s.tSlow * 3 / 2;
-    auto awgStats = [&] { return analyzer.pipelineStats().of(Stage::Awg); };
-
-    const std::string first =
-        renderAnalysis(analyzer, s.name, s.tFast, s.tSlow);
-    (void)analyzer.analyzeScenario(s.name, t2Fast, t2Slow);
-    const StageStats beforeThird = awgStats();
-
-    // Back at t1: the t2 query replaced t1's slot, so both rebuild...
-    const std::string third =
-        renderAnalysis(analyzer, s.name, s.tFast, s.tSlow);
-    EXPECT_EQ(awgStats().misses, beforeThird.misses + 2);
-    EXPECT_EQ(awgStats().hits, beforeThird.hits);
-    EXPECT_EQ(third, first);
-
-    // ...and a repeat at t1 finds them kept.
-    const StageStats beforeFourth = awgStats();
-    const std::string fourth =
-        renderAnalysis(analyzer, s.name, s.tFast, s.tSlow);
-    EXPECT_EQ(awgStats().misses, beforeFourth.misses);
-    EXPECT_EQ(awgStats().hits, beforeFourth.hits + 2);
-    EXPECT_EQ(fourth, first);
+    EXPECT_EQ(counted("analyzer.fragments") - fragments, firstFragments);
+    EXPECT_EQ(counted("analyzer.contributions") - contributions,
+              firstContributions);
 }
 
 TEST(Incremental, ConcurrentQueriesAtAlternatingThresholdsMatchSerial)
 {
     // Four threads keep moving one scenario between two threshold
-    // pairs, so slot replacements race builds and summaries are first
-    // needed by several queries at once. Every answer must equal the
-    // serial one.
+    // pairs, so trie growth races the column folds that read the trie
+    // and summaries are first needed by several queries at once. Every
+    // answer must equal the serial one.
     const TraceCorpus corpus = generateCorpus(smallSpec());
     const ScenarioThresholds s = catalogThresholds(corpus).front();
     const std::pair<DurationNs, DurationNs> thresholds[2] = {

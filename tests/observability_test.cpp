@@ -226,8 +226,8 @@ TEST(ObsCodec, NodeSpansJsonRoundTripsFullWidthIds)
     span.args.emplace_back("method", "analyze");
     node.spans.push_back(span);
     SpanSnapshot untraced;
-    untraced.name = "stage.ingest";
-    untraced.category = "pipeline";
+    untraced.name = "analyzer.ingest-shard";
+    untraced.category = "analysis";
     untraced.startUs = 10;
     untraced.durUs = 20;
     node.spans.push_back(untraced);

@@ -51,6 +51,16 @@ sleepParams(double ms)
     return request.toParams();
 }
 
+/** The value of @p span's arg @p key, or "" when it has none. */
+std::string
+argOf(const SpanSnapshot &span, std::string_view key)
+{
+    for (const auto &[name, value] : span.args)
+        if (name == key)
+            return value;
+    return "";
+}
+
 TEST_F(ServerTest, HealthReportsProtocolVersions)
 {
     startServer();
@@ -200,28 +210,37 @@ TEST_F(ServerTest, WarmQueriesAreServedFromTheAnalyzer)
     Telemetry::setEnabled(true);
     Telemetry::reset();
 
-    // Cold: every pipeline stage builds (outcome "miss").
+    // Cold: the query computes its members' summaries and grows the
+    // scenario's path trie.
     Expected<Response> cold = session.analyze(analyzeRequest(3));
     ASSERT_TRUE(cold.ok()) << cold.error().render();
     ASSERT_TRUE(cold.value().ok) << cold.value().error.message;
-    const std::string coldTrace = Telemetry::renderChromeTrace();
-    EXPECT_NE(coldTrace.find("stage."), std::string::npos);
-    EXPECT_NE(coldTrace.find("\"outcome\": \"miss\""),
-              std::string::npos)
-        << coldTrace;
+    bool computed = false, grown = false;
+    for (const SpanSnapshot &span : Telemetry::snapshotSpans()) {
+        grown |= span.name == "awg.grow-trie";
+        if (span.name == "impact.analyze" || span.name == "awg.aggregate")
+            computed |= argOf(span, "computed") != "0";
+    }
+    EXPECT_TRUE(computed);
+    EXPECT_TRUE(grown);
 
     // Warm, different params (top=5): a different response-cache key
-    // but the same thresholds — every stage the pipeline re-enters
-    // must be served from the scenario's slot, nothing recomputed.
+    // at the same thresholds. The query folds and mines again, over
+    // what the cold one left: no summary is computed and the trie
+    // does not grow.
     Telemetry::reset();
     Expected<Response> warm = session.analyze(analyzeRequest(5));
     ASSERT_TRUE(warm.ok());
     ASSERT_TRUE(warm.value().ok);
-    const std::string warmTrace = Telemetry::renderChromeTrace();
-    EXPECT_NE(warmTrace.find("stage."), std::string::npos);
-    EXPECT_EQ(warmTrace.find("\"outcome\": \"miss\""),
-              std::string::npos)
-        << warmTrace;
+    std::size_t folds = 0;
+    for (const SpanSnapshot &span : Telemetry::snapshotSpans()) {
+        EXPECT_NE(span.name, "awg.grow-trie");
+        if (span.name != "impact.analyze" && span.name != "awg.aggregate")
+            continue;
+        ++folds;
+        EXPECT_EQ(argOf(span, "computed"), "0") << span.name;
+    }
+    EXPECT_GT(folds, 0u);
 
     // Warm, identical params: the rendered response itself is cached;
     // the pipeline is not re-entered at all.
@@ -230,13 +249,44 @@ TEST_F(ServerTest, WarmQueriesAreServedFromTheAnalyzer)
     ASSERT_TRUE(repeat.ok());
     ASSERT_TRUE(repeat.value().ok);
     const std::string repeatTrace = Telemetry::renderChromeTrace();
-    EXPECT_EQ(repeatTrace.find("stage."), std::string::npos);
+    EXPECT_EQ(repeatTrace.find("analyzer.scenario"), std::string::npos);
     EXPECT_NE(repeatTrace.find("server.response-cache-hit"),
               std::string::npos);
     EXPECT_EQ(repeat.value().result.render(),
               warm.value().result.render());
     Telemetry::setEnabled(false);
     Telemetry::reset();
+}
+
+TEST_F(ServerTest, MetricsCountAnalysisWhileTheSessionIsOpen)
+{
+    startServer();
+    Session session = connect();
+    // Thresholds that give both classes members (3 fast, 2 slow), so
+    // the query computes contributions as well as fragments.
+    AnalyzeRequest request = analyzeRequest();
+    request.tfastMs = 300;
+    request.tslowMs = 380;
+    Expected<Response> analyzed = session.analyze(request);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.error().render();
+    ASSERT_TRUE(analyzed.value().ok) << analyzed.value().error.message;
+
+    // The corpus session stays open, so its Analyzer is alive: what it
+    // computed must already be in the daemon's registry.
+    Expected<Response> metrics =
+        session.call(Method::Metrics, JsonValue::makeObject());
+    ASSERT_TRUE(metrics.ok()) << metrics.error().render();
+    ASSERT_TRUE(metrics.value().ok) << metrics.value().error.message;
+    const JsonValue *counters = metrics.value().result.find("counters");
+    ASSERT_NE(counters, nullptr);
+    for (const char *name : {"analyzer.graph_builds",
+                             "analyzer.contributions",
+                             "analyzer.fragments"}) {
+        const JsonValue *value = counters->find(name);
+        ASSERT_NE(value, nullptr) << name;
+        EXPECT_GT(value->asNumber(), 0.0) << name;
+    }
+    EXPECT_EQ(server_->registry().stats().openSessions, 1u);
 }
 
 TEST_F(ServerTest, BackpressureRejectsBeyondMaxInflight)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Telemetry-pipeline integration tests: a traced analysis run records
- * a span for every pipeline stage, and span recording never perturbs
- * analysis results (reports stay byte-identical with telemetry on and
- * off).
+ * a span for every layer of the pipeline, and span recording never
+ * perturbs analysis results (reports stay byte-identical with
+ * telemetry on and off).
  */
 
 #include <unistd.h>
@@ -82,21 +82,16 @@ TEST_F(TelemetryPipelineTest, TraceCoversEveryPipelineStage)
     Telemetry::setEnabled(false);
 
     const std::string trace = Telemetry::renderChromeTrace();
-    // One span name per pipeline stage plus the analysis-layer spans
-    // around them.
+    // One span name per layer of the pipeline.
     for (const char *name :
-         {"stage.wait-graphs", "stage.classes", "stage.impact",
-          "stage.awg", "stage.mining", "analyzer.ingest-shard",
-          "analyzer.graphs", "analyzer.scenario",
+         {"analyzer.ingest-shard", "analyzer.graphs", "analyzer.scenario",
           "waitgraph.build-range", "impact.analyze", "awg.aggregate",
-          "mining.mine", "report.build"}) {
+          "awg.grow-trie", "mining.mine", "report.build"}) {
         EXPECT_NE(trace.find(std::string("\"name\": \"") + name +
                              "\""),
                   std::string::npos)
             << "span '" << name << "' missing from trace";
     }
-    // Cold run: every stage span reports a miss first.
-    EXPECT_NE(trace.find("\"outcome\": \"miss\""), std::string::npos);
 }
 
 TEST_F(TelemetryPipelineTest, ReportsAreIdenticalWithTelemetryOnAndOff)
@@ -113,39 +108,11 @@ TEST_F(TelemetryPipelineTest, ReportsAreIdenticalWithTelemetryOnAndOff)
     EXPECT_GT(Telemetry::spanCount(), 0u);
 }
 
-TEST_F(TelemetryPipelineTest, PipelineStatsMatchGlobalRegistryMerge)
-{
-    const TraceCorpus corpus = generateCorpus(smallSpec());
-
-    // A private registry per analyzer keeps pipelineStats() correct;
-    // destruction folds the counters into the global registry.
-    // Compare the before/after delta of one global counter with the
-    // per-analyzer snapshot.
-    MetricsRegistry &global = MetricsRegistry::global();
-    const Counter *before_counter =
-        global.findCounter("pipeline.wait-graphs.misses");
-    const std::uint64_t before =
-        before_counter == nullptr ? 0 : before_counter->value();
-
-    std::uint64_t misses = 0;
-    {
-        EagerSource source(corpus);
-        Analyzer analyzer(source);
-        analyzer.analyzeScenarios(catalogThresholds(corpus));
-        misses = analyzer.pipelineStats().of(Stage::WaitGraphs).misses;
-        EXPECT_GT(misses, 0u);
-    }
-
-    const Counter *after_counter =
-        global.findCounter("pipeline.wait-graphs.misses");
-    ASSERT_NE(after_counter, nullptr);
-    EXPECT_EQ(after_counter->value() - before, misses);
-}
-
 TEST_F(TelemetryPipelineTest, GraphBuildsNeverNestInImpactStages)
 {
-    // Every impact entry point builds the wait graphs before its timed
-    // stage, so --pipeline-stats never counts that build twice.
+    // Every impact entry point builds the wait graphs before its
+    // impact.analyze span opens, so that span's time is the scan and
+    // the fold alone.
     const TraceCorpus corpus = generateCorpus(smallSpec());
     Telemetry::setEnabled(true);
     {
@@ -168,13 +135,13 @@ TEST_F(TelemetryPipelineTest, GraphBuildsNeverNestInImpactStages)
         byId[span.spanId] = &span;
     std::size_t graphs = 0, impact = 0;
     for (const SpanSnapshot &span : spans) {
-        impact += span.name == "stage.impact";
+        impact += span.name == "impact.analyze";
         if (span.name != "analyzer.graphs")
             continue;
         ++graphs;
         for (auto it = byId.find(span.parentSpanId); it != byId.end();
              it = byId.find(it->second->parentSpanId))
-            EXPECT_NE(it->second->name, "stage.impact");
+            EXPECT_NE(it->second->name, "impact.analyze");
     }
     EXPECT_EQ(graphs, 2u);
     EXPECT_GT(impact, 0u);

@@ -1,9 +1,9 @@
 /**
  * @file
  * Self-telemetry tests: the log-scale histogram's percentile accuracy,
- * the metrics registry (identity, kind separation, mergeInto, JSON),
- * span recording across work-stealing pool threads (validated through
- * a real JSON parser against the Chrome trace_event contract), the
+ * the metrics registry (identity, kind separation, JSON), span
+ * recording across work-stealing pool threads (validated through a
+ * real JSON parser against the Chrome trace_event contract), the
  * leveled logging sink, and a registry/span race test for the tsan
  * preset: ctest --preset tsan-telemetry.
  */
@@ -308,18 +308,6 @@ TEST(TelemetryHistogram, PercentileNeverExceedsMax)
     EXPECT_EQ(h.percentile(0.99), 1000000u);
 }
 
-TEST(TelemetryHistogram, MergeFoldsSamples)
-{
-    Histogram a, b;
-    a.record(10);
-    a.record(20);
-    b.record(30);
-    a.mergeFrom(b);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_EQ(a.sum(), 60u);
-    EXPECT_EQ(a.max(), 30u);
-}
-
 // ------------------------------------------------------------- registry
 
 TEST(TelemetryRegistry, HandlesAreStableAndShared)
@@ -338,22 +326,6 @@ TEST(TelemetryRegistry, HandlesAreStableAndShared)
     EXPECT_EQ(registry.findCounter("test.counter"), &c1);
     EXPECT_EQ(registry.findCounter("missing"), nullptr);
     EXPECT_EQ(registry.findCounter("test.gauge"), nullptr);
-}
-
-TEST(TelemetryRegistry, MergeIntoAddsCountersAndMergesHistograms)
-{
-    MetricsRegistry source, target;
-    source.counter("m.count").add(5);
-    source.gauge("m.gauge").set(0.75);
-    source.histogram("m.hist").record(100);
-    target.counter("m.count").add(3);
-    target.histogram("m.hist").record(200);
-
-    source.mergeInto(target);
-    EXPECT_EQ(target.counter("m.count").value(), 8u);
-    EXPECT_DOUBLE_EQ(target.gauge("m.gauge").value(), 0.75);
-    EXPECT_EQ(target.histogram("m.hist").count(), 2u);
-    EXPECT_EQ(target.histogram("m.hist").sum(), 300u);
 }
 
 TEST(TelemetryRegistry, RenderJsonIsValidAndComplete)

@@ -42,9 +42,7 @@
  *
  * Every PATH that names a corpus accepts either a single .tlc file or
  * a directory of shards; corrupt shards inside a directory are
- * reported and skipped, never fatal. Analysis commands additionally
- * take --pipeline-stats (print per-stage hit/miss counters and build
- * times).
+ * reported and skipped, never fatal.
  *
  * Self-telemetry flags, valid for every subcommand (docs/TELEMETRY.md):
  *   --trace-out FILE    Record pipeline spans and write them as Chrome
@@ -213,9 +211,7 @@ usage()
            "  tracelens version   (also --version)\n"
            "\nPATH is a .tlc corpus file or a directory of shards.\n"
            "--threads 0 (default) uses every hardware thread; 1 runs "
-           "serially.\nAnalysis commands also "
-           "accept --pipeline-stats (per-stage hit/miss\ncounters and "
-           "build times).\nEvery command accepts "
+           "serially.\nEvery command accepts "
            "--trace-out FILE (self-telemetry spans as\nChrome "
            "trace_event JSON, Perfetto-loadable), --metrics-out FILE\n"
            "(counters/gauges/histograms as JSON) and --log-level "
@@ -342,14 +338,6 @@ requireUsable(const TraceSource &source)
                      ? "no usable shards in source"
                      : stats.errors.front().render());
     }
-}
-
-/** Print the per-stage counters under --pipeline-stats. */
-void
-maybePrintPipelineStats(const Args &args, const Analyzer &analyzer)
-{
-    if (args.has("pipeline-stats"))
-        std::cout << analyzer.pipelineStats().render();
 }
 
 int
@@ -536,7 +524,6 @@ cmdImpact(const Args &args)
         std::cout << "  " << corpus.scenarioName(scenario) << ": "
                   << impact.render() << "\n";
     }
-    maybePrintPipelineStats(args, analyzer);
     return 0;
 }
 
@@ -605,7 +592,6 @@ cmdAnalyze(const Args &args)
                   << "\n"
                   << p.tuple.render(corpus.symbols()) << "\n";
     }
-    maybePrintPipelineStats(args, analyzer);
     return 0;
 }
 
@@ -656,11 +642,9 @@ cmdReport(const Args &args)
     if (auto html = args.flag("html")) {
         writeHtmlReportFile(analyzer, scenarios, *html, options);
         TL_LOG(Info, "wrote ", *html);
-        maybePrintPipelineStats(args, analyzer);
         return 0;
     }
     std::cout << buildReport(analyzer, scenarios, options);
-    maybePrintPipelineStats(args, analyzer);
     return 0;
 }
 
