@@ -5,8 +5,12 @@
 #
 #  1. The rolling window summary is byte-identical to a cold batch
 #     `analyze` over the same shard files.
-#  2. `ingest_push` lands shards in the spool via rename-into-place
-#     and the warm session absorbs them (still byte-identical after).
+#  2. `ingest_push` lands shards in the spool via rename-into-place.
+#     After that push, and after a shard the poll thread picks up,
+#     `analyze` over the spool, unfiltered and with a component
+#     filter, still equals the rolling summary, and `ingest` counts
+#     every spool shard: an arrival retires the sessions over the
+#     spool, and the next request opens them over the new corpus.
 #  3. An injected regression cohort produces a sentinel alert end to
 #     end: on the `alerts` method and in the --alerts-out JSONL sink.
 #  4. `tracelens watch` with a one-minute poll interval still exits
@@ -51,15 +55,19 @@ REV="$("$CLI" query health --connect "$ADDR" --field fleet_revision)"
 "$CLI" generate --drip "$SPOOL" --interval-ms 60 --shards 4 \
     --machines 16 --seed 7 >/dev/null 2>&1 || fail "drip generation"
 
-# Wait until all four spool shards are ingested.
-for _tick in $(seq 1 100); do
-    SHARDS="$("$CLI" query window_summary --connect "$ADDR" \
-        --params '{"scenario":"FileOpen","windows":"all"}' \
-        --field shards 2>/dev/null || echo 0)"
-    [[ "$SHARDS" == "4" ]] && break
-    sleep 0.1
-done
-[[ "$SHARDS" == "4" ]] || fail "daemon ingested $SHARDS of 4 shards"
+# wait_for_shards N: until the windows hold N shards.
+wait_for_shards() {
+    local shards _tick
+    for _tick in $(seq 1 100); do
+        shards="$("$CLI" query window_summary --connect "$ADDR" \
+            --params '{"scenario":"FileOpen","windows":"all"}' \
+            --field shards 2>/dev/null || echo 0)"
+        [[ "$shards" == "$1" ]] && return 0
+        sleep 0.1
+    done
+    fail "daemon ingested $shards of $1 shards"
+}
+wait_for_shards 4
 
 # The rolling summary and a cold batch analyze over the very same
 # shard files must agree byte for byte.
@@ -69,6 +77,40 @@ BATCH="$("$CLI" query analyze --connect "$ADDR" \
     --params "{\"corpus\":\"$SPOOL\",\"scenario\":\"FileOpen\"}")"
 [[ "$ROLLING" == "$BATCH" ]] \
     || fail "rolling summary differs from batch analyze"
+
+# A second session over the spool, opened with a component filter.
+SYS_PARAMS="{\"corpus\":\"$SPOOL\",\"scenario\":\"FileOpen\",\"components\":[\"*.sys\"]}"
+[[ "$("$CLI" query analyze --connect "$ADDR" --params "$SYS_PARAMS")" \
+    == "$BATCH" ]] || fail "*.sys analyze differs from batch analyze"
+
+# check_spool_sessions WHEN: both sessions over the spool answer for
+# every shard in it, and so does `ingest`.
+check_spool_sessions() {
+    local rolling batch sys shards files
+    rolling="$("$CLI" query window_summary --connect "$ADDR" \
+        --params '{"scenario":"FileOpen","windows":"all"}' --field summary)"
+    batch="$("$CLI" query analyze --connect "$ADDR" \
+        --params "{\"corpus\":\"$SPOOL\",\"scenario\":\"FileOpen\"}")"
+    sys="$("$CLI" query analyze --connect "$ADDR" --params "$SYS_PARAMS")"
+    [[ "$batch" == "$rolling" ]] \
+        || fail "$1: analyze differs from the rolling summary"
+    [[ "$sys" == "$rolling" ]] \
+        || fail "$1: *.sys analyze differs from the rolling summary"
+    shards="$("$CLI" query ingest --connect "$ADDR" \
+        --params "{\"corpus\":\"$SPOOL\"}" --field shards)"
+    files="$(find "$SPOOL" -maxdepth 1 -name '*.tlc' | wc -l)"
+    [[ "$shards" == "$files" ]] \
+        || fail "$1: ingest counts $shards shards, the spool holds $files"
+}
+
+# One more shard through the poll thread, renamed into place.
+"$CLI" generate --drip "$WORK/late" --machines 8 --seed 9 >/dev/null 2>&1 \
+    || fail "late shard generation"
+mv "$WORK/late/shard-0000.tlc" "$SPOOL/shard-0050.tlc"
+wait_for_shards 5
+check_spool_sessions "after a polled shard"
+ROLLING="$("$CLI" query window_summary --connect "$ADDR" \
+    --params '{"scenario":"FileOpen","windows":"all"}' --field summary)"
 
 # ---- 2. ingest_push over the wire -----------------------------------
 push_shard() { # push_shard NAME FILE TIMESTAMP_MS
@@ -99,14 +141,11 @@ if "$CLI" query ingest_push --connect "$ADDR" --params \
     fail "mismatched fleet_revision should be rejected"
 fi
 
-# The warm session absorbed the pushed shard: batch and rolling views
-# both include it, and they still agree byte for byte.
+# Batch and rolling views both include the pushed shard, and they
+# still agree byte for byte.
+check_spool_sessions "after ingest_push"
 ROLLING2="$("$CLI" query window_summary --connect "$ADDR" \
     --params '{"scenario":"FileOpen","windows":"all"}' --field summary)"
-BATCH2="$("$CLI" query analyze --connect "$ADDR" \
-    --params "{\"corpus\":\"$SPOOL\",\"scenario\":\"FileOpen\"}")"
-[[ "$ROLLING2" == "$BATCH2" ]] \
-    || fail "rolling summary differs from batch after ingest_push"
 [[ "$ROLLING2" != "$ROLLING" ]] \
     || fail "pushed shard changed neither view"
 

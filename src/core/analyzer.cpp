@@ -78,38 +78,31 @@ Analyzer::Analyzer(TraceSource &source, AnalyzerConfig config)
         Expected<CorpusPtr> shard = source.shard(i);
         if (!shard)
             continue; // isolated and recorded in source.stats()
-        absorb(*shard.value(), shard.value());
+        absorb(std::move(shard.value()));
     }
+    summaries_ = std::vector<InstanceSummaries>(corpus_->instances().size());
 }
 
 void
-Analyzer::absorb(const TraceCorpus &part, CorpusPtr alias)
+Analyzer::absorb(CorpusPtr shard)
 {
     Span span("analyzer.ingest-shard", "analysis");
     if (span.active()) {
-        span.arg("shard", static_cast<std::uint64_t>(shards_.size()));
+        span.arg("shard", static_cast<std::uint64_t>(shards_));
         span.arg("instances",
-                 static_cast<std::uint64_t>(part.instances().size()));
+                 static_cast<std::uint64_t>(shard->instances().size()));
     }
 
-    ShardRecord record;
-    record.firstInstance =
-        static_cast<std::uint32_t>(corpus_->instances().size());
-    record.instanceCount =
-        static_cast<std::uint32_t>(part.instances().size());
-
-    if (shards_.empty() && alias != nullptr) {
+    if (shards_ == 0) {
         // Single-shard fast path: adopt the shard as the analysis
         // corpus without a merge copy (copy-on-append later).
-        aliasShard_ = std::move(alias);
+        aliasShard_ = std::move(shard);
         corpus_ = aliasShard_.get();
     } else {
         ensureOwned();
-        appendCorpus(ownedCorpus_, part);
+        appendCorpus(ownedCorpus_, *shard);
     }
-    shards_.push_back(record);
-    for (std::uint32_t i = 0; i < record.instanceCount; ++i)
-        summaries_.emplace_back();
+    ++shards_;
 
     // (Re-)prime the symbol table's per-filter match cache: the
     // parallel stages consult it concurrently, which is safe only
@@ -123,50 +116,27 @@ Analyzer::ensureOwned()
     if (aliasShard_ == nullptr)
         return;
     // appendCorpus re-interns in id order, so the copy is structurally
-    // identical to the alias (same ids, same instance order) and every
-    // wait graph and summary already built stays valid.
+    // identical to the alias (same ids, same instance order).
     ownedCorpus_ = TraceCorpus{};
     appendCorpus(ownedCorpus_, *aliasShard_);
     aliasShard_.reset();
     corpus_ = &ownedCorpus_;
 }
 
-void
-Analyzer::addStreams(const TraceCorpus &part)
-{
-    ensureOwned();
-    absorb(part, nullptr);
-}
-
 const std::vector<WaitGraph> &
 Analyzer::graphs() const
 {
-    std::lock_guard<std::mutex> lock(graphsMutex_);
-    if (graphsShards_ != shards_.size()) {
+    std::call_once(graphsOnce_, [this] {
         Span span("analyzer.graphs", "analysis");
         if (span.active()) {
-            span.arg("shards",
-                     static_cast<std::uint64_t>(shards_.size()));
+            span.arg("shards", static_cast<std::uint64_t>(shards_));
             span.arg("instances", static_cast<std::uint64_t>(
                                       corpus_->instances().size()));
         }
-        graphs_.reserve(corpus_->instances().size());
-        const unsigned threads = resolveThreads(config_.threads);
-        WaitGraphBuilder builder(*corpus_, config_.waitGraph);
-        // A shard's graphs depend only on the shards up to it (its
-        // streams, and the ids the prefix interned), so the graphs of
-        // shards already built stay as they are.
-        for (std::size_t i = graphsShards_; i < shards_.size(); ++i) {
-            const ShardRecord &shard = shards_[i];
-            std::vector<WaitGraph> built = builder.buildRangeParallel(
-                shard.firstInstance, shard.instanceCount, threads);
-            graphs_.insert(graphs_.end(),
-                           std::make_move_iterator(built.begin()),
-                           std::make_move_iterator(built.end()));
-        }
-        counters().graphBuilds.add(shards_.size() - graphsShards_);
-        graphsShards_ = shards_.size();
-    }
+        graphs_ = WaitGraphBuilder(*corpus_, config_.waitGraph)
+                      .buildAllParallel(resolveThreads(config_.threads));
+        counters().graphBuilds.add(shards_);
+    });
     return graphs_;
 }
 

@@ -31,11 +31,10 @@
  * the columns. Answers themselves are not kept: a daemon answers exact
  * repeats from its response cache (docs/SERVER.md).
  *
- * Incrementality: addStreams() appends trace data and keeps the
- * existing shards' wait graphs, per-instance summaries and the path
- * tries — only the new shard's wait graphs are built. The results are
- * bit-identical to a cold analysis of the merged corpus (asserted by
- * tests/incremental_test.cpp).
+ * The corpus is fixed at construction: an Analyzer never takes more
+ * trace data, so a changed corpus is a new Analyzer (the daemon
+ * retires its sessions over a spool when a shard arrives,
+ * src/server/registry.h).
  *
  * What the Analyzer computes is counted in MetricsRegistry::global():
  * analyzer.graph_builds (shards whose wait graphs were built),
@@ -52,7 +51,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -169,18 +167,6 @@ class Analyzer
      */
     explicit Analyzer(TraceSource &source, AnalyzerConfig config = {});
 
-    /**
-     * Append @p part's streams and instances to the analysis corpus
-     * as one additional shard. The existing shards' wait graphs and
-     * per-instance summaries stay as they are, and only the new
-     * shard's wait graphs are built when next asked. Results are
-     * bit-identical to analyzing the merged corpus cold.
-     *
-     * Not thread-safe against concurrent analysis calls; references
-     * previously returned by corpus() and graphs() are invalidated.
-     */
-    void addStreams(const TraceCorpus &part);
-
     /** Corpus-wide impact analysis (the Section 5.1 headline). */
     ImpactResult impactAll() const;
 
@@ -250,10 +236,8 @@ class Analyzer
     ImpactPartial impactPartial() const;
 
     /**
-     * The per-instance wait graphs, in instance order. Built per
-     * shard on first use; after addStreams only the new shards' graphs
-     * are built and appended. Thread-safe, so concurrent analyses
-     * share one build.
+     * The per-instance wait graphs, in instance order, built on first
+     * use. Thread-safe, so concurrent analyses share one build.
      */
     const std::vector<WaitGraph> &graphs() const;
 
@@ -264,24 +248,13 @@ class Analyzer
     const AnalyzerConfig &config() const { return config_; }
     const NameFilter &components() const { return components_; }
 
-    /** Number of shards ingested so far (source shards + addStreams). */
-    std::size_t shardCount() const { return shards_.size(); }
-
   private:
-    /** One ingested shard's instance range in the merged corpus. */
-    struct ShardRecord
-    {
-        std::uint32_t firstInstance = 0;
-        std::uint32_t instanceCount = 0;
-    };
-
     /**
-     * Ingest @p part as the next shard. @p alias, when non-null, is a
-     * handle to @p part that may be adopted directly as the analysis
-     * corpus (single-shard fast path — no copy); a second shard
-     * forces the copy-on-append switch to an owned merged corpus.
+     * Ingest @p shard as the next shard. The first is adopted directly
+     * as the analysis corpus (no copy); a second forces the switch to
+     * an owned merged corpus.
      */
-    void absorb(const TraceCorpus &part, CorpusPtr alias);
+    void absorb(CorpusPtr shard);
 
     /** Switch from an aliased single shard to an owned copy. */
     void ensureOwned();
@@ -384,24 +357,20 @@ class Analyzer
 
     /** Non-null while the corpus aliases a single source shard. */
     CorpusPtr aliasShard_;
-    /** The merged corpus once >1 shard (or addStreams) forced a copy. */
+    /** The merged corpus once a second shard forced a copy. */
     TraceCorpus ownedCorpus_;
     const TraceCorpus *corpus_ = &ownedCorpus_;
 
-    std::vector<ShardRecord> shards_;
+    /** Shards ingested. */
+    std::size_t shards_ = 0;
 
-    mutable std::mutex graphsMutex_;
+    mutable std::once_flag graphsOnce_;
     mutable std::vector<WaitGraph> graphs_;
-    /** Shards whose graphs graphs_ holds (the rest are built next). */
-    mutable std::size_t graphsShards_ = 0;
 
-    /**
-     * One entry per instance, grown only by absorb(); a deque, so the
-     * slots never move while queries fill them.
-     */
-    mutable std::deque<InstanceSummaries> summaries_;
+    /** One entry per instance, sized once the shards are ingested. */
+    mutable std::vector<InstanceSummaries> summaries_;
 
-    /** Per scenario id; kept across addStreams(). */
+    /** Per scenario id, created on first use. */
     mutable std::mutex triesMutex_;
     mutable std::unordered_map<std::uint32_t, std::unique_ptr<ScenarioTrie>>
         tries_;

@@ -3,13 +3,13 @@
  * Mergeable partial results: the explicit merge layer of the pipeline.
  *
  * Every reduction in the analysis stack — the thread-level folds inside
- * ImpactAnalysis / AwgBuilder, the incremental
- * `Analyzer::addStreams` path, and the cross-machine scatter/gather of
- * coordinator mode (docs/SERVER.md) — goes through the Partial* types
- * in this header. Each type is an accumulator with an associative
- * `merge()`; merging the per-shard partials in shard order and then
- * finalizing produces results *byte-identical* to a single sequential
- * pass over the merged corpus. That invariant (associativity +
+ * ImpactAnalysis / AwgBuilder, the fleet's rolling windows, and the
+ * cross-machine scatter/gather of coordinator mode (docs/SERVER.md) —
+ * goes through the Partial* types in this header. Each type is an
+ * accumulator with an associative `merge()`; merging the per-shard
+ * partials in shard order and then finalizing produces results
+ * *byte-identical* to a single sequential pass over the merged
+ * corpus. That invariant (associativity +
  * order-preserving determinism, see docs/ARCHITECTURE.md
  * "Partial-result merge layer") is what makes thread counts, shard
  * splits, and machine boundaries all invisible in the output.

@@ -49,8 +49,10 @@ sinkConfig(const FleetConfig &config)
 
 } // namespace
 
-FleetService::FleetService(FleetConfig config)
-    : config_(std::move(config)), sink_(sinkConfig(config_)),
+FleetService::FleetService(FleetConfig config,
+                           std::function<void()> onArrival)
+    : config_(std::move(config)), onArrival_(std::move(onArrival)),
+      sink_(sinkConfig(config_)),
       watcher_(config_.dir), windows_(windowConfig(config_)),
       sentinel_(windows_, sink_, config_.sentinel)
 {
@@ -114,6 +116,8 @@ FleetService::ingestLocked(std::string name, TraceCorpus corpus,
         stampMs * 1000 * 1000);
     outcome.alerts = sentinel_.evaluate();
     outcome.evicted = windows_.evictExpired().size();
+    if (onArrival_)
+        onArrival_();
 
     ingested_.fetch_add(1, std::memory_order_relaxed);
     const auto elapsed =

@@ -13,8 +13,9 @@
  *
  * Every ingest runs the same sequence: bucket the shard by timestamp,
  * evaluate the sentinel against the trailing baseline, evict expired
- * windows. Ingest throughput, alert counts, and shard-arrival →
- * alert-emission latency are exported through the metrics registry
+ * windows, then tell the owner a shard arrived. Ingest throughput,
+ * alert counts, and shard-arrival → alert-emission latency are
+ * exported through the metrics registry
  * (`fleet.*`, docs/TELEMETRY.md) and gated by bench_scale's
  * BENCH_fleet.json section.
  */
@@ -25,6 +26,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -74,7 +76,14 @@ struct IngestOutcome
 class FleetService
 {
   public:
-    explicit FleetService(FleetConfig config);
+    /**
+     * @p onArrival, when set, runs after every shard the service
+     * ingests, polled or pushed, still under the service lock: a
+     * window_summary that counts the shard is answered after it ran.
+     * The daemon retires its sessions over the spool there.
+     */
+    explicit FleetService(FleetConfig config,
+                          std::function<void()> onArrival = {});
     ~FleetService();
 
     FleetService(const FleetService &) = delete;
@@ -131,6 +140,7 @@ class FleetService
                  std::optional<std::uint64_t> timestampMs);
 
     FleetConfig config_;
+    std::function<void()> onArrival_;
     AlertSink sink_;
     CorpusWatcher watcher_;
 

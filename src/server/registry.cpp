@@ -1,9 +1,9 @@
 /**
  * @file
  * SessionRegistry implementation (src/server/registry.h): open-once
- * semantics via per-entry once_flags, ref-counted handles, and
- * idle/LRU eviction, with "server.sessions.*" metrics in the global
- * registry.
+ * semantics via per-entry once_flags, ref-counted handles, idle/LRU
+ * eviction and per-path retirement, with "server.sessions.*" metrics
+ * in the global registry.
  */
 
 #include "src/server/registry.h"
@@ -27,15 +27,22 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-/** Canonical registry key: resolved path plus the component filter. */
+/** @p path resolved, so every spelling of one corpus path agrees. */
 std::string
-sessionKey(const std::string &path,
-           const std::vector<std::string> &components)
+canonicalPath(const std::string &path)
 {
     std::error_code ec;
     const std::filesystem::path canonical =
         std::filesystem::weakly_canonical(path, ec);
-    std::string key = ec ? path : canonical.string();
+    return ec ? path : canonical.string();
+}
+
+/** Registry key: the canonical path plus the component filter. */
+std::string
+sessionKey(const std::string &canonical,
+           const std::vector<std::string> &components)
+{
+    std::string key = canonical;
     for (const std::string &component : components) {
         key.push_back('\x1f'); // unit separator, not valid in globs
         key += component;
@@ -49,6 +56,7 @@ sessionKey(const std::string &path,
 struct SessionRegistry::Entry
 {
     std::string key;
+    std::string path; //!< Canonical corpus path (what retire() matches).
     std::once_flag openOnce;
     std::shared_ptr<CorpusSession> session; //!< Null until opened.
     /** Set when the open failed (the entry is then a tombstone). */
@@ -85,17 +93,6 @@ CorpusSession::cacheResponse(const Digest &key,
     }
 }
 
-void
-CorpusSession::absorbShard(const TraceCorpus &corpus)
-{
-    const std::unique_lock<std::shared_mutex> lock(analysisMutex_);
-    analyzer_->addStreams(corpus);
-    const std::lock_guard<std::mutex> responseLock(responseMutex_);
-    responses_.clear();
-    responseOrder_.clear();
-    responseBytes_ = 0;
-}
-
 SessionRegistry::Handle::Handle(std::shared_ptr<Entry> entry,
                                 std::shared_ptr<CorpusSession> session,
                                 SessionRegistry *registry)
@@ -129,7 +126,8 @@ Expected<SessionRegistry::Handle>
 SessionRegistry::acquire(const std::string &path,
                          const std::vector<std::string> &components)
 {
-    const std::string key = sessionKey(path, components);
+    const std::string canonical = canonicalPath(path);
+    const std::string key = sessionKey(canonical, components);
 
     std::shared_ptr<Entry> entry;
     bool fresh = false;
@@ -139,6 +137,7 @@ SessionRegistry::acquire(const std::string &path,
         if (inserted) {
             it->second = std::make_shared<Entry>();
             it->second->key = key;
+            it->second->path = canonical;
             fresh = true;
         }
         entry = it->second;
@@ -267,6 +266,44 @@ SessionRegistry::enforceCapacityLocked()
     }
 }
 
+template <typename Doomed>
+std::size_t
+SessionRegistry::evictIf(const char *why, Doomed &&doomed)
+{
+    // Released after the lock: the last reference frees an Analyzer.
+    std::vector<std::shared_ptr<Entry>> dropped;
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+        if (doomed(*it->second)) {
+            TL_LOG(Debug, "session registry: ", why, " ",
+                   it->second->key);
+            dropped.push_back(std::move(it->second));
+            it = sessions_.erase(it);
+        } else {
+            ++it;
+        }
+    }
+    if (!dropped.empty()) {
+        evicted_.fetch_add(dropped.size(), std::memory_order_relaxed);
+        MetricsRegistry::global()
+            .counter("server.sessions.evicted")
+            .add(dropped.size());
+        MetricsRegistry::global()
+            .gauge("server.sessions.open")
+            .set(static_cast<double>(sessions_.size()));
+    }
+    return dropped.size();
+}
+
+std::size_t
+SessionRegistry::retire(const std::string &path)
+{
+    const std::string canonical = canonicalPath(path);
+    return evictIf("retiring", [&](const Entry &entry) {
+        return entry.path == canonical;
+    });
+}
+
 std::size_t
 SessionRegistry::evictIdle()
 {
@@ -274,51 +311,19 @@ SessionRegistry::evictIdle()
     const Clock::rep horizon =
         std::chrono::duration_cast<Clock::duration>(config_.idleTimeout)
             .count();
-
-    std::size_t evicted = 0;
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-        Entry &entry = *it->second;
-        const bool idle =
-            entry.active.load(std::memory_order_acquire) == 0 &&
-            now - entry.lastUsed.load(std::memory_order_relaxed) >=
-                horizon;
-        if (idle) {
-            TL_LOG(Debug, "session registry: idle-evicting ",
-                   entry.key);
-            it = sessions_.erase(it);
-            ++evicted;
-        } else {
-            ++it;
-        }
-    }
-    if (evicted > 0) {
-        evicted_.fetch_add(evicted, std::memory_order_relaxed);
-        MetricsRegistry::global()
-            .counter("server.sessions.evicted")
-            .add(evicted);
-        MetricsRegistry::global()
-            .gauge("server.sessions.open")
-            .set(static_cast<double>(sessions_.size()));
-    }
-    return evicted;
+    return evictIf("idle-evicting", [&](const Entry &entry) {
+        return entry.active.load(std::memory_order_acquire) == 0 &&
+               now - entry.lastUsed.load(std::memory_order_relaxed) >=
+                   horizon;
+    });
 }
 
 std::size_t
 SessionRegistry::evictAll()
 {
-    std::size_t evicted = 0;
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-        if (it->second->active.load(std::memory_order_acquire) == 0) {
-            it = sessions_.erase(it);
-            ++evicted;
-        } else {
-            ++it;
-        }
-    }
-    evicted_.fetch_add(evicted, std::memory_order_relaxed);
-    return evicted;
+    return evictIf("evicting", [](const Entry &entry) {
+        return entry.active.load(std::memory_order_acquire) == 0;
+    });
 }
 
 RegistryStats

@@ -3,9 +3,10 @@
  * Session registry of the analysis service: the layer that keeps
  * corpora *warm* between requests.
  *
- * A session owns the state of one corpus: the TraceSource, the
- * Analyzer with the results it keeps, and a byte-bounded response
- * cache keyed by digests of (method, params).
+ * A session owns the state of one corpus as it was when the session
+ * opened: the TraceSource, the Analyzer with the results it keeps,
+ * and a byte-bounded response cache keyed by digests of (method,
+ * params). Nothing in a session changes after the open.
  * The registry maps a (corpus path, component filter) pair to an open
  * session with
  *
@@ -16,12 +17,16 @@
  *    under a running analysis;
  *  - idle eviction: sessions with no active handle and no use for
  *    idleTimeout are dropped (the shared_ptr keeps late handles
- *    safe), and maxSessions bounds the resident set LRU-style.
+ *    safe), and maxSessions bounds the resident set LRU-style;
+ *  - retirement: when the corpus at a path changes (a shard arrives
+ *    in a watched spool), retire() drops every session over that
+ *    path, whatever its filter. A request already holding one keeps
+ *    it; the next request opens a fresh session over the new corpus.
  *
- * Thread-safety: acquire()/evictIdle()/stats() may be called from any
- * thread. A *session's* Analyzer is safe for concurrent analyze calls
- * (it builds each kept result once); the TraceSource is only touched
- * during the single-threaded open.
+ * Thread-safety: acquire()/retire()/evictIdle()/stats() may be called
+ * from any thread. A *session's* Analyzer is safe for concurrent
+ * analyze calls (it builds each kept result once); the TraceSource is
+ * only touched during the single-threaded open.
  */
 
 #ifndef TRACELENS_SERVER_REGISTRY_H
@@ -33,7 +38,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -98,8 +102,7 @@ class CorpusSession
     /**
      * Response cache: rendered responses keyed by a digest of
      * (method, params). The session fixes the corpus and the
-     * component filter, and absorbShard() empties the cache, so a
-     * repeated query on an unchanged corpus is answered without
+     * component filter, so a repeated query is answered without
      * re-entering the pipeline at all. Past kMaxCachedResponseBytes,
      * the oldest-inserted answers are evicted first.
      */
@@ -108,25 +111,6 @@ class CorpusSession
     void cacheResponse(const Digest &key,
                        std::shared_ptr<const std::string> line);
 
-    /**
-     * Absorb a pushed shard into the warm Analyzer and empty the
-     * response cache, whose answers no longer match (continuous
-     * mode's `ingest_push`). Takes the exclusive side of
-     * analysisLock() for the brief append.
-     */
-    void absorbShard(const TraceCorpus &corpus);
-
-    /**
-     * Shared lock a request handler holds while it reads the warm
-     * Analyzer and the response cache; absorbShard() excludes them
-     * while it grows the corpus, so no answer rendered before a push
-     * is stored after it. Plain analyze traffic only ever shares.
-     */
-    std::shared_lock<std::shared_mutex> analysisLock() const
-    {
-        return std::shared_lock<std::shared_mutex>(analysisMutex_);
-    }
-
   private:
     friend class SessionRegistry;
 
@@ -134,9 +118,6 @@ class CorpusSession
     std::unique_ptr<TraceSource> source_;
     std::unique_ptr<Analyzer> analyzer_;
     SessionIngestInfo ingest_;
-
-    /** Readers = analysis handlers; writer = absorbShard(). */
-    mutable std::shared_mutex analysisMutex_;
 
     mutable std::mutex responseMutex_;
     std::unordered_map<Digest, std::shared_ptr<const std::string>,
@@ -155,7 +136,7 @@ struct RegistryStats
     std::size_t activeHandles = 0;  //!< Outstanding request pins.
     std::uint64_t opened = 0;       //!< Sessions ever opened.
     std::uint64_t reused = 0;       //!< acquire() hits on a warm session.
-    std::uint64_t evicted = 0;      //!< Idle / LRU evictions.
+    std::uint64_t evicted = 0;      //!< Idle / LRU / retire drops.
     std::uint64_t openFailures = 0; //!< Opens that failed.
 };
 
@@ -222,6 +203,14 @@ class SessionRegistry
                              const std::vector<std::string> &components =
                                  {});
 
+    /**
+     * Drop every session over @p path, under any component filter,
+     * active or not: the corpus there changed. Handles already held
+     * keep their session; the next acquire() opens a fresh one.
+     * Returns the number dropped (counted as evictions).
+     */
+    std::size_t retire(const std::string &path);
+
     /** Evict inactive sessions idle beyond the timeout; returns the
      *  number evicted. Cheap — callable from a housekeeping tick. */
     std::size_t evictIdle();
@@ -236,6 +225,11 @@ class SessionRegistry
   private:
     /** Evict oldest inactive sessions until <= maxSessions remain. */
     void enforceCapacityLocked();
+
+    /** Drop every session @p doomed selects, counting each as an
+     *  eviction; returns how many it dropped. */
+    template <typename Doomed>
+    std::size_t evictIf(const char *why, Doomed &&doomed);
 
     RegistryConfig config_;
 

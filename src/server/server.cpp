@@ -21,7 +21,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
-#include <shared_mutex>
 #include <utility>
 #include <vector>
 
@@ -95,9 +94,14 @@ stringParam(const JsonValue &params, std::string_view key)
     return value.asString();
 }
 
+/**
+ * Number param @p key in [@p lo, @p hi], or @p fallback when absent.
+ * Every number a handler casts to an integer type reads through here,
+ * so no cast sees a value its type cannot hold.
+ */
 double
 numberParamOr(const JsonValue &params, std::string_view key,
-              double fallback)
+              double fallback, std::uint64_t lo, std::uint64_t hi)
 {
     const JsonValue *value = params.find(key);
     if (value == nullptr)
@@ -106,7 +110,26 @@ numberParamOr(const JsonValue &params, std::string_view key,
         failRequest(ErrorCode::BadRequest,
                     "param \"" + std::string(key) +
                         "\" must be a finite number");
-    return value->asNumber();
+    const double number = value->asNumber();
+    if (number < static_cast<double>(lo) ||
+        number > static_cast<double>(hi))
+        failRequest(ErrorCode::BadRequest,
+                    "param \"" + std::string(key) + "\" must be in [" +
+                        std::to_string(lo) + ", " + std::to_string(hi) +
+                        "]");
+    return number;
+}
+
+/** The largest threshold in ms that fromMs() turns into a DurationNs. */
+constexpr std::uint64_t kMaxThresholdMs = INT64_MAX / kMillisecond;
+
+/** A threshold param in ms, as nanoseconds. */
+DurationNs
+thresholdParamOr(const JsonValue &params, std::string_view key,
+                 double fallbackMs)
+{
+    return fromMs(
+        numberParamOr(params, key, fallbackMs, 0, kMaxThresholdMs));
 }
 
 bool
@@ -157,12 +180,8 @@ resolveThresholds(const JsonValue &params, const std::string &scenario,
             tSlow = spec.tSlow;
         }
     }
-    const double fastMs =
-        numberParamOr(params, "tfast_ms", toMs(tFast));
-    const double slowMs =
-        numberParamOr(params, "tslow_ms", toMs(tSlow));
-    tFast = fromMs(fastMs);
-    tSlow = fromMs(slowMs);
+    tFast = thresholdParamOr(params, "tfast_ms", toMs(tFast));
+    tSlow = thresholdParamOr(params, "tslow_ms", toMs(tSlow));
     if (tFast <= 0 || tSlow <= tFast) {
         failRequest(ErrorCode::BadRequest,
                     "need tfast_ms < tslow_ms (required for scenarios "
@@ -267,7 +286,11 @@ Server::start()
             fleetConfig.sentinel.scenarios.push_back(
                 {spec.name, spec.tFast, spec.tSlow});
         }
-        fleet_ = std::make_unique<FleetService>(fleetConfig);
+        // Every shard that reaches the windows, polled or pushed,
+        // changes the corpus under the spool's sessions.
+        fleet_ = std::make_unique<FleetService>(fleetConfig, [this] {
+            registry_.retire(config_.fleetWatchDir);
+        });
         fleet_->start();
     }
 
@@ -1296,19 +1319,16 @@ checkDeadline(const std::optional<Clock::time_point> &deadline)
 }
 
 /**
- * A cached method's answer for @p session. Under the session's shared
- * analysis lock, which excludes ingest_push's absorbShard (that empties
- * the cache), serve the answer stored under a digest of @p method and
- * @p params; else run @p render and store what it returns. The session
- * fixes the corpus and component filter, so nothing else keys it.
+ * A cached method's answer for @p session: the answer stored under a
+ * digest of @p method and @p params, else what @p render returns,
+ * stored. The session fixes the corpus and component filter, so
+ * nothing else keys it.
  */
 template <typename Render>
 std::string
 cachedAnswer(CorpusSession &session, Method method, const Digest &params,
              Render &&render)
 {
-    const std::shared_lock<std::shared_mutex> analysisLock =
-        session.analysisLock();
     Digest key;
     key.mix(methodName(method)).mix(params);
     if (auto cached = session.cachedResponse(key)) {
@@ -1331,11 +1351,8 @@ Server::handleAnalyze(const QueuedRequest &request)
     const std::string scenario = stringParam(params, "scenario");
     DurationNs tFast = 0, tSlow = 0;
     resolveThresholds(params, scenario, tFast, tSlow);
-    const double topRaw = numberParamOr(params, "top", 5.0);
-    if (topRaw < 0 || topRaw > 10000)
-        failRequest(ErrorCode::BadRequest,
-                    "param \"top\" must be in [0, 10000]");
-    const std::size_t top = static_cast<std::size_t>(topRaw);
+    const auto top = static_cast<std::size_t>(
+        numberParamOr(params, "top", 5, 0, 10000));
     const bool applyFilter =
         boolParamOr(params, "knowledge_filter", true);
     const std::vector<std::string> components =
@@ -1416,13 +1433,8 @@ Server::handleMine(const QueuedRequest &request)
     const std::string scenario = stringParam(params, "scenario");
     DurationNs tFast = 0, tSlow = 0;
     resolveThresholds(params, scenario, tFast, tSlow);
-    const double maxRaw =
-        numberParamOr(params, "max_patterns", 100.0);
-    if (maxRaw < 1 || maxRaw > 10000)
-        failRequest(ErrorCode::BadRequest,
-                    "param \"max_patterns\" must be in [1, 10000]");
-    const std::size_t maxPatterns =
-        static_cast<std::size_t>(maxRaw);
+    const auto maxPatterns = static_cast<std::size_t>(
+        numberParamOr(params, "max_patterns", 100, 1, 10000));
 
     Expected<SessionRegistry::Handle> session =
         registry_.acquire(corpusPath);
@@ -1492,10 +1504,7 @@ Server::handleSleep(const QueuedRequest &request)
     // deadline cooperatively — the determinism hook for the
     // backpressure and deadline tests and the load bench.
     const double ms =
-        numberParamOr(request.request.params, "ms", 10.0);
-    if (ms < 0 || ms > 60000)
-        failRequest(ErrorCode::BadRequest,
-                    "param \"ms\" must be in [0, 60000]");
+        numberParamOr(request.request.params, "ms", 10, 0, 60000);
     const auto until =
         Clock::now() +
         std::chrono::microseconds(static_cast<std::int64_t>(ms * 1e3));
@@ -1519,10 +1528,8 @@ Server::handleAnalyzePartial(const QueuedRequest &request)
     // Unlike `analyze`, the thresholds are mandatory: the coordinator
     // resolves catalog defaults once and ships explicit values so
     // every worker classifies identically.
-    const double fastMs = numberParamOr(params, "tfast_ms", 0.0);
-    const double slowMs = numberParamOr(params, "tslow_ms", 0.0);
-    const DurationNs tFast = fromMs(fastMs);
-    const DurationNs tSlow = fromMs(slowMs);
+    const DurationNs tFast = thresholdParamOr(params, "tfast_ms", 0.0);
+    const DurationNs tSlow = thresholdParamOr(params, "tslow_ms", 0.0);
     if (tFast <= 0 || tSlow <= tFast) {
         failRequest(ErrorCode::BadRequest,
                     "need 0 < tfast_ms < tslow_ms (partial requests "
@@ -1622,11 +1629,8 @@ Server::handleCoordAnalyze(const QueuedRequest &request)
     const std::string scenario = stringParam(params, "scenario");
     DurationNs tFast = 0, tSlow = 0;
     resolveThresholds(params, scenario, tFast, tSlow);
-    const double topRaw = numberParamOr(params, "top", 5.0);
-    if (topRaw < 0 || topRaw > 10000)
-        failRequest(ErrorCode::BadRequest,
-                    "param \"top\" must be in [0, 10000]");
-    const std::size_t top = static_cast<std::size_t>(topRaw);
+    const auto top = static_cast<std::size_t>(
+        numberParamOr(params, "top", 5, 0, 10000));
     const bool applyFilter =
         boolParamOr(params, "knowledge_filter", true);
     const std::vector<std::string> components =
@@ -1691,12 +1695,8 @@ Server::handleCoordMine(const QueuedRequest &request)
     const std::string scenario = stringParam(params, "scenario");
     DurationNs tFast = 0, tSlow = 0;
     resolveThresholds(params, scenario, tFast, tSlow);
-    const double maxRaw =
-        numberParamOr(params, "max_patterns", 100.0);
-    if (maxRaw < 1 || maxRaw > 10000)
-        failRequest(ErrorCode::BadRequest,
-                    "param \"max_patterns\" must be in [1, 10000]");
-    const std::size_t maxPatterns = static_cast<std::size_t>(maxRaw);
+    const auto maxPatterns = static_cast<std::size_t>(
+        numberParamOr(params, "max_patterns", 100, 1, 10000));
 
     ScenarioGather gather;
     if (auto error = coordinator_->gatherScenario(
@@ -1792,7 +1792,7 @@ Server::handleIngestPush(const QueuedRequest &request)
     // alerts for a newer pusher — same handshake contract as the
     // cluster's partial_revision.
     const auto pushed = static_cast<std::uint32_t>(
-        numberParamOr(params, "fleet_revision", 0));
+        numberParamOr(params, "fleet_revision", 0, 0, UINT32_MAX));
     if (pushed != fleetRevision()) {
         failRequest(ErrorCode::BadRequest,
                     "fleet revision mismatch: pusher has " +
@@ -1813,26 +1813,12 @@ Server::handleIngestPush(const QueuedRequest &request)
                     "payload is not a corpus shard: " +
                         corpus.error().render());
 
+    // At most what the windows can turn into nanoseconds.
     std::optional<std::uint64_t> timestampMs;
-    if (const JsonValue *stamp = params.find("timestamp_ms");
-        stamp != nullptr) {
-        if (!stamp->isNumber() || stamp->asNumber() < 0)
-            failRequest(ErrorCode::BadRequest,
-                        "param \"timestamp_ms\" must be a "
-                        "non-negative number");
-        timestampMs =
-            static_cast<std::uint64_t>(stamp->asNumber());
-    }
+    if (params.find("timestamp_ms") != nullptr)
+        timestampMs = static_cast<std::uint64_t>(numberParamOr(
+            params, "timestamp_ms", 0, 0, UINT64_MAX / kMillisecond));
     checkDeadline(request.deadline);
-
-    // Warm the spool session *before* the shard lands: a session
-    // opened now scans the spool without the new shard, so
-    // addStreams() below is the only path that adds it — never a
-    // directory rescan racing the rename. An acquire failure (e.g.
-    // an empty spool on the very first push) just means there is no
-    // warm session to extend yet.
-    Expected<SessionRegistry::Handle> session =
-        registry_.acquire(config_.fleetWatchDir);
 
     // Land the shard in the spool by the same rename-into-place
     // convention on-host writers use (docs/TRACE_FORMAT.md), so a
@@ -1863,11 +1849,8 @@ Server::handleIngestPush(const QueuedRequest &request)
                     "cannot finish shard rename: " + ec.message());
     }
 
-    // Extend the warm batch session in place; that empties its
-    // response cache, so no answer from before the push is served.
-    if (session)
-        session.value()->absorbShard(corpus.value());
-
+    // The ingest retires the sessions over the spool (see start()), so
+    // the next request over it opens one that holds this shard.
     const IngestOutcome outcome = fleet_->ingest(
         name, std::move(corpus.value()), timestampMs);
 
@@ -1902,18 +1885,22 @@ Server::handleWindowSummary(const QueuedRequest &request)
                         "\"all\", or a window id");
         windowsSel = sel->asString();
     }
+    std::uint64_t windowId = 0;
+    const char *selEnd = windowsSel.data() + windowsSel.size();
+    const auto [idEnd, idError] =
+        std::from_chars(windowsSel.data(), selEnd, windowId);
+    const bool isWindowId = idError == std::errc{} && idEnd == selEnd;
     if (!windowsSel.empty() && windowsSel != "current" &&
-        windowsSel != "all" &&
-        windowsSel.find_first_not_of("0123456789") !=
-            std::string::npos) {
+        windowsSel != "all" && !isWindowId) {
         failRequest(ErrorCode::BadRequest,
                     "param \"windows\" must be \"current\", "
                     "\"all\", or a window id");
     }
+    // A ring holds at most --max-windows (100,000) windows.
     const auto trailing = static_cast<std::size_t>(
-        numberParamOr(params, "trailing", 0));
+        numberParamOr(params, "trailing", 0, 0, 100000));
     const auto top = static_cast<std::size_t>(
-        numberParamOr(params, "top", 5));
+        numberParamOr(params, "top", 5, 0, 10000));
     const bool applyFilter =
         boolParamOr(params, "knowledge_filter", true);
 
@@ -1930,10 +1917,12 @@ Server::handleAlerts(const QueuedRequest &request)
     checkDeadline(request.deadline);
     const JsonValue &params = request.request.params;
 
+    // Sequence numbers past 2^53 are not exact JSON numbers; a
+    // long-poll waits at most an hour.
     const auto afterSeq = static_cast<std::uint64_t>(
-        numberParamOr(params, "after_seq", 0));
+        numberParamOr(params, "after_seq", 0, 0, std::uint64_t{1} << 53));
     auto waitMs = static_cast<std::uint64_t>(
-        numberParamOr(params, "wait_ms", 0));
+        numberParamOr(params, "wait_ms", 0, 0, 3600000));
     if (waitMs != 0 && request.deadline) {
         // The long-poll must resolve inside the request deadline or
         // the client times out with nothing.

@@ -387,7 +387,11 @@ class Server
     SessionRegistry registry_;
     /** Present only in coordinator mode (config_.coordinator). */
     std::unique_ptr<Coordinator> coordinator_;
-    /** Present only in fleet mode (config_.fleetWatchDir). */
+    /**
+     * Present only in fleet mode (config_.fleetWatchDir). Declared
+     * after registry_, which its poll thread retires sessions in, so
+     * it stops first.
+     */
     std::unique_ptr<FleetService> fleet_;
 
     int listenFd_ = -1;

@@ -19,7 +19,6 @@
 #include "src/core/report.h"
 #include "src/impact/impact.h"
 #include "src/trace/builder.h"
-#include "src/trace/merge.h"
 #include "src/trace/serialize.h"
 #include "src/trace/source.h"
 #include "src/waitgraph/waitgraph.h"
@@ -243,23 +242,6 @@ TEST(ComponentImpact, AnalyzerSplitMatchesTheReferenceWalk)
         }
     }
     std::filesystem::remove_all(dir);
-}
-
-TEST(ComponentImpact, AnalyzerSplitFollowsAddStreams)
-{
-    CorpusSpec spec;
-    spec.machines = 6;
-    spec.seed = 13;
-    const TraceCorpus corpus = generateCorpus(spec);
-    const std::vector<TraceCorpus> parts = splitCorpus(corpus, 2);
-    ASSERT_EQ(parts.size(), 2u);
-
-    EagerSource source(parts[0]);
-    Analyzer analyzer(source);
-    expectSameSplit(analyzer.impactByComponent(),
-                    referenceSplit(parts[0]));
-    analyzer.addStreams(parts[1]);
-    expectSameSplit(analyzer.impactByComponent(), referenceSplit(corpus));
 }
 
 TEST(Report, ContainsAllSections)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the incremental analysis pipeline: appending shards must
- * build only the new shard's wait graphs and still produce
- * byte-identical reports. The per-class folds use per-instance
- * summaries that are computed once per instance, counted by the
- * Analyzer's process-wide analyzer.* counters.
+ * Tests for the Analyzer's kept results: reports are byte-identical
+ * at every thread count and across concurrent Analyzers, and the
+ * per-class folds use per-instance summaries that are computed once
+ * per instance, counted by the Analyzer's process-wide analyzer.*
+ * counters.
  */
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 
 #include "src/core/analyzer.h"
 #include "src/core/report.h"
-#include "src/trace/merge.h"
 #include "src/trace/source.h"
 #include "src/util/telemetry.h"
 #include "src/workload/generator.h"
@@ -135,85 +134,6 @@ copiesOf(const Analyzer &analyzer, const std::vector<std::uint32_t> &members)
     for (std::uint32_t i : members)
         subset.push_back(analyzer.graphs()[i]);
     return subset;
-}
-
-/** Merge of parts[0..count) in order, as the analyzer would absorb. */
-TraceCorpus
-mergedPrefix(const std::vector<TraceCorpus> &parts, std::size_t count)
-{
-    TraceCorpus merged;
-    for (std::size_t i = 0; i < count; ++i)
-        appendCorpus(merged, parts[i]);
-    return merged;
-}
-
-TEST(Incremental, AppendRebuildsOnlyTheNewShard)
-{
-    const TraceCorpus corpus = generateCorpus(smallSpec());
-    const std::vector<TraceCorpus> parts = splitCorpus(corpus, 4);
-    ASSERT_EQ(parts.size(), 4u);
-
-    for (const unsigned threads : {1u, 3u}) {
-        AnalyzerConfig config;
-        config.threads = threads;
-
-        // Three shards in, full report out: each shard's wait graphs
-        // built once.
-        const std::uint64_t base = counted("analyzer.graph_builds");
-        EagerSource first(parts[0]);
-        Analyzer analyzer(first, config);
-        analyzer.addStreams(parts[1]);
-        analyzer.addStreams(parts[2]);
-        ASSERT_EQ(analyzer.shardCount(), 3u);
-        const std::string r1 = reportOf(analyzer);
-        std::uint64_t builds = counted("analyzer.graph_builds") - base;
-        EXPECT_EQ(builds, 3u);
-
-        // The cold equivalent of the three-shard state.
-        const TraceCorpus merged3 = mergedPrefix(parts, 3);
-        EagerSource cold3_source(merged3);
-        Analyzer cold3(cold3_source, config);
-        EXPECT_EQ(reportOf(cold3), r1);
-
-        // Appending the fourth shard invalidates only the suffix:
-        // the three prefix shards' graphs are kept, and only the new
-        // shard's are built.
-        const std::uint64_t before = counted("analyzer.graph_builds");
-        analyzer.addStreams(parts[3]);
-        const std::string r2 = reportOf(analyzer);
-        builds += counted("analyzer.graph_builds") - before;
-        EXPECT_EQ(builds, 4u);
-
-        // Byte-identical to a cold full analysis of all four parts.
-        const TraceCorpus merged4 = mergedPrefix(parts, 4);
-        EagerSource cold4_source(merged4);
-        Analyzer cold4(cold4_source, config);
-        EXPECT_EQ(reportOf(cold4), r2);
-    }
-}
-
-TEST(Incremental, AppendKeepsPrefixGraphs)
-{
-    const TraceCorpus corpus = generateCorpus(smallSpec());
-    const std::vector<TraceCorpus> parts = splitCorpus(corpus, 2);
-    ASSERT_EQ(parts.size(), 2u);
-
-    const std::uint64_t base = counted("analyzer.graph_builds");
-    EagerSource first(parts[0]);
-    Analyzer analyzer(first);
-    std::vector<const WaitGraph::Node *> before;
-    for (const WaitGraph &graph : analyzer.graphs())
-        before.push_back(graph.nodes().data());
-    ASSERT_FALSE(before.empty());
-
-    analyzer.addStreams(parts[1]);
-    const std::vector<WaitGraph> &after = analyzer.graphs();
-    ASSERT_GT(after.size(), before.size());
-    // Every prefix graph still owns the node storage it was built
-    // into: moved along, neither rebuilt nor copied.
-    for (std::size_t i = 0; i < before.size(); ++i)
-        EXPECT_EQ(after[i].nodes().data(), before[i]) << "graph " << i;
-    EXPECT_EQ(counted("analyzer.graph_builds") - base, 2u);
 }
 
 TEST(Incremental, SerialAndParallelReportsAreIdentical)

@@ -428,8 +428,6 @@ TEST(MiningOracle, AnswersDoNotDependOnQueryHistory)
     EagerSource source_ab(merged), source_ba(merged);
     const Analyzer ab(source_ab, config);
     const Analyzer ba(source_ba, config);
-    EagerSource first(parts[0]);
-    Analyzer grown(first, config);
 
     for (std::uint32_t scenario = 0; scenario < merged.scenarioCount();
          ++scenario) {
@@ -453,31 +451,6 @@ TEST(MiningOracle, AnswersDoNotDependOnQueryHistory)
         EXPECT_EQ(answerOf(ab, name, b_fast, b_slow), want_b);
         EXPECT_EQ(answerOf(ba, name, b_fast, b_slow), want_b);
         EXPECT_EQ(answerOf(ba, name, a_fast, a_slow), want_a);
-    }
-
-    // The third analyzer grows its tries on a prefix of the corpus,
-    // then takes the remaining shards and answers over the whole.
-    for (std::size_t part = 1; part < parts.size(); ++part) {
-        for (std::uint32_t scenario = 0;
-             scenario < grown.corpus().scenarioCount(); ++scenario) {
-            const auto pairs = thresholdPairs(grown.corpus(), scenario);
-            if (!pairs.empty())
-                (void)grown.analyzeScenario(
-                    grown.corpus().scenarioName(scenario),
-                    pairs.back().first, pairs.back().second);
-        }
-        grown.addStreams(parts[part]);
-    }
-    for (std::uint32_t scenario = 0; scenario < merged.scenarioCount();
-         ++scenario) {
-        const std::string &name = merged.scenarioName(scenario);
-        SCOPED_TRACE(name);
-        for (const auto &[t_fast, t_slow] : thresholdPairs(merged, scenario)) {
-            EagerSource source(merged);
-            const Analyzer fresh(source, config);
-            EXPECT_EQ(answerOf(grown, name, t_fast, t_slow),
-                      answerOf(fresh, name, t_fast, t_slow));
-        }
     }
 }
 

@@ -4,8 +4,9 @@
  * against hostile input (malformed params, unknown methods, oversized
  * and half-closed connections, clients vanishing mid-response), the
  * refusal of the retired JSON-line protocol v1, backpressure and
- * deadline behaviour, the session registry's leak-freedom and its
- * bounded response cache, warm-query serving from the results the
+ * deadline behaviour, out-of-range numeric params, the session
+ * registry's leak-freedom, its bounded response cache and per-path
+ * retirement, warm-query serving from the results the
  * Analyzer keeps (asserted via stage-span outcomes), and graceful
  * drain. Frame-level corruption and multiplexing live in
  * tests/protocol2_test.cpp; this file drives the daemon through the
@@ -14,9 +15,12 @@
  * both sanitizers (ctest --preset asan-server / tsan-server).
  */
 
+#include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -24,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/partial.h"
+#include "src/fleet/fleet.h"
 #include "src/server/client.h"
 #include "src/server/protocol.h"
 #include "src/server/server.h"
@@ -552,7 +558,7 @@ TEST_F(ServerTest, RegistryEvictionSurvivesConcurrentHandleChurn)
     EXPECT_EQ(registry.stats().openSessions, 0u);
 }
 
-TEST_F(ServerTest, ResponseCacheIsBoundedAndEmptiedByAbsorb)
+TEST_F(ServerTest, ResponseCacheIsBoundedAndRetireDropsOnlyThatPath)
 {
     SessionRegistry registry;
     Expected<SessionRegistry::Handle> handle = registry.acquire(corpusPath_);
@@ -580,13 +586,236 @@ TEST_F(ServerTest, ResponseCacheIsBoundedAndEmptiedByAbsorb)
     ASSERT_NE(session.cachedResponse(newest), nullptr);
     EXPECT_EQ(session.cachedResponse(newest)->size(), kSmall);
 
-    // A pushed shard changes the corpus: no stored answer is served.
+    // A second filter over the same path, and another path.
+    const std::string otherPath = (scratch_->path() / "other.tlc").string();
     CorpusSpec spec;
     spec.machines = 2;
     spec.seed = 7;
-    session.absorbShard(generateCorpus(spec));
-    EXPECT_EQ(session.cachedResponse(big), nullptr);
-    EXPECT_EQ(session.cachedResponse(newest), nullptr);
+    writeCorpusFile(generateCorpus(spec), otherPath);
+    ASSERT_TRUE(registry.acquire(corpusPath_, {"*.sys"}).ok());
+    ASSERT_TRUE(registry.acquire(otherPath).ok());
+    ASSERT_EQ(registry.stats().openSessions, 3u);
+
+    // Retiring the path drops its sessions under every filter, the
+    // held one too, and counts each as an eviction.
+    const Counter &opened =
+        MetricsRegistry::global().counter("server.sessions.opened");
+    const std::uint64_t openedBefore = opened.value();
+    const std::uint64_t evictedBefore = registry.stats().evicted;
+    EXPECT_EQ(registry.retire(corpusPath_), 2u);
+    EXPECT_EQ(registry.stats().openSessions, 1u);
+    EXPECT_EQ(registry.stats().evicted - evictedBefore, 2u);
+
+    // The held handle keeps its session, which still answers.
+    ASSERT_NE(session.cachedResponse(newest), nullptr);
+    EXPECT_GT(session.analyzer().impactAll().instances, 0u);
+
+    // The next acquire opens a fresh session over the path; the other
+    // path's session is reused.
+    Expected<SessionRegistry::Handle> fresh = registry.acquire(corpusPath_);
+    ASSERT_TRUE(fresh.ok()) << fresh.error().render();
+    EXPECT_NE(&*fresh.value(), &session);
+    EXPECT_EQ(fresh.value()->cachedResponse(newest), nullptr);
+    ASSERT_TRUE(registry.acquire(otherPath).ok());
+    EXPECT_EQ(opened.value() - openedBefore, 1u);
+}
+
+TEST_F(ServerTest, SpoolArrivalsRetireSessionsUnderConcurrentQueries)
+{
+    const std::filesystem::path spool = scratch_->path() / "spool";
+    std::filesystem::create_directories(spool);
+    auto shardBytes = [](std::uint64_t seed) {
+        CorpusSpec spec;
+        spec.machines = 2;
+        spec.seed = seed;
+        std::ostringstream out;
+        writeCorpus(generateCorpus(spec), out);
+        return out.str();
+    };
+    // Written aside and renamed in, the poll thread's convention.
+    auto landShard = [&](const std::string &name, std::uint64_t seed) {
+        const std::filesystem::path staged = scratch_->path() / name;
+        std::ofstream(staged, std::ios::binary) << shardBytes(seed);
+        std::filesystem::rename(staged, spool / name);
+    };
+    landShard("shard-0000.tlc", 1);
+
+    ServerConfig config;
+    config.workers = 4;
+    config.fleetWatchDir = spool.string();
+    config.fleetPollMs = 10;
+    startServer(config);
+    Session control = connect();
+    auto summary = [&] {
+        WindowSummaryRequest request;
+        request.scenario = "BrowserTabCreate";
+        request.windows = "all";
+        Expected<Response> response =
+            control.call(Method::WindowSummary, request.toParams());
+        EXPECT_TRUE(response.ok() && response.value().ok);
+        return response.ok() ? response.value().result : JsonValue();
+    };
+    auto waitForShards = [&](double shards) {
+        for (int tick = 0; tick < 3000; ++tick) {
+            const JsonValue got = summary();
+            const JsonValue *count = got.find("shards");
+            if (count != nullptr && count->asNumber() == shards)
+                return;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        ADD_FAILURE() << "the windows never held " << shards << " shards";
+    };
+    waitForShards(1);
+
+    // Readers query the spool, unfiltered and filtered, while shards
+    // arrive by push and by poll and retire the sessions they use.
+    constexpr int kReaders = 3;
+    std::atomic<bool> done{false};
+    std::vector<int> failures(kReaders, 0);
+    std::vector<std::thread> readers;
+    for (int c = 0; c < kReaders; ++c) {
+        readers.emplace_back([&, c] {
+            Session session = connect();
+            for (int r = 0; !done.load(); ++r) {
+                AnalyzeRequest analyze;
+                analyze.corpus = spool.string();
+                analyze.scenario = "BrowserTabCreate";
+                if ((r + c) % 2 == 1)
+                    analyze.components = {"*.sys"};
+                IngestRequest ingest;
+                ingest.corpus = spool.string();
+                Expected<Response> response =
+                    r % 3 == 2 ? session.ingest(ingest)
+                               : session.analyze(analyze);
+                if (!response.ok() || !response.value().ok)
+                    ++failures[static_cast<std::size_t>(c)];
+            }
+        });
+    }
+    for (std::uint64_t i = 1; i <= 4; ++i) {
+        const std::string name = "shard-000" + std::to_string(i) + ".tlc";
+        if (i % 2 == 1) {
+            IngestPushRequest push;
+            push.name = name;
+            push.payloadBase64 = base64Encode(shardBytes(i + 1));
+            push.fleetRevision = fleetRevision();
+            Expected<Response> pushed =
+                control.call(Method::IngestPush, push.toParams());
+            if (!pushed.ok() || !pushed.value().ok) {
+                ADD_FAILURE() << "push of " << name << " failed";
+                break; // the readers still have to be joined
+            }
+        } else {
+            landShard(name, i + 1);
+        }
+        waitForShards(static_cast<double>(i + 1));
+    }
+    done.store(true);
+    for (std::thread &t : readers)
+        t.join();
+    for (int c = 0; c < kReaders; ++c)
+        EXPECT_EQ(failures[static_cast<std::size_t>(c)], 0)
+            << "reader " << c;
+
+    // Every session over the spool now answers for all five shards.
+    const JsonValue all = summary();
+    const JsonValue *rolling = all.find("summary");
+    ASSERT_NE(rolling, nullptr);
+    for (const std::vector<std::string> &components :
+         {std::vector<std::string>{}, std::vector<std::string>{"*.sys"}}) {
+        AnalyzeRequest analyze;
+        analyze.corpus = spool.string();
+        analyze.scenario = "BrowserTabCreate";
+        analyze.components = components;
+        Expected<Response> answer = control.analyze(analyze);
+        ASSERT_TRUE(answer.ok() && answer.value().ok);
+        EXPECT_EQ(answer.value().result.render(), rolling->render());
+    }
+    IngestRequest ingest;
+    ingest.corpus = spool.string();
+    Expected<Response> counted = control.ingest(ingest);
+    ASSERT_TRUE(counted.ok() && counted.value().ok);
+    const JsonValue *shards = counted.value().result.find("shards");
+    ASSERT_NE(shards, nullptr);
+    EXPECT_EQ(shards->asNumber(), 5.0);
+}
+
+TEST_F(ServerTest, OutOfRangeNumbersAnswerBadRequest)
+{
+    ServerConfig config;
+    config.fleetWatchDir = (scratch_->path() / "spool").string();
+    std::filesystem::create_directories(config.fleetWatchDir);
+    startServer(config);
+    std::optional<RawV2> v2 = handshake();
+    ASSERT_TRUE(v2.has_value());
+
+    // A shard that parses, so ingest_push reaches its timestamp.
+    CorpusSpec spec;
+    spec.machines = 1;
+    spec.seed = 7;
+    std::ostringstream shard;
+    writeCorpus(generateCorpus(spec), shard);
+    const std::string push =
+        R"({"name":"shard-0001.tlc","fleet_revision":)" +
+        std::to_string(fleetRevision()) + R"(,"payload":")" +
+        base64Encode(shard.str()) + R"(","timestamp_ms":)";
+    const std::string analyze =
+        R"({"corpus":")" + corpusPath_ + R"(","scenario":"FileOpen",)";
+    const std::string summary = R"({"scenario":"FileOpen",)";
+
+    // Each value is outside what its integer type holds (the window id
+    // overflows 64 bits). The frames carry no deadline, so no deadline
+    // clamps `wait_ms`.
+    const std::vector<std::pair<Method, std::string>> hostile = {
+        {Method::WindowSummary, summary + R"("top":-1})"},
+        {Method::WindowSummary, summary + R"("top":1e300})"},
+        {Method::WindowSummary, summary + R"("trailing":-1})"},
+        {Method::WindowSummary, summary + R"("trailing":1e300})"},
+        {Method::WindowSummary,
+         summary + R"("windows":"12345678901234567890123"})"},
+        {Method::WindowSummary, summary + R"("tslow_ms":1e300})"},
+        {Method::Alerts, R"({"after_seq":-1})"},
+        {Method::Alerts, R"({"after_seq":1e300})"},
+        {Method::Alerts, R"({"wait_ms":-1})"},
+        {Method::Alerts, R"({"wait_ms":1e300})"},
+        {Method::IngestPush,
+         R"({"name":"shard-0001.tlc","fleet_revision":-1,"payload":"AAAA"})"},
+        {Method::IngestPush,
+         R"({"name":"shard-0001.tlc","fleet_revision":1e300,)"
+         R"("payload":"AAAA"})"},
+        {Method::IngestPush, push + "1e300}"},
+        {Method::IngestPush, push + "-1}"},
+        {Method::Analyze, analyze + R"("tfast_ms":1e300})"},
+        {Method::Analyze, analyze + R"("tslow_ms":1e300})"},
+        {Method::Analyze, analyze + R"("tslow_ms":-1e300})"},
+        {Method::Analyze, analyze + R"("top":-1})"},
+        {Method::Mine, analyze + R"("max_patterns":1e300})"},
+        {Method::AnalyzePartial,
+         analyze + R"("tfast_ms":100,"tslow_ms":1e300})"},
+        {Method::AnalyzePartial,
+         analyze + R"("tfast_ms":-1e300,"tslow_ms":100})"},
+    };
+    std::uint32_t stream = 1;
+    for (const auto &[method, params] : hostile) {
+        const std::string shown = params.substr(0, 120);
+        ASSERT_TRUE(sendRawRequest(*v2, stream, methodWireByte(method),
+                                   {}, params));
+        std::optional<RawResponse> reply = readResponse(*v2, stream);
+        ASSERT_TRUE(reply.has_value()) << shown;
+        EXPECT_TRUE(reply->isError) << shown;
+        EXPECT_EQ(parseErrorObject(reply->body).code,
+                  ErrorCode::BadRequest)
+            << methodName(method) << " " << shown;
+        stream += 2;
+    }
+    EXPECT_FALSE(std::filesystem::exists(
+        std::filesystem::path(config.fleetWatchDir) / "shard-0001.tlc"));
+
+    ASSERT_TRUE(sendRequestFrame(*v2, stream, Method::Health,
+                                 JsonValue::makeObject()));
+    std::optional<RawResponse> health = readResponse(*v2, stream);
+    ASSERT_TRUE(health.has_value());
+    EXPECT_FALSE(health->isError);
 }
 
 TEST(ServerUtil, ParseHostPort)
