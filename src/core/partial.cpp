@@ -393,6 +393,18 @@ ScenarioPartial::remapFrames(SymbolTable &symbols)
 }
 
 void
+ScenarioFold::add(ScenarioPartial &partial)
+{
+    partial.remapFrames(symbols);
+    classes.merge(partial.classes);
+    partial.slowImpact.rebaseStreams(streams);
+    slowImpact.merge(partial.slowImpact);
+    awgFast.merge(partial.awgFast);
+    awgSlow.merge(partial.awgSlow);
+    streams += partial.streamCount;
+}
+
+void
 ImpactPartial::rebaseStreams(std::uint32_t base)
 {
     all.rebaseStreams(base);

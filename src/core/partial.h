@@ -232,6 +232,27 @@ struct ScenarioPartial
 };
 
 /**
+ * The shard-order gather fold over scenario partials: the coordinator
+ * runs it over its workers' answers, the fleet windows over their
+ * cached shard partials. Adding every shard of a corpus in shard order
+ * gives the bytes of a single-node analysis of that corpus, which is
+ * the byte-identity contract of cluster and rolling-window answers.
+ */
+struct ScenarioFold
+{
+    SymbolTable symbols; //!< Global frame table, shard-order interned.
+    PartialClasses classes;
+    PartialImpact slowImpact;
+    PartialAwg awgFast;
+    PartialAwg awgSlow;
+    /** Streams folded so far: the next shard's EventRef base. */
+    std::uint32_t streams = 0;
+
+    /** Fold the next shard's @p partial, rewriting it in place. */
+    void add(ScenarioPartial &partial);
+};
+
+/**
  * One shard's corpus-wide impact partial (the `impact_partial`
  * payload): the "all" accumulator plus per-scenario accumulators keyed
  * by scenario *name* (names are global; ids are shard-local).

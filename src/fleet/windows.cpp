@@ -187,31 +187,23 @@ WindowedAnalyzer::summarize(const std::vector<std::uint64_t> &windowIds,
               });
     out.shards = selected.size();
 
-    // The coordinator's gather fold (Coordinator::gatherScenario),
-    // run locally over cached partials.
-    PartialClasses classes;
-    PartialImpact slowImpact;
-    PartialAwg awgFast;
-    PartialAwg awgSlow;
-    std::uint32_t streams = 0;
+    // The coordinator's gather fold, run locally over cached partials.
+    ScenarioFold fold;
     for (const ShardEntry *entry : selected) {
         ScenarioPartial partial =
             shardPartial(*entry, scenario, tFast, tSlow);
         if (entry->corpus.findScenario(scenario) != UINT32_MAX)
             out.scenarioFound = true;
-        partial.remapFrames(out.symbols);
-        classes.merge(partial.classes);
-        partial.slowImpact.rebaseStreams(streams);
-        slowImpact.merge(partial.slowImpact);
-        awgFast.merge(partial.awgFast);
-        awgSlow.merge(partial.awgSlow);
-        streams += partial.streamCount;
+        fold.add(partial);
     }
 
-    const ImpactResult impact = slowImpact.finalize();
-    const AggregatedWaitGraph fast = std::move(awgFast).finalize(true);
-    const AggregatedWaitGraph slow = std::move(awgSlow).finalize(true);
-    out.summary = summarizeScenario(scenario, tFast, tSlow, classes,
+    const ImpactResult impact = fold.slowImpact.finalize();
+    const AggregatedWaitGraph fast =
+        std::move(fold.awgFast).finalize(true);
+    const AggregatedWaitGraph slow =
+        std::move(fold.awgSlow).finalize(true);
+    out.symbols = std::move(fold.symbols);
+    out.summary = summarizeScenario(scenario, tFast, tSlow, fold.classes,
                                     impact, fast, slow, out.symbols,
                                     top, applyKnowledgeFilter);
     return out;

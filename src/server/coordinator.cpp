@@ -574,7 +574,6 @@ Coordinator::gatherScenario(
         return error;
 
     // Fold in global shard order — the byte-identity contract.
-    std::uint32_t streams = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
         if (!results[i])
             continue;
@@ -592,13 +591,7 @@ Coordinator::gatherScenario(
             found != nullptr && found->isBool() && found->asBool())
             out.scenarioFound = true;
 
-        partial.remapFrames(out.symbols);
-        out.classes.merge(partial.classes);
-        partial.slowImpact.rebaseStreams(streams);
-        out.slowImpact.merge(partial.slowImpact);
-        out.awgFast.merge(partial.awgFast);
-        out.awgSlow.merge(partial.awgSlow);
-        streams += partial.streamCount;
+        out.add(partial);
     }
 
     if (!out.scenarioFound && !out.report.degraded()) {

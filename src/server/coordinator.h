@@ -134,13 +134,8 @@ struct GatherError
 };
 
 /** Merged scenario gather (the analyze/mine coordinator state). */
-struct ScenarioGather
+struct ScenarioGather : ScenarioFold
 {
-    SymbolTable symbols; //!< Global frame table, shard-order interned.
-    PartialClasses classes;
-    PartialImpact slowImpact;
-    PartialAwg awgFast;
-    PartialAwg awgSlow;
     bool scenarioFound = false;
     GatherReport report;
 };

@@ -268,28 +268,11 @@ Server::start()
         coordinator_ = std::make_unique<Coordinator>(coordConfig);
     }
 
-    if (!config_.fleetWatchDir.empty()) {
-        FleetConfig fleetConfig;
-        fleetConfig.dir = config_.fleetWatchDir;
-        fleetConfig.windowMs = config_.fleetWindowMs;
-        fleetConfig.maxWindows = config_.fleetMaxWindows;
-        fleetConfig.pollMs = config_.fleetPollMs;
-        fleetConfig.alertsPath = config_.fleetAlertsPath;
-        fleetConfig.sentinel.baselineWindows =
-            config_.fleetBaselineWindows;
-        for (const ScenarioSpec &spec : scenarioCatalog()) {
-            if (!config_.fleetScenarios.empty() &&
-                std::find(config_.fleetScenarios.begin(),
-                          config_.fleetScenarios.end(),
-                          spec.name) == config_.fleetScenarios.end())
-                continue;
-            fleetConfig.sentinel.scenarios.push_back(
-                {spec.name, spec.tFast, spec.tSlow});
-        }
+    if (!config_.fleet.dir.empty()) {
         // Every shard that reaches the windows, polled or pushed,
         // changes the corpus under the spool's sessions.
-        fleet_ = std::make_unique<FleetService>(fleetConfig, [this] {
-            registry_.retire(config_.fleetWatchDir);
+        fleet_ = std::make_unique<FleetService>(config_.fleet, [this] {
+            registry_.retire(config_.fleet.dir);
         });
         fleet_->start();
     }
@@ -1824,7 +1807,7 @@ Server::handleIngestPush(const QueuedRequest &request)
     // convention on-host writers use (docs/TRACE_FORMAT.md), so a
     // daemon restart replays it from disk.
     namespace fs = std::filesystem;
-    const fs::path dir(config_.fleetWatchDir);
+    const fs::path dir(config_.fleet.dir);
     std::error_code ec;
     fs::create_directories(dir, ec);
     const fs::path staged = dir / ("." + name + ".tmp");

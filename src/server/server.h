@@ -105,9 +105,6 @@ struct ServerConfig
      * metrics registry as text format 0.0.4 over plain HTTP.
      */
     std::string metricsListen;
-    /** Write the metrics listener's bound port here (ephemeral-port
-     *  discovery for scripts, CLI --metrics-port-file). */
-    std::string metricsPortFile;
     /** Log completed requests slower than this at warn level
      *  (CLI --slow-request-ms); 0 = off. */
     std::uint64_t slowRequestMs = 0;
@@ -121,24 +118,12 @@ struct ServerConfig
     RegistryConfig registry;
     /**
      * Continuous fleet mode (CLI: `tracelens serve --watch DIR`,
-     * docs/FLEET.md): watch DIR for renamed-into-place shards, serve
-     * ingest_push / window_summary / alerts, and run the regression
-     * sentinel. Empty = fleet methods answer BadRequest.
+     * docs/FLEET.md): watch fleet.dir for renamed-into-place shards,
+     * serve ingest_push / window_summary / alerts, and run the
+     * regression sentinel over fleet.sentinel.scenarios. An empty
+     * fleet.dir = off, and fleet methods answer BadRequest.
      */
-    std::string fleetWatchDir;
-    /** Window width (--window-ms). */
-    std::uint64_t fleetWindowMs = 60000;
-    /** Bounded window ring (--max-windows). */
-    std::size_t fleetMaxWindows = 8;
-    /** Spool poll interval (--poll-ms). */
-    std::uint64_t fleetPollMs = 200;
-    /** Sentinel baseline width in windows (--baseline-windows). */
-    std::size_t fleetBaselineWindows = 3;
-    /** Watched scenarios (--watch-scenario, repeatable; empty = the
-     *  full catalog). */
-    std::vector<std::string> fleetScenarios;
-    /** Alert JSONL sink (--alerts-out); empty = in-memory only. */
-    std::string fleetAlertsPath;
+    FleetConfig fleet;
 };
 
 /** Point-in-time server counters (the `stats` method's source). */
@@ -388,7 +373,7 @@ class Server
     /** Present only in coordinator mode (config_.coordinator). */
     std::unique_ptr<Coordinator> coordinator_;
     /**
-     * Present only in fleet mode (config_.fleetWatchDir). Declared
+     * Present only in fleet mode (config_.fleet.dir). Declared
      * after registry_, which its poll thread retires sessions in, so
      * it stops first.
      */

@@ -210,44 +210,6 @@ jsonEscape(std::string_view text)
 
 } // namespace
 
-std::string
-MetricsRegistry::renderJson() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::ostringstream counters, gauges, histograms;
-    bool firstCounter = true, firstGauge = true, firstHistogram = true;
-    for (const auto &[name, cell] : cells_) {
-        if (cell.counter != nullptr) {
-            counters << (firstCounter ? "" : ",") << "\n    \""
-                     << jsonEscape(name)
-                     << "\": " << cell.counter->value();
-            firstCounter = false;
-        }
-        if (cell.gauge != nullptr) {
-            gauges << (firstGauge ? "" : ",") << "\n    \""
-                   << jsonEscape(name) << "\": "
-                   << cell.gauge->value();
-            firstGauge = false;
-        }
-        if (cell.histogram != nullptr) {
-            const Histogram &h = *cell.histogram;
-            histograms << (firstHistogram ? "" : ",") << "\n    \""
-                       << jsonEscape(name) << "\": {\"count\": "
-                       << h.count() << ", \"sum\": " << h.sum()
-                       << ", \"max\": " << h.max()
-                       << ", \"p50\": " << h.percentile(0.50)
-                       << ", \"p95\": " << h.percentile(0.95)
-                       << ", \"p99\": " << h.percentile(0.99) << "}";
-            firstHistogram = false;
-        }
-    }
-    std::ostringstream out;
-    out << "{\n  \"counters\": {" << counters.str() << "\n  },\n"
-        << "  \"gauges\": {" << gauges.str() << "\n  },\n"
-        << "  \"histograms\": {" << histograms.str() << "\n  }\n}\n";
-    return out.str();
-}
-
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
@@ -864,17 +826,6 @@ Telemetry::currentContext()
     if (buffer.activeSpans.size() > scope.depth)
         context.parentSpanId = buffer.activeSpans.back();
     return context;
-}
-
-bool
-Telemetry::writeMetricsJson(const std::string &path)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return false;
-    const std::string json = MetricsRegistry::global().renderJson();
-    out.write(json.data(), static_cast<std::streamsize>(json.size()));
-    return static_cast<bool>(out);
 }
 
 } // namespace tracelens

@@ -15,10 +15,10 @@
  *    directly in Perfetto / chrome://tracing as a flame view of the
  *    ingest -> wait-graph -> impact -> AWG -> mining pipeline.
  *  - Metrics: a registry of named counters, gauges, and log-scale
- *    histograms (p50/p95/p99), dumpable as JSON (CLI: --metrics-out
- *    FILE). Components count into the process-wide registry
- *    (MetricsRegistry::global()), which the daemon's `metrics` method
- *    and Prometheus listener expose while it runs.
+ *    histograms (p50/p95/p99). Components count into the
+ *    process-wide registry (MetricsRegistry::global()); its
+ *    snapshot() is what --metrics-out FILE writes and the daemon's
+ *    `metrics` method and Prometheus listener expose.
  *
  * Overhead contract: span recording is off by default; a disabled
  * Span costs one relaxed atomic load. Enabled recording appends to a
@@ -221,13 +221,6 @@ class MetricsRegistry
 
     /** The counter named @p name, or nullptr if never created. */
     const Counter *findCounter(std::string_view name) const;
-
-    /**
-     * JSON snapshot: {"counters": {...}, "gauges": {...},
-     * "histograms": {name: {count, sum, max, p50, p95, p99}}},
-     * keys sorted.
-     */
-    std::string renderJson() const;
 
     /** Detached copy of every metric, names ascending. */
     MetricsSnapshot snapshot() const;
@@ -441,9 +434,6 @@ class Telemetry
 
     /** Write renderChromeTrace() to @p path; false on I/O failure. */
     static bool writeChromeTrace(const std::string &path);
-
-    /** Write the global metrics registry's JSON to @p path. */
-    static bool writeMetricsJson(const std::string &path);
 
     /**
      * The wall-clock time (unix microseconds) of the process's

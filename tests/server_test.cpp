@@ -642,8 +642,8 @@ TEST_F(ServerTest, SpoolArrivalsRetireSessionsUnderConcurrentQueries)
 
     ServerConfig config;
     config.workers = 4;
-    config.fleetWatchDir = spool.string();
-    config.fleetPollMs = 10;
+    config.fleet.dir = spool.string();
+    config.fleet.pollMs = 10;
     startServer(config);
     Session control = connect();
     auto summary = [&] {
@@ -743,8 +743,8 @@ TEST_F(ServerTest, SpoolArrivalsRetireSessionsUnderConcurrentQueries)
 TEST_F(ServerTest, OutOfRangeNumbersAnswerBadRequest)
 {
     ServerConfig config;
-    config.fleetWatchDir = (scratch_->path() / "spool").string();
-    std::filesystem::create_directories(config.fleetWatchDir);
+    config.fleet.dir = (scratch_->path() / "spool").string();
+    std::filesystem::create_directories(config.fleet.dir);
     startServer(config);
     std::optional<RawV2> v2 = handshake();
     ASSERT_TRUE(v2.has_value());
@@ -809,7 +809,7 @@ TEST_F(ServerTest, OutOfRangeNumbersAnswerBadRequest)
         stream += 2;
     }
     EXPECT_FALSE(std::filesystem::exists(
-        std::filesystem::path(config.fleetWatchDir) / "shard-0001.tlc"));
+        std::filesystem::path(config.fleet.dir) / "shard-0001.tlc"));
 
     ASSERT_TRUE(sendRequestFrame(*v2, stream, Method::Health,
                                  JsonValue::makeObject()));

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/server/protocol.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/telemetry.h"
@@ -337,8 +338,11 @@ TEST(TelemetryRegistry, RenderJsonIsValidAndComplete)
     for (std::uint64_t v = 1; v <= 100; ++v)
         h.record(v);
 
+    // The shape --metrics-out writes and the `metrics` method answers.
     JsonValue root;
-    ASSERT_TRUE(JsonParser(registry.renderJson()).parse(root));
+    ASSERT_TRUE(JsonParser(server::metricsSnapshotJson(registry.snapshot())
+                               .render())
+                    .parse(root));
     ASSERT_EQ(root.kind, JsonValue::Kind::Object);
 
     const JsonValue *counters = root.find("counters");
@@ -355,9 +359,18 @@ TEST(TelemetryRegistry, RenderJsonIsValidAndComplete)
     const JsonValue *hist = histograms->find("a.hist");
     ASSERT_NE(hist, nullptr);
     EXPECT_DOUBLE_EQ(hist->find("count")->number, 100.0);
-    ASSERT_NE(hist->find("p50"), nullptr);
-    ASSERT_NE(hist->find("p95"), nullptr);
-    ASSERT_NE(hist->find("p99"), nullptr);
+    EXPECT_DOUBLE_EQ(hist->find("sum")->number, 5050.0);
+    EXPECT_DOUBLE_EQ(hist->find("max")->number, 100.0);
+    // [index, occupancy] pairs that account for every recorded value.
+    const JsonValue *buckets = hist->find("buckets");
+    ASSERT_NE(buckets, nullptr);
+    ASSERT_EQ(buckets->kind, JsonValue::Kind::Array);
+    double recorded = 0.0;
+    for (const JsonValue &pair : buckets->array) {
+        ASSERT_EQ(pair.array.size(), 2u);
+        recorded += pair.array[1].number;
+    }
+    EXPECT_DOUBLE_EQ(recorded, 100.0);
 }
 
 // ---------------------------------------------------------------- spans
@@ -579,7 +592,7 @@ TEST_F(TelemetryTest, ConcurrentRecordingAndFlushIsRaceFree)
         for (int i = 0; i < 20; ++i) {
             (void)Telemetry::renderChromeTrace();
             (void)Telemetry::spanCount();
-            (void)MetricsRegistry::global().renderJson();
+            (void)MetricsRegistry::global().snapshot();
         }
     });
     for (std::thread &thread : threads)

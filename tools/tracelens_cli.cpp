@@ -2,58 +2,14 @@
  * @file
  * tracelens — command-line front end for the TraceLens pipeline.
  *
- * Subcommands:
- *   generate   --out PATH [--machines N] [--seed S] [--scenario NAME]
- *              [--shards N]
- *              Synthesize a corpus; write one corpus file, or with
- *              --shards > 1 a directory of shard files. Fleet knobs
- *              (--encrypted-fraction F, --hdd-fraction F,
- *              --stressed-fraction F) tilt the machine mix; --drip DIR
- *              --interval-ms N feeds shards into a spool one by one by
- *              the rename-into-place convention (live-ingestion demo).
- *   ingest     PATH
- *              Ingestion summary: per-scenario instance counts and
- *              mean durations, shard counts, skipped shards and
- *              throughput.
- *   validate   PATH
- *              Structural validation report (shard by shard).
- *   impact     PATH [--components GLOB]...
- *              Corpus-wide + per-scenario impact analysis.
- *   analyze    PATH --scenario NAME [--tfast MS] [--tslow MS]
- *              [--top N] [--no-knowledge-filter]
- *              Causality analysis with ranked patterns.
- *   dump       PATH [--stream N] [--max N]
- *              Human-readable event dump of one stream.
- *   export-csv PATH --events OUT --instances OUT
- *   import-csv --events IN --instances IN --out FILE
- *   serve      --listen HOST:PORT [...]
- *              Long-running analysis daemon (docs/SERVER.md): keeps
- *              corpora and analyses warm, answers concurrent clients
- *              over protocol v2 (multiplexed binary frames).
- *   query      METHOD --connect HOST:PORT [--params JSON]
- *              One request against a running daemon; prints the
- *              result JSON (--field KEY prints just that field).
- *   watch      DIR [--scenario NAME]... [--window-ms N] [...]
- *              Continuous mode without a daemon (docs/FLEET.md):
- *              poll DIR for renamed-into-place shards, bucket them
- *              into rolling windows, and print regression alerts as
- *              JSON lines as the sentinel emits them.
- *   version    Build info plus format/protocol revisions (--version).
- *
- * Every PATH that names a corpus accepts either a single .tlc file or
- * a directory of shards; corrupt shards inside a directory are
- * reported and skipped, never fatal.
- *
- * Self-telemetry flags, valid for every subcommand (docs/TELEMETRY.md):
- *   --trace-out FILE    Record pipeline spans and write them as Chrome
- *                       trace_event JSON (load in Perfetto).
- *   --metrics-out FILE  Write the process-wide metrics registry
- *                       (counters/gauges/histograms) as JSON.
- *   --log-level LEVEL   debug|info|warn|error|off (default info).
+ * Each command declares its flags in one table (kCommands, at the
+ * end); the parser, the value checks and `tracelens [CMD] --help` all
+ * read it.
  */
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <charconv>
 #include <chrono>
 #include <csignal>
@@ -65,8 +21,11 @@
 #include <map>
 #include <sstream>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/analyzer.h"
@@ -95,178 +54,335 @@ namespace
 
 using namespace tracelens;
 
-/** Minimal flag parser: positional args plus --name value pairs. */
-class Args
+// ----------------------------------------------------------- flag tables
+
+/** What a flag takes; the parser checks it before a command runs. */
+enum Kind
 {
-  public:
-    Args(int argc, char **argv, int start)
-    {
-        for (int i = start; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg.rfind("--", 0) == 0) {
-                const std::string name = arg.substr(2);
-                if (i + 1 < argc &&
-                    std::string(argv[i + 1]).rfind("--", 0) != 0) {
-                    flags_[name].push_back(argv[++i]);
-                } else {
-                    flags_[name].push_back(""); // boolean flag
-                }
-            } else {
-                positional_.push_back(arg);
-            }
-        }
-    }
-
-    std::optional<std::string>
-    flag(const std::string &name) const
-    {
-        auto it = flags_.find(name);
-        if (it == flags_.end() || it->second.empty())
-            return std::nullopt;
-        return it->second.front();
-    }
-
-    std::vector<std::string>
-    flagAll(const std::string &name) const
-    {
-        auto it = flags_.find(name);
-        return it == flags_.end() ? std::vector<std::string>{}
-                                  : it->second;
-    }
-
-    bool has(const std::string &name) const
-    {
-        return flags_.count(name) > 0;
-    }
-
-    const std::vector<std::string> &positional() const
-    {
-        return positional_;
-    }
-
-  private:
-    std::map<std::string, std::vector<std::string>> flags_;
-    std::vector<std::string> positional_;
+    Switch,   //!< No value.
+    Text,     //!< A non-empty string.
+    Texts,    //!< A non-empty string; the flag may repeat.
+    Unsigned, //!< An integer in [min, max].
+    Number,   //!< A finite number in [0, 1e12].
+    Fraction, //!< A number in [0, 1].
 };
 
-int
-usage()
+/** One row of a flag table: the flag, its value and its line of help. */
+struct Flag
 {
-    std::cerr
-        << "usage:\n"
-           "  tracelens generate --out PATH [--machines N] [--seed S]"
-           " [--scenario NAME] [--shards N] [--compress]\n"
-           "      [--encrypted-fraction F] [--hdd-fraction F]"
-           " [--stressed-fraction F]\n"
-           "      [--drip DIR --interval-ms N]   (spool feed via"
-           " rename-into-place)\n"
-           "  tracelens ingest PATH\n"
-           "  tracelens validate PATH\n"
-           "  tracelens impact PATH [--components GLOB]..."
-           " [--threads N]\n"
-           "  tracelens analyze PATH --scenario NAME [--tfast MS]"
-           " [--tslow MS] [--top N] [--no-knowledge-filter]"
-           " [--threads N]\n"
-           "  tracelens thresholds PATH [--scenario NAME]\n"
-           "  tracelens report PATH [--top N] [--html OUT]"
-           " [--no-knowledge-filter] [--threads N]\n"
-           "  tracelens diff BEFORE AFTER --scenario NAME"
-           " [--tfast MS] [--tslow MS] [--threads N]\n"
-           "  tracelens dump PATH [--stream N] [--max N]\n"
-           "  tracelens export-csv PATH --events OUT --instances OUT\n"
-           "  tracelens import-csv --events IN --instances IN --out "
-           "FILE\n"
-           "  tracelens serve --listen HOST:PORT [--workers N]"
-           " [--max-inflight N]\n"
-           "      [--default-deadline-ms N] [--max-line-bytes N]"
-           " [--analysis-threads N]\n"
-           "      [--max-sessions N] [--idle-timeout-s N]"
-           " [--port-file FILE]\n"
-           "      [--coordinator --cluster-workers HOST:PORT,...]"
-           " [--shard-deadline-ms N]\n"
-           "      [--metrics-listen HOST:PORT]"
-           " [--metrics-port-file FILE]\n"
-           "      [--slow-request-ms N] [--self-trace-corpus DIR]\n"
-           "      [--flight-recorder N]"
-           " (see docs/SERVER.md, docs/TELEMETRY.md)\n"
-           "      [--watch DIR] [--window-ms N] [--max-windows N]"
-           " [--poll-ms N]\n"
-           "      [--baseline-windows N] [--watch-scenario NAME]..."
-           " [--alerts-out FILE]\n"
-           "      (continuous mode, docs/FLEET.md)\n"
-           "  tracelens query METHOD --connect HOST:PORT"
-           " [--params JSON]\n"
-           "      [--deadline-ms N] [--timeout-ms N]"
-           " [--wire-stats]\n"
-           "      [--no-trace] [--field KEY] [--params-file FILE]\n"
-           "  tracelens watch DIR [--scenario NAME]..."
-           " [--window-ms N] [--max-windows N]\n"
-           "      [--poll-ms N] [--baseline-windows N]"
-           " [--alerts-out FILE] [--max-ticks N]\n"
-           "      (continuous mode without a daemon, docs/FLEET.md)\n"
-           "  tracelens cluster-status --connect HOST:PORT"
-           " [--timeout-ms N] [--metrics]\n"
-           "  tracelens cluster-trace --connect HOST:PORT --out FILE"
-           " [--timeout-ms N]\n"
-           "  tracelens version   (also --version)\n"
-           "\nPATH is a .tlc corpus file or a directory of shards.\n"
-           "--threads 0 (default) uses every hardware thread; 1 runs "
-           "serially.\nEvery command accepts "
-           "--trace-out FILE (self-telemetry spans as\nChrome "
-           "trace_event JSON, Perfetto-loadable), --metrics-out FILE\n"
-           "(counters/gauges/histograms as JSON) and --log-level "
-           "LEVEL\n(debug|info|warn|error|off; default info).\n"
-           "Analysis results are identical for every thread count.\n";
-    return 2;
+    const char *name;  //!< Without the leading "--".
+    Kind kind;
+    const char *value; //!< The value's placeholder in help, e.g. "FILE".
+    const char *help;
+    std::uint64_t min = 0; //!< Bounds of an Unsigned value.
+    std::uint64_t max = 0;
+    bool required = false;
+};
+
+Flag
+required(Flag flag)
+{
+    flag.required = true;
+    return flag;
 }
+
+/** @p flags followed by the shared @p group. */
+std::vector<Flag>
+join(std::vector<Flag> flags, const std::vector<Flag> &group)
+{
+    flags.insert(flags.end(), group.begin(), group.end());
+    return flags;
+}
+
+/** Flags every command takes. */
+const std::vector<Flag> kGlobalFlags = {
+    {"trace-out", Text, "FILE", "write this run's spans as Chrome JSON"},
+    {"metrics-out", Text, "FILE", "write the metrics registry as JSON"},
+    {"log-level", Text, "LEVEL", "debug|info|warn|error|off (default info)"},
+    {"help", Switch, "", "print this help"},
+};
+
+/** The analyzer's flag. */
+const std::vector<Flag> kAnalyzerFlags = {
+    {"threads", Unsigned, "N", "analysis threads; 0 (default) = all cores",
+     0, 1024},
+};
+
+/** Continuous-mode settings `serve --watch` and `watch` share. */
+const std::vector<Flag> kFleetFlags = {
+    {"window-ms", Unsigned, "N", "window width (default 60000)", 1,
+     86'400'000},
+    {"max-windows", Unsigned, "N", "windows kept (default 8)", 1, 100'000},
+    {"poll-ms", Unsigned, "N", "spool poll interval (default 200)", 1,
+     3'600'000},
+    {"baseline-windows", Unsigned, "N",
+     "windows in the sentinel's baseline (default 3)", 0, 100'000},
+    {"alerts-out", Text, "FILE", "append alerts to this JSONL file"},
+};
+
+class Flags;
+
+/** One command: its operands, its flag table and what runs it. */
+struct Command
+{
+    const char *name;
+    const char *operands; //!< Positional arguments, e.g. "PATH".
+    const char *summary;
+    std::vector<Flag> flags;
+    int (*run)(const Flags &);
+};
+
+const Flag *
+findFlag(const std::vector<Flag> &table, std::string_view name)
+{
+    auto it = std::ranges::find_if(
+        table, [&](const Flag &flag) { return name == flag.name; });
+    return it == table.end() ? nullptr : &*it;
+}
+
+/** The problem with @p text as @p flag's value, or nullopt; a valid
+ *  number is stored through @p count / @p number. */
+std::optional<std::string>
+checkValue(const Flag &flag, std::string_view text, std::uint64_t &count,
+           double &number)
+{
+    const char *end = text.data() + text.size();
+    const std::string got = ", got '" + std::string(text) + "'";
+    if (flag.kind == Unsigned) {
+        const auto [ptr, ec] = std::from_chars(text.data(), end, count);
+        if (ec != std::errc() || ptr != end || count < flag.min ||
+            count > flag.max) {
+            return "--" + std::string(flag.name) +
+                   " expects an integer in [" + std::to_string(flag.min) +
+                   ", " + std::to_string(flag.max) + "]" + got;
+        }
+    } else if (flag.kind == Number || flag.kind == Fraction) {
+        const bool fraction = flag.kind == Fraction;
+        const auto [ptr, ec] = std::from_chars(text.data(), end, number);
+        if (ec != std::errc() || ptr != end || !(number >= 0.0) ||
+            number > (fraction ? 1.0 : 1e12)) {
+            return "--" + std::string(flag.name) +
+                   (fraction ? " expects a fraction in [0, 1]"
+                             : " expects a non-negative number") +
+                   got;
+        }
+    }
+    return std::nullopt;
+}
+
+/** A command line read against one command's flag table. */
+class Flags
+{
+  public:
+    explicit Flags(const Command &command) : command_(command) {}
+
+    /**
+     * Read @p args. A switch never takes the next argument and every
+     * other flag always does. Returns the first problem: an unknown
+     * flag, a missing or bad value, a second copy of a flag that does
+     * not repeat, a missing or extra operand, a missing required flag.
+     */
+    std::optional<std::string>
+    parse(std::span<char *const> args)
+    {
+        for (std::size_t i = 0; i < args.size(); ++i) {
+            const std::string_view arg = args[i];
+            if (!arg.starts_with("--")) {
+                operands_.emplace_back(arg);
+                continue;
+            }
+            const Flag *flag = findFlag(command_.flags, arg.substr(2));
+            if (flag == nullptr)
+                flag = findFlag(kGlobalFlags, arg.substr(2));
+            if (flag == nullptr)
+                return "unknown flag " + std::string(arg);
+            Value &value = values_[flag->name];
+            if (!value.texts.empty() && flag->kind != Texts)
+                return std::string(arg) + " given twice";
+            if (flag->kind == Switch) {
+                value.texts.emplace_back();
+                continue;
+            }
+            if (i + 1 == args.size() || *args[i + 1] == '\0')
+                return std::string(arg) + " expects " + flag->value;
+            value.texts.emplace_back(args[++i]);
+            if (auto problem = checkValue(*flag, args[i], value.count,
+                                          value.number))
+                return problem;
+        }
+        if (has("help"))
+            return std::nullopt;
+        const std::string_view operands = command_.operands;
+        const auto wanted = static_cast<std::size_t>(
+            operands.empty() ? 0 : std::ranges::count(operands, ' ') + 1);
+        if (operands_.size() != wanted) {
+            return operands_.size() < wanted
+                       ? "expects " + std::string(operands)
+                       : "unexpected argument '" + operands_[wanted] + "'";
+        }
+        for (const Flag &flag : command_.flags) {
+            if (flag.required && !has(flag.name))
+                return "--" + std::string(flag.name) + " " + flag.value +
+                       " is required";
+        }
+        return std::nullopt;
+    }
+
+    /** Report a usage problem on one line; returns the exit code, 2. */
+    int
+    fail(std::string_view problem) const
+    {
+        std::cerr << "tracelens " << command_.name << ": " << problem
+                  << " (see tracelens " << command_.name << " --help)\n";
+        return 2;
+    }
+
+    bool has(std::string_view name) const { return find(name) != nullptr; }
+
+    /** The value of a Text flag, if given. */
+    std::optional<std::string>
+    text(std::string_view name) const
+    {
+        const Value *value = find(name);
+        return value == nullptr ? std::nullopt
+                                : std::optional(value->texts.front());
+    }
+
+    /** Every value of a Texts flag, in command-line order. */
+    std::vector<std::string>
+    texts(std::string_view name) const
+    {
+        const Value *value = find(name);
+        return value == nullptr ? std::vector<std::string>{}
+                                : value->texts;
+    }
+
+    /** Set @p field to a numeric flag's value if it was given. */
+    template <typename T>
+    bool
+    read(std::string_view name, T &field) const
+    {
+        const Value *value = find(name);
+        if (value == nullptr)
+            return false;
+        if constexpr (std::is_floating_point_v<T>)
+            field = value->number;
+        else
+            field = static_cast<T>(value->count);
+        return true;
+    }
+
+    const std::vector<std::string> &operands() const { return operands_; }
+
+  private:
+    struct Value
+    {
+        std::vector<std::string> texts;
+        std::uint64_t count = 0;
+        double number = 0.0;
+    };
+
+    const Value *
+    find(std::string_view name) const
+    {
+        assert(findFlag(command_.flags, name) != nullptr ||
+               findFlag(kGlobalFlags, name) != nullptr);
+        auto it = values_.find(name);
+        return it == values_.end() ? nullptr : &it->second;
+    }
+
+    const Command &command_;
+    std::map<std::string, Value, std::less<>> values_;
+    std::vector<std::string> operands_;
+};
+
+// ------------------------------------------------------------------ help
+
+/** Print @p lead, then @p words separated by spaces, wrapping at 78
+ *  columns onto lines indented by @p indent. */
+void
+printWrapped(std::ostream &out, std::string_view lead,
+             const std::vector<std::string> &words, std::size_t indent)
+{
+    out << lead;
+    std::size_t column = lead.size();
+    for (std::size_t i = 0; i < words.size(); ++i) {
+        if (i != 0 && column + 1 + words[i].size() > 78) {
+            out << "\n" << std::string(indent, ' ');
+            column = indent;
+        } else if (i != 0) {
+            out << ' ';
+            ++column;
+        }
+        out << words[i];
+        column += words[i].size();
+    }
+    out << "\n";
+}
+
+std::vector<std::string>
+splitWords(const std::string &text)
+{
+    std::istringstream in(text);
+    std::vector<std::string> words;
+    for (std::string word; in >> word;)
+        words.push_back(word);
+    return words;
+}
+
+void
+printSynopsis(std::ostream &out, std::string_view lead,
+              const Command &command, std::size_t indent)
+{
+    std::vector<std::string> words = {"tracelens", command.name};
+    if (*command.operands != '\0')
+        words.emplace_back(command.operands);
+    for (const Flag &flag : command.flags) {
+        std::string word = "--" + std::string(flag.name);
+        if (flag.kind != Switch)
+            word += " " + std::string(flag.value);
+        if (!flag.required)
+            word = "[" + word + "]" + (flag.kind == Texts ? "..." : "");
+        words.push_back(std::move(word));
+    }
+    printWrapped(out, lead, words, indent);
+}
+
+void
+printFlags(std::ostream &out, const std::vector<Flag> &flags)
+{
+    for (const Flag &flag : flags) {
+        std::string left = "  --" + std::string(flag.name);
+        if (flag.kind != Switch)
+            left += " " + std::string(flag.value);
+        left.resize(std::max<std::size_t>(left.size() + 1, 27), ' ');
+        std::vector<std::string> words = splitWords(flag.help);
+        if (flag.kind == Unsigned) {
+            words.push_back("[" + std::to_string(flag.min) + ", " +
+                            std::to_string(flag.max) + "]");
+        }
+        printWrapped(out, left, words, 27);
+    }
+}
+
+void
+printHelp(std::ostream &out, const Command &command)
+{
+    printSynopsis(out, "usage: ", command, 6);
+    out << "\n";
+    printWrapped(out, "", splitWords(command.summary), 0);
+    if (!command.flags.empty()) {
+        out << "\nflags:\n";
+        printFlags(out, command.flags);
+    }
+    out << "\nglobal flags:\n";
+    printFlags(out, kGlobalFlags);
+}
+
+// -------------------------------------------------------------- commands
 
 /** Daemon/client version; format revisions print alongside it. */
 constexpr const char *kTracelensVersion = "0.6.0";
-
-/**
- * Parse an unsigned flag value in [0, @p max]; fatal (nonzero exit)
- * on anything else — no silent std::stoul truncation or throwing.
- */
-std::uint64_t
-parseUnsignedFlag(const char *flag, const std::string &value,
-                  std::uint64_t max)
-{
-    std::uint64_t parsed = 0;
-    const auto [ptr, ec] = std::from_chars(
-        value.data(), value.data() + value.size(), parsed);
-    if (ec != std::errc() || ptr != value.data() + value.size() ||
-        parsed > max) {
-        TL_FATAL(flag, " expects an integer in [0, ", max, "], got '",
-                 value, "'");
-    }
-    return parsed;
-}
-
-/** Parse a finite non-negative double flag value; fatal otherwise. */
-double
-parseDoubleFlag(const char *flag, const std::string &value)
-{
-    double parsed = 0.0;
-    const auto [ptr, ec] = std::from_chars(
-        value.data(), value.data() + value.size(), parsed);
-    if (ec != std::errc() || ptr != value.data() + value.size() ||
-        !(parsed >= 0.0) || parsed > 1e12) {
-        TL_FATAL(flag, " expects a non-negative number, got '", value,
-                 "'");
-    }
-    return parsed;
-}
-
-/** Parse a fraction flag in [0, 1]; fatal otherwise. */
-double
-parseFraction(const char *flag, const std::string &value)
-{
-    const double parsed = parseDoubleFlag(flag, value);
-    if (parsed > 1.0)
-        TL_FATAL(flag, " expects a fraction in [0, 1], got '", value,
-                 "'");
-    return parsed;
-}
 
 /** Open PATH as a TraceSource or die with the located error. */
 std::unique_ptr<TraceSource>
@@ -278,56 +394,41 @@ openSourceOrDie(const std::string &path)
     return std::move(source.value());
 }
 
-/**
- * Materialize the merged corpus. Corrupt shards are skipped with a
- * warning; a source with no usable shard at all is fatal (the
- * single-file case keeps its fail-loudly behavior).
- */
-const TraceCorpus &
-loadCorpus(TraceSource &source)
-{
-    const TraceCorpus &corpus = source.corpus();
-    const IngestStats &stats = source.stats();
-    if (stats.shards > 0 && stats.loadedShards == 0) {
-        TL_FATAL(stats.errors.empty()
-                     ? "no usable shards in source"
-                     : stats.errors.front().render());
-    }
-    return corpus;
-}
-
-/** Shared --threads flag: 0 = all hardware threads (the default). */
-unsigned
-threadsFlag(const Args &args)
-{
-    const auto v = args.flag("threads");
-    if (!v)
-        return 0;
-    unsigned threads = 0;
-    const auto [ptr, ec] =
-        std::from_chars(v->data(), v->data() + v->size(), threads);
-    if (ec != std::errc() || ptr != v->data() + v->size() ||
-        threads > 1024) {
-        TL_FATAL("--threads expects an integer in [0, 1024], got '",
-                 std::string(*v), "'");
-    }
-    return threads;
-}
-
-/** Shared analyzer flags: --threads. */
+/** The analyzer's configuration from its flags (kAnalyzerFlags). */
 AnalyzerConfig
-analyzerConfigFlag(const Args &args)
+analyzerConfig(const Flags &flags)
 {
     AnalyzerConfig config;
-    config.threads = threadsFlag(args);
+    flags.read("threads", config.threads);
+    return config;
+}
+
+/** The fleet settings (kFleetFlags) over spool @p dir, watching the
+ *  catalog scenarios in @p scenarios, or all of them if it is empty. */
+FleetConfig
+fleetConfig(const Flags &flags, std::string dir,
+            const std::vector<std::string> &scenarios)
+{
+    FleetConfig config;
+    config.dir = std::move(dir);
+    flags.read("window-ms", config.windowMs);
+    flags.read("max-windows", config.maxWindows);
+    flags.read("poll-ms", config.pollMs);
+    flags.read("baseline-windows", config.sentinel.baselineWindows);
+    config.alertsPath = flags.text("alerts-out").value_or("");
+    for (const ScenarioSpec &spec : scenarioCatalog()) {
+        if (scenarios.empty() ||
+            std::ranges::find(scenarios, spec.name) != scenarios.end())
+            config.sentinel.scenarios.push_back(
+                {spec.name, spec.tFast, spec.tSlow});
+    }
     return config;
 }
 
 /**
- * Post-ingestion check for analyzer commands: the analyzer ingests
- * shard by shard, skipping corrupt ones; a source with no usable
- * shard at all is fatal (the single-file case keeps its fail-loudly
- * behavior).
+ * Post-ingestion check: corrupt shards are skipped with a warning, but
+ * a source with no usable shard at all is fatal (the single-file case
+ * keeps its fail-loudly behavior).
  */
 void
 requireUsable(const TraceSource &source)
@@ -340,51 +441,42 @@ requireUsable(const TraceSource &source)
     }
 }
 
-int
-cmdGenerate(const Args &args)
+/** Materialize the merged corpus (see requireUsable). */
+const TraceCorpus &
+loadCorpus(TraceSource &source)
 {
-    const auto out = args.flag("out");
-    const auto drip = args.flag("drip");
+    const TraceCorpus &corpus = source.corpus();
+    requireUsable(source);
+    return corpus;
+}
+
+int
+cmdGenerate(const Flags &flags)
+{
+    const auto out = flags.text("out");
+    const auto drip = flags.text("drip");
     if (!out && !drip)
-        return usage();
+        return flags.fail("expects --out PATH or --drip DIR");
     CorpusSpec spec;
-    if (auto v = args.flag("machines")) {
-        spec.machines = static_cast<std::uint32_t>(
-            parseUnsignedFlag("--machines", *v, 10'000'000));
-    }
-    if (auto v = args.flag("seed"))
-        spec.seed = parseUnsignedFlag("--seed", *v, UINT64_MAX);
-    for (const std::string &name : args.flagAll("scenario"))
-        spec.onlyScenarios.push_back(name);
-    if (auto v = args.flag("encrypted-fraction")) {
-        spec.encryptedFraction =
-            parseFraction("--encrypted-fraction", *v);
-    }
-    if (auto v = args.flag("hdd-fraction"))
-        spec.hddFraction = parseFraction("--hdd-fraction", *v);
-    if (auto v = args.flag("stressed-fraction")) {
-        spec.stressedFraction =
-            parseFraction("--stressed-fraction", *v);
-    }
+    flags.read("machines", spec.machines);
+    flags.read("seed", spec.seed);
+    spec.onlyScenarios = flags.texts("scenario");
+    flags.read("encrypted-fraction", spec.encryptedFraction);
+    flags.read("hdd-fraction", spec.hddFraction);
+    flags.read("stressed-fraction", spec.stressedFraction);
 
     std::size_t shards = 1;
-    if (auto v = args.flag("shards"))
-        shards = parseUnsignedFlag("--shards", *v, 100'000);
+    flags.read("shards", shards);
     CorpusWriteOptions write;
-    write.compressEvents = args.has("compress");
+    write.compressEvents = flags.has("compress");
 
     if (drip) {
         // Live-ingestion feed: land each shard by the same
         // rename-into-place convention on-host writers use
         // (docs/TRACE_FORMAT.md), pacing by --interval-ms so a
         // watcher sees a realistic arrival stream.
-        if (drip->empty())
-            TL_FATAL("--drip expects a directory path");
         std::uint64_t intervalMs = 0;
-        if (auto v = args.flag("interval-ms")) {
-            intervalMs =
-                parseUnsignedFlag("--interval-ms", *v, 3'600'000);
-        }
+        flags.read("interval-ms", intervalMs);
         const std::vector<TraceCorpus> parts =
             generateShardedCorpus(spec, std::max<std::size_t>(shards, 1));
         namespace fs = std::filesystem;
@@ -431,13 +523,11 @@ cmdGenerate(const Args &args)
 }
 
 int
-cmdIngest(const Args &args)
+cmdIngest(const Flags &flags)
 {
-    if (args.positional().empty())
-        return usage();
     const auto start = std::chrono::steady_clock::now();
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0]);
+        openSourceOrDie(flags.operands()[0]);
 
     // Per-scenario instance tallies, one decoded shard at a time.
     std::map<std::string, std::pair<std::size_t, DurationNs>> scenarios;
@@ -484,12 +574,10 @@ cmdIngest(const Args &args)
 }
 
 int
-cmdValidate(const Args &args)
+cmdValidate(const Flags &flags)
 {
-    if (args.positional().empty())
-        return usage();
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0]);
+        openSourceOrDie(flags.operands()[0]);
     const ValidationReport report = validateSource(*source);
     std::cout << report.render() << "\n";
     return report.strayUnwaits == 0 && report.selfUnwaits == 0 &&
@@ -499,15 +587,13 @@ cmdValidate(const Args &args)
 }
 
 int
-cmdImpact(const Args &args)
+cmdImpact(const Flags &flags)
 {
-    if (args.positional().empty())
-        return usage();
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0]);
+        openSourceOrDie(flags.operands()[0]);
 
-    AnalyzerConfig config = analyzerConfigFlag(args);
-    const auto globs = args.flagAll("components");
+    AnalyzerConfig config = analyzerConfig(flags);
+    const auto globs = flags.texts("components");
     if (!globs.empty())
         config.components = globs;
     Analyzer analyzer(*source, config);
@@ -527,39 +613,50 @@ cmdImpact(const Args &args)
     return 0;
 }
 
-int
-cmdAnalyze(const Args &args)
+/** T_fast/T_slow of @p scenario: the catalog's, overridden by
+ *  --tfast/--tslow; false when that gives no valid pair. */
+bool
+scenarioThresholds(const Flags &flags, const std::string &scenario,
+                   DurationNs &t_fast, DurationNs &t_slow)
 {
-    const auto scenario = args.flag("scenario");
-    if (args.positional().empty() || !scenario)
-        return usage();
-    const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0]);
-
-    // Thresholds default to the catalog's when the scenario is known.
-    DurationNs t_fast = 0, t_slow = 0;
+    t_fast = 0;
+    t_slow = 0;
     for (const ScenarioSpec &spec : scenarioCatalog()) {
-        if (spec.name == *scenario) {
+        if (spec.name == scenario) {
             t_fast = spec.tFast;
             t_slow = spec.tSlow;
         }
     }
-    if (auto v = args.flag("tfast"))
-        t_fast = fromMs(parseDoubleFlag("--tfast", *v));
-    if (auto v = args.flag("tslow"))
-        t_slow = fromMs(parseDoubleFlag("--tslow", *v));
+    double ms = 0.0;
+    if (flags.read("tfast", ms))
+        t_fast = fromMs(ms);
+    if (flags.read("tslow", ms))
+        t_slow = fromMs(ms);
     if (t_fast <= 0 || t_slow <= t_fast) {
         TL_LOG(Error, "need --tfast/--tslow for unknown scenarios");
-        return 2;
+        return false;
     }
+    return true;
+}
 
-    Analyzer analyzer(*source, analyzerConfigFlag(args));
+int
+cmdAnalyze(const Flags &flags)
+{
+    const std::string scenario = *flags.text("scenario");
+    const std::unique_ptr<TraceSource> source =
+        openSourceOrDie(flags.operands()[0]);
+
+    DurationNs t_fast = 0, t_slow = 0;
+    if (!scenarioThresholds(flags, scenario, t_fast, t_slow))
+        return 2;
+
+    Analyzer analyzer(*source, analyzerConfig(flags));
     requireUsable(*source);
     const TraceCorpus &corpus = analyzer.corpus();
     const ScenarioAnalysis analysis =
-        analyzer.analyzeScenario(*scenario, t_fast, t_slow);
+        analyzer.analyzeScenario(scenario, t_fast, t_slow);
 
-    std::cout << *scenario << ": " << analysis.classes.fast.size()
+    std::cout << scenario << ": " << analysis.classes.fast.size()
               << " fast / " << analysis.classes.middle.size()
               << " middle / " << analysis.classes.slow.size()
               << " slow\n";
@@ -569,7 +666,7 @@ cmdAnalyze(const Args &args)
     std::cout << "mining: " << analysis.mining->stats.render() << "\n\n";
 
     std::vector<ContrastPattern> patterns = analysis.mining->patterns;
-    if (!args.has("no-knowledge-filter")) {
+    if (!flags.has("no-knowledge-filter")) {
         const auto filtered = KnowledgeBase::defaults().apply(
             *analysis.mining, corpus.symbols());
         if (!filtered.suppressed.empty()) {
@@ -581,8 +678,7 @@ cmdAnalyze(const Args &args)
     }
 
     std::size_t top = 5;
-    if (auto v = args.flag("top"))
-        top = parseUnsignedFlag("--top", *v, 10'000);
+    flags.read("top", top);
     for (std::size_t i = 0; i < std::min(top, patterns.size()); ++i) {
         const ContrastPattern &p = patterns[i];
         std::cout << "#" << i + 1 << " impact="
@@ -596,14 +692,12 @@ cmdAnalyze(const Args &args)
 }
 
 int
-cmdThresholds(const Args &args)
+cmdThresholds(const Flags &flags)
 {
-    if (args.positional().empty())
-        return usage();
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0]);
+        openSourceOrDie(flags.operands()[0]);
     const TraceCorpus &corpus = loadCorpus(*source);
-    if (auto name = args.flag("scenario")) {
+    if (auto name = flags.text("scenario")) {
         std::cout << *name << ": "
                   << suggestThresholds(corpus, *name).render() << "\n";
         return 0;
@@ -616,13 +710,11 @@ cmdThresholds(const Args &args)
 }
 
 int
-cmdReport(const Args &args)
+cmdReport(const Flags &flags)
 {
-    if (args.positional().empty())
-        return usage();
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0]);
-    Analyzer analyzer(*source, analyzerConfigFlag(args));
+        openSourceOrDie(flags.operands()[0]);
+    Analyzer analyzer(*source, analyzerConfig(flags));
     requireUsable(*source);
     const TraceCorpus &corpus = analyzer.corpus();
 
@@ -634,12 +726,9 @@ cmdReport(const Args &args)
         }
     }
     ReportOptions options;
-    if (auto v = args.flag("top")) {
-        options.topPatterns = static_cast<std::size_t>(
-            parseUnsignedFlag("--top", *v, 10'000));
-    }
-    options.applyKnowledgeFilter = !args.has("no-knowledge-filter");
-    if (auto html = args.flag("html")) {
+    flags.read("top", options.topPatterns);
+    options.applyKnowledgeFilter = !flags.has("no-knowledge-filter");
+    if (auto html = flags.text("html")) {
         writeHtmlReportFile(analyzer, scenarios, *html, options);
         TL_LOG(Info, "wrote ", *html);
         return 0;
@@ -649,33 +738,19 @@ cmdReport(const Args &args)
 }
 
 int
-cmdDiff(const Args &args)
+cmdDiff(const Flags &flags)
 {
-    const auto scenario = args.flag("scenario");
-    if (args.positional().size() < 2 || !scenario)
-        return usage();
+    const std::string scenario = *flags.text("scenario");
     const std::unique_ptr<TraceSource> source_before =
-        openSourceOrDie(args.positional()[0]);
+        openSourceOrDie(flags.operands()[0]);
     const std::unique_ptr<TraceSource> source_after =
-        openSourceOrDie(args.positional()[1]);
+        openSourceOrDie(flags.operands()[1]);
 
     DurationNs t_fast = 0, t_slow = 0;
-    for (const ScenarioSpec &spec : scenarioCatalog()) {
-        if (spec.name == *scenario) {
-            t_fast = spec.tFast;
-            t_slow = spec.tSlow;
-        }
-    }
-    if (auto v = args.flag("tfast"))
-        t_fast = fromMs(parseDoubleFlag("--tfast", *v));
-    if (auto v = args.flag("tslow"))
-        t_slow = fromMs(parseDoubleFlag("--tslow", *v));
-    if (t_fast <= 0 || t_slow <= t_fast) {
-        TL_LOG(Error, "need --tfast/--tslow for unknown scenarios");
+    if (!scenarioThresholds(flags, scenario, t_fast, t_slow))
         return 2;
-    }
 
-    const AnalyzerConfig config = analyzerConfigFlag(args);
+    const AnalyzerConfig config = analyzerConfig(flags);
     Analyzer ana_before(*source_before, config);
     requireUsable(*source_before);
     Analyzer ana_after(*source_after, config);
@@ -683,9 +758,9 @@ cmdDiff(const Args &args)
     const TraceCorpus &before = ana_before.corpus();
     const TraceCorpus &after = ana_after.corpus();
     const ScenarioAnalysis rb =
-        ana_before.analyzeScenario(*scenario, t_fast, t_slow);
+        ana_before.analyzeScenario(scenario, t_fast, t_slow);
     const ScenarioAnalysis ra =
-        ana_after.analyzeScenario(*scenario, t_fast, t_slow);
+        ana_after.analyzeScenario(scenario, t_fast, t_slow);
 
     const MiningDiff diff = diffMiningResults(
         *rb.mining, before.symbols(), *ra.mining, after.symbols());
@@ -694,21 +769,15 @@ cmdDiff(const Args &args)
 }
 
 int
-cmdDump(const Args &args)
+cmdDump(const Flags &flags)
 {
-    if (args.positional().empty())
-        return usage();
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0]);
+        openSourceOrDie(flags.operands()[0]);
     const TraceCorpus &corpus = loadCorpus(*source);
     std::uint32_t stream = 0;
     std::size_t max_events = 100;
-    if (auto v = args.flag("stream")) {
-        stream = static_cast<std::uint32_t>(
-            parseUnsignedFlag("--stream", *v, UINT32_MAX));
-    }
-    if (auto v = args.flag("max"))
-        max_events = parseUnsignedFlag("--max", *v, 100'000'000);
+    flags.read("stream", stream);
+    flags.read("max", max_events);
     if (stream >= corpus.streamCount()) {
         TL_LOG(Error, "stream ", stream, " out of range (corpus has ",
                corpus.streamCount(), ")");
@@ -719,38 +788,32 @@ cmdDump(const Args &args)
 }
 
 int
-cmdExportCsv(const Args &args)
+cmdExportCsv(const Flags &flags)
 {
-    const auto events = args.flag("events");
-    const auto instances = args.flag("instances");
-    if (args.positional().empty() || !events || !instances)
-        return usage();
+    const std::string events = *flags.text("events");
+    const std::string instances = *flags.text("instances");
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(args.positional()[0]);
+        openSourceOrDie(flags.operands()[0]);
     const TraceCorpus &corpus = loadCorpus(*source);
-    writeCorpusCsvFiles(corpus, *events, *instances);
-    TL_LOG(Info, "exported to ", *events, " + ", *instances);
+    writeCorpusCsvFiles(corpus, events, instances);
+    TL_LOG(Info, "exported to ", events, " + ", instances);
     return 0;
 }
 
 int
-cmdImportCsv(const Args &args)
+cmdImportCsv(const Flags &flags)
 {
-    const auto events = args.flag("events");
-    const auto instances = args.flag("instances");
-    const auto out = args.flag("out");
-    if (!events || !instances || !out)
-        return usage();
-    const TraceCorpus corpus =
-        readCorpusCsvFiles(*events, *instances);
-    writeCorpusFile(corpus, *out);
+    const std::string out = *flags.text("out");
+    const TraceCorpus corpus = readCorpusCsvFiles(
+        *flags.text("events"), *flags.text("instances"));
+    writeCorpusFile(corpus, out);
     TL_LOG(Info, "imported ", corpus.totalEvents(), " events into ",
-           *out);
+           out);
     return 0;
 }
 
 int
-cmdVersion()
+cmdVersion(const Flags &)
 {
     std::cout << "tracelens " << kTracelensVersion << "\n"
               << "  trace format:    TLC1 v" << traceFormatVersion()
@@ -791,137 +854,64 @@ handleStopSignal(int)
         g_server->requestStop();
 }
 
-int
-cmdServe(const Args &args)
+/** Write "PORT\n" to the file a --*port-file flag names. */
+void
+writePortFile(const Flags &flags, const char *flag, std::uint16_t port)
 {
-    const auto listen = args.flag("listen");
-    if (!listen || listen->empty())
-        return usage();
+    if (auto path = flags.text(flag)) {
+        std::ofstream out(*path, std::ios::trunc);
+        out << port << "\n";
+        if (!out)
+            TL_FATAL("cannot write --", flag, " ", *path);
+    }
+}
+
+int
+cmdServe(const Flags &flags)
+{
     Expected<std::pair<std::string, std::uint16_t>> address =
-        server::parseHostPort(*listen);
+        server::parseHostPort(*flags.text("listen"));
     if (!address)
         TL_FATAL("--listen: ", address.error().reason);
 
     server::ServerConfig config;
     config.host = address.value().first;
     config.port = address.value().second;
-    if (auto v = args.flag("workers")) {
-        config.workers = static_cast<unsigned>(
-            parseUnsignedFlag("--workers", *v, 1024));
-    }
-    if (auto v = args.flag("max-inflight")) {
-        config.maxInflight = parseUnsignedFlag(
-            "--max-inflight", *v, 1'000'000);
-        if (config.maxInflight == 0)
-            TL_FATAL("--max-inflight must be at least 1");
-    }
-    if (auto v = args.flag("default-deadline-ms")) {
-        config.defaultDeadlineMs = parseUnsignedFlag(
-            "--default-deadline-ms", *v, 86'400'000);
-    }
-    if (auto v = args.flag("max-line-bytes")) {
-        config.maxLineBytes = parseUnsignedFlag(
-            "--max-line-bytes", *v, 1ull << 30);
-        if (config.maxLineBytes < 64)
-            TL_FATAL("--max-line-bytes must be at least 64");
-    }
-    if (auto v = args.flag("analysis-threads")) {
-        config.registry.analysisThreads = static_cast<unsigned>(
-            parseUnsignedFlag("--analysis-threads", *v, 1024));
-    }
-    if (auto v = args.flag("max-sessions")) {
-        config.registry.maxSessions =
-            parseUnsignedFlag("--max-sessions", *v, 100'000);
-        if (config.registry.maxSessions == 0)
-            TL_FATAL("--max-sessions must be at least 1");
-    }
-    if (auto v = args.flag("idle-timeout-s")) {
-        config.registry.idleTimeout = std::chrono::seconds(
-            parseUnsignedFlag("--idle-timeout-s", *v, 86'400));
-    }
-    config.enableTestMethods = args.has("enable-test-methods");
-    config.coordinator = args.has("coordinator");
-    if (auto v = args.flag("cluster-workers")) {
+    flags.read("workers", config.workers);
+    flags.read("max-inflight", config.maxInflight);
+    flags.read("default-deadline-ms", config.defaultDeadlineMs);
+    flags.read("max-line-bytes", config.maxLineBytes);
+    flags.read("analysis-threads", config.registry.analysisThreads);
+    flags.read("max-sessions", config.registry.maxSessions);
+    std::uint64_t idleTimeoutS = 0;
+    if (flags.read("idle-timeout-s", idleTimeoutS))
+        config.registry.idleTimeout = std::chrono::seconds(idleTimeoutS);
+    config.coordinator = flags.has("coordinator");
+    if (auto v = flags.text("cluster-workers")) {
         // Comma-separated host:port list; validated by start().
-        std::string_view rest = *v;
-        while (!rest.empty()) {
-            const std::size_t comma = rest.find(',');
-            const std::string_view item = rest.substr(0, comma);
+        std::istringstream list(*v);
+        for (std::string item; std::getline(list, item, ',');) {
             if (!item.empty())
-                config.workerAddrs.emplace_back(item);
-            if (comma == std::string_view::npos)
-                break;
-            rest.remove_prefix(comma + 1);
+                config.workerAddrs.push_back(item);
         }
         if (config.workerAddrs.empty())
             TL_FATAL("--cluster-workers expects host:port,...");
         if (!config.coordinator)
             TL_FATAL("--cluster-workers requires --coordinator");
     }
-    if (auto v = args.flag("shard-deadline-ms")) {
-        config.shardDeadlineMs = parseUnsignedFlag(
-            "--shard-deadline-ms", *v, 86'400'000);
-        if (config.shardDeadlineMs == 0)
-            TL_FATAL("--shard-deadline-ms must be at least 1");
-    }
-    if (auto v = args.flag("metrics-listen")) {
-        if (v->empty())
-            TL_FATAL("--metrics-listen expects HOST:PORT");
-        config.metricsListen = *v;
-    }
-    if (auto v = args.flag("slow-request-ms")) {
-        config.slowRequestMs = parseUnsignedFlag(
-            "--slow-request-ms", *v, 86'400'000);
-    }
-    if (auto dir = args.flag("self-trace-corpus")) {
-        if (dir->empty())
-            TL_FATAL("--self-trace-corpus expects a directory path");
-        config.selfTraceCorpusDir = *dir;
-    }
-    if (auto v = args.flag("flight-recorder")) {
-        config.flightRecorderCapacity = static_cast<std::size_t>(
-            parseUnsignedFlag("--flight-recorder", *v, 1'000'000));
-        if (config.flightRecorderCapacity == 0)
-            TL_FATAL("--flight-recorder must be at least 1");
-    }
-    if (auto dir = args.flag("watch")) {
-        if (dir->empty())
-            TL_FATAL("--watch expects a directory path");
-        config.fleetWatchDir = *dir;
-    }
-    if (auto v = args.flag("window-ms")) {
-        config.fleetWindowMs =
-            parseUnsignedFlag("--window-ms", *v, 86'400'000);
-        if (config.fleetWindowMs == 0)
-            TL_FATAL("--window-ms must be at least 1");
-    }
-    if (auto v = args.flag("max-windows")) {
-        config.fleetMaxWindows = parseUnsignedFlag(
-            "--max-windows", *v, 100'000);
-        if (config.fleetMaxWindows == 0)
-            TL_FATAL("--max-windows must be at least 1");
-    }
-    if (auto v = args.flag("poll-ms")) {
-        config.fleetPollMs =
-            parseUnsignedFlag("--poll-ms", *v, 3'600'000);
-        if (config.fleetPollMs == 0)
-            TL_FATAL("--poll-ms must be at least 1");
-    }
-    if (auto v = args.flag("baseline-windows")) {
-        config.fleetBaselineWindows = parseUnsignedFlag(
-            "--baseline-windows", *v, 100'000);
-    }
-    for (const std::string &name : args.flagAll("watch-scenario"))
-        config.fleetScenarios.push_back(name);
-    if (auto v = args.flag("alerts-out")) {
-        if (v->empty())
-            TL_FATAL("--alerts-out expects a file path");
-        config.fleetAlertsPath = *v;
-    }
-    if (config.fleetWatchDir.empty() &&
-        (args.has("window-ms") || args.has("max-windows") ||
-         args.has("poll-ms") || args.has("baseline-windows") ||
-         args.has("watch-scenario") || args.has("alerts-out"))) {
+    flags.read("shard-deadline-ms", config.shardDeadlineMs);
+    config.metricsListen = flags.text("metrics-listen").value_or("");
+    flags.read("slow-request-ms", config.slowRequestMs);
+    config.selfTraceCorpusDir =
+        flags.text("self-trace-corpus").value_or("");
+    flags.read("flight-recorder", config.flightRecorderCapacity);
+    if (auto dir = flags.text("watch")) {
+        config.fleet =
+            fleetConfig(flags, *dir, flags.texts("watch-scenario"));
+    } else if (flags.has("watch-scenario") ||
+               std::ranges::any_of(kFleetFlags, [&](const Flag &flag) {
+                   return flags.has(flag.name);
+               })) {
         TL_FATAL("continuous-mode flags require --watch DIR");
     }
     server::Server daemon(config);
@@ -929,25 +919,10 @@ cmdServe(const Args &args)
     if (!port)
         TL_FATAL(port.error().render());
 
-    // Advertise the bound port (ephemeral with --listen HOST:0) for
-    // scripts that need to find the daemon (scripts/smoke_server.sh).
-    if (auto portFile = args.flag("port-file")) {
-        if (portFile->empty())
-            TL_FATAL("--port-file expects a file path");
-        std::ofstream out(*portFile, std::ios::trunc);
-        out << port.value() << "\n";
-        if (!out)
-            TL_FATAL("cannot write --port-file ", *portFile);
-    }
-    // Same dance for the metrics endpoint (--metrics-listen HOST:0).
-    if (auto portFile = args.flag("metrics-port-file")) {
-        if (portFile->empty())
-            TL_FATAL("--metrics-port-file expects a file path");
-        std::ofstream out(*portFile, std::ios::trunc);
-        out << daemon.metricsPort() << "\n";
-        if (!out)
-            TL_FATAL("cannot write --metrics-port-file ", *portFile);
-    }
+    // Advertise the bound ports (ephemeral with HOST:0) for scripts
+    // that need to find the daemon (scripts/smoke_server.sh).
+    writePortFile(flags, "port-file", port.value());
+    writePortFile(flags, "metrics-port-file", daemon.metricsPort());
 
     g_server = &daemon;
     std::signal(SIGTERM, handleStopSignal);
@@ -962,20 +937,45 @@ cmdServe(const Args &args)
     return 0;
 }
 
-int
-cmdQuery(const Args &args)
+/** Open a session to the daemon --connect names, or die. */
+server::Session
+connectOrDie(const Flags &flags, std::uint64_t timeoutMs)
 {
-    const auto connect = args.flag("connect");
-    if (!connect || connect->empty() || args.positional().empty())
-        return usage();
     Expected<std::pair<std::string, std::uint16_t>> address =
-        server::parseHostPort(*connect);
+        server::parseHostPort(*flags.text("connect"));
     if (!address)
         TL_FATAL("--connect: ", address.error().reason);
+    flags.read("timeout-ms", timeoutMs);
+    server::SessionOptions options;
+    options.ioTimeout = std::chrono::milliseconds(timeoutMs);
+    Expected<server::Session> session = server::Session::connect(
+        address.value().first, address.value().second, options);
+    if (!session)
+        TL_FATAL(session.error().render());
+    return std::move(session.value());
+}
 
+/** Die on a transport failure; log a server error and return false. */
+bool
+answered(const Expected<server::Response> &response)
+{
+    if (!response)
+        TL_FATAL(response.error().render());
+    if (!response.value().ok) {
+        TL_LOG(Error, "server error [",
+               server::errorCodeName(response.value().error.code),
+               "]: ", response.value().error.message);
+        return false;
+    }
+    return true;
+}
+
+int
+cmdQuery(const Flags &flags)
+{
     JsonValue params = JsonValue::makeObject();
-    std::string paramsText;
-    if (auto file = args.flag("params-file")) {
+    std::string paramsText = flags.text("params").value_or("");
+    if (auto file = flags.text("params-file")) {
         // Large payloads (ingest_push shards) overflow a single argv
         // string; read the object from a file instead.
         std::ifstream in(*file, std::ios::binary);
@@ -984,8 +984,6 @@ cmdQuery(const Args &args)
         std::ostringstream buffer;
         buffer << in.rdbuf();
         paramsText = buffer.str();
-    } else if (auto text = args.flag("params")) {
-        paramsText = *text;
     }
     if (!paramsText.empty()) {
         Expected<JsonValue> parsed = JsonValue::parse(paramsText);
@@ -996,30 +994,17 @@ cmdQuery(const Args &args)
         params = std::move(parsed.value());
     }
     const std::optional<server::Method> method =
-        server::parseMethod(args.positional()[0]);
+        server::parseMethod(flags.operands()[0]);
     if (!method)
-        TL_FATAL("unknown method '", args.positional()[0], "'");
+        TL_FATAL("unknown method '", flags.operands()[0], "'");
 
     server::CallOptions call;
-    if (auto v = args.flag("deadline-ms")) {
-        call.deadlineMs =
-            parseUnsignedFlag("--deadline-ms", *v, 86'400'000);
-    }
-    server::SessionOptions options;
-    options.ioTimeout = std::chrono::milliseconds(120'000);
-    if (auto v = args.flag("timeout-ms")) {
-        options.ioTimeout = std::chrono::milliseconds(
-            parseUnsignedFlag("--timeout-ms", *v, 86'400'000));
-    }
-
-    Expected<server::Session> session = server::Session::connect(
-        address.value().first, address.value().second, options);
-    if (!session)
-        TL_FATAL(session.error().render());
+    flags.read("deadline-ms", call.deadlineMs);
+    server::Session session = connectOrDie(flags, 120'000);
     // Root a fresh distributed trace at the CLI when the server
     // negotiated tracing, so a coordinator query stitches end to end
     // under one id (--no-trace opts out).
-    if (!args.has("no-trace") && session.value().tracingNegotiated()) {
+    if (!flags.has("no-trace") && session.tracingNegotiated()) {
         call.traceContext.traceId = Telemetry::newTraceId();
         call.traceContext.parentSpanId = 0;
         call.traceContext.sampled = true;
@@ -1027,13 +1012,11 @@ cmdQuery(const Args &args)
                hexId(call.traceContext.traceId));
     }
     Expected<server::Response> response =
-        session.value().call(*method, params, call);
-    if (!response)
-        TL_FATAL(response.error().render());
-    if (args.has("wire-stats")) {
+        session.call(*method, params, call);
+    if (response && flags.has("wire-stats")) {
         // stderr, not TL_LOG(Info): the query result owns stdout so
         // the output stays pipeable with --wire-stats on.
-        const server::WireStats wire = session.value().wireStats();
+        const server::WireStats wire = session.wireStats();
         std::cerr << "query: protocol v" << server::kProtocolVersion
                   << ", "
                   << wire.bytesSent << " bytes out / "
@@ -1041,13 +1024,9 @@ cmdQuery(const Args &args)
                   << wire.framesSent << "/" << wire.framesReceived
                   << " frames)\n";
     }
-    if (!response.value().ok) {
-        TL_LOG(Error, "server error [",
-               server::errorCodeName(response.value().error.code),
-               "]: ", response.value().error.message);
+    if (!answered(response))
         return 1;
-    }
-    if (auto field = args.flag("field")) {
+    if (auto field = flags.text("field")) {
         // Print one top-level field (rendered JSON). Scripts diff
         // e.g. window_summary's "summary" against a batch analyze
         // without fishing through the envelope (scripts/smoke_fleet.sh).
@@ -1063,44 +1042,21 @@ cmdQuery(const Args &args)
 }
 
 int
-cmdClusterStatus(const Args &args)
+cmdClusterStatus(const Flags &flags)
 {
     // Sugar over `query cluster_status`: probe the coordinator and
     // print a human-readable worker roster.
-    const auto connect = args.flag("connect");
-    if (!connect || connect->empty())
-        return usage();
-    Expected<std::pair<std::string, std::uint16_t>> address =
-        server::parseHostPort(*connect);
-    if (!address)
-        TL_FATAL("--connect: ", address.error().reason);
-
-    server::SessionOptions options;
-    options.ioTimeout = std::chrono::milliseconds(30'000);
-    if (auto v = args.flag("timeout-ms")) {
-        options.ioTimeout = std::chrono::milliseconds(
-            parseUnsignedFlag("--timeout-ms", *v, 86'400'000));
-    }
-    Expected<server::Session> session = server::Session::connect(
-        address.value().first, address.value().second, options);
-    if (!session)
-        TL_FATAL(session.error().render());
+    server::Session session = connectOrDie(flags, 30'000);
     JsonValue params = JsonValue::makeObject();
-    if (args.has("metrics"))
+    if (flags.has("metrics"))
         params.set("metrics", JsonValue(true));
-    Expected<server::Response> response = session.value().call(
-        server::Method::ClusterStatus, params);
-    if (!response)
-        TL_FATAL(response.error().render());
-    if (!response.value().ok) {
-        TL_LOG(Error, "server error [",
-               server::errorCodeName(response.value().error.code),
-               "]: ", response.value().error.message);
+    const Expected<server::Response> response =
+        session.call(server::Method::ClusterStatus, params);
+    if (!answered(response))
         return 1;
-    }
 
     const JsonValue &result = response.value().result;
-    std::cout << "coordinator " << *connect;
+    std::cout << "coordinator " << *flags.text("connect");
     if (const JsonValue *revision = result.find("partial_encoding");
         revision != nullptr && revision->isNumber()) {
         std::cout << " (partial encoding v"
@@ -1160,50 +1116,27 @@ cmdClusterStatus(const Args &args)
 }
 
 int
-cmdClusterTrace(const Args &args)
+cmdClusterTrace(const Flags &flags)
 {
     // Ask the coordinator for a stitched cross-node Chrome trace
     // (its spans + every worker's, one pid per node) and write it to
     // --out, ready for Perfetto / chrome://tracing.
-    const auto connect = args.flag("connect");
-    const auto out = args.flag("out");
-    if (!connect || connect->empty() || !out || out->empty())
-        return usage();
-    Expected<std::pair<std::string, std::uint16_t>> address =
-        server::parseHostPort(*connect);
-    if (!address)
-        TL_FATAL("--connect: ", address.error().reason);
-
-    server::SessionOptions options;
-    options.ioTimeout = std::chrono::milliseconds(30'000);
-    if (auto v = args.flag("timeout-ms")) {
-        options.ioTimeout = std::chrono::milliseconds(
-            parseUnsignedFlag("--timeout-ms", *v, 86'400'000));
-    }
-    Expected<server::Session> session = server::Session::connect(
-        address.value().first, address.value().second, options);
-    if (!session)
-        TL_FATAL(session.error().render());
-    Expected<server::Response> response = session.value().call(
+    const std::string out = *flags.text("out");
+    server::Session session = connectOrDie(flags, 30'000);
+    const Expected<server::Response> response = session.call(
         server::Method::ClusterTrace, JsonValue::makeObject());
-    if (!response)
-        TL_FATAL(response.error().render());
-    if (!response.value().ok) {
-        TL_LOG(Error, "server error [",
-               server::errorCodeName(response.value().error.code),
-               "]: ", response.value().error.message);
+    if (!answered(response))
         return 1;
-    }
     const JsonValue *trace = response.value().result.find("trace");
     if (trace == nullptr || !trace->isString())
         TL_FATAL("cluster_trace result carries no trace document");
-    std::ofstream file(*out, std::ios::trunc);
+    std::ofstream file(out, std::ios::trunc);
     file << trace->asString();
     if (!file)
-        TL_FATAL("cannot write --out ", *out);
+        TL_FATAL("cannot write --out ", out);
     const JsonValue *nodes = response.value().result.find("nodes");
     const JsonValue *spans = response.value().result.find("spans");
-    std::cout << "wrote " << *out << " ("
+    std::cout << "wrote " << out << " ("
               << (nodes != nullptr && nodes->isNumber()
                       ? static_cast<std::uint64_t>(nodes->asNumber())
                       : 0)
@@ -1225,51 +1158,13 @@ handleWatchSignal(int)
 }
 
 int
-cmdWatch(const Args &args)
+cmdWatch(const Flags &flags)
 {
-    if (args.positional().empty())
-        return usage();
-    FleetConfig config;
-    config.dir = args.positional()[0];
-    if (auto v = args.flag("window-ms")) {
-        config.windowMs =
-            parseUnsignedFlag("--window-ms", *v, 86'400'000);
-        if (config.windowMs == 0)
-            TL_FATAL("--window-ms must be at least 1");
-    }
-    if (auto v = args.flag("max-windows")) {
-        config.maxWindows = parseUnsignedFlag(
-            "--max-windows", *v, 100'000);
-        if (config.maxWindows == 0)
-            TL_FATAL("--max-windows must be at least 1");
-    }
-    if (auto v = args.flag("poll-ms")) {
-        config.pollMs = parseUnsignedFlag("--poll-ms", *v, 3'600'000);
-        if (config.pollMs == 0)
-            TL_FATAL("--poll-ms must be at least 1");
-    }
-    if (auto v = args.flag("baseline-windows")) {
-        config.sentinel.baselineWindows = parseUnsignedFlag(
-            "--baseline-windows", *v, 100'000);
-    }
-    if (auto v = args.flag("alerts-out")) {
-        if (v->empty())
-            TL_FATAL("--alerts-out expects a file path");
-        config.alertsPath = *v;
-    }
-    config.analyzer = analyzerConfigFlag(args);
-    const std::vector<std::string> watched = args.flagAll("scenario");
-    for (const ScenarioSpec &spec : scenarioCatalog()) {
-        if (!watched.empty() &&
-            std::find(watched.begin(), watched.end(), spec.name) ==
-                watched.end())
-            continue;
-        config.sentinel.scenarios.push_back(
-            {spec.name, spec.tFast, spec.tSlow});
-    }
+    FleetConfig config = fleetConfig(flags, flags.operands()[0],
+                                     flags.texts("scenario"));
+    config.analyzer = analyzerConfig(flags);
     std::uint64_t maxTicks = 0;
-    if (auto v = args.flag("max-ticks"))
-        maxTicks = parseUnsignedFlag("--max-ticks", *v, UINT64_MAX);
+    flags.read("max-ticks", maxTicks);
 
     // The loop below is the poll thread: drive ticks inline instead
     // of start()ing the background one, so --max-ticks is exact and
@@ -1311,72 +1206,228 @@ cmdWatch(const Args &args)
     return 0;
 }
 
+// --------------------------------------------------------- command table
+
+const std::vector<Command> kCommands = {
+    {"generate", "",
+     "Synthesize a corpus: one .tlc file, --shards N shard files, or a "
+     "--drip DIR spool fed one renamed-into-place shard at a time.",
+     {
+         {"out", Text, "PATH", "corpus file, or directory with --shards"},
+         {"drip", Text, "DIR", "land the shards in this spool one by one"},
+         {"interval-ms", Unsigned, "N", "pause between dripped shards", 0,
+          3'600'000},
+         {"machines", Unsigned, "N", "machines (default 150)", 0,
+          10'000'000},
+         {"seed", Unsigned, "S", "generator seed", 0, UINT64_MAX},
+         {"scenario", Texts, "NAME", "generate only this scenario"},
+         {"shards", Unsigned, "N", "shard files (default 1)", 0, 100'000},
+         {"compress", Switch, "", "compress event blocks"},
+         {"encrypted-fraction", Fraction, "F",
+          "share of machines with storage encryption"},
+         {"hdd-fraction", Fraction, "F", "share of machines with an HDD"},
+         {"stressed-fraction", Fraction, "F",
+          "share of heavily loaded machines"},
+     },
+     cmdGenerate},
+    {"ingest", "PATH",
+     "Per-scenario instance counts and mean durations, shard counts, "
+     "skipped shards (exit 1) and throughput.",
+     {},
+     cmdIngest},
+    {"validate", "PATH", "Structural validation report, shard by shard.",
+     {},
+     cmdValidate},
+    {"impact", "PATH", "Corpus-wide and per-scenario impact analysis.",
+     join({{"components", Texts, "GLOB", "components (default *.sys)"}},
+          kAnalyzerFlags),
+     cmdImpact},
+    {"analyze", "PATH",
+     "Causality analysis of one scenario with ranked contrast patterns.",
+     join({required({"scenario", Text, "NAME", "scenario to analyze"}),
+           {"tfast", Number, "MS", "T_fast (default: the catalog's)"},
+           {"tslow", Number, "MS", "T_slow (default: the catalog's)"},
+           {"top", Unsigned, "N", "patterns shown (default 5)", 0, 10'000},
+           {"no-knowledge-filter", Switch, "", "keep by-design patterns"}},
+          kAnalyzerFlags),
+     cmdAnalyze},
+    {"thresholds", "PATH",
+     "Suggest T_fast/T_slow per scenario from its durations.",
+     {{"scenario", Text, "NAME", "only this scenario"}},
+     cmdThresholds},
+    {"report", "PATH",
+     "Impact and causality report over the catalog's scenarios.",
+     join({{"top", Unsigned, "N", "patterns per scenario", 0, 10'000},
+           {"html", Text, "OUT", "write an HTML report here instead"},
+           {"no-knowledge-filter", Switch, "", "keep by-design patterns"},
+           {"artifact-cache", Text, "DIR",
+            "accepted and ignored: nothing is cached on disk"}},
+          kAnalyzerFlags),
+     cmdReport},
+    {"diff", "BEFORE AFTER",
+     "Pattern changes of one scenario between two corpora.",
+     join({required({"scenario", Text, "NAME", "scenario to compare"}),
+           {"tfast", Number, "MS", "T_fast (default: the catalog's)"},
+           {"tslow", Number, "MS", "T_slow (default: the catalog's)"}},
+          kAnalyzerFlags),
+     cmdDiff},
+    {"dump", "PATH", "Human-readable event dump of one stream.",
+     {{"stream", Unsigned, "N", "stream (default 0)", 0, UINT32_MAX},
+      {"max", Unsigned, "N", "events (default 100)", 0, 100'000'000}},
+     cmdDump},
+    {"export-csv", "PATH", "Write a corpus as events and instances CSV.",
+     {required({"events", Text, "OUT", "events CSV"}),
+      required({"instances", Text, "OUT", "instances CSV"})},
+     cmdExportCsv},
+    {"import-csv", "", "Build a corpus file from events and instances CSV.",
+     {required({"events", Text, "IN", "events CSV"}),
+      required({"instances", Text, "IN", "instances CSV"}),
+      required({"out", Text, "FILE", "corpus file to write"})},
+     cmdImportCsv},
+    {"serve", "",
+     "Analysis daemon: keeps corpora and analyses warm and answers "
+     "concurrent clients over protocol v2 (docs/SERVER.md).",
+     join({required({"listen", Text, "HOST:PORT",
+                     "address to serve; port 0 picks one"}),
+           {"port-file", Text, "FILE", "write the bound port here"},
+           {"workers", Unsigned, "N", "request workers; 0 = all cores", 0,
+            1024},
+           {"max-inflight", Unsigned, "N",
+            "queued + running requests (default 64)", 1, 1'000'000},
+           {"default-deadline-ms", Unsigned, "N",
+            "deadline of a request without one (default 30000)", 0,
+            86'400'000},
+           {"max-line-bytes", Unsigned, "N",
+            "largest request frame (default 1 MiB)", 64, 1ull << 30},
+           {"analysis-threads", Unsigned, "N",
+            "threads per session's analysis (default 1)", 0, 1024},
+           {"max-sessions", Unsigned, "N",
+            "resident corpus sessions (default 8)", 1, 100'000},
+           {"idle-timeout-s", Unsigned, "N",
+            "evict sessions idle this long (default 300)", 0, 86'400},
+           {"coordinator", Switch, "",
+            "scatter analyses over --cluster-workers"},
+           {"cluster-workers", Text, "HOST:PORT,...",
+            "worker daemons (requires --coordinator)"},
+           {"shard-deadline-ms", Unsigned, "N",
+            "coordinator's per-shard deadline (default 10000)", 1,
+            86'400'000},
+           {"metrics-listen", Text, "HOST:PORT",
+            "serve Prometheus metrics over HTTP here"},
+           {"metrics-port-file", Text, "FILE",
+            "write the metrics listener's port here"},
+           {"slow-request-ms", Unsigned, "N",
+            "log requests slower than this; 0 = off", 0, 86'400'000},
+           {"self-trace-corpus", Text, "DIR",
+            "write the daemon's spans as a corpus at exit"},
+           {"flight-recorder", Unsigned, "N",
+            "completed requests kept (default 256)", 1, 1'000'000},
+           {"watch", Text, "DIR", "continuous mode over this spool"},
+           {"watch-scenario", Texts, "NAME",
+            "scenario the sentinel watches (default: all)"}},
+          kFleetFlags),
+     cmdServe},
+    {"query", "METHOD",
+     "One request to a running daemon; prints the result JSON.",
+     {required({"connect", Text, "HOST:PORT", "daemon address"}),
+      {"params", Text, "JSON", "request parameters object"},
+      {"params-file", Text, "FILE", "read the parameters from a file"},
+      {"deadline-ms", Unsigned, "N",
+       "request deadline; 0 = the daemon's default", 0, 86'400'000},
+      {"timeout-ms", Unsigned, "N", "I/O timeout (default 120000)", 0,
+       86'400'000},
+      {"wire-stats", Switch, "", "print bytes and frames to stderr"},
+      {"no-trace", Switch, "", "do not root a distributed trace"},
+      {"field", Text, "KEY", "print only this field of the result"}},
+     cmdQuery},
+    {"cluster-status", "",
+     "Probe a coordinator and print its worker roster; exit 1 unless "
+     "every worker is healthy.",
+     {required({"connect", Text, "HOST:PORT", "coordinator address"}),
+      {"timeout-ms", Unsigned, "N", "I/O timeout (default 30000)", 0,
+       86'400'000},
+      {"metrics", Switch, "", "merge the workers' metrics"}},
+     cmdClusterStatus},
+    {"cluster-trace", "",
+     "Write a coordinator's stitched cross-node Chrome trace.",
+     {required({"connect", Text, "HOST:PORT", "coordinator address"}),
+      required({"out", Text, "FILE", "trace file to write"}),
+      {"timeout-ms", Unsigned, "N", "I/O timeout (default 30000)", 0,
+       86'400'000}},
+     cmdClusterTrace},
+    {"watch", "DIR",
+     "Continuous mode without a daemon (docs/FLEET.md): poll DIR for "
+     "shards and print the sentinel's alerts as JSON lines.",
+     join(join({{"scenario", Texts, "NAME",
+                 "scenario the sentinel watches (default: all)"},
+                {"max-ticks", Unsigned, "N",
+                 "stop after N polls; 0 = at Ctrl-C", 0, UINT64_MAX}},
+               kFleetFlags),
+          kAnalyzerFlags),
+     cmdWatch},
+    {"version", "", "Build info plus format and protocol revisions.", {},
+     cmdVersion},
+};
+
+void
+printOverview(std::ostream &out)
+{
+    out << "usage: tracelens COMMAND [FLAG]...\n\n";
+    for (const Command &command : kCommands)
+        printSynopsis(out, "  ", command, 8);
+    out << "\nPATH is a .tlc corpus file or a directory of shards. "
+           "Analysis results are\nidentical for every --threads count. "
+           "A flag the command does not take, a\nmissing or "
+           "out-of-range value, or a repeated flag exits 2.\n"
+           "`tracelens COMMAND --help` explains a command's flags.\n"
+           "\nglobal flags (every command):\n";
+    printFlags(out, kGlobalFlags);
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    const std::string command = argv[1];
-    const Args args(argc, argv, 2);
+    std::string name = argc < 2 ? "" : argv[1];
+    if (name == "--version" || name == "-V")
+        name = "version";
+    if (name == "--help" || name == "-h" || name == "help") {
+        printOverview(std::cout);
+        return 0;
+    }
+    if (name.empty()) {
+        printOverview(std::cerr);
+        return 2;
+    }
+    const auto command = std::ranges::find_if(
+        kCommands, [&](const Command &c) { return name == c.name; });
+    if (command == kCommands.end()) {
+        std::cerr << "tracelens: unknown command '" << name
+                  << "' (see tracelens --help)\n";
+        return 2;
+    }
 
-    if (auto v = args.flag("log-level")) {
+    Flags flags(*command);
+    if (auto problem = flags.parse({argv + 2, argv + argc}))
+        return flags.fail(*problem);
+    if (flags.has("help")) {
+        printHelp(std::cout, *command);
+        return 0;
+    }
+    if (auto v = flags.text("log-level")) {
         LogLevel level = LogLevel::Info;
         if (!parseLogLevel(*v, level)) {
-            TL_FATAL("--log-level expects debug|info|warn|error|off, "
-                     "got '",
-                     *v, "'");
+            return flags.fail("--log-level expects "
+                              "debug|info|warn|error|off, got '" +
+                              *v + "'");
         }
         setLogLevel(level);
     }
-    const auto trace_out = args.flag("trace-out");
-    const auto metrics_out = args.flag("metrics-out");
-    if (trace_out && trace_out->empty())
-        TL_FATAL("--trace-out expects a file path");
-    if (metrics_out && metrics_out->empty())
-        TL_FATAL("--metrics-out expects a file path");
+    const auto trace_out = flags.text("trace-out");
+    const auto metrics_out = flags.text("metrics-out");
     if (trace_out)
         Telemetry::setEnabled(true);
-
-    auto dispatch = [&]() -> int {
-        if (command == "generate")
-            return cmdGenerate(args);
-        if (command == "ingest")
-            return cmdIngest(args);
-        if (command == "validate")
-            return cmdValidate(args);
-        if (command == "impact")
-            return cmdImpact(args);
-        if (command == "analyze")
-            return cmdAnalyze(args);
-        if (command == "thresholds")
-            return cmdThresholds(args);
-        if (command == "report")
-            return cmdReport(args);
-        if (command == "diff")
-            return cmdDiff(args);
-        if (command == "dump")
-            return cmdDump(args);
-        if (command == "export-csv")
-            return cmdExportCsv(args);
-        if (command == "import-csv")
-            return cmdImportCsv(args);
-        if (command == "serve")
-            return cmdServe(args);
-        if (command == "query")
-            return cmdQuery(args);
-        if (command == "cluster-status")
-            return cmdClusterStatus(args);
-        if (command == "cluster-trace")
-            return cmdClusterTrace(args);
-        if (command == "watch")
-            return cmdWatch(args);
-        if (command == "version" || command == "--version" ||
-            command == "-V")
-            return cmdVersion();
-        return usage();
-    };
 
     int rc = 0;
     {
@@ -1385,13 +1436,21 @@ main(int argc, char **argv)
         // trace file is written.
         Span span("cli", "cli");
         if (span.active())
-            span.arg("cmd", command);
-        rc = dispatch();
+            span.arg("cmd", name);
+        rc = command->run(flags);
     }
 
-    if (trace_out)
-        Telemetry::writeChromeTrace(*trace_out);
-    if (metrics_out)
-        Telemetry::writeMetricsJson(*metrics_out);
+    if (trace_out && !Telemetry::writeChromeTrace(*trace_out))
+        TL_FATAL("cannot write --trace-out ", *trace_out);
+    if (metrics_out) {
+        // The shape the daemon's `metrics` method answers.
+        std::ofstream out(*metrics_out, std::ios::trunc);
+        out << server::metricsSnapshotJson(
+                   MetricsRegistry::global().snapshot())
+                   .render()
+            << "\n";
+        if (!out)
+            TL_FATAL("cannot write --metrics-out ", *metrics_out);
+    }
     return rc;
 }
