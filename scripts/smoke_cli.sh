@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Run the built `tracelens` against its flag tables:
-#  1. an unknown flag, a bad or missing value and a repeated flag exit 2,
-#     naming the flag, before any work (`serve` writes no --port-file,
-#     `query` never dials); each run is under `timeout`;
+#  1. an unknown flag, a bad or missing value, a repeated flag and two
+#     flags that conflict exit 2, naming the flag (both, for a conflict),
+#     before any work (`serve` writes no --port-file, `generate` writes
+#     nothing, `query` never dials); each run is under `timeout`;
 #  2. a switch never takes the next argument;
 #  3. each command's flags on README's "Command-line interface" lines are
 #     the flags `tracelens CMD --help` lists; README names the global
@@ -43,6 +44,50 @@ usage_error --tfast analyze "$C" --scenario BrowserTabCreate --tfast 1 \
     --tfast 2
 usage_error --top report "$C" --top
 usage_error --scenario analyze "$C" --scenario
+
+# Conflicting flags name both flags and do no work: generate writes
+# nothing, and query dials nothing (a local listener counts arrivals).
+usage_error --drip generate --out "$WORK/f.tlc" --drip "$WORK/dd" \
+    --machines 2 --seed 1
+grep -qF -- --out "$WORK/err" || fail "generate did not name --out"
+[[ ! -e "$WORK/f.tlc" && ! -e "$WORK/dd" ]] ||
+    fail "generate wrote past --out with --drip"
+usage_error --interval-ms generate --out "$WORK/g.tlc" --interval-ms 5
+grep -qF -- --out "$WORK/err" || fail "generate did not name --out"
+[[ ! -e "$WORK/g.tlc" ]] || fail "generate wrote past --interval-ms"
+echo '{"b":2}' >"$WORK/p.json"
+mkfifo "$WORK/hold"
+python3 -c '
+import os, socket, sys
+s = socket.socket()
+s.bind(("127.0.0.1", 0))
+s.listen(8)
+with open(sys.argv[1] + ".tmp", "w") as f:
+    f.write(str(s.getsockname()[1]))
+os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+sys.stdin.read()
+s.setblocking(False)
+dials = 0
+while True:
+    try:
+        s.accept()
+    except BlockingIOError:
+        break
+    dials += 1
+print(dials)
+' "$WORK/lport" <"$WORK/hold" >"$WORK/dials" &
+listener=$!
+exec 3>"$WORK/hold"
+for _ in $(seq 100); do [[ -s "$WORK/lport" ]] && break; sleep 0.1; done
+[[ -s "$WORK/lport" ]] || fail "the local listener did not start"
+usage_error --params-file query health \
+    --connect "127.0.0.1:$(cat "$WORK/lport")" --params '{"a":1}' \
+    --params-file "$WORK/p.json"
+grep -qF -- "--params " "$WORK/err" || fail "query did not name --params"
+exec 3>&-
+wait "$listener"
+[[ "$(cat "$WORK/dials")" == 0 ]] ||
+    fail "query dialled past --params with --params-file"
 
 "$CLI" analyze --no-knowledge-filter "$C" --scenario BrowserTabCreate \
     >"$WORK/first" || fail "analyze with a leading switch"

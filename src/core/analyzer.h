@@ -84,12 +84,14 @@ struct AnalyzerConfig
     std::uint32_t maxSegmentLength = 5;
     bool useMetaPatternGate = true;
     /**
-     * Worker threads for the parallel stages (wait-graph
-     * construction, impact contributions, AWG fragments, and the
-     * analyzeScenarios fan-out; mining runs serially): 0 = all
-     * hardware threads (default), 1 = fully serial. Every stage
-     * merges per-shard results deterministically, so analysis output
-     * is bit-identical for every thread count.
+     * Worker threads for the parallel stages (TLC1 decode, when the
+     * caller opens its source with this count, as the CLI and the
+     * daemon do; wait-graph construction, impact contributions, AWG
+     * fragments, and the analyzeScenarios fan-out; mining runs
+     * serially within a scenario): 0 = all hardware threads
+     * (default), 1 = fully serial. Every stage merges per-shard
+     * results deterministically, so analysis output is bit-identical
+     * for every thread count.
      */
     unsigned threads = 0;
     /**

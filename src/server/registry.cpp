@@ -153,7 +153,7 @@ SessionRegistry::acquire(const std::string &path,
     std::call_once(entry->openOnce, [&] {
         TL_SPAN("server.session-open", "server");
         Expected<std::unique_ptr<TraceSource>> source =
-            openSource(path);
+            openSource(path, config_.analysisThreads);
         if (!source) {
             entry->openError = source.error();
             return;

@@ -3,27 +3,37 @@
  * Binary reader/writer for the TLC1 corpus container (see
  * docs/TRACE_FORMAT.md for the byte-level layout).
  *
- * All decoding funnels through parseCorpus(), a bounds-checked parser
- * over an in-memory byte image, which readCorpusFileChecked() fills
- * from the file. On-disk counts, string lengths, ids, and record
- * arrays are validated against the actual buffer size before any
- * allocation or access, so truncated and hostile inputs fail with a
- * located SourceError instead of overrunning the buffer.
+ * All decoding funnels through one parser, tlc::parse(), over a
+ * tlc::CorpusInput: an in-memory image (parseCorpus) or a file read
+ * with pread (readCorpusFileChecked). It scans the headers on the
+ * calling thread, then decodes the stream blocks on the caller's
+ * threads. On-disk counts, string lengths, ids, and record arrays
+ * are validated against the input's size before any allocation or
+ * access, so truncated and hostile inputs fail with a located
+ * SourceError instead of overrunning a buffer.
  */
 
 #include "src/trace/serialize.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
-#include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <system_error>
 
 #include "src/trace/merge.h"
 #include "src/trace/tlcformat.h"
 #include "src/util/logging.h"
+#include "src/util/parallel.h"
 #include "src/util/varint.h"
 
 namespace tracelens
@@ -55,25 +65,6 @@ putString(std::ostream &out, const std::string &s)
 {
     putU32(out, static_cast<std::uint32_t>(s.size()));
     out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-/** Read a whole file into a byte buffer, or report why not. */
-Expected<std::vector<std::byte>>
-slurpFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) {
-        return SourceError{path, 0,
-                           "cannot open '" + path + "' for reading"};
-    }
-    const std::streamoff size = in.tellg();
-    in.seekg(0, std::ios::beg);
-    std::vector<std::byte> bytes(static_cast<std::size_t>(size));
-    if (size > 0 &&
-        !in.read(reinterpret_cast<char *>(bytes.data()), size)) {
-        return SourceError{path, 0, "read of '" + path + "' failed"};
-    }
-    return bytes;
 }
 
 /**
@@ -314,159 +305,216 @@ decodeDeltaEventBlock(std::span<const std::byte> block,
     return columns;
 }
 
-Expected<TraceCorpus>
-parseCorpus(std::span<const std::byte> bytes, const std::string &file)
+Expected<std::span<const std::byte>>
+tlc::CorpusInput::read(std::uint64_t offset, std::size_t n,
+                       std::vector<std::byte> &buffer) const
 {
-    ByteCursor cur(bytes, file);
-    const auto err = [&]() -> SourceError { return cur.error(); };
+    if (fd_ < 0)
+        return image_.subspan(offset, n);
+    if (buffer.size() < n)
+        buffer.resize(n);
+    std::size_t got = 0;
+    while (got < n) {
+        const ssize_t r = ::pread(fd_, buffer.data() + got, n - got,
+                                  static_cast<off_t>(offset + got));
+        if (r < 0 && errno == EINTR)
+            continue;
+        if (r < 0) {
+            // generic_category, not strerror: this runs on pool workers.
+            return SourceError{
+                file_, offset + got,
+                detail::concat("read of '", file_, "' failed: ",
+                               std::generic_category().message(errno))};
+        }
+        if (r == 0)
+            break; // the file ended early: it shrank since fstat
+        got += static_cast<std::size_t>(r);
+    }
+    return std::span<const std::byte>(buffer.data(), got);
+}
 
+namespace
+{
+
+/** A read-only file descriptor, closed when it goes out of scope. */
+class OpenFile
+{
+  public:
+    explicit OpenFile(const std::string &path)
+        : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC))
+    {
+    }
+    ~OpenFile()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+    OpenFile(const OpenFile &) = delete;
+    OpenFile &operator=(const OpenFile &) = delete;
+
+    /** The descriptor, or -1 when the open failed. */
+    int fd() const { return fd_; }
+
+  private:
+    int fd_;
+};
+
+/** Where one stream's event block lies, as the header scan found it. */
+struct EventBlock
+{
+    std::uint64_t offset = 0; //!< File offset of the first byte.
+    std::uint64_t bytes = 0;  //!< Encoded size.
+    std::uint32_t events = 0;
+    bool delta = false; //!< Delta-varint encoded, else raw records.
+};
+
+/** Raw records read and decoded per step (64 KiB), so a worker's read
+ *  buffer stays small and in cache. */
+constexpr std::uint32_t kChunkRecords = 2048;
+
+/**
+ * Scan a TLC1 image in file order on the calling thread: frames,
+ * stacks and scenarios into @p corpus, each stream's name and tags
+ * into a new stream of it and its event block's extent into
+ * @p blocks, then the instances. Event blocks are stepped over, not
+ * read. The scan stops at the first bad header, latched in @p cur;
+ * @p blocks then holds the blocks in front of it.
+ */
+void
+scanHeaders(ByteCursor &cur, TraceCorpus &corpus,
+            std::vector<EventBlock> &blocks)
+{
     std::uint32_t magic = 0;
     if (!cur.u32(magic, "magic"))
-        return err();
+        return;
     if (magic != kMagic) {
         cur.fail("not a TraceLens corpus (bad magic)");
-        return err();
+        return;
     }
     std::uint32_t version = 0;
     if (!cur.u32(version, "version"))
-        return err();
+        return;
     if (version != kVersion && version != tlc::kVersionCompressed) {
         cur.fail(detail::concat("unsupported corpus version ", version));
-        return err();
+        return;
     }
 
-    TraceCorpus corpus;
     SymbolTable &sym = corpus.symbols();
 
     std::uint32_t frame_count = 0;
     if (!cur.count(frame_count, sizeof(std::uint32_t), "frame"))
-        return err();
+        return;
     for (std::uint32_t i = 0; i < frame_count; ++i) {
         std::string_view name;
         if (!cur.stringView(name, "frame name"))
-            return err();
+            return;
         if (sym.internFrame(name) != i) {
             cur.fail("corpus contains duplicate frame entries");
-            return err();
+            return;
         }
     }
 
     std::uint32_t stack_count = 0;
     if (!cur.count(stack_count, sizeof(std::uint32_t), "stack"))
-        return err();
+        return;
     std::vector<FrameId> frames;
     for (std::uint32_t i = 0; i < stack_count; ++i) {
         std::uint32_t len = 0;
         if (!cur.count(len, sizeof(FrameId), "stack frame"))
-            return err();
+            return;
         frames.resize(len);
         for (auto &f : frames) {
             if (!cur.u32(f, "stack frame id"))
-                return err();
+                return;
             if (f >= frame_count) {
                 cur.fail("corpus stack references unknown frame");
-                return err();
+                return;
             }
         }
         if (sym.internStack(frames) != i) {
             cur.fail("corpus contains duplicate stack entries");
-            return err();
+            return;
         }
     }
 
     std::uint32_t scenario_count = 0;
     if (!cur.count(scenario_count, sizeof(std::uint32_t), "scenario"))
-        return err();
+        return;
     for (std::uint32_t i = 0; i < scenario_count; ++i) {
         std::string_view name;
         if (!cur.stringView(name, "scenario name"))
-            return err();
+            return;
         if (corpus.internScenario(name) != i) {
             cur.fail("corpus contains duplicate scenario names");
-            return err();
+            return;
         }
     }
 
     std::uint32_t stream_count = 0;
     if (!cur.count(stream_count, sizeof(std::uint32_t), "stream"))
-        return err();
+        return;
     for (std::uint32_t i = 0; i < stream_count; ++i) {
         std::string_view name;
         if (!cur.stringView(name, "stream name"))
-            return err();
-        const std::uint32_t index = corpus.addStream(std::string(name));
-        TraceStream &stream = corpus.stream(index);
+            return;
+        TraceStream &stream =
+            corpus.stream(corpus.addStream(std::string(name)));
         std::uint32_t tag_count = 0;
         if (!cur.count(tag_count, 2 * sizeof(std::uint32_t),
                        "stream tag"))
-            return err();
+            return;
         for (std::uint32_t t = 0; t < tag_count; ++t) {
+            // Copy the key out: reading the value may refill the
+            // window the key's view points into.
             std::string_view key, value;
-            if (!cur.stringView(key, "tag key") ||
-                !cur.stringView(value, "tag value"))
-                return err();
-            stream.tags.emplace(std::string(key), std::string(value));
+            if (!cur.stringView(key, "tag key"))
+                return;
+            std::string owned_key(key);
+            if (!cur.stringView(value, "tag value"))
+                return;
+            stream.tags.emplace(std::move(owned_key), std::string(value));
         }
-        std::uint32_t event_count = 0;
-        if (!cur.count(event_count,
+        EventBlock block;
+        if (!cur.count(block.events,
                        version == kVersion ? kEventRecordBytes : 1,
                        "event"))
-            return err();
+            return;
         std::uint32_t encoding = tlc::kEventEncodingRaw;
         if (version == tlc::kVersionCompressed &&
             !cur.u32(encoding, "event encoding"))
-            return err();
+            return;
+        const char *what = "event records";
         if (encoding == tlc::kEventEncodingRaw) {
-            const std::uint64_t block_start = cur.offset();
-            std::span<const std::byte> records;
-            if (!cur.view(records, event_count * kEventRecordBytes,
-                          "event records"))
-                return err();
-            EventColumns columns;
-            columns.reserve(event_count);
-            if (auto issue = columns.appendTlcRecords(
-                    records, event_count, stack_count)) {
-                // The scalar parser read a whole record before
-                // validating it, so the historical failure offset is
-                // the end of the offending record — reproduce that
-                // exactly.
-                cur.failAt(block_start +
-                               (issue->index + 1) * kEventRecordBytes,
-                           std::move(issue->reason));
-                return err();
-            }
-            stream.adopt(std::move(columns));
+            block.bytes = std::uint64_t{block.events} * kEventRecordBytes;
         } else if (encoding == tlc::kEventEncodingDelta) {
             std::uint32_t encoded_bytes = 0;
             if (!cur.u32(encoded_bytes, "event block size"))
-                return err();
-            if (event_count >
+                return;
+            if (block.events >
                 encoded_bytes / tlc::kDeltaMinBytesPerEvent) {
                 cur.fail(detail::concat(
-                    "corrupt corpus file: ", event_count,
+                    "corrupt corpus file: ", block.events,
                     " events cannot fit in a ", encoded_bytes,
                     "-byte compressed block"));
-                return err();
+                return;
             }
-            const std::uint64_t block_start = cur.offset();
-            std::span<const std::byte> block;
-            if (!cur.view(block, encoded_bytes, "event block"))
-                return err();
-            Expected<EventColumns> columns = decodeDeltaEventBlock(
-                block, event_count, stack_count, file, block_start);
-            if (!columns)
-                return columns.error();
-            stream.adopt(std::move(columns.value()));
+            block.bytes = encoded_bytes;
+            block.delta = true;
+            what = "event block";
         } else {
             cur.fail(detail::concat("unknown event encoding ",
                                     encoding));
-            return err();
+            return;
         }
+        block.offset = cur.offset();
+        if (!cur.skip(block.bytes, what))
+            return;
+        blocks.push_back(block);
     }
 
     std::uint32_t instance_count = 0;
     if (!cur.count(instance_count, kInstanceRecordBytes, "instance"))
-        return err();
+        return;
     for (std::uint32_t i = 0; i < instance_count; ++i) {
         ScenarioInstance inst;
         if (!cur.u32(inst.stream, "instance stream") ||
@@ -474,32 +522,155 @@ parseCorpus(std::span<const std::byte> bytes, const std::string &file)
             !cur.u32(inst.tid, "instance tid") ||
             !cur.i64(inst.t0, "instance t0") ||
             !cur.i64(inst.t1, "instance t1"))
-            return err();
+            return;
         if (inst.scenario >= scenario_count) {
             cur.fail("corpus instance references unknown scenario");
-            return err();
+            return;
         }
         if (inst.stream >= stream_count) {
             cur.fail("corpus instance references unknown stream");
-            return err();
+            return;
         }
         if (inst.t1 < inst.t0) {
             cur.fail("corpus instance window inverted");
-            return err();
+            return;
         }
         corpus.addInstance(inst);
     }
+}
 
+/**
+ * Decode one event block into columns: raw records kChunkRecords at a
+ * time through appendTlcRecords, which checks time order across
+ * appends, or a delta block whole through decodeDeltaEventBlock.
+ * @p buffer is the calling worker's read buffer.
+ */
+Expected<EventColumns>
+decodeBlock(const tlc::CorpusInput &input, const EventBlock &block,
+            std::uint32_t stack_count, std::vector<std::byte> &buffer)
+{
+    // A file that shrank after the scan: the error a file that short
+    // from the start gives when the block does not fit.
+    const auto truncated = [&](const char *what) -> SourceError {
+        return SourceError{
+            input.file(), block.offset,
+            detail::concat("truncated corpus file (", what, ")")};
+    };
+    if (block.delta) {
+        Expected<std::span<const std::byte>> bytes =
+            input.read(block.offset, block.bytes, buffer);
+        if (!bytes)
+            return bytes.error();
+        if (bytes.value().size() < block.bytes)
+            return truncated("event block");
+        return decodeDeltaEventBlock(bytes.value(), block.events,
+                                     stack_count, input.file(),
+                                     block.offset);
+    }
+    EventColumns columns;
+    columns.reserve(block.events);
+    for (std::uint32_t done = 0; done < block.events;) {
+        const std::uint32_t n = std::min(block.events - done, kChunkRecords);
+        const std::size_t n_bytes = std::size_t{n} * kEventRecordBytes;
+        const std::uint64_t at =
+            block.offset + std::uint64_t{done} * kEventRecordBytes;
+        Expected<std::span<const std::byte>> records =
+            input.read(at, n_bytes, buffer);
+        if (!records)
+            return records.error();
+        if (records.value().size() < n_bytes)
+            return truncated("event records");
+        if (auto issue = columns.appendTlcRecords(records.value(), n,
+                                                  stack_count)) {
+            // The scalar parser read a whole record before validating
+            // it, so the historical failure offset is the end of the
+            // offending record — reproduce that exactly.
+            return SourceError{
+                input.file(), at + (issue->index + 1) * kEventRecordBytes,
+                std::move(issue->reason)};
+        }
+        done += n;
+    }
+    return columns;
+}
+
+/**
+ * Decode @p blocks into the streams of @p corpus on up to @p threads
+ * workers (0 = all hardware threads). Workers claim blocks in file
+ * order, each reading through a buffer of its own that lives only
+ * for this call. Returns the error of the first bad block in file
+ * order.
+ */
+std::optional<SourceError>
+decodeBlocks(const tlc::CorpusInput &input,
+             const std::vector<EventBlock> &blocks, TraceCorpus &corpus,
+             unsigned threads)
+{
+    const auto stack_count =
+        static_cast<std::uint32_t>(corpus.symbols().stackCount());
+    std::vector<std::optional<SourceError>> errors(blocks.size());
+    std::atomic<std::size_t> next{0};
+    const std::size_t workers = std::max<std::size_t>(
+        1, std::min<std::size_t>(resolveThreads(threads), blocks.size()));
+    parallelFor(static_cast<unsigned>(workers), 0, workers,
+                [&](std::size_t) {
+        std::vector<std::byte> buffer;
+        for (std::size_t j = next++; j < blocks.size(); j = next++) {
+            Expected<EventColumns> columns =
+                decodeBlock(input, blocks[j], stack_count, buffer);
+            if (columns) {
+                corpus.stream(static_cast<std::uint32_t>(j))
+                    .adopt(std::move(columns.value()));
+            } else {
+                errors[j] = columns.error();
+            }
+        }
+    });
+    for (std::optional<SourceError> &error : errors) {
+        if (error)
+            return std::move(*error);
+    }
+    return std::nullopt;
+}
+
+} // namespace
+
+Expected<TraceCorpus>
+tlc::parse(const CorpusInput &input, unsigned threads)
+{
+    TraceCorpus corpus;
+    std::vector<EventBlock> blocks;
+    ByteCursor cur(input);
+    scanHeaders(cur, corpus, blocks);
+    if (std::optional<SourceError> error =
+            decodeBlocks(input, blocks, corpus, threads))
+        return std::move(*error);
+    if (cur.failed())
+        return cur.error();
     return corpus;
 }
 
 Expected<TraceCorpus>
-readCorpusFileChecked(const std::string &path)
+parseCorpus(std::span<const std::byte> bytes, const std::string &file,
+            unsigned threads)
 {
-    Expected<std::vector<std::byte>> bytes = slurpFile(path);
-    if (!bytes)
-        return bytes.error();
-    return parseCorpus(bytes.value(), path);
+    return tlc::parse(tlc::CorpusInput(bytes, file), threads);
+}
+
+Expected<TraceCorpus>
+readCorpusFileChecked(const std::string &path, unsigned threads,
+                      std::uint64_t *file_bytes)
+{
+    const OpenFile file(path);
+    struct stat st = {};
+    if (file.fd() < 0 || ::fstat(file.fd(), &st) != 0) {
+        return SourceError{path, 0,
+                           "cannot open '" + path + "' for reading"};
+    }
+    const auto size = static_cast<std::uint64_t>(st.st_size);
+    if (file_bytes != nullptr)
+        *file_bytes = size;
+    return tlc::parse(tlc::CorpusInput(file.fd(), size, path), threads);
 }
 
 std::string

@@ -17,18 +17,28 @@
  * re-interning in read order reproduces identical ids; round-trips are
  * bit-exact (validated by tests).
  *
- * Decoding is built on one bounds-checked buffer parser, parseCorpus():
- * every count, length, and id on disk is validated against the actual
- * buffer size before use, so truncated or hostile files produce a
- * SourceError (file, byte offset, reason) instead of reading past the
- * end. Every reader returns that error to its caller; the streaming
- * ingestion layer (src/trace/source.h) skips bad shards with it.
+ * Decoding is one bounds-checked parser over memory and file input
+ * alike (parseCorpus, readCorpusFileChecked). It scans the headers on
+ * the calling thread — frames, stacks, scenarios, each stream's name,
+ * tags and event-block extent, instances — then decodes the event
+ * blocks in parallel, each into its own stream's columns. A file is
+ * read with pread: its headers through a small window, each event
+ * block into its worker's buffer (raw records in bounded chunks); no
+ * image of the whole file is ever made. Every
+ * count, length, and id on disk is validated against the input's size
+ * before use, so truncated or hostile files — or a file that shrinks
+ * under the reader — produce a SourceError (file, byte offset,
+ * reason) instead of reading past the end; the first error in file
+ * order wins at every thread count. Every reader returns that error
+ * to its caller; the streaming ingestion layer (src/trace/source.h)
+ * skips bad shards with it.
  */
 
 #ifndef TRACELENS_TRACE_SERIALIZE_H
 #define TRACELENS_TRACE_SERIALIZE_H
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -94,16 +104,24 @@ Expected<EventColumns> decodeDeltaEventBlock(
  * checking; @p file names the origin in any SourceError. The returned
  * corpus owns all its data — @p bytes may be released afterwards —
  * but decoding itself is zero-copy: strings are interned straight from
- * views into the buffer and packed records are decoded in place.
+ * views into the buffer and event blocks are decoded in place.
+ * @p threads decodes the event blocks (0 = all hardware threads);
+ * the corpus, or the error, is the same at every count.
  */
 Expected<TraceCorpus> parseCorpus(std::span<const std::byte> bytes,
-                                  const std::string &file = "<memory>");
+                                  const std::string &file = "<memory>",
+                                  unsigned threads = 1);
 
 /**
  * Read and decode a corpus file, reporting failures (including open /
- * read errors) as a SourceError instead of exiting.
+ * read errors) as a SourceError instead of exiting. The file is read
+ * with pread up to the length fstat gave at open, which is stored in
+ * @p file_bytes when that is not null; @p threads as for parseCorpus.
  */
-Expected<TraceCorpus> readCorpusFileChecked(const std::string &path);
+Expected<TraceCorpus> readCorpusFileChecked(const std::string &path,
+                                            unsigned threads = 1,
+                                            std::uint64_t *file_bytes =
+                                                nullptr);
 
 /**
  * Render a human-readable dump of one stream (timestamp-ordered event

@@ -13,6 +13,7 @@
 #include "src/trace/merge.h"
 #include "src/trace/serialize.h"
 #include "src/util/logging.h"
+#include "src/util/parallel.h"
 #include "src/util/telemetry.h"
 
 namespace tracelens
@@ -30,14 +31,6 @@ shardLoads()
     static Counter &counter =
         MetricsRegistry::global().counter("source.shard_loads");
     return counter;
-}
-
-std::uint64_t
-fileSizeOrZero(const std::string &path)
-{
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    return ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
 } // namespace
@@ -70,9 +63,10 @@ EagerSource::EagerSource(TraceCorpus &&corpus) : owned_(std::move(corpus))
     stats_.loadedShards = 1;
 }
 
-EagerSource::EagerSource(std::vector<std::string> paths)
-    : paths_(std::move(paths)), reported_(paths_.size(), false),
-      everLoaded_(paths_.size(), false)
+EagerSource::EagerSource(std::vector<std::string> paths,
+                         unsigned threads)
+    : paths_(std::move(paths)), threads_(threads),
+      reported_(paths_.size(), false), everLoaded_(paths_.size(), false)
 {
     stats_.shards = paths_.size();
 }
@@ -106,10 +100,14 @@ EagerSource::readShard(std::size_t shard)
 {
     TL_ASSERT(shard < paths_.size(), "bad shard index ", shard);
     Span span("source.decode-shard", "ingest");
-    Expected<TraceCorpus> loaded = readCorpusFileChecked(paths_[shard]);
+    std::uint64_t bytes = 0;
+    Expected<TraceCorpus> loaded =
+        readCorpusFileChecked(paths_[shard], threads_, &bytes);
     if (span.active()) {
         span.arg("shard", static_cast<std::uint64_t>(shard));
-        span.arg("bytes", fileSizeOrZero(paths_[shard]));
+        span.arg("bytes", bytes);
+        span.arg("threads",
+                 static_cast<std::uint64_t>(resolveThreads(threads_)));
         span.arg("events", static_cast<std::uint64_t>(
                                loaded ? loaded.value().totalEvents() : 0));
     }
@@ -123,7 +121,7 @@ EagerSource::readShard(std::size_t shard)
     } else if (!everLoaded_[shard]) {
         everLoaded_[shard] = true;
         stats_.loadedShards++;
-        stats_.ingestBytes += fileSizeOrZero(paths_[shard]);
+        stats_.ingestBytes += bytes;
         shardLoads().add(1);
     }
     return loaded;
@@ -216,13 +214,13 @@ listShardFiles(const std::string &path)
 }
 
 Expected<std::unique_ptr<TraceSource>>
-openSource(const std::string &path)
+openSource(const std::string &path, unsigned threads)
 {
     Expected<std::vector<std::string>> shards = listShardFiles(path);
     if (!shards)
         return shards.error();
-    return std::unique_ptr<TraceSource>(
-        std::make_unique<EagerSource>(std::move(shards.value())));
+    return std::unique_ptr<TraceSource>(std::make_unique<EagerSource>(
+        std::move(shards.value()), threads));
 }
 
 bool

@@ -7,7 +7,8 @@
  * bytes live* — one file, a sharded directory, or an already-loaded
  * corpus. EagerSource is its implementation: it wraps an in-memory
  * TraceCorpus, or reads each shard file through
- * readCorpusFileChecked(), the one TLC1 decoder.
+ * readCorpusFileChecked(), the one TLC1 decoder, on the thread count
+ * the caller gave openSource() (the one it analyzes with).
  *
  * Per-shard errors are isolated: a corrupt trace file is recorded in
  * IngestStats::errors and skipped — never fatal.
@@ -39,7 +40,8 @@ struct IngestStats
     std::size_t loadedShards = 0;
     /** Corrupt/unreadable shards reported and skipped. */
     std::size_t skippedShards = 0;
-    /** Raw file bytes of the usable shards. */
+    /** File bytes the reader decoded (their length at open) of the
+     *  usable shards. */
     std::uint64_t ingestBytes = 0;
     /** One entry per skipped shard: file, offset, reason. */
     std::vector<SourceError> errors;
@@ -97,8 +99,10 @@ class EagerSource : public TraceSource
     /** Take ownership of a corpus (rvalues only, so a const lvalue
      * unambiguously borrows). */
     explicit EagerSource(TraceCorpus &&corpus);
-    /** Read these shard files on first corpus()/shard(). */
-    explicit EagerSource(std::vector<std::string> paths);
+    /** Read these shard files on first corpus()/shard(), decoding
+     *  each on @p threads workers (0 = all hardware threads). */
+    explicit EagerSource(std::vector<std::string> paths,
+                         unsigned threads = 1);
 
     std::string describe() const override;
     std::size_t shardCount() const override;
@@ -116,6 +120,7 @@ class EagerSource : public TraceSource
     const TraceCorpus *borrowed_ = nullptr;
     std::optional<TraceCorpus> owned_;
     std::vector<std::string> paths_;
+    unsigned threads_ = 1;
     bool loaded_ = false;
     /** Shards whose errors were already counted. */
     std::vector<bool> reported_;
@@ -136,11 +141,13 @@ class EagerSource : public TraceSource
 Expected<std::vector<std::string>> listShardFiles(const std::string &path);
 
 /**
- * Open @p path as a TraceSource over listShardFiles(@p path). Fails
- * only when @p path itself is unusable — corrupt shard *files* are
- * isolated later, per shard.
+ * Open @p path as a TraceSource over listShardFiles(@p path), whose
+ * shards decode on @p threads workers (0 = all hardware threads; pass
+ * the analysis thread count). Fails only when @p path itself is
+ * unusable — corrupt shard *files* are isolated later, per shard.
  */
-Expected<std::unique_ptr<TraceSource>> openSource(const std::string &path);
+Expected<std::unique_ptr<TraceSource>> openSource(const std::string &path,
+                                                  unsigned threads = 1);
 
 /**
  * True when @p filename (the final path component, no directory) is a

@@ -2,12 +2,14 @@
  * @file
  * Tests for the ingestion layer (src/trace/source.h): file and
  * sharded sources against the in-memory corpus, corrupt-shard
- * isolation, and hostile-input robustness of the bounds-checked
- * parser.
+ * isolation, hostile-input robustness of the bounds-checked parser,
+ * and memory and file input decoding alike at every thread count.
  */
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
@@ -24,6 +26,7 @@
 #include "src/trace/merge.h"
 #include "src/trace/serialize.h"
 #include "src/trace/source.h"
+#include "src/trace/tlcformat.h"
 #include "src/trace/validate.h"
 #include "src/workload/generator.h"
 #include "src/workload/scenarios.h"
@@ -95,6 +98,18 @@ reportFor(TraceSource &source)
     return buildReport(analyzer, catalogThresholds(analyzer.corpus()));
 }
 
+/** @p corpus as the TLC1 image writeCorpus() makes of it. */
+std::vector<std::byte>
+corpusBytes(const TraceCorpus &corpus, const CorpusWriteOptions &options)
+{
+    std::ostringstream oss;
+    writeCorpus(corpus, oss, options);
+    const std::string raw = oss.str();
+    std::vector<std::byte> bytes(raw.size());
+    std::memcpy(bytes.data(), raw.data(), raw.size());
+    return bytes;
+}
+
 /** A tiny hand-built corpus serialized to bytes (for fuzz loops). */
 std::vector<std::byte>
 tinyCorpusBytes()
@@ -110,13 +125,145 @@ tinyCorpusBytes()
     b.running(1, 150, 30, app);
     b.instance("S", 1, 0, 200);
     b.finish();
+    return corpusBytes(corpus, CorpusWriteOptions{});
+}
 
-    std::ostringstream oss;
-    writeCorpus(corpus, oss);
-    const std::string raw = oss.str();
-    std::vector<std::byte> bytes(raw.size());
-    std::memcpy(bytes.data(), raw.data(), raw.size());
-    return bytes;
+/** The decode thread counts every decode test runs at. */
+constexpr unsigned kDecodeThreads[] = {1, 4};
+
+/**
+ * Equal symbols, scenarios, streams (name, tags, every column,
+ * endTime) and instances: what two decodes of one image must share.
+ */
+::testing::AssertionResult
+sameCorpus(const TraceCorpus &a, const TraceCorpus &b)
+{
+    const auto same = [](auto x, auto y) {
+        return std::equal(x.begin(), x.end(), y.begin(), y.end());
+    };
+    const SymbolTable &sa = a.symbols();
+    const SymbolTable &sb = b.symbols();
+    if (sa.frameCount() != sb.frameCount() ||
+        sa.stackCount() != sb.stackCount())
+        return ::testing::AssertionFailure() << "symbol counts differ";
+    for (FrameId f = 0; f < sa.frameCount(); ++f) {
+        if (sa.frameName(f) != sb.frameName(f))
+            return ::testing::AssertionFailure() << "frame " << f;
+    }
+    for (CallstackId k = 0; k < sa.stackCount(); ++k) {
+        if (!same(sa.stackFrames(k), sb.stackFrames(k)))
+            return ::testing::AssertionFailure() << "stack " << k;
+    }
+    if (a.scenarioCount() != b.scenarioCount())
+        return ::testing::AssertionFailure() << "scenario counts differ";
+    for (std::uint32_t i = 0; i < a.scenarioCount(); ++i) {
+        if (a.scenarioName(i) != b.scenarioName(i))
+            return ::testing::AssertionFailure() << "scenario " << i;
+    }
+    if (a.streamCount() != b.streamCount())
+        return ::testing::AssertionFailure() << "stream counts differ";
+    for (std::uint32_t i = 0; i < a.streamCount(); ++i) {
+        const TraceStream &x = a.stream(i);
+        const TraceStream &y = b.stream(i);
+        const EventColumns &cx = x.columns();
+        const EventColumns &cy = y.columns();
+        if (x.name != y.name || x.tags != y.tags ||
+            x.endTime() != y.endTime() ||
+            !same(cx.timestamps(), cy.timestamps()) ||
+            !same(cx.costs(), cy.costs()) ||
+            !same(cx.tids(), cy.tids()) ||
+            !same(cx.wtids(), cy.wtids()) ||
+            !same(cx.stacks(), cy.stacks()) ||
+            !same(cx.types(), cy.types()))
+            return ::testing::AssertionFailure() << "stream " << i;
+    }
+    const auto &ia = a.instances();
+    const auto &ib = b.instances();
+    if (ia.size() != ib.size())
+        return ::testing::AssertionFailure() << "instance counts differ";
+    for (std::size_t i = 0; i < ia.size(); ++i) {
+        if (ia[i].stream != ib[i].stream ||
+            ia[i].scenario != ib[i].scenario || ia[i].tid != ib[i].tid ||
+            ia[i].t0 != ib[i].t0 || ia[i].t1 != ib[i].t1)
+            return ::testing::AssertionFailure() << "instance " << i;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Two decode outcomes agree: equal corpora, or equal errors. */
+::testing::AssertionResult
+sameDecode(const Expected<TraceCorpus> &a, const Expected<TraceCorpus> &b)
+{
+    if (a.ok() != b.ok()) {
+        return ::testing::AssertionFailure()
+               << (a.ok() ? b : a).error().render() << " against a corpus";
+    }
+    if (a.ok())
+        return sameCorpus(a.value(), b.value());
+    if (a.error().render() != b.error().render()) {
+        return ::testing::AssertionFailure()
+               << a.error().render() << " against "
+               << b.error().render();
+    }
+    return ::testing::AssertionSuccess();
+}
+
+void
+writeBytes(const std::string &path, std::span<const std::byte> bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
+/**
+ * Three tagged streams with a handful of events each: small enough to
+ * decode every truncation and byte flip of, with enough blocks that
+ * four decode threads share them.
+ */
+TraceCorpus
+multiStreamCorpus()
+{
+    TraceCorpus corpus;
+    for (const char *name : {"stream-a", "stream-b", "stream-c"}) {
+        StreamBuilder b(corpus, name);
+        const CallstackId app = b.stack({"app!Main", "fs.sys!Read"});
+        const CallstackId drv = b.stack({"se.sys!Decrypt"});
+        b.running(1, 0, 100, app);
+        b.wait(1, 100, app);
+        b.running(2, 100, 50, drv);
+        b.hardware(9, 120, 20, kNoCallstack);
+        b.unwait(2, 150, 1, drv);
+        b.running(1, 150, 30, app);
+        b.instance("S", 1, 0, 200);
+        const std::uint32_t index = b.finish();
+        if (index > 0)
+            corpus.stream(index).tags["disk"] = index == 1 ? "hdd" : "ssd";
+    }
+    return corpus;
+}
+
+/**
+ * Decode @p bytes from memory and from a file holding them, at every
+ * decode thread count, and check every outcome against the one-thread
+ * memory decode. @p path names both inputs, so errors match in full.
+ */
+::testing::AssertionResult
+decodesAlike(std::span<const std::byte> bytes, const std::string &path)
+{
+    writeBytes(path, bytes);
+    const Expected<TraceCorpus> reference = parseCorpus(bytes, path, 1);
+    for (unsigned threads : kDecodeThreads) {
+        auto memory = sameDecode(reference,
+                                 parseCorpus(bytes, path, threads));
+        if (!memory)
+            return memory << " (memory, " << threads << " threads)";
+        auto file = sameDecode(reference,
+                               readCorpusFileChecked(path, threads));
+        if (!file)
+            return file << " (file, " << threads << " threads)";
+    }
+    return ::testing::AssertionSuccess();
 }
 
 // ------------------------------------------------ in-memory equivalence
@@ -140,13 +287,17 @@ TEST(Source, SingleFileReportEqualsInMemoryCorpus)
     const std::string expected = reportFor(reference);
     ASSERT_FALSE(expected.empty());
 
-    for (const std::string &path : {single, sharded}) {
-        auto source = openSource(path);
-        ASSERT_TRUE(source.ok()) << source.error().render();
-        const std::string report = reportFor(*source.value());
-        EXPECT_EQ(source.value()->stats().skippedShards, 0u);
-        if (path == single) {
-            EXPECT_EQ(report, expected);
+    for (unsigned threads : kDecodeThreads) {
+        for (const std::string &path : {single, sharded}) {
+            auto source = openSource(path, threads);
+            ASSERT_TRUE(source.ok()) << source.error().render();
+            const std::string report = reportFor(*source.value());
+            EXPECT_EQ(source.value()->stats().skippedShards, 0u);
+            if (path == single) {
+                EXPECT_EQ(report, expected) << threads << " threads";
+                EXPECT_TRUE(sameCorpus(source.value()->corpus(), corpus))
+                    << threads << " threads";
+            }
         }
     }
 }
@@ -171,23 +322,31 @@ TEST(Source, CompressedCorpusYieldsIdenticalReports)
     EagerSource reference(corpus);
     const std::string expected = reportFor(reference);
 
-    for (const std::string &path : {raw, compact, shards}) {
-        auto source = openSource(path);
-        ASSERT_TRUE(source.ok()) << source.error().render();
-        EXPECT_EQ(source.value()->stats().skippedShards, 0u);
-        if (path != shards) {
-            EXPECT_EQ(reportFor(*source.value()), expected) << path;
-        }
-    }
-
-    // Sharded compressed and sharded raw agree with each other even
-    // though per-shard re-interning keeps them off the single-file
-    // reference.
     const std::string rawShards = dir.file("raw-shards");
     writeShardedCorpusDir(corpus, rawShards, 4);
-    auto a = openSource(shards), b = openSource(rawShards);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(reportFor(*a.value()), reportFor(*b.value()));
+    for (unsigned threads : kDecodeThreads) {
+        for (const std::string &path : {raw, compact, shards}) {
+            auto source = openSource(path, threads);
+            ASSERT_TRUE(source.ok()) << source.error().render();
+            EXPECT_EQ(source.value()->stats().skippedShards, 0u);
+            if (path != shards) {
+                EXPECT_EQ(reportFor(*source.value()), expected)
+                    << path << ", " << threads << " threads";
+                EXPECT_TRUE(sameCorpus(source.value()->corpus(), corpus))
+                    << path << ", " << threads << " threads";
+            }
+        }
+
+        // Sharded compressed and sharded raw agree with each other
+        // even though per-shard re-interning keeps them off the
+        // single-file reference.
+        auto a = openSource(shards, threads);
+        auto b = openSource(rawShards, threads);
+        ASSERT_TRUE(a.ok() && b.ok());
+        EXPECT_TRUE(sameCorpus(a.value()->corpus(), b.value()->corpus()))
+            << threads << " threads";
+        EXPECT_EQ(reportFor(*a.value()), reportFor(*b.value()));
+    }
 }
 
 TEST(Source, ShardedDirectoryEqualsMonolithicFile)
@@ -318,6 +477,132 @@ TEST(Source, ParseCorpusSurvivesEveryByteFlip)
             ++rejected;
     }
     EXPECT_GT(rejected, 0u);
+}
+
+TEST(Source, MemoryAndFileDecodeAlikeAtEveryThreadCount)
+{
+    // Every prefix and every single-byte flip of a v2 and a v3 image
+    // decodes to the same corpus, or fails with the same offset and
+    // reason, from memory and from a file, at every thread count.
+    const ScratchDir dir("alike");
+    const std::string path = dir.file("image.tlc");
+    const TraceCorpus corpus = multiStreamCorpus();
+    for (bool compress : {false, true}) {
+        CorpusWriteOptions options;
+        options.compressEvents = compress;
+        const std::vector<std::byte> bytes = corpusBytes(corpus, options);
+        ASSERT_TRUE(sameDecode(parseCorpus(bytes, path), corpus));
+        for (std::size_t len = 0; len <= bytes.size(); ++len) {
+            ASSERT_TRUE(decodesAlike({bytes.data(), len}, path))
+                << (compress ? "v3" : "v2") << " prefix of " << len;
+        }
+        for (std::size_t i = 0; i < bytes.size(); ++i) {
+            std::vector<std::byte> mutated = bytes;
+            mutated[i] ^= std::byte{0xFF};
+            ASSERT_TRUE(decodesAlike(mutated, path))
+                << (compress ? "v3" : "v2") << " flip at " << i;
+        }
+    }
+}
+
+TEST(Source, FirstErrorInFileOrderWins)
+{
+    // A bad event type in stream 0 lies in front of a corrupt header
+    // in stream 2, so it is the error at every thread count, though
+    // the header scan meets the corrupt header first.
+    const ScratchDir dir("first-error");
+    const std::string path = dir.file("image.tlc");
+    std::vector<std::byte> bytes =
+        corpusBytes(multiStreamCorpus(), CorpusWriteOptions{});
+    const auto find = [&](std::string_view text) {
+        const auto *data = reinterpret_cast<const char *>(bytes.data());
+        const std::size_t at =
+            std::string_view(data, bytes.size()).find(text);
+        EXPECT_NE(at, std::string_view::npos) << text;
+        return at + text.size();
+    };
+    // stream-a has no tags: its tag count and event count, then the
+    // records. The type is the last field of a 32-byte record.
+    const std::size_t records = find("stream-a") + 8;
+    const std::uint32_t bad_type = 99;
+    std::memcpy(bytes.data() + records + 28, &bad_type, 4);
+    // stream-c's tag count follows its name.
+    std::memset(bytes.data() + find("stream-c"), 0xFF, 4);
+
+    for (unsigned threads : kDecodeThreads) {
+        const Expected<TraceCorpus> got = parseCorpus(bytes, path, threads);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.error().offset, records + 32) << threads;
+        EXPECT_EQ(got.error().reason, "corpus event has invalid type 99")
+            << threads;
+    }
+    EXPECT_TRUE(decodesAlike(bytes, path));
+}
+
+TEST(Source, RecordErrorPastTheFirstReadChunkKeepsItsOffset)
+{
+    // Raw records are decoded a read chunk (2048 records) at a time;
+    // an error in a later chunk is still located at the end of its
+    // record, as a whole-block decode located it.
+    const ScratchDir dir("chunk-error");
+    const std::string path = dir.file("image.tlc");
+    TraceCorpus corpus;
+    StreamBuilder b(corpus, "long");
+    const CallstackId app = b.stack({"app!Main"});
+    for (TimeNs t = 0; t < 2100; ++t)
+        b.running(1, 10 * t, 5, app);
+    b.finish();
+    std::vector<std::byte> bytes =
+        corpusBytes(corpus, CorpusWriteOptions{});
+    const auto *data = reinterpret_cast<const char *>(bytes.data());
+    // No tags: the tag count and the event count, then the records.
+    const std::size_t records =
+        std::string_view(data, bytes.size()).find("long") + 4 + 8;
+    const TimeNs back_in_time = 0;
+    std::memcpy(bytes.data() + records + 2048 * 32, &back_in_time, 8);
+
+    writeBytes(path, bytes);
+    for (unsigned threads : kDecodeThreads) {
+        for (const Expected<TraceCorpus> &got :
+             {parseCorpus(bytes, path, threads),
+              readCorpusFileChecked(path, threads)}) {
+            ASSERT_FALSE(got.ok());
+            EXPECT_EQ(got.error().offset, records + 2049 * 32) << threads;
+            EXPECT_EQ(got.error().reason, "corpus events out of time order")
+                << threads;
+        }
+    }
+}
+
+TEST(Source, FileThatShrinksUnderTheReaderIsTruncated)
+{
+    // The reader trusts the length fstat gave at open; a file cut
+    // shorter after that fails its short pread with a truncation
+    // error, in the header window or in an event block alike.
+    const ScratchDir dir("shrink");
+    const std::string path = dir.file("image.tlc");
+    for (bool compress : {false, true}) {
+        CorpusWriteOptions options;
+        options.compressEvents = compress;
+        const std::vector<std::byte> bytes =
+            corpusBytes(multiStreamCorpus(), options);
+        for (std::size_t len = 0; len < bytes.size(); ++len) {
+            writeBytes(path, {bytes.data(), len});
+            const int fd = ::open(path.c_str(), O_RDONLY);
+            ASSERT_GE(fd, 0);
+            for (unsigned threads : kDecodeThreads) {
+                const Expected<TraceCorpus> got = tlc::parse(
+                    tlc::CorpusInput(fd, bytes.size(), path), threads);
+                ASSERT_FALSE(got.ok()) << len;
+                EXPECT_EQ(got.error().reason.rfind(
+                              "truncated corpus file", 0),
+                          0u)
+                    << len << ": " << got.error().render();
+                EXPECT_LE(got.error().offset, len);
+            }
+            ::close(fd);
+        }
+    }
 }
 
 TEST(Source, ParseCorpusRejectsImpossibleCounts)

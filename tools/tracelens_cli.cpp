@@ -384,11 +384,13 @@ printHelp(std::ostream &out, const Command &command)
 /** Daemon/client version; format revisions print alongside it. */
 constexpr const char *kTracelensVersion = "0.6.0";
 
-/** Open PATH as a TraceSource or die with the located error. */
+/** Open PATH as a TraceSource, decoding on @p threads workers, or die
+ *  with the located error. */
 std::unique_ptr<TraceSource>
-openSourceOrDie(const std::string &path)
+openSourceOrDie(const std::string &path, unsigned threads = 1)
 {
-    Expected<std::unique_ptr<TraceSource>> source = openSource(path);
+    Expected<std::unique_ptr<TraceSource>> source =
+        openSource(path, threads);
     if (!source)
         TL_FATAL(source.error().render());
     return std::move(source.value());
@@ -457,6 +459,11 @@ cmdGenerate(const Flags &flags)
     const auto drip = flags.text("drip");
     if (!out && !drip)
         return flags.fail("expects --out PATH or --drip DIR");
+    if (out && drip)
+        return flags.fail("--out and --drip cannot both be given");
+    if (out && flags.has("interval-ms"))
+        return flags.fail("--interval-ms paces --drip and cannot be "
+                          "given with --out");
     CorpusSpec spec;
     flags.read("machines", spec.machines);
     flags.read("seed", spec.seed);
@@ -589,10 +596,10 @@ cmdValidate(const Flags &flags)
 int
 cmdImpact(const Flags &flags)
 {
-    const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(flags.operands()[0]);
-
     AnalyzerConfig config = analyzerConfig(flags);
+    const std::unique_ptr<TraceSource> source =
+        openSourceOrDie(flags.operands()[0], config.threads);
+
     const auto globs = flags.texts("components");
     if (!globs.empty())
         config.components = globs;
@@ -643,14 +650,15 @@ int
 cmdAnalyze(const Flags &flags)
 {
     const std::string scenario = *flags.text("scenario");
+    const AnalyzerConfig config = analyzerConfig(flags);
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(flags.operands()[0]);
+        openSourceOrDie(flags.operands()[0], config.threads);
 
     DurationNs t_fast = 0, t_slow = 0;
     if (!scenarioThresholds(flags, scenario, t_fast, t_slow))
         return 2;
 
-    Analyzer analyzer(*source, analyzerConfig(flags));
+    Analyzer analyzer(*source, config);
     requireUsable(*source);
     const TraceCorpus &corpus = analyzer.corpus();
     const ScenarioAnalysis analysis =
@@ -712,9 +720,10 @@ cmdThresholds(const Flags &flags)
 int
 cmdReport(const Flags &flags)
 {
+    const AnalyzerConfig config = analyzerConfig(flags);
     const std::unique_ptr<TraceSource> source =
-        openSourceOrDie(flags.operands()[0]);
-    Analyzer analyzer(*source, analyzerConfig(flags));
+        openSourceOrDie(flags.operands()[0], config.threads);
+    Analyzer analyzer(*source, config);
     requireUsable(*source);
     const TraceCorpus &corpus = analyzer.corpus();
 
@@ -741,16 +750,16 @@ int
 cmdDiff(const Flags &flags)
 {
     const std::string scenario = *flags.text("scenario");
+    const AnalyzerConfig config = analyzerConfig(flags);
     const std::unique_ptr<TraceSource> source_before =
-        openSourceOrDie(flags.operands()[0]);
+        openSourceOrDie(flags.operands()[0], config.threads);
     const std::unique_ptr<TraceSource> source_after =
-        openSourceOrDie(flags.operands()[1]);
+        openSourceOrDie(flags.operands()[1], config.threads);
 
     DurationNs t_fast = 0, t_slow = 0;
     if (!scenarioThresholds(flags, scenario, t_fast, t_slow))
         return 2;
 
-    const AnalyzerConfig config = analyzerConfig(flags);
     Analyzer ana_before(*source_before, config);
     requireUsable(*source_before);
     Analyzer ana_after(*source_after, config);
@@ -973,6 +982,9 @@ answered(const Expected<server::Response> &response)
 int
 cmdQuery(const Flags &flags)
 {
+    if (flags.has("params") && flags.has("params-file"))
+        return flags.fail("--params and --params-file cannot both be "
+                          "given");
     JsonValue params = JsonValue::makeObject();
     std::string paramsText = flags.text("params").value_or("");
     if (auto file = flags.text("params-file")) {
