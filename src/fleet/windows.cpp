@@ -108,17 +108,6 @@ WindowedAnalyzer::currentWindow() const
 }
 
 std::vector<std::uint64_t>
-WindowedAnalyzer::trailingWindows(std::size_t n) const
-{
-    std::vector<std::uint64_t> ids = allWindows();
-    if (ids.size() > n)
-        ids.erase(ids.begin(),
-                  ids.begin() +
-                      static_cast<std::ptrdiff_t>(ids.size() - n));
-    return ids;
-}
-
-std::vector<std::uint64_t>
 WindowedAnalyzer::allWindows() const
 {
     std::vector<std::uint64_t> ids;

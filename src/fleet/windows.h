@@ -114,9 +114,6 @@ class WindowedAnalyzer
     /** Newest window id; nullopt before the first shard. */
     std::optional<std::uint64_t> currentWindow() const;
 
-    /** The newest @p n window ids (ascending); fewer when young. */
-    std::vector<std::uint64_t> trailingWindows(std::size_t n) const;
-
     /** Every live window id, ascending. */
     std::vector<std::uint64_t> allWindows() const;
 

@@ -46,17 +46,6 @@ MiningResult::totalPatternCost() const
     return total;
 }
 
-DurationNs
-MiningResult::impactfulPatternCost(DurationNs t_slow) const
-{
-    DurationNs total = 0;
-    for (const auto &p : patterns) {
-        if (p.highImpact(t_slow))
-            total += p.cost;
-    }
-    return total;
-}
-
 namespace
 {
 

@@ -105,8 +105,6 @@ struct MiningResult
 
     /** Sum of P.C over all patterns. */
     DurationNs totalPatternCost() const;
-    /** Sum of P.C over patterns whose maxExec exceeds @p t_slow. */
-    DurationNs impactfulPatternCost(DurationNs t_slow) const;
 };
 
 /**

@@ -247,31 +247,31 @@ Session::close()
 Expected<Response>
 Session::analyze(const AnalyzeRequest &request, CallOptions options)
 {
-    return call(AnalyzeRequest::kMethod, request.toParams(), options);
+    return call(Method::Analyze, request.toParams(), options);
 }
 
 Expected<Response>
 Session::impact(const ImpactRequest &request, CallOptions options)
 {
-    return call(ImpactRequest::kMethod, request.toParams(), options);
+    return call(Method::Impact, request.toParams(), options);
 }
 
 Expected<Response>
 Session::mine(const MineRequest &request, CallOptions options)
 {
-    return call(MineRequest::kMethod, request.toParams(), options);
+    return call(Method::Mine, request.toParams(), options);
 }
 
 Expected<Response>
 Session::ingest(const IngestRequest &request, CallOptions options)
 {
-    return call(IngestRequest::kMethod, request.toParams(), options);
+    return call(Method::Ingest, request.toParams(), options);
 }
 
 Expected<Response>
 Session::sleep(const SleepRequest &request, CallOptions options)
 {
-    return call(SleepRequest::kMethod, request.toParams(), options);
+    return call(Method::Sleep, request.toParams(), options);
 }
 
 Expected<Response>

@@ -203,50 +203,6 @@ ImpactPartialRequest::toParams() const
 }
 
 JsonValue
-MinePartialRequest::toParams() const
-{
-    JsonValue params = JsonValue::makeObject();
-    params.set("corpus", JsonValue(corpus));
-    params.set("scenario", JsonValue(scenario));
-    params.set("tfast_ms", JsonValue(tfastMs));
-    params.set("tslow_ms", JsonValue(tslowMs));
-    return params;
-}
-
-JsonValue
-ClusterStatusRequest::toParams() const
-{
-    JsonValue params = JsonValue::makeObject();
-    if (metrics)
-        params.set("metrics", JsonValue(true));
-    return params;
-}
-
-JsonValue
-TelemetryPullRequest::toParams() const
-{
-    return JsonValue::makeObject();
-}
-
-JsonValue
-MetricsRequest::toParams() const
-{
-    return JsonValue::makeObject();
-}
-
-JsonValue
-FlightRecorderRequest::toParams() const
-{
-    return JsonValue::makeObject();
-}
-
-JsonValue
-ClusterTraceRequest::toParams() const
-{
-    return JsonValue::makeObject();
-}
-
-JsonValue
 IngestPushRequest::toParams() const
 {
     JsonValue params = JsonValue::makeObject();

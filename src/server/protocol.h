@@ -172,7 +172,6 @@ struct AnalyzeRequest
     std::optional<bool> knowledgeFilter;
     std::vector<std::string> components;
     JsonValue toParams() const;
-    static constexpr Method kMethod = Method::Analyze;
 };
 
 struct ImpactRequest
@@ -180,7 +179,6 @@ struct ImpactRequest
     std::string corpus;
     std::vector<std::string> components;
     JsonValue toParams() const;
-    static constexpr Method kMethod = Method::Impact;
 };
 
 struct MineRequest
@@ -191,21 +189,18 @@ struct MineRequest
     std::optional<double> tslowMs;
     std::optional<std::size_t> maxPatterns;
     JsonValue toParams() const;
-    static constexpr Method kMethod = Method::Mine;
 };
 
 struct IngestRequest
 {
     std::string corpus;
     JsonValue toParams() const;
-    static constexpr Method kMethod = Method::Ingest;
 };
 
 struct SleepRequest
 {
     double ms = 10.0;
     JsonValue toParams() const;
-    static constexpr Method kMethod = Method::Sleep;
 };
 
 /**
@@ -222,7 +217,6 @@ struct AnalyzePartialRequest
     double tslowMs = 0;
     std::vector<std::string> components;
     JsonValue toParams() const;
-    static constexpr Method kMethod = Method::AnalyzePartial;
 };
 
 /** One shard's corpus-wide impact partial (coordinator scatter). */
@@ -231,57 +225,6 @@ struct ImpactPartialRequest
     std::string corpus; //!< One shard file, not a directory.
     std::vector<std::string> components;
     JsonValue toParams() const;
-    static constexpr Method kMethod = Method::ImpactPartial;
-};
-
-/** Same payload as AnalyzePartialRequest, under the mine_partial
- *  method name (the coordinator's mine gather). */
-struct MinePartialRequest
-{
-    std::string corpus;
-    std::string scenario;
-    double tfastMs = 0;
-    double tslowMs = 0;
-    JsonValue toParams() const;
-    static constexpr Method kMethod = Method::MinePartial;
-};
-
-/** Coordinator topology probe. With @c metrics the response also
- *  aggregates every worker's metrics registry (exact histogram
- *  merge) into one "metrics" object. */
-struct ClusterStatusRequest
-{
-    bool metrics = false;
-    JsonValue toParams() const;
-    static constexpr Method kMethod = Method::ClusterStatus;
-};
-
-/** This node's span buffer (spans recorded since startup/reset). */
-struct TelemetryPullRequest
-{
-    JsonValue toParams() const;
-    static constexpr Method kMethod = Method::TelemetryPull;
-};
-
-/** This node's metrics registry, bucket-exact. */
-struct MetricsRequest
-{
-    JsonValue toParams() const;
-    static constexpr Method kMethod = Method::Metrics;
-};
-
-/** The flight recorder's recent completed-request records. */
-struct FlightRecorderRequest
-{
-    JsonValue toParams() const;
-    static constexpr Method kMethod = Method::FlightRecorder;
-};
-
-/** Coordinator-stitched cluster-wide Chrome trace. */
-struct ClusterTraceRequest
-{
-    JsonValue toParams() const;
-    static constexpr Method kMethod = Method::ClusterTrace;
 };
 
 /**
@@ -304,7 +247,6 @@ struct IngestPushRequest
      *  wall clock at ingest. */
     std::optional<std::uint64_t> timestampMs;
     JsonValue toParams() const;
-    static constexpr Method kMethod = Method::IngestPush;
 };
 
 /** Rolling-window scenario summary from a watched daemon. */
@@ -320,7 +262,6 @@ struct WindowSummaryRequest
     std::optional<std::size_t> top;
     std::optional<bool> knowledgeFilter;
     JsonValue toParams() const;
-    static constexpr Method kMethod = Method::WindowSummary;
 };
 
 /** Sentinel alerts with seq > afterSeq; waitMs long-polls for the
@@ -330,7 +271,6 @@ struct AlertsRequest
     std::uint64_t afterSeq = 0;
     std::optional<std::uint64_t> waitMs;
     JsonValue toParams() const;
-    static constexpr Method kMethod = Method::Alerts;
 };
 
 // ---------------------------------------------------------- responses

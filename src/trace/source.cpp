@@ -22,8 +22,6 @@ namespace tracelens
 namespace
 {
 
-const std::string kMemoryPath = "<memory>";
-
 /** Process-wide "source.shard_loads" counter. */
 Counter &
 shardLoads()
@@ -84,15 +82,6 @@ std::size_t
 EagerSource::shardCount() const
 {
     return paths_.empty() ? 1 : paths_.size();
-}
-
-const std::string &
-EagerSource::shardPath(std::size_t shard) const
-{
-    if (paths_.empty())
-        return kMemoryPath;
-    TL_ASSERT(shard < paths_.size(), "bad shard index ", shard);
-    return paths_[shard];
 }
 
 Expected<TraceCorpus>

@@ -68,7 +68,6 @@ class TraceSource
     virtual std::string describe() const = 0;
 
     virtual std::size_t shardCount() const = 0;
-    virtual const std::string &shardPath(std::size_t shard) const = 0;
 
     /**
      * The decoded corpus of one shard; error for a corrupt shard
@@ -106,7 +105,6 @@ class EagerSource : public TraceSource
 
     std::string describe() const override;
     std::size_t shardCount() const override;
-    const std::string &shardPath(std::size_t shard) const override;
     Expected<CorpusPtr> shard(std::size_t shard) override;
     const TraceCorpus &corpus() override;
     const IngestStats &stats() const override;

@@ -80,16 +80,6 @@ template <typename T> class Expected
         return std::get<SourceError>(state_);
     }
 
-    /** Move the value out, or die with the rendered error (legacy
-     *  fatal-on-bad-input entry points use this). */
-    T
-    valueOrFatal() &&
-    {
-        if (!ok())
-            TL_FATAL(std::get<SourceError>(state_).render());
-        return std::move(std::get<T>(state_));
-    }
-
   private:
     std::variant<T, SourceError> state_;
 };

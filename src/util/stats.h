@@ -86,7 +86,6 @@ class LogHistogram
     LogHistogram(double base, std::size_t num_buckets);
 
     void add(double x);
-    std::size_t bucketCount() const { return counts_.size(); }
     std::uint64_t bucketValue(std::size_t i) const;
     std::uint64_t total() const { return total_; }
 
