@@ -47,9 +47,9 @@ fail() { echo "smoke_cluster: FAIL: $*" >&2; exit 1; }
 # --self-trace-corpus turns span recording on in every fleet member,
 # so the stitched cluster-trace below actually has spans to stitch and
 # the coordinator leaves a TLC1 corpus behind for the self-analysis
-# check at the end. --workers 2 puts every handler thread inside a
-# lifetime pool.worker span even on a 1-thread host, so the
-# cross-node parent-edge check covers the multi-worker path.
+# check at the end. --workers 2 runs two request workers per daemon,
+# so the cross-node parent-edge check covers requests on either
+# worker thread.
 tl_start_daemon w1 --workers 2 --log-level warn \
     --self-trace-corpus "$WORK/st_w1" || fail "worker 1 startup"
 tl_start_daemon w2 --workers 2 --log-level warn \

@@ -592,9 +592,9 @@ TEST_F(ClusterTest, ClusterStatusReportsTopologyAndHealth)
 TEST_F(ClusterTest, OneTraceIdSpansCoordinatorAndWorkers)
 {
     // Record before the daemons start, as `serve --self-trace-corpus`
-    // does: every handler thread then runs inside its pool thread's
-    // lifetime pool.worker span, and two pool workers take that path
-    // even on a 1-thread host. The propagated parent must still win.
+    // does, with two request workers per daemon, so the gather's
+    // requests can run on either thread of each node. The propagated
+    // parent must win on every node.
     Telemetry::setEnabled(true);
     Telemetry::reset();
     ServerConfig pooled;

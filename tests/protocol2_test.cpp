@@ -477,9 +477,9 @@ TEST_F(Protocol2Test, MalformedSpanContextContentIsDroppedSilently)
 
 TEST_F(Protocol2Test, SamplingFlagFuzzAndTrailingBytesAreTolerated)
 {
-    // Recording starts before the daemon, so the handler runs inside a
-    // lifetime pool.worker span (two workers: the pool path even on a
-    // 1-thread host) and the propagated parent must still win.
+    // Recording starts before the daemon, which runs two request
+    // workers, and the propagated parent must win on whichever worker
+    // takes the request.
     Telemetry::setEnabled(true);
     Telemetry::reset();
     ServerConfig config;
