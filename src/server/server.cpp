@@ -109,6 +109,27 @@ openListener(const std::string &host, std::uint16_t port, int backlog)
     return out;
 }
 
+/** What start() reports when @p listener on @p host:@p port failed. */
+std::string
+listenerError(const Listener &listener, const std::string &host,
+              std::uint16_t port)
+{
+    switch (listener.failed) {
+    case Listener::Step::Socket:
+        return std::string("socket: ") + std::strerror(listener.err);
+    case Listener::Step::Address:
+        // inet_pton sets no errno: say what the host should look like.
+        return "invalid listen host '" + host +
+               "' (IPv4 dotted quad expected)";
+    case Listener::Step::Bind:
+        return "bind " + host + ":" + std::to_string(port) + ": " +
+               std::strerror(listener.err);
+    case Listener::Step::Listen:
+        break;
+    }
+    return std::string("listen: ") + std::strerror(listener.err);
+}
+
 } // namespace
 
 // ----------------------------------------------------------- Server
@@ -165,21 +186,8 @@ Server::start()
     wakeWrite_ = pipeFds[1];
 
     const Listener api = openListener(config_.host, config_.port, 128);
-    if (api.fd < 0) {
-        switch (api.failed) {
-        case Listener::Step::Socket:
-            return fail(std::string("socket: ") + std::strerror(api.err));
-        case Listener::Step::Address:
-            return fail("invalid listen host '" + config_.host +
-                        "' (IPv4 dotted quad expected)");
-        case Listener::Step::Bind:
-            return fail("bind " + config_.host + ":" +
-                        std::to_string(config_.port) + ": " +
-                        std::strerror(api.err));
-        case Listener::Step::Listen:
-            return fail(std::string("listen: ") + std::strerror(api.err));
-        }
-    }
+    if (api.fd < 0)
+        return fail(listenerError(api, config_.host, config_.port));
     listenFd_ = api.fd;
     port_ = api.port;
 
@@ -188,19 +196,16 @@ Server::start()
             parseHostPort(config_.metricsListen);
         if (!endpoint)
             return fail("--metrics-listen: " + endpoint.error().reason);
-        const Listener metrics = openListener(
-            endpoint.value().first, endpoint.value().second, 16);
+        const auto &[host, port] = endpoint.value();
+        const Listener metrics = openListener(host, port, 16);
         if (metrics.fd < 0) {
-            return fail(metrics.failed == Listener::Step::Socket
-                            ? std::string("metrics socket: ") +
-                                  std::strerror(metrics.err)
-                            : "metrics listen " + config_.metricsListen +
-                                  ": " + std::strerror(metrics.err));
+            return fail("metrics listen " + config_.metricsListen + ": " +
+                        listenerError(metrics, host, port));
         }
         metricsFd_ = metrics.fd;
         metricsPort_ = metrics.port;
-        TL_LOG(Info, "serve: metrics exposition on ",
-               endpoint.value().first, ":", metricsPort_);
+        TL_LOG(Info, "serve: metrics exposition on ", host, ":",
+               metricsPort_);
     }
 
     if (config_.coordinator) {

@@ -566,7 +566,8 @@ TEST(ServerLifecycle, FailedStartLeavesNothingRunningAndDestroysAtOnce)
     cases[1].error = "bind 127.0.0.1:" + std::to_string(busyPort) + ": ";
     cases[2].name = "bad --metrics-listen address";
     cases[2].config.metricsListen = "not-an-address:0";
-    cases[2].error = "metrics listen not-an-address:0: ";
+    cases[2].error = "metrics listen not-an-address:0: invalid listen "
+                     "host 'not-an-address' (IPv4 dotted quad expected)";
     cases[3].name = "coordinator without workers";
     cases[3].config.coordinator = true;
     cases[3].error = "coordinator mode needs at least one worker "
