@@ -35,8 +35,10 @@ main(int argc, char **argv)
     std::cout << "== Environmental cohorts (impact split by machine "
                  "tags) ==\n";
     const TraceCorpus corpus = generateCorpus(spec);
-    EagerSource analyzer_source(corpus);
-    Analyzer analyzer(analyzer_source);
+    // Built once: every tag's split reads the same graphs.
+    const std::vector<WaitGraph> graphs =
+        WaitGraphBuilder(corpus).buildAll();
+    const NameFilter components(AnalyzerConfig{}.components);
 
     for (const std::string tag :
          {"encrypted", "disk", "stressed", "diskProtection"}) {
@@ -44,8 +46,7 @@ main(int argc, char **argv)
                          "IA_wait", "IA_opt", "Dw/Dwd",
                          "mean duration"});
         for (const CohortImpact &cohort :
-             impactByCohort(corpus, analyzer.graphs(),
-                            analyzer.components(), tag)) {
+             impactByCohort(corpus, graphs, components, tag)) {
             table.addRow(
                 {cohort.value,
                  std::to_string(cohort.impact.instances),

@@ -218,13 +218,13 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Full per-scenario causality analysis (graphs cached up front in
-    // both analyzers so the timing isolates the scenario stages).
+    // Full per-scenario causality analysis (each analyzer summarizes
+    // its graphs at construction, so the timing isolates the scenario
+    // stages).
     AnalyzerConfig serial_config;
     serial_config.threads = 1;
     EagerSource serial_source(corpus);
     Analyzer serial_analyzer(serial_source, serial_config);
-    serial_analyzer.graphs();
     const auto scn_serial_start = std::chrono::steady_clock::now();
     const auto serial_analyses =
         serial_analyzer.analyzeScenarios(scenarios);
@@ -234,7 +234,6 @@ main(int argc, char **argv)
     parallel_config.threads = threads;
     EagerSource parallel_source(corpus);
     Analyzer parallel_analyzer(parallel_source, parallel_config);
-    parallel_analyzer.graphs();
     const auto scn_parallel_start = std::chrono::steady_clock::now();
     const auto parallel_analyses =
         parallel_analyzer.analyzeScenarios(scenarios);

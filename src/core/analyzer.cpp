@@ -1,10 +1,10 @@
 /**
  * @file
- * Analyzer: per-shard ingestion, the kept per-instance summaries and
- * per-scenario path tries, the folds every answer is made of (wait
- * graphs -> per-instance summaries -> classes/impact -> class columns
- * over the scenario's path trie -> mining), and the multi-scenario
- * fan-out.
+ * Analyzer: per-shard ingestion, the construction pass that turns
+ * each wait graph into per-instance summaries, the per-scenario path
+ * tries, the folds every answer is made of (per-instance summaries ->
+ * classes/impact -> class columns over the scenario's path trie ->
+ * mining), and the multi-scenario fan-out.
  */
 
 #include "src/core/analyzer.h"
@@ -80,7 +80,7 @@ Analyzer::Analyzer(TraceSource &source, AnalyzerConfig config)
             continue; // isolated and recorded in source.stats()
         absorb(std::move(shard.value()));
     }
-    summaries_ = std::vector<InstanceSummaries>(corpus_->instances().size());
+    summarizeInstances();
 }
 
 void
@@ -123,34 +123,58 @@ Analyzer::ensureOwned()
     corpus_ = &ownedCorpus_;
 }
 
-const std::vector<WaitGraph> &
+void
+Analyzer::summarizeInstances()
+{
+    const std::vector<ScenarioInstance> &instances = corpus_->instances();
+    Span span("analyzer.graphs", "analysis");
+    if (span.active()) {
+        span.arg("shards", static_cast<std::uint64_t>(shards_));
+        span.arg("instances", static_cast<std::uint64_t>(instances.size()));
+    }
+
+    std::vector<std::vector<std::uint32_t>> byStream(corpus_->streamCount());
+    for (std::uint32_t i = 0; i < instances.size(); ++i)
+        byStream[instances[i].stream].push_back(i);
+
+    // A summary depends only on its own graph, so the pass may run in
+    // any order. One builder per stream keeps that stream's index only
+    // while its instances are built, and each graph only until it is
+    // summarized.
+    summaries_ = std::vector<InstanceSummaries>(instances.size());
+    const ImpactAnalysis impact(*corpus_, components_);
+    const AwgBuilder awg(*corpus_, components_, config_.awg);
+    parallelFor(config_.threads, 0, byStream.size(),
+                [&](std::size_t stream) {
+                    const WaitGraphBuilder builder(*corpus_,
+                                                   config_.waitGraph);
+                    for (std::uint32_t i : byStream[stream]) {
+                        const WaitGraph graph = builder.build(instances[i]);
+                        summaries_[i].fragment = awg.summarize(graph);
+                        summaries_[i].contribution = impact.collect(graph);
+                    }
+                });
+    counters().graphBuilds.add(shards_);
+    counters().contributions.add(instances.size());
+    counters().fragments.add(instances.size());
+}
+
+std::vector<WaitGraph>
 Analyzer::graphs() const
 {
-    std::call_once(graphsOnce_, [this] {
-        Span span("analyzer.graphs", "analysis");
-        if (span.active()) {
-            span.arg("shards", static_cast<std::uint64_t>(shards_));
-            span.arg("instances", static_cast<std::uint64_t>(
-                                      corpus_->instances().size()));
-        }
-        graphs_ = WaitGraphBuilder(*corpus_, config_.waitGraph)
-                      .buildAllParallel(resolveThreads(config_.threads));
-        counters().graphBuilds.add(shards_);
-    });
-    return graphs_;
+    return WaitGraphBuilder(*corpus_, config_.waitGraph)
+        .buildAllParallel(resolveThreads(config_.threads));
 }
 
 ImpactResult
 Analyzer::impactAll() const
 {
-    graphs(); // built outside the fold spans
     return corpusImpactPartial().finalize();
 }
 
 std::unordered_map<std::uint32_t, ImpactResult>
 Analyzer::impactPerScenario() const
 {
-    graphs(); // built outside the fold spans
     // Inserted in ascending id order, as ImpactAnalysis does, so the
     // map iterates alike.
     std::unordered_map<std::uint32_t, ImpactResult> results;
@@ -162,18 +186,12 @@ Analyzer::impactPerScenario() const
 std::vector<ComponentImpact>
 Analyzer::impactByComponent() const
 {
-    graphs(); // built outside the fold spans
     Span span("impact.analyze", "analysis");
-    std::vector<std::uint32_t> all(corpus_->instances().size());
-    std::iota(all.begin(), all.end(), 0u);
-    const std::uint64_t computed = contributions(all, config_.threads);
     ComponentSplit split;
-    for (std::uint32_t i : all)
-        split.absorb(summaries_[i].contribution.value);
-    if (span.active()) {
-        span.arg("graphs", static_cast<std::uint64_t>(all.size()));
-        span.arg("computed", computed);
-    }
+    for (const InstanceSummaries &summaries : summaries_)
+        split.absorb(summaries.contribution);
+    if (span.active())
+        span.arg("graphs", static_cast<std::uint64_t>(summaries_.size()));
     return split.finalize(corpus_->symbols());
 }
 
@@ -211,56 +229,16 @@ Analyzer::classify(std::uint32_t scenario, DurationNs t_fast,
     return result;
 }
 
-template <typename T, typename Compute>
-std::uint64_t
-Analyzer::summarize(std::span<const std::uint32_t> members,
-                    Lazy<T> InstanceSummaries::*slot, unsigned threads,
-                    Compute &&compute) const
-{
-    std::vector<std::uint32_t> missing;
-    for (std::uint32_t i : members)
-        if (!(summaries_[i].*slot).ready.load(std::memory_order_acquire))
-            missing.push_back(i);
-    std::atomic<std::uint64_t> computed{0};
-    parallelFor(threads, 0, missing.size(), [&](std::size_t k) {
-        Lazy<T> &lazy = summaries_[missing[k]].*slot;
-        std::call_once(lazy.once, [&] {
-            lazy.value = compute(missing[k]);
-            lazy.ready.store(true, std::memory_order_release);
-            computed.fetch_add(1, std::memory_order_relaxed);
-        });
-    });
-    return computed.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-Analyzer::contributions(std::span<const std::uint32_t> members,
-                        unsigned threads) const
-{
-    const std::vector<WaitGraph> &all = graphs();
-    const ImpactAnalysis impact(*corpus_, components_);
-    const std::uint64_t computed = summarize(
-        members, &InstanceSummaries::contribution, threads,
-        [&](std::uint32_t i) { return impact.collect(all[i]); });
-    counters().contributions.add(computed);
-    return computed;
-}
-
 PartialImpact
-Analyzer::classImpact(const std::vector<std::uint32_t> &members,
-                      unsigned threads) const
+Analyzer::classImpact(const std::vector<std::uint32_t> &members) const
 {
     Span span("impact.analyze", "analysis");
-    const std::uint64_t computed = contributions(members, threads);
-
     // The D_waitdist dedup is order-sensitive: fold in instance order.
     PartialImpact partial;
     for (std::uint32_t i : members)
-        partial.absorbInstance(summaries_[i].contribution.value);
-    if (span.active()) {
+        partial.absorbInstance(summaries_[i].contribution);
+    if (span.active())
         span.arg("graphs", static_cast<std::uint64_t>(members.size()));
-        span.arg("computed", computed);
-    }
     return partial;
 }
 
@@ -269,7 +247,7 @@ Analyzer::corpusImpactPartial() const
 {
     std::vector<std::uint32_t> all(corpus_->instances().size());
     std::iota(all.begin(), all.end(), 0u);
-    return classImpact(all, config_.threads);
+    return classImpact(all);
 }
 
 std::vector<std::pair<std::uint32_t, PartialImpact>>
@@ -277,51 +255,26 @@ Analyzer::scenarioImpactPartials() const
 {
     Span span("impact.analyze", "analysis");
     const auto scenarios = corpus_->instanceScenarios();
-    std::vector<std::uint32_t> all(scenarios.size());
-    std::iota(all.begin(), all.end(), 0u);
-    const std::uint64_t computed = contributions(all, config_.threads);
-
     std::map<std::uint32_t, PartialImpact> partials;
     for (std::uint32_t i = 0; i < scenarios.size(); ++i)
-        partials[scenarios[i]].absorbInstance(
-            summaries_[i].contribution.value);
-    if (span.active()) {
-        span.arg("graphs", static_cast<std::uint64_t>(all.size()));
-        span.arg("computed", computed);
-    }
+        partials[scenarios[i]].absorbInstance(summaries_[i].contribution);
+    if (span.active())
+        span.arg("graphs", static_cast<std::uint64_t>(scenarios.size()));
     return {std::make_move_iterator(partials.begin()),
             std::make_move_iterator(partials.end())};
 }
 
-std::uint64_t
-Analyzer::fragments(std::span<const std::uint32_t> members,
-                    unsigned threads) const
-{
-    const std::vector<WaitGraph> &all = graphs();
-    const AwgBuilder builder(*corpus_, components_, config_.awg);
-    const std::uint64_t computed = summarize(
-        members, &InstanceSummaries::fragment, threads,
-        [&](std::uint32_t i) { return builder.summarize(all[i]); });
-    counters().fragments.add(computed);
-    return computed;
-}
-
 PartialAwg
-Analyzer::classAwg(const std::vector<std::uint32_t> &members,
-                   unsigned threads) const
+Analyzer::classAwg(const std::vector<std::uint32_t> &members) const
 {
     Span span("awg.aggregate", "analysis");
-    const std::uint64_t computed = fragments(members, threads);
-
     // The trie's node layout follows absorb order: fold in instance
     // order.
     PartialAwg partial;
     for (std::uint32_t i : members)
-        partial.absorb(summaries_[i].fragment.value);
-    if (span.active()) {
+        partial.absorb(summaries_[i].fragment);
+    if (span.active())
         span.arg("graphs", static_cast<std::uint64_t>(members.size()));
-        span.arg("computed", computed);
-    }
     return partial;
 }
 
@@ -347,7 +300,7 @@ Analyzer::growTrie(ScenarioTrie &scenario,
         InstanceSummaries &summaries = summaries_[i];
         if (summaries.mapped)
             continue; // a concurrent query mapped it first
-        const AwgFragment &fragment = summaries.fragment.value;
+        const AwgFragment &fragment = summaries.fragment;
         summaries.trieNodes.reserve(fragment.nodes.size());
         scenario.trie.map(fragment, summaries.trieNodes);
         summaries.mapped = true;
@@ -362,24 +315,19 @@ Analyzer::growTrie(ScenarioTrie &scenario,
 
 AwgColumn
 Analyzer::classColumn(ScenarioTrie &scenario,
-                      const std::vector<std::uint32_t> &members,
-                      unsigned threads) const
+                      const std::vector<std::uint32_t> &members) const
 {
     Span span("awg.aggregate", "analysis");
-    const std::uint64_t computed = fragments(members, threads);
     growTrie(scenario, members);
 
     // Integer sums by node id: the fold order does not matter.
     const std::shared_lock lock(scenario.mutex);
     AwgColumn column(scenario.trie.size());
     for (std::uint32_t i : members)
-        column.absorb(summaries_[i].fragment.value,
-                      summaries_[i].trieNodes);
+        column.absorb(summaries_[i].fragment, summaries_[i].trieNodes);
     column.finalize(scenario.trie, config_.awg.reduceNonOptimizable);
-    if (span.active()) {
+    if (span.active())
         span.arg("graphs", static_cast<std::uint64_t>(members.size()));
-        span.arg("computed", computed);
-    }
     return column;
 }
 
@@ -411,10 +359,9 @@ Analyzer::scenarioPartial(std::string_view name, DurationNs t_fast,
         partial.classes.slowDuration +=
             corpus_->instances()[i].duration();
 
-    graphs(); // built outside the fold spans
-    partial.slowImpact = classImpact(classes.slow, config_.threads);
-    partial.awgFast = classAwg(classes.fast, config_.threads);
-    partial.awgSlow = classAwg(classes.slow, config_.threads);
+    partial.slowImpact = classImpact(classes.slow);
+    partial.awgFast = classAwg(classes.fast);
+    partial.awgSlow = classAwg(classes.slow);
     return partial;
 }
 
@@ -434,34 +381,21 @@ Analyzer::impactPartial() const
     return partial;
 }
 
-ScenarioAnalysis
-Analyzer::analyzeScenario(std::string_view name, DurationNs t_fast,
-                          DurationNs t_slow) const
-{
-    return analyzeScenarioWithThreads(name, t_fast, t_slow,
-                                      config_.threads);
-}
-
 std::vector<ScenarioAnalysis>
 Analyzer::analyzeScenarios(
     std::span<const ScenarioThresholds> scenarios) const
 {
-    graphs(); // build once, up front, across all configured threads
-    // Scenario analyses are independent; fan them out and keep each
-    // one's inner folds serial so the machine is not oversubscribed.
+    // Scenario analyses are independent; fan them out.
     return parallelMap<ScenarioAnalysis>(
         config_.threads, scenarios.size(), [&](std::size_t i) {
-            return analyzeScenarioWithThreads(
-                scenarios[i].name, scenarios[i].tFast,
-                scenarios[i].tSlow, 1);
+            return analyzeScenario(scenarios[i].name, scenarios[i].tFast,
+                                   scenarios[i].tSlow);
         });
 }
 
 ScenarioAnalysis
-Analyzer::analyzeScenarioWithThreads(std::string_view name,
-                                     DurationNs t_fast,
-                                     DurationNs t_slow,
-                                     unsigned threads) const
+Analyzer::analyzeScenario(std::string_view name, DurationNs t_fast,
+                          DurationNs t_slow) const
 {
     Span span("analyzer.scenario", "analysis");
     if (span.active())
@@ -477,16 +411,13 @@ Analyzer::analyzeScenarioWithThreads(std::string_view name,
     analysis.tSlow = t_slow;
 
     analysis.classes = classify(scenario, t_fast, t_slow);
-    graphs(); // built outside the fold spans
-
-    analysis.slowImpact =
-        classImpact(analysis.classes.slow, threads).finalize();
+    analysis.slowImpact = classImpact(analysis.classes.slow).finalize();
     for (std::uint32_t i : analysis.classes.slow)
         analysis.slowDuration += corpus_->instances()[i].duration();
 
     ScenarioTrie &trie = scenarioTrie(scenario);
-    const AwgColumn fast = classColumn(trie, analysis.classes.fast, threads);
-    const AwgColumn slow = classColumn(trie, analysis.classes.slow, threads);
+    const AwgColumn fast = classColumn(trie, analysis.classes.fast);
+    const AwgColumn slow = classColumn(trie, analysis.classes.slow);
     analysis.slowReducedCost = slow.reducedCost;
     analysis.slowRootCost = slow.rootCost;
 
@@ -519,11 +450,10 @@ Analyzer::scenarioAwgs(std::string_view name, DurationNs t_fast,
     if (scenario == UINT32_MAX)
         TL_FATAL("scenario '", std::string(name), "' not in corpus");
     const ContrastClasses classes = classify(scenario, t_fast, t_slow);
-    graphs(); // built outside the fold spans
     const bool reduce = config_.awg.reduceNonOptimizable;
     ClassAwgs awgs;
-    awgs.fast = classAwg(classes.fast, config_.threads).finalize(reduce);
-    awgs.slow = classAwg(classes.slow, config_.threads).finalize(reduce);
+    awgs.fast = classAwg(classes.fast).finalize(reduce);
+    awgs.slow = classAwg(classes.slow).finalize(reduce);
     return awgs;
 }
 

@@ -11,14 +11,13 @@
  * the two Aggregated Wait Graphs, mine ranked contrast patterns, and
  * compute the RQ1 coverage figures.
  *
- * The Analyzer keeps three things, none of which depends on the
+ * The Analyzer keeps two things, neither of which depends on the
  * thresholds:
  *
- *  - the per-instance wait graphs, built once per shard and held in
- *    one vector;
  *  - each instance's AWG fragment (Algorithm 1 steps 1-2) and impact
- *    contribution (the Section 3 scan), computed the first time a
- *    query needs that instance;
+ *    contribution (the Section 3 scan). Construction computes both in
+ *    one pass over the streams: it builds each instance's wait graph,
+ *    summarizes it and drops it, so no wait graph is kept;
  *  - per scenario, one path trie (src/mining/pathtrie.h), grown from
  *    the fragments of the class members that queries asked about, and
  *    each mapped instance's node ids in it.
@@ -39,7 +38,7 @@
  * What the Analyzer computes is counted in MetricsRegistry::global():
  * analyzer.graph_builds (shards whose wait graphs were built),
  * analyzer.contributions and analyzer.fragments (per-instance
- * summaries computed).
+ * summaries computed), all at construction.
  *
  * Every fold merges per-shard results deterministically, so analysis
  * output is bit-identical for every thread count (see
@@ -49,7 +48,6 @@
 #ifndef TRACELENS_CORE_ANALYZER_H
 #define TRACELENS_CORE_ANALYZER_H
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -86,12 +84,12 @@ struct AnalyzerConfig
     /**
      * Worker threads for the parallel stages (TLC1 decode, when the
      * caller opens its source with this count, as the CLI and the
-     * daemon do; wait-graph construction, impact contributions, AWG
-     * fragments, and the analyzeScenarios fan-out; mining runs
-     * serially within a scenario): 0 = all hardware threads
-     * (default), 1 = fully serial. Every stage merges per-shard
-     * results deterministically, so analysis output is bit-identical
-     * for every thread count.
+     * daemon do; the construction pass that builds and summarizes
+     * each stream's wait graphs; and the analyzeScenarios fan-out;
+     * mining runs serially within a scenario): 0 = all hardware
+     * threads (default), 1 = fully serial. Every stage merges
+     * per-shard results deterministically, so analysis output is
+     * bit-identical for every thread count.
      */
     unsigned threads = 0;
     /**
@@ -165,7 +163,8 @@ class Analyzer
      * trace bytes reach memory (in-memory corpus, file, sharded
      * directory) and isolates corrupt shards; the analyzer ingests the
      * usable shards one at a time, so construction decodes every
-     * shard. @p source must outlive the analyzer.
+     * shard, then summarizes every instance. @p source must outlive
+     * the analyzer.
      */
     explicit Analyzer(TraceSource &source, AnalyzerConfig config = {});
 
@@ -192,8 +191,8 @@ class Analyzer
 
     /**
      * Run the full causality analysis for one scenario: classify, then
-     * fold the members' per-instance summaries (computing those no
-     * earlier query needed) and mine. Nothing of the answer is kept.
+     * fold the members' per-instance summaries and mine. Nothing of
+     * the answer is kept.
      */
     ScenarioAnalysis analyzeScenario(std::string_view name,
                                      DurationNs t_fast,
@@ -210,11 +209,10 @@ class Analyzer
 
     /**
      * Analyze several scenarios, fanning the independent analyses out
-     * over the configured thread count (each analysis then runs its
-     * own folds serially to avoid oversubscription). Results are
-     * returned in input order and are identical to calling
-     * analyzeScenario once per entry. Fatal if any named scenario is
-     * not in the corpus — filter with TraceCorpus::findScenario first.
+     * over the configured thread count. Results are returned in input
+     * order and are identical to calling analyzeScenario once per
+     * entry. Fatal if any named scenario is not in the corpus — filter
+     * with TraceCorpus::findScenario first.
      */
     std::vector<ScenarioAnalysis>
     analyzeScenarios(std::span<const ScenarioThresholds> scenarios) const;
@@ -238,10 +236,11 @@ class Analyzer
     ImpactPartial impactPartial() const;
 
     /**
-     * The per-instance wait graphs, in instance order, built on first
-     * use. Thread-safe, so concurrent analyses share one build.
+     * The per-instance wait graphs, in instance order, built anew on
+     * every call: the Analyzer keeps none. For callers that measure or
+     * inspect the graphs themselves.
      */
-    const std::vector<WaitGraph> &graphs() const;
+    std::vector<WaitGraph> graphs() const;
 
     /** The merged analysis corpus over all ingested shards. */
     const TraceCorpus &corpus() const { return *corpus_; }
@@ -261,29 +260,17 @@ class Analyzer
     /** Switch from an aliased single shard to an owned copy. */
     void ensureOwned();
 
-    /** analyzeScenario with an explicit fold-level thread count. */
-    ScenarioAnalysis analyzeScenarioWithThreads(std::string_view name,
-                                                DurationNs t_fast,
-                                                DurationNs t_slow,
-                                                unsigned threads) const;
-
-    /** A per-instance summary, computed at most once, the first time
-     *  a query needs it. */
-    template <typename T>
-    struct Lazy
-    {
-        std::once_flag once;
-        /** Set after @c value is written; lets summarize() skip a
-         *  computed value without entering the once. */
-        std::atomic<bool> ready{false};
-        T value;
-    };
+    /**
+     * Build each instance's wait graph, one builder per stream, keep
+     * the graph's summaries and drop it.
+     */
+    void summarizeInstances();
 
     /** One instance's threshold-independent summaries. */
     struct InstanceSummaries
     {
-        Lazy<AwgFragment> fragment;
-        Lazy<ImpactContribution> contribution;
+        AwgFragment fragment;
+        ImpactContribution contribution;
         /** The scenario trie's node for each fragment node, and
          *  whether they are set; guarded by that trie's mutex. */
         std::vector<std::uint32_t> trieNodes;
@@ -307,22 +294,6 @@ class Analyzer
     /** @p scenario's path trie, created on first use. */
     ScenarioTrie &scenarioTrie(std::uint32_t scenario) const;
 
-    /**
-     * Compute @p slot for every instance of @p members that lacks it,
-     * across @p threads workers, via @p compute(instance). A slot is
-     * computed once even when concurrent queries need it (the others
-     * wait in its once). Returns how many this call computed.
-     */
-    template <typename T, typename Compute>
-    std::uint64_t summarize(std::span<const std::uint32_t> members,
-                            Lazy<T> InstanceSummaries::*slot,
-                            unsigned threads, Compute &&compute) const;
-
-    /** Compute the impact contributions @p members lack; returns how
-     *  many it computed. */
-    std::uint64_t contributions(std::span<const std::uint32_t> members,
-                                unsigned threads) const;
-
     /** Every instance's contribution, folded in instance order. */
     PartialImpact corpusImpactPartial() const;
 
@@ -332,17 +303,11 @@ class Analyzer
     scenarioImpactPartials() const;
 
     /** Slow-class impact: @p members' contributions folded in order. */
-    PartialImpact classImpact(const std::vector<std::uint32_t> &members,
-                              unsigned threads) const;
-
-    /** Compute the AWG fragments @p members lack; returns how many it
-     *  computed. */
-    std::uint64_t fragments(std::span<const std::uint32_t> members,
-                            unsigned threads) const;
+    PartialImpact
+    classImpact(const std::vector<std::uint32_t> &members) const;
 
     /** A class's unreduced AWG: @p members' fragments folded in order. */
-    PartialAwg classAwg(const std::vector<std::uint32_t> &members,
-                        unsigned threads) const;
+    PartialAwg classAwg(const std::vector<std::uint32_t> &members) const;
 
     /** Map every member of @p members the trie has no nodes for. */
     void growTrie(ScenarioTrie &scenario,
@@ -350,8 +315,7 @@ class Analyzer
 
     /** A class's column over its scenario's trie, finalized. */
     AwgColumn classColumn(ScenarioTrie &scenario,
-                          const std::vector<std::uint32_t> &members,
-                          unsigned threads) const;
+                          const std::vector<std::uint32_t> &members) const;
 
     TraceSource *source_;
     AnalyzerConfig config_;
@@ -366,10 +330,8 @@ class Analyzer
     /** Shards ingested. */
     std::size_t shards_ = 0;
 
-    mutable std::once_flag graphsOnce_;
-    mutable std::vector<WaitGraph> graphs_;
-
-    /** One entry per instance, sized once the shards are ingested. */
+    /** One entry per instance, filled at construction; a query
+     *  writes only the trie fields. */
     mutable std::vector<InstanceSummaries> summaries_;
 
     /** Per scenario id, created on first use. */

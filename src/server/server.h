@@ -3,9 +3,11 @@
  * The TraceLens analysis service: a long-running TCP daemon over the
  * warm pipeline state (docs/SERVER.md).
  *
- * `tracelens serve` keeps ingested corpora, wait graphs, AWGs, and
- * mined patterns resident between requests — the batch pipeline of
- * PRs 1–4 behind an always-on, low-latency query surface. Concurrent
+ * `tracelens serve` keeps ingested corpora, each instance's AWG
+ * fragment and impact contribution, and each scenario's path trie
+ * resident between requests (not the wait graphs, which a session
+ * drops once summarized) — the batch pipeline behind an always-on,
+ * low-latency query surface. Concurrent
  * clients open with the protocol preface and then speak multiplexed
  * binary frames with per-request priorities and a shared symbol
  * dictionary (src/server/protocol.h and src/server/wire.h); requests

@@ -126,13 +126,14 @@ expectSameAwg(const AggregatedWaitGraph &a, const AggregatedWaitGraph &b,
               b.renderText(symbols, 100000));
 }
 
-/** Copies of the wait graphs of @p members, in order. */
+/** Copies of @p graphs' entries for @p members, in order. */
 std::vector<WaitGraph>
-copiesOf(const Analyzer &analyzer, const std::vector<std::uint32_t> &members)
+copiesOf(const std::vector<WaitGraph> &graphs,
+         const std::vector<std::uint32_t> &members)
 {
     std::vector<WaitGraph> subset;
     for (std::uint32_t i : members)
-        subset.push_back(analyzer.graphs()[i]);
+        subset.push_back(graphs[i]);
     return subset;
 }
 
@@ -198,6 +199,8 @@ TEST(Incremental, ClassFoldsMatchTheReferencePath)
         config.threads = threads;
         EagerSource source(corpus);
         Analyzer analyzer(source, config);
+        const std::vector<WaitGraph> graphs =
+            WaitGraphBuilder(corpus, config.waitGraph).buildAll();
         const ImpactAnalysis impact(corpus, analyzer.components());
         const AwgBuilder builder(corpus, analyzer.components(),
                                  config.awg);
@@ -211,9 +214,9 @@ TEST(Incremental, ClassFoldsMatchTheReferencePath)
                 const ScenarioAnalysis analysis =
                     analyzer.analyzeScenario(s.name, tFast, tSlow);
                 const std::vector<WaitGraph> fast =
-                    copiesOf(analyzer, analysis.classes.fast);
+                    copiesOf(graphs, analysis.classes.fast);
                 const std::vector<WaitGraph> slow =
-                    copiesOf(analyzer, analysis.classes.slow);
+                    copiesOf(graphs, analysis.classes.slow);
                 expectSameImpact(analysis.slowImpact,
                                  impact.analyze(slow, threads));
                 const ClassAwgs awgs =
@@ -251,8 +254,8 @@ TEST(Incremental, ImpactScansEachInstanceOnce)
         AnalyzerConfig config;
         config.threads = threads;
         EagerSource source(corpus);
-        Analyzer analyzer(source, config);
         const std::uint64_t base = counted("analyzer.contributions");
+        Analyzer analyzer(source, config);
         const std::vector<ComponentImpact> split =
             analyzer.impactByComponent();
         const ImpactResult all = analyzer.impactAll();
@@ -266,14 +269,16 @@ TEST(Incremental, ImpactScansEachInstanceOnce)
         EXPECT_EQ(counted("analyzer.contributions") - base,
                   corpus.instances().size());
 
+        const std::vector<WaitGraph> graphs =
+            WaitGraphBuilder(corpus, config.waitGraph).buildAll();
         const ImpactAnalysis impact(corpus, analyzer.components());
-        const ImpactResult want_all = impact.analyze(analyzer.graphs());
+        const ImpactResult want_all = impact.analyze(graphs);
         const std::unordered_map<std::uint32_t, ImpactResult> want_per =
-            impact.analyzePerScenario(analyzer.graphs());
+            impact.analyzePerScenario(graphs);
         expectSameImpact(all, want_all);
         expectSameImpact(partial.all.finalize(), want_all);
-        const std::vector<ComponentImpact> want_split = impactByComponent(
-            corpus, analyzer.graphs(), analyzer.components());
+        const std::vector<ComponentImpact> want_split =
+            impactByComponent(corpus, graphs, analyzer.components());
         for (const auto *got : {&split, &split_again}) {
             ASSERT_EQ(got->size(), want_split.size());
             for (std::size_t i = 0; i < want_split.size(); ++i) {
@@ -296,14 +301,14 @@ TEST(Incremental, ImpactScansEachInstanceOnce)
 TEST(Incremental, NarrowerClassesComputeNoNewSummaries)
 {
     const TraceCorpus corpus = generateCorpus(smallSpec());
-    EagerSource source(corpus);
-    Analyzer analyzer(source);
     const std::vector<ScenarioThresholds> scenarios =
         catalogThresholds(corpus);
     ASSERT_FALSE(scenarios.empty());
 
     const std::uint64_t fragments = counted("analyzer.fragments");
     const std::uint64_t contributions = counted("analyzer.contributions");
+    EagerSource source(corpus);
+    Analyzer analyzer(source);
     for (const ScenarioThresholds &s : scenarios)
         (void)analyzer.analyzeScenario(s.name, s.tFast, s.tSlow);
     const std::uint64_t firstFragments =
@@ -327,8 +332,8 @@ TEST(Incremental, ConcurrentQueriesAtAlternatingThresholdsMatchSerial)
 {
     // Four threads keep moving one scenario between two threshold
     // pairs, so trie growth races the column folds that read the trie
-    // and summaries are first needed by several queries at once. Every
-    // answer must equal the serial one.
+    // and several queries map the same members at once. Every answer
+    // must equal the serial one.
     const TraceCorpus corpus = generateCorpus(smallSpec());
     const ScenarioThresholds s = catalogThresholds(corpus).front();
     const std::pair<DurationNs, DurationNs> thresholds[2] = {
@@ -336,8 +341,10 @@ TEST(Incremental, ConcurrentQueriesAtAlternatingThresholdsMatchSerial)
 
     std::string serial[2];
     {
+        AnalyzerConfig serialConfig;
+        serialConfig.threads = 1;
         EagerSource source(corpus);
-        Analyzer analyzer(source, AnalyzerConfig{.threads = 1});
+        Analyzer analyzer(source, serialConfig);
         for (int t = 0; t < 2; ++t)
             serial[t] = renderAnalysis(analyzer, s.name,
                                        thresholds[t].first,

@@ -325,6 +325,8 @@ checkSeeds(std::uint64_t first, std::uint64_t count)
         const AnalyzerConfig config = configForSeed(seed);
         EagerSource source(corpus);
         const Analyzer analyzer(source, config);
+        const std::vector<WaitGraph> graphs =
+            WaitGraphBuilder(corpus, config.waitGraph).buildAll();
         const AwgBuilder builder(corpus, analyzer.components(),
                                  config.awg);
         for (std::uint32_t scenario = 0;
@@ -340,9 +342,9 @@ checkSeeds(std::uint64_t first, std::uint64_t count)
                     analyzer.classify(scenario, t_fast, t_slow);
                 std::vector<WaitGraph> fast_graphs, slow_graphs;
                 for (std::uint32_t i : classes.fast)
-                    fast_graphs.push_back(analyzer.graphs()[i]);
+                    fast_graphs.push_back(graphs[i]);
                 for (std::uint32_t i : classes.slow)
-                    slow_graphs.push_back(analyzer.graphs()[i]);
+                    slow_graphs.push_back(graphs[i]);
                 const AggregatedWaitGraph fast =
                     builder.aggregate(fast_graphs);
                 const AggregatedWaitGraph slow =

@@ -465,8 +465,9 @@ class DaemonTest : public ::testing::Test
         // Leak check on every path out of every test: a request that
         // crashed, timed out, or vanished must still unpin its
         // session.
-        if (server_ != nullptr)
+        if (server_ != nullptr) {
             EXPECT_EQ(server_->registry().stats().activeHandles, 0u);
+        }
         server_.reset();
         scratch_.reset();
     }
