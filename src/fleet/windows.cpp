@@ -8,11 +8,19 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/trace/source.h"
 #include "src/util/telemetry.h"
 
 namespace tracelens
 {
+
+WindowedAnalyzer::ShardEntry::ShardEntry(std::string name,
+                                         std::uint64_t timestampNs,
+                                         TraceCorpus corpus,
+                                         const AnalyzerConfig &config)
+    : name(std::move(name)), timestampNs(timestampNs),
+      source(std::move(corpus)), analyzer(source, config)
+{
+}
 
 WindowedAnalyzer::WindowedAnalyzer(FleetWindowConfig config)
     : config_(std::move(config))
@@ -38,8 +46,8 @@ WindowedAnalyzer::addShard(std::string name, TraceCorpus corpus,
     // never contribute twice.
     for (auto &[id, shards] : windows_) {
         shards.erase(std::remove_if(shards.begin(), shards.end(),
-                                    [&](const ShardEntry &entry) {
-                                        return entry.name == name;
+                                    [&](const auto &entry) {
+                                        return entry->name == name;
                                     }),
                      shards.end());
     }
@@ -51,11 +59,8 @@ WindowedAnalyzer::addShard(std::string name, TraceCorpus corpus,
     }
 
     const std::uint64_t id = windowOf(timestampNs);
-    ShardEntry entry;
-    entry.name = std::move(name);
-    entry.timestampNs = timestampNs;
-    entry.corpus = std::move(corpus);
-    windows_[id].push_back(std::move(entry));
+    windows_[id].push_back(std::make_unique<ShardEntry>(
+        std::move(name), timestampNs, std::move(corpus), config_.analyzer));
     return id;
 }
 
@@ -65,8 +70,8 @@ WindowedAnalyzer::evictExpired()
     std::vector<std::string> evicted;
     while (windows_.size() > config_.maxWindows) {
         auto oldest = windows_.begin();
-        for (const ShardEntry &entry : oldest->second)
-            evicted.push_back(entry.name);
+        for (const auto &entry : oldest->second)
+            evicted.push_back(entry->name);
         windows_.erase(oldest);
     }
     if (!evicted.empty()) {
@@ -86,13 +91,13 @@ WindowedAnalyzer::windows() const
         WindowInfo info;
         info.id = id;
         info.shards = shards.size();
-        for (const ShardEntry &entry : shards) {
+        for (const auto &entry : shards) {
             if (info.shards != 0 &&
                 (info.firstTimestampNs == 0 ||
-                 entry.timestampNs < info.firstTimestampNs))
-                info.firstTimestampNs = entry.timestampNs;
+                 entry->timestampNs < info.firstTimestampNs))
+                info.firstTimestampNs = entry->timestampNs;
             info.lastTimestampNs =
-                std::max(info.lastTimestampNs, entry.timestampNs);
+                std::max(info.lastTimestampNs, entry->timestampNs);
         }
         out.push_back(info);
     }
@@ -126,25 +131,6 @@ WindowedAnalyzer::shardCount() const
     return count;
 }
 
-const ScenarioPartial &
-WindowedAnalyzer::shardPartial(const ShardEntry &entry,
-                               const std::string &scenario,
-                               DurationNs tFast, DurationNs tSlow) const
-{
-    const auto key = std::make_tuple(scenario, tFast, tSlow);
-    auto it = entry.partials.find(key);
-    if (it != entry.partials.end())
-        return it->second;
-
-    // Transient single-shard analyzer; the partial is what we keep.
-    EagerSource source(entry.corpus);
-    Analyzer analyzer(source, config_.analyzer);
-    ScenarioPartial partial =
-        analyzer.scenarioPartial(scenario, tFast, tSlow);
-    return entry.partials.emplace(key, std::move(partial))
-        .first->second;
-}
-
 WindowScenarioSummary
 WindowedAnalyzer::summarize(const std::vector<std::uint64_t> &windowIds,
                             const std::string &scenario,
@@ -163,8 +149,8 @@ WindowedAnalyzer::summarize(const std::vector<std::uint64_t> &windowIds,
         if (it == windows_.end())
             continue;
         out.windows.push_back(id);
-        for (const ShardEntry &entry : it->second)
-            selected.push_back(&entry);
+        for (const auto &entry : it->second)
+            selected.push_back(entry.get());
     }
     std::sort(out.windows.begin(), out.windows.end());
     out.windows.erase(
@@ -176,12 +162,13 @@ WindowedAnalyzer::summarize(const std::vector<std::uint64_t> &windowIds,
               });
     out.shards = selected.size();
 
-    // The coordinator's gather fold, run locally over cached partials.
+    // The coordinator's gather fold, run locally over each shard's
+    // partial, which its Analyzer folds from kept summaries.
     ScenarioFold fold;
     for (const ShardEntry *entry : selected) {
         ScenarioPartial partial =
-            shardPartial(*entry, scenario, tFast, tSlow);
-        if (entry->corpus.findScenario(scenario) != UINT32_MAX)
+            entry->analyzer.scenarioPartial(scenario, tFast, tSlow);
+        if (entry->analyzer.corpus().findScenario(scenario) != UINT32_MAX)
             out.scenarioFound = true;
         fold.add(partial);
     }

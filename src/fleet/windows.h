@@ -11,9 +11,11 @@
  * partial results* (src/core/partial.h) instead of re-running the
  * pipeline:
  *
- *  - Each shard's ScenarioPartial is computed once (transient
- *    single-shard Analyzer) and cached per (scenario, thresholds).
- *  - A summary merges the selected windows' cached partials in
+ *  - Each shard gets one Analyzer when it arrives. That Analyzer
+ *    builds the shard's wait graphs once, keeps every instance's
+ *    summaries and drops the graphs, so any (scenario, thresholds)
+ *    partial is a fold of kept summaries, not a graph build.
+ *  - A summary merges the selected shards' ScenarioPartials in
  *    *name-sorted order* — the same filename order listShardFiles()
  *    gives openSource() and the coordinator — through the exact
  *    gather fold of coordinator mode, then finalizes through the
@@ -27,9 +29,9 @@
  * scripts/smoke_fleet.sh).
  *
  * The ring is bounded: evictExpired() drops the oldest windows beyond
- * maxWindows, releasing their retained corpora and cached partials
- * (the in-memory artifact state of this layer). Not thread-safe —
- * FleetService serializes access.
+ * maxWindows, releasing their retained corpora and Analyzers (the
+ * in-memory state of this layer). Not thread-safe — FleetService
+ * serializes access.
  */
 
 #ifndef TRACELENS_FLEET_WINDOWS_H
@@ -38,14 +40,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "src/core/analyzer.h"
 #include "src/core/partial.h"
 #include "src/core/resultjson.h"
+#include "src/trace/source.h"
 #include "src/trace/stream.h"
 
 namespace tracelens
@@ -58,7 +61,7 @@ struct FleetWindowConfig
     std::uint64_t windowNs = 60ull * 1000 * 1000 * 1000;
     /** Bounded ring: evictExpired() keeps the newest N windows. */
     std::size_t maxWindows = 8;
-    /** Pipeline configuration for the per-shard partial analyzers. */
+    /** Pipeline configuration for the per-shard analyzers. */
     AnalyzerConfig analyzer;
 };
 
@@ -95,15 +98,15 @@ class WindowedAnalyzer
 
     /**
      * Ingest one shard under its spool @p name (the merge-order key;
-     * a re-pushed name replaces the previous corpus). Returns the
-     * owning window id.
+     * a re-pushed name replaces the previous corpus) and summarize its
+     * instances. Returns the owning window id.
      */
     std::uint64_t addShard(std::string name, TraceCorpus corpus,
                            std::uint64_t timestampNs);
 
     /**
      * Drop the oldest windows beyond maxWindows, releasing their
-     * corpora and cached partials. Returns the evicted shard names
+     * corpora and Analyzers. Returns the evicted shard names
      * (the service uses them to clean the spool/session side).
      */
     std::vector<std::string> evictExpired();
@@ -121,7 +124,7 @@ class WindowedAnalyzer
     std::size_t shardCount() const;
 
     /**
-     * Merge the selected windows' partials and finalize one scenario
+     * Merge the selected shards' partials and finalize one scenario
      * summary (see file comment for the byte-identity contract).
      * Unknown window ids are ignored; an empty selection yields an
      * empty summary with scenarioFound = false.
@@ -135,27 +138,23 @@ class WindowedAnalyzer
     const FleetWindowConfig &config() const { return config_; }
 
   private:
+    /** One retained shard. Held by pointer and never moved: the
+     *  Analyzer keeps a pointer to the source beside it. */
     struct ShardEntry
     {
+        ShardEntry(std::string name, std::uint64_t timestampNs,
+                   TraceCorpus corpus, const AnalyzerConfig &config);
+
         std::string name;
         std::uint64_t timestampNs = 0;
-        TraceCorpus corpus;
-        /** Partial cache keyed by (scenario, tFast, tSlow). */
-        mutable std::map<
-            std::tuple<std::string, DurationNs, DurationNs>,
-            ScenarioPartial>
-            partials;
+        EagerSource source;
+        Analyzer analyzer;
     };
-
-    /** Compute-or-fetch one shard's cached scenario partial. */
-    const ScenarioPartial &shardPartial(const ShardEntry &entry,
-                                        const std::string &scenario,
-                                        DurationNs tFast,
-                                        DurationNs tSlow) const;
 
     FleetWindowConfig config_;
     /** Window id -> shards, insertion order within the window. */
-    std::map<std::uint64_t, std::vector<ShardEntry>> windows_;
+    std::map<std::uint64_t, std::vector<std::unique_ptr<ShardEntry>>>
+        windows_;
 };
 
 } // namespace tracelens

@@ -2,9 +2,9 @@
  * @file
  * Tests for continuous fleet mode (src/fleet/): window bucketing and
  * eviction determinism, byte-identical rolling summaries under
- * shuffled shard arrival, the regression sentinel's exactly-once
- * firing, the alert JSON schema round trip, and the spool watcher's
- * rename-into-place discipline.
+ * shuffled shard arrival, one wait-graph build per retained shard, the
+ * regression sentinel's exactly-once firing, the alert JSON schema
+ * round trip, and the spool watcher's rename-into-place discipline.
  */
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "src/fleet/watcher.h"
 #include "src/fleet/windows.h"
 #include "src/trace/serialize.h"
+#include "src/util/telemetry.h"
 #include "src/workload/generator.h"
 #include "src/workload/scenarios.h"
 
@@ -185,8 +187,8 @@ TEST(FleetWindows, SummariesAreByteIdenticalUnderShuffledArrival)
     EXPECT_EQ(sa.shards, 6u);
     EXPECT_EQ(sa.summary.json.render(), sb.summary.json.render());
 
-    // Per-window summaries agree too, and repeated summaries hit the
-    // partial cache without changing a byte.
+    // Per-window summaries agree too, and repeated summaries do not
+    // change a byte.
     for (std::uint64_t w : all) {
         const std::string first =
             a.summarize({w}, scn.name, scn.tFast, scn.tSlow, 5, true)
@@ -326,6 +328,42 @@ TEST(FleetSentinel, FiresExactlyOncePerWindowCondition)
         EXPECT_EQ(alert.scenario, "BrowserTabCreate");
         EXPECT_FALSE(alert.baselineWindows.empty());
     }
+}
+
+/** The process-wide count of @p name, such as analyzer.graph_builds. */
+std::uint64_t
+counted(std::string_view name)
+{
+    const Counter *counter = MetricsRegistry::global().findCounter(name);
+    return counter == nullptr ? 0 : counter->value();
+}
+
+TEST(FleetWindows, EachShardBuildsItsWaitGraphsOnce)
+{
+    // However many (scenario, thresholds) keys the summaries and the
+    // sentinel ask about, a retained shard's wait graphs are built
+    // once, when it arrives; every later partial folds its summaries.
+    const std::uint64_t before = counted("analyzer.graph_builds");
+    WindowedAnalyzer windows(windowConfig());
+    AlertSink sink;
+    RegressionSentinel sentinel(windows, sink, sentinelConfig());
+    addCohort(windows, 2030, 0.0, 0.1, 0, "calm");
+    addCohort(windows, 2031, 1.0, 0.5, 1, "rollout");
+    const std::size_t added = windows.shardCount();
+    ASSERT_EQ(added, 4u);
+
+    for (const char *name : {"BrowserTabCreate", "FileOpen"}) {
+        const ScenarioSpec &scn = scenarioByName(name);
+        for (const auto &[tFast, tSlow] :
+             {std::pair{scn.tFast, scn.tSlow},
+              std::pair{scn.tFast * 2, scn.tSlow * 3 / 2}}) {
+            (void)windows.summarize(windows.allWindows(), scn.name, tFast,
+                                    tSlow, 5, true);
+            (void)windows.summarize({1}, scn.name, tFast, tSlow, 5, true);
+        }
+    }
+    (void)sentinel.evaluate();
+    EXPECT_EQ(counted("analyzer.graph_builds") - before, added);
 }
 
 TEST(FleetAlerts, AlertJsonRoundTrips)
