@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -330,20 +329,14 @@ TEST(FleetSentinel, FiresExactlyOncePerWindowCondition)
     }
 }
 
-/** The process-wide count of @p name, such as analyzer.graph_builds. */
-std::uint64_t
-counted(std::string_view name)
-{
-    const Counter *counter = MetricsRegistry::global().findCounter(name);
-    return counter == nullptr ? 0 : counter->value();
-}
-
 TEST(FleetWindows, EachShardBuildsItsWaitGraphsOnce)
 {
     // However many (scenario, thresholds) keys the summaries and the
     // sentinel ask about, a retained shard's wait graphs are built
     // once, when it arrives; every later partial folds its summaries.
-    const std::uint64_t before = counted("analyzer.graph_builds");
+    const Counter &builds =
+        MetricsRegistry::global().counter("analyzer.graph_builds");
+    const std::uint64_t before = builds.value();
     WindowedAnalyzer windows(windowConfig());
     AlertSink sink;
     RegressionSentinel sentinel(windows, sink, sentinelConfig());
@@ -363,7 +356,7 @@ TEST(FleetWindows, EachShardBuildsItsWaitGraphsOnce)
         }
     }
     (void)sentinel.evaluate();
-    EXPECT_EQ(counted("analyzer.graph_builds") - before, added);
+    EXPECT_EQ(builds.value() - before, added);
 }
 
 TEST(FleetAlerts, AlertJsonRoundTrips)

@@ -74,15 +74,6 @@ argOf(const SpanSnapshot &span, std::string_view key)
     return "";
 }
 
-/** The process-wide count of @p name; the daemon under test runs in
- *  this process, so its Analyzers count here. */
-std::uint64_t
-counted(std::string_view name)
-{
-    const Counter *counter = MetricsRegistry::global().findCounter(name);
-    return counter == nullptr ? 0 : counter->value();
-}
-
 TEST_F(ServerTest, HealthReportsProtocolVersions)
 {
     startServer();
@@ -233,17 +224,22 @@ TEST_F(ServerTest, WarmQueriesAreServedFromTheAnalyzer)
     Telemetry::reset();
 
     // Cold: opening the session computes every instance's summaries,
-    // and the query grows the scenario's path trie.
-    const std::uint64_t contributions = counted("analyzer.contributions");
-    const std::uint64_t fragments = counted("analyzer.fragments");
+    // and the query grows the scenario's path trie. The daemon runs in
+    // this process, so its Analyzers count in this registry.
+    const Counter &contributions =
+        MetricsRegistry::global().counter("analyzer.contributions");
+    const Counter &fragments =
+        MetricsRegistry::global().counter("analyzer.fragments");
+    const std::uint64_t contributionsBefore = contributions.value();
+    const std::uint64_t fragmentsBefore = fragments.value();
     Expected<Response> cold = session.analyze(analyzeRequest(3));
     ASSERT_TRUE(cold.ok()) << cold.error().render();
     ASSERT_TRUE(cold.value().ok) << cold.value().error.message;
     bool grown = false;
     for (const SpanSnapshot &span : Telemetry::snapshotSpans())
         grown |= span.name == "awg.grow-trie";
-    EXPECT_GT(counted("analyzer.contributions"), contributions);
-    EXPECT_GT(counted("analyzer.fragments"), fragments);
+    EXPECT_GT(contributions.value(), contributionsBefore);
+    EXPECT_GT(fragments.value(), fragmentsBefore);
     EXPECT_TRUE(grown);
 
     // Warm, different params (top=5): a different response-cache key
@@ -251,9 +247,8 @@ TEST_F(ServerTest, WarmQueriesAreServedFromTheAnalyzer)
     // what the cold one left: no summary is computed and the trie
     // does not grow.
     Telemetry::reset();
-    const std::uint64_t coldContributions =
-        counted("analyzer.contributions");
-    const std::uint64_t coldFragments = counted("analyzer.fragments");
+    const std::uint64_t coldContributions = contributions.value();
+    const std::uint64_t coldFragments = fragments.value();
     Expected<Response> warm = session.analyze(analyzeRequest(5));
     ASSERT_TRUE(warm.ok());
     ASSERT_TRUE(warm.value().ok);
@@ -264,8 +259,8 @@ TEST_F(ServerTest, WarmQueriesAreServedFromTheAnalyzer)
                  span.name == "awg.aggregate";
     }
     EXPECT_GT(folds, 0u);
-    EXPECT_EQ(counted("analyzer.contributions"), coldContributions);
-    EXPECT_EQ(counted("analyzer.fragments"), coldFragments);
+    EXPECT_EQ(contributions.value(), coldContributions);
+    EXPECT_EQ(fragments.value(), coldFragments);
 
     // Warm, identical params: the rendered response itself is cached;
     // the pipeline is not re-entered at all.
