@@ -55,7 +55,7 @@ struct FleetConfig
     std::uint64_t pollMs = 200;
     /** Sentinel rules (watched scenarios + thresholds). */
     SentinelConfig sentinel;
-    /** Pipeline configuration for per-shard partials. */
+    /** Pipeline configuration for the per-shard analyzers. */
     AnalyzerConfig analyzer;
     /** Alert JSONL sink path; empty = in-memory ring only. */
     std::string alertsPath;
