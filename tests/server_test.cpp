@@ -534,6 +534,7 @@ procEntries(const std::string &dir)
 bool
 destroyWithin(std::unique_ptr<Server> server, std::chrono::seconds limit)
 {
+    const std::size_t tasks = procEntries("task");
     std::promise<void> done;
     std::future<void> destroyed = done.get_future();
     std::thread helper(
@@ -546,6 +547,14 @@ destroyWithin(std::unique_ptr<Server> server, std::chrono::seconds limit)
         return false;
     }
     helper.join();
+    // join can return while the kernel still lists the helper in
+    // /proc/self/task; wait until it is gone, so that the caller's next
+    // count of that directory sees only threads that still run.
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (procEntries("task") > tasks &&
+           std::chrono::steady_clock::now() < until)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     return true;
 }
 
